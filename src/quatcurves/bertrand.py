@@ -10,8 +10,8 @@ offset ``a*N1 + b*N3`` exactly when constants a != 0, b != 0, c, d satisfy
 
 This module checks those conditions, fits the constants from curvature
 data, constructs the mate, evaluates its closed-form frame and curvature
-functions, and verifies the closed forms against an intrinsic
-finite-difference frame of the actual mate curve.
+functions, and verifies the closed forms against curvatures read from
+finite-difference derivatives of the actual mate curve.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curves import ArcLengthTable, ParametricCurve, _unit_speed_curve
+from .curves import ParametricCurve
 from .errors import DegeneracyError, FitError
 from .frames import (
     DEGENERACY_EPS,
@@ -31,6 +31,7 @@ from .frames import (
     FrameProvider,
     _frame4_basis,
     curvature_profile,
+    frame4_from_pair,
     frame4_intrinsic,
 )
 from .quaternion import Quaternion
@@ -362,8 +363,9 @@ def construct_mate(
     """The curve ``s -> alpha(s) + a*N1(s) + b*N3(s)``.
 
     The result stays parameterized by the base parameter ``s`` and is NOT
-    unit speed; consumers reparameterize by arc length.  ``consts`` may be
-    a plain ``(a, b)`` pair so that degenerate offsets remain testable.
+    unit speed; the oracle in :func:`verify_mate` reads its curvatures in
+    that parameter.  ``consts`` may be a plain ``(a, b)`` pair so that
+    degenerate offsets remain testable.
     """
     a, b = _offset_ab(consts)
     if frame_provider is None:
@@ -523,17 +525,18 @@ def verify_mate(
     grid: Sequence[float],
     alpha3: Optional[ParametricCurve] = None,
     tolerances: Optional[VerifyTolerances] = None,
-    oracle_samples: int = 33,
-    reparam_samples: int = 320,
 ) -> BertrandReport:
     """Full verification of the Bertrand mate against the intrinsic oracle.
 
     Stages: (i) condition check on the curvature profile; (ii) mate
     construction with the constant-distance check; (iii) speed versus the
-    closed-form phi'; (iv) arc-length reparameterization and the intrinsic
-    frame of the mate (pure finite differences); (v) curvature comparison
-    in absolute value; (vi) span check that the oracle N1bar/N3bar stay in
-    span{N1, N3}.  Stage failures are recorded in the report, not thrown.
+    closed-form phi'; (iv) the oracle: at every grid point at least
+    ``mate.fd_margin(4)`` inside the mate's domain, a QR factorization of
+    the mate's first four finite-difference derivatives in the base
+    parameter (Gluck's formulas need no arc-length parameter); (v)
+    curvature comparison in absolute value; (vi) span check that the oracle
+    N1bar/N3bar (QR columns 1 and 3) stay in span{N1, N3}.  Stage failures
+    are recorded in the report, not thrown.
     """
     tols = tolerances or VerifyTolerances()
     grid = np.asarray(list(grid), dtype=float)
@@ -545,7 +548,8 @@ def verify_mate(
 
     # The mate must be built from the same frame source as the profile the
     # constants were checked against (pair frames can orient N3 oppositely).
-    provider = None if alpha3 is None else (lambda s: _pair_frame(alpha4, alpha3, s))
+    provider = None if alpha3 is None else (lambda s: frame4_from_pair(alpha4, alpha3, s))
+    base_frame = provider or (lambda s: frame4_intrinsic(alpha4, s))
 
     try:
         mate = construct_mate(alpha4, consts, frame_provider=provider)
@@ -560,48 +564,23 @@ def verify_mate(
         return report
 
     mate_lo, mate_hi = mate.domain
-    speed_margin = mate.fd_margin(1)
-    speed_grid = grid[(grid >= mate_lo + speed_margin) & (grid <= mate_hi - speed_margin)]
+
+    def inside(margin: float) -> np.ndarray:
+        return np.flatnonzero((grid >= mate_lo + margin) & (grid <= mate_hi - margin))
+
     try:
         speed_devs = []
-        for i, s in enumerate(grid):
-            if s not in speed_grid:
-                continue
+        for i in inside(mate.fd_margin(1)):
             pp = phi_prime(profile.K[i], profile.r[i], profile.k[i], consts)
-            speed_devs.append(abs(mate.speed(float(s)) - pp))
+            speed_devs.append(abs(mate.speed(float(grid[i])) - pp))
         if not speed_devs:
             raise ValueError("no grid points admit the finite-difference margin")
         report.speed_deviation = float(max(speed_devs))
     except (DegeneracyError, ValueError) as exc:
         report.stage_errors.append(f"mate speed: {exc}")
 
-    try:
-        table = ArcLengthTable.build(mate, mate_lo + speed_margin, mate_hi - speed_margin,
-                                     max(reparam_samples, 32))
-        mate_unit = _unit_speed_curve(mate, table)
-    except (DegeneracyError, RuntimeError) as exc:
-        report.stage_errors.append(f"reparameterization: {exc}")
-        _finalize(report, tols)
-        return report
-
-    # The oracle differentiates the unit-speed mate; keep its stencils away
-    # from the reparameterized boundary.
-    oracle_margin = 0.05
-    sbar_lo, sbar_hi = mate_unit.domain
-    usable = [
-        (i, float(s))
-        for i, s in enumerate(grid)
-        if mate_lo + speed_margin <= s <= mate_hi - speed_margin
-    ]
-    candidates = []
-    for i, s in usable:
-        sbar = table.length_at(s)
-        if sbar_lo + oracle_margin <= sbar <= sbar_hi - oracle_margin:
-            candidates.append((i, s, sbar))
-    if len(candidates) > oracle_samples:
-        idx = np.linspace(0, len(candidates) - 1, oracle_samples).round().astype(int)
-        candidates = [candidates[j] for j in idx]
-    if not candidates:
+    usable = inside(mate.fd_margin(4))
+    if not len(usable):
         report.stage_errors.append("oracle: no grid points admit the finite-difference margins")
         _finalize(report, tols)
         return report
@@ -609,38 +588,35 @@ def verify_mate(
     curv_dev = 0.0
     span_res = 0.0
     try:
-        base_frames = {i: frame4_intrinsic(alpha4, s) if alpha3 is None
-                       else _pair_frame(alpha4, alpha3, s)
-                       for i, s, _ in candidates}
-        for i, s, sbar in candidates:
-            base = base_frames[i]
-            closed = mate_frame_closed_form(base, consts)
-            oracle = frame4_intrinsic(mate_unit, sbar)
+        for i in usable:
+            s = float(grid[i])
+            base = base_frame(s)
+            kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(
+                base.K, -base.torsion, base.K - base.bitorsion, consts
+            )
+            derivs = np.column_stack([mate.derivative(s, n) for n in range(1, 5)])
+            q, r = np.linalg.qr(derivs)
+            d = np.abs(np.diagonal(r))
+            if np.any(d <= DEGENERACY_EPS * np.linalg.norm(derivs, axis=0)):
+                raise DegeneracyError(f"mate derivatives are rank-deficient at s={s!r}")
             curv_dev = max(
                 curv_dev,
-                abs(oracle.K - closed.Kbar),
-                abs(abs(oracle.torsion) - abs(closed.torsion_bar)),
-                abs(abs(oracle.bitorsion) - abs(closed.bitorsion_bar)),
+                abs(d[1] / d[0] ** 2 - kbar),
+                abs(d[2] / (d[0] * d[1]) - abs(torsion_bar)),
+                abs(d[3] / (d[0] * d[2]) - abs(bitorsion_bar)),
             )
             n1 = base.N1.as_vec4()
             n3 = base.N3.as_vec4()
-            for vq in (oracle.N1, oracle.N3):
-                v = vq.as_vec4()
+            for v in (q[:, 1], q[:, 3]):
                 res = np.linalg.norm(v - (v @ n1) * n1 - (v @ n3) * n3)
                 span_res = max(span_res, float(res))
-        report.curvature_deviation = curv_dev
+        report.curvature_deviation = float(curv_dev)
         report.span_residual = span_res
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"oracle frame: {exc}")
 
     _finalize(report, tols)
     return report
-
-
-def _pair_frame(alpha4: ParametricCurve, alpha3: ParametricCurve, s: float) -> Frame4:
-    from .frames import frame4_from_pair
-
-    return frame4_from_pair(alpha4, alpha3, s)
 
 
 def _finalize(report: BertrandReport, tols: VerifyTolerances):

@@ -43,11 +43,6 @@ EXIT_INPUT = 2
 EXIT_DEGENERACY = 3
 EXIT_FIT = 4
 
-# Margin applied when deriving a default grid for curves that must be
-# differentiated by finite differences (covers the widest stencil plus the
-# bitorsion field step).
-FD_GRID_MARGIN = 0.05
-
 
 class _InputError(Exception):
     pass
@@ -135,8 +130,9 @@ def _grid(curve: ParametricCurve, s0: Optional[float], s1: Optional[float],
           samples: int) -> np.ndarray:
     if samples < 3:
         raise _InputError("--samples must be at least 3")
+    # The default grid keeps the widest (order-4) stencil inside the domain.
     lo, hi = curve.domain
-    margin = 0.0 if curve.has_analytic_derivatives else FD_GRID_MARGIN
+    margin = curve.fd_margin(4)
     lo, hi = lo + margin, hi - margin
     if s0 is not None:
         lo = s0

@@ -130,7 +130,7 @@ class ParametricCurve:
         for u in rng.uniform(lo + margin, hi - margin, size=10):
             for order in (1, 2):
                 exact = np.asarray(self._derivs(float(u), order), dtype=float)
-                fd = _fd_derivative(self, float(u), order, DEFAULT_STEPS[order])
+                fd = _fd_derivative(self.point, float(u), order, DEFAULT_STEPS[order])
                 if np.max(np.abs(exact - fd)) > 1e-6:
                     raise ValueError(
                         "analytic derivatives disagree with finite differences "
@@ -154,11 +154,12 @@ def _central_stencil(f, u: float, order: int, h: float) -> np.ndarray:
     raise ValueError("derivative order must be between 1 and 4")
 
 
-def _fd_derivative(curve: ParametricCurve, u: float, order: int, h: float) -> np.ndarray:
+def _fd_derivative(f: Callable[[float], np.ndarray], u: float, order: int,
+                   h: float) -> np.ndarray:
     # One Richardson level: the central stencils are O(h^2), so the
     # combination (4 D(h/2) - D(h)) / 3 cancels the leading error term.
-    d_h = _central_stencil(curve.point, u, order, h)
-    d_h2 = _central_stencil(curve.point, u, order, h / 2.0)
+    d_h = _central_stencil(f, u, order, h)
+    d_h2 = _central_stencil(f, u, order, h / 2.0)
     return (4.0 * d_h2 - d_h) / 3.0
 
 
@@ -191,7 +192,7 @@ def derivative(
             f"parameter {u!r} violates the differentiation margin "
             f"{margin:.3g} for order {order} on [{lo}, {hi}]"
         )
-    d = _fd_derivative(curve, float(u), order, h)
+    d = _fd_derivative(curve.point, float(u), order, h)
     if not np.all(np.isfinite(d)):
         raise ValueError(f"derivative is not finite at u={u!r}")
     return d
@@ -323,21 +324,17 @@ def reparameterize_by_arclength(curve: ParametricCurve, samples: int = 256) -> P
         if curve.speed(u) < SPEED_EPS:
             raise DegeneracyError("irregular curve: speed below threshold")
     table = ArcLengthTable.build(curve, lo, hi, max(samples, 32))
-    new = _unit_speed_curve(curve, table)
-    ok, dev = is_unit_speed(new, 1e-6)
-    if not ok:
-        raise RuntimeError(f"arc-length reparameterization missed tolerance: deviation {dev:.3g}")
-    return new
-
-
-def _unit_speed_curve(curve: ParametricCurve, table: ArcLengthTable) -> ParametricCurve:
-    return ParametricCurve(
+    new = ParametricCurve(
         dim=curve.dim,
         evaluate=lambda sbar: curve.point(table.invert(sbar)),
         domain=(0.0, table.total),
         derivatives=None,
         name=f"{curve.name or 'curve'}[arclength]",
     )
+    ok, dev = is_unit_speed(new, 1e-6)
+    if not ok:
+        raise RuntimeError(f"arc-length reparameterization missed tolerance: deviation {dev:.3g}")
+    return new
 
 
 # -- curve families -----------------------------------------------------------
@@ -510,9 +507,12 @@ class CurveSpec:
             raise ValueError("curve spec needs a 'params' object")
         domain = data.get("domain")
         if domain is not None:
-            if len(domain) != 2:
+            if not isinstance(domain, (list, tuple)) or len(domain) != 2:
                 raise ValueError("curve spec 'domain' must be [u_min, u_max]")
-            domain = (float(domain[0]), float(domain[1]))
+            try:
+                domain = (float(domain[0]), float(domain[1]))
+            except (TypeError, OverflowError) as exc:
+                raise ValueError(f"curve spec 'domain' must hold two numbers: {exc}") from exc
         return cls(family=family, params=params, domain=domain)
 
     @classmethod
@@ -543,3 +543,6 @@ class CurveSpec:
             return fourier_curve(**kwargs)
         except KeyError as exc:
             raise ValueError(f"curve spec for {self.family!r} is missing parameter {exc}") from exc
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(f"curve spec for {self.family!r} has a malformed parameter: "
+                             f"{exc}") from exc

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve, is_unit_speed
+from .curves import ParametricCurve, _fd_derivative, is_unit_speed
 from .errors import DegeneracyError
 from .quaternion import Quaternion, mul
 
@@ -46,11 +46,6 @@ __all__ = [
 
 DEGENERACY_EPS = 1e-9
 UNIT_SPEED_TOL = 1e-5
-
-# Step for differentiating frame vector fields (not curve points); larger
-# than the curve-level steps because each field evaluation already carries
-# the noise of an order-3 derivative.
-FIELD_STEP = 2e-2
 
 FRAME4_CSV_HEADER = (
     "s,T0,T1,T2,T3,N1_0,N1_1,N1_2,N1_3,N2_0,N2_1,N2_2,N2_3,"
@@ -236,7 +231,7 @@ def _frame4_basis(curve: ParametricCurve, s: float, step: Optional[float], eps: 
     return t_hat, n1, n2, n3, K, -wn, (d1, d2, d3, w)
 
 
-def _bitorsion_analytic(curve: ParametricCurve, s: float, basis) -> float:
+def _bitorsion(curve: ParametricCurve, s: float, basis) -> float:
     t_hat, n1, n2, n3, K, torsion, (d1, d2, d3, w) = basis
     d4 = curve.derivative(s, 4)
     L1 = float(np.linalg.norm(d1))
@@ -250,49 +245,27 @@ def _bitorsion_analytic(curve: ParametricCurve, s: float, basis) -> float:
     return float(n2_prime @ n3)
 
 
-def _bitorsion_field(curve: ParametricCurve, s: float, n3: np.ndarray,
-                     step: Optional[float], eps: float, field_step: float) -> float:
-    def n2_at(x: float) -> np.ndarray:
-        return _frame4_basis(curve, x, step, eps)[2]
-
-    h = field_step
-    lo, hi = curve.domain
-    reach = h + curve.fd_margin(3, step)
-    if s - reach < lo or s + reach > hi:
-        raise ValueError(
-            f"parameter {s!r} too close to the boundary for the bitorsion field step {h:.3g}"
-        )
-    d_h = (n2_at(s + h) - n2_at(s - h)) / (2.0 * h)
-    d_h2 = (n2_at(s + h / 2.0) - n2_at(s - h / 2.0)) / h
-    n2_prime = (4.0 * d_h2 - d_h) / 3.0
-    return float(n2_prime @ n3)
-
-
 def frame4_intrinsic(
     curve: ParametricCurve,
     s: float,
     step: Optional[float] = None,
     eps: float = DEGENERACY_EPS,
     unit_speed_tol: float = UNIT_SPEED_TOL,
-    field_step: float = FIELD_STEP,
 ) -> Frame4:
     """R^4 frame recovered from curve derivatives alone.
 
     ``N1 = T'/K``; ``N2 = -(N1' + K T)/||N1' + K T||`` so the torsion
     reading is always nonpositive; ``N3`` completes the unique orthonormal
-    basis with determinant +1.  The bitorsion is ``h(N2', N3)``, computed
-    from fourth derivatives when the curve ships analytic ones and from a
-    finite difference of the N2 field otherwise.
+    basis with determinant +1.  The bitorsion is ``h(N2', N3)``, with
+    ``N2'`` written in closed form from the first four derivatives, so
+    analytic and finite-difference curves are read the same way (the latter
+    need the order-4 stencil reach ``curve.fd_margin(4)`` from the ends).
     """
     if curve.dim != 4:
         raise ValueError("frame4_intrinsic requires a curve of dimension 4")
     _require_unit_speed(curve, unit_speed_tol)
     basis = _frame4_basis(curve, s, step, eps)
     t_hat, n1, n2, n3, K, torsion, _ = basis
-    if curve.has_analytic_derivatives:
-        bitorsion = _bitorsion_analytic(curve, s, basis)
-    else:
-        bitorsion = _bitorsion_field(curve, s, n3, step, eps, field_step)
     return Frame4(
         T=Quaternion.from_vec4(t_hat),
         N1=Quaternion.from_vec4(n1),
@@ -300,7 +273,7 @@ def frame4_intrinsic(
         N3=Quaternion.from_vec4(n3),
         K=K,
         torsion=torsion,
-        bitorsion=bitorsion,
+        bitorsion=_bitorsion(curve, s, basis),
     )
 
 
@@ -452,10 +425,7 @@ def frame_ode_residual(
 
     for idx, s in enumerate(grid):
         f = fn(s)
-        h = step
-        d_h = (frame_vectors(s + h) - frame_vectors(s - h)) / (2.0 * h)
-        d_h2 = (frame_vectors(s + h / 2.0) - frame_vectors(s - h / 2.0)) / h
-        deriv = (4.0 * d_h2 - d_h) / 3.0
+        deriv = _fd_derivative(frame_vectors, s, 1, step)
         T, N1, N2, N3 = (v.as_vec4() for v in f.vectors())
         expected = np.stack(
             [

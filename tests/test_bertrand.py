@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from quatcurves import bertrand
 from quatcurves.bertrand import (
     BertrandConstants,
     check_conditions,
@@ -288,8 +289,8 @@ class TestVerifyMate:
             epsilon=torus_constants.epsilon,
             delta=torus_constants.delta,
         )
-        # Keep the oracle sampling light; the condition failure is algebraic.
-        report = verify_mate(torus, bad, grid101[:: 5], oracle_samples=5)
+        # Keep the grid light; the condition failure is algebraic.
+        report = verify_mate(torus, bad, grid101[:: 5])
         assert not report.verdict
         assert not report.conditions["curvature_relation"].passed
 
@@ -302,8 +303,22 @@ class TestVerifyMate:
         profile = curvature_profile(torus, grid, curve3=helix_assoc)
         consts = fit_constants(profile)
         assert consts.epsilon == -1 and consts.delta == -1
-        report = verify_mate(torus, consts, grid, alpha3=helix_assoc, oracle_samples=15)
+        report = verify_mate(torus, consts, grid, alpha3=helix_assoc)
         assert report.verdict, (report.stage_errors, report.to_json_dict())
+
+    def test_oracle_detects_wrong_closed_form(self, torus, torus_constants, grid101,
+                                              monkeypatch):
+        # A 0.1% error in the closed-form mate curvature must fail the oracle.
+        exact = bertrand.mate_curvatures_closed_form
+
+        def scaled(K, r, k, consts):
+            kbar, torsion_bar, bitorsion_bar = exact(K, r, k, consts)
+            return 1.001 * kbar, torsion_bar, bitorsion_bar
+
+        monkeypatch.setattr(bertrand, "mate_curvatures_closed_form", scaled)
+        report = verify_mate(torus, torus_constants, grid101[:: 5])
+        assert not report.verdict
+        assert report.curvature_deviation > 1e-4
 
     def test_report_json_shape(self, torus_report):
         doc = torus_report.to_json_dict()

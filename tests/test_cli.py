@@ -94,6 +94,18 @@ class TestFrameCommand:
                      "--out", str(tmp_path / "x.csv")])
         assert code == 2
 
+    @pytest.mark.parametrize("doc", [
+        {**TORUS_DOC, "params": {**TORUS_DOC["params"], "A": None}},
+        {**TORUS_DOC, "domain": 5},
+        {"family": "fourier", "params": {"coeffs": [1, 2]}},
+        {**TORUS_DOC, "params": {**TORUS_DOC["params"], "q": 10**400}},
+    ], ids=["null-param", "scalar-domain", "list-coeffs", "huge-int-param"])
+    def test_mistyped_spec_exit2(self, tmp_path, capsys, doc):
+        spec = write_json(tmp_path, "typed.json", doc)
+        code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "cannot load curve spec" in capsys.readouterr().err
+
 
 class TestBertrandCommands:
     def test_fit_and_check_round_trip(self, tmp_path, torus_spec, capsys):

@@ -42,7 +42,7 @@ class TestDerivative:
         want = np.array([0.0, SQ2, 0.0, SQ2])
         assert np.allclose(c.derivative(0.0, 1), want, atol=1e-14)
         # finite-difference path must agree
-        fd = _fd_derivative(c, 0.0, 1, 1e-4)
+        fd = _fd_derivative(c.point, 0.0, 1, 1e-4)
         assert np.allclose(fd, want, atol=1e-9)
 
     def test_constant_curve_all_orders_zero(self):
@@ -63,10 +63,10 @@ class TestDerivative:
             for u in rng.uniform(lo + 0.5, hi - 0.5, 8):
                 for order in (1, 2, 3):
                     ex = c.derivative(float(u), order)
-                    fd = _fd_derivative(c, float(u), order, DEFAULT_STEPS[order])
+                    fd = _fd_derivative(c.point, float(u), order, DEFAULT_STEPS[order])
                     assert np.max(np.abs(ex - fd)) <= 1e-6, (name, order)
                 ex = c.derivative(float(u), 4)
-                fd = _fd_derivative(c, float(u), 4, DEFAULT_STEPS[4])
+                fd = _fd_derivative(c.point, float(u), 4, DEFAULT_STEPS[4])
                 assert np.max(np.abs(ex - fd)) <= 1e-4, name
 
     def test_margin_enforced_for_fd_curves(self):

@@ -3,7 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from quatcurves.curves import circle3, fourier_curve, helix3, torus_curve
+from quatcurves.curves import (
+    circle3,
+    fourier_curve,
+    helix3,
+    reparameterize_by_arclength,
+    torus_curve,
+)
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import (
     Frame4,
@@ -114,6 +120,22 @@ class TestFrame4Intrinsic:
         )
         with pytest.raises(ValueError, match="unit-speed"):
             frame4_intrinsic(doubled, 1.0)
+
+    def test_finite_difference_curve_invariants(self):
+        # The canonical torus traced at twice unit speed, reparameterized by
+        # arc length: a curve with finite-difference derivatives only.
+        fast = fourier_curve(
+            [[0.0, 0.0, 0.6], [0.0], [0.0, 0.0, 0.0, 0.0, 0.4], [0.0]],
+            [[0.0], [0.0, 0.0, 0.6], [0.0], [0.0, 0.0, 0.0, 0.0, 0.4]],
+            domain=(0.0, math.pi),
+        )
+        curve = reparameterize_by_arclength(fast)
+        assert not curve.has_analytic_derivatives
+        for s in np.linspace(0.5, 5.8, 7):
+            f = frame4_intrinsic(curve, float(s))
+            assert abs(f.K - TORUS_K) <= 1e-5
+            assert abs(f.torsion + TORUS_R) <= 1e-5
+            assert abs(f.bitorsion - TORUS_M) <= 1e-5
 
 
 class TestFrame4Pair:
