@@ -28,7 +28,6 @@ from .frames import (
     DEGENERACY_EPS,
     CurvatureProfile,
     Frame4,
-    FrameProvider,
     _frame4_basis,
     curvature_profile,
     frame4_from_pair,
@@ -255,9 +254,7 @@ _B_CANDIDATES = (1.0, -1.0, 2.0, -2.0)
 
 
 def fit_constants(
-    profile: CurvatureProfile,
-    c_override: Optional[float] = None,
-    tol_nonzero: float = 1e-9,
+    profile: CurvatureProfile, c_override: Optional[float] = None
 ) -> BertrandConstants:
     """Fit the Bertrand constants (a, b, c, d) from curvature data.
 
@@ -265,8 +262,9 @@ def fit_constants(
     solved by least squares over the grid.  Constant profiles leave the
     system underdetermined; the fitter then minimizes |c| (taking c = 0,
     a = 1/K) unless ``c_override`` forces a value, and picks the first
-    nonzero-b candidate that keeps the regularity condition alive.
-    Raises :class:`FitError` with the reason on failure.
+    nonzero-b candidate that keeps the regularity condition alive.  The
+    nonzero conditions are held to ``DEGENERACY_EPS``.  Raises
+    :class:`FitError` with the reason on failure.
     """
     if len(profile) < 3:
         raise FitError("profile too small: need at least 3 grid points")
@@ -290,7 +288,7 @@ def fit_constants(
             a_try = (1.0 + c * cand * m0) / (K0 - c * r0)
             if abs(a_try) <= 1e-12:
                 continue
-            if abs(a_try * r0 + cand * m0) > max(tol_nonzero, 1e-6):
+            if abs(a_try * r0 + cand * m0) > 1e-6:
                 a, b = a_try, cand
                 break
         if b is None:
@@ -323,12 +321,12 @@ def fit_constants(
         raise FitError(f"non-constant d: max deviation {d_dev:.3g} exceeds 1e-06")
 
     combo = a * r + b * m
-    if np.min(np.abs(combo)) < tol_nonzero:
+    if np.min(np.abs(combo)) < DEGENERACY_EPS:
         raise FitError("a*r + b*(K-k) vanishes on the grid")
     if np.sign(combo.min()) != np.sign(combo.max()):
         raise FitError("sign flip of a*r + b*(K-k) across the grid")
     eq4 = (1.0 - c * c) * K * r + c * (K * K - r * r - m * m)
-    if np.min(np.abs(eq4)) < tol_nonzero:
+    if np.min(np.abs(eq4)) < DEGENERACY_EPS:
         raise FitError("mate torsion degenerates: nonzero condition violated")
 
     return BertrandConstants(
@@ -356,25 +354,26 @@ def _offset_ab(consts: ConstantsLike) -> tuple[float, float]:
 def construct_mate(
     alpha4: ParametricCurve,
     consts: ConstantsLike,
-    frame_provider: Optional[FrameProvider] = None,
-    step: Optional[float] = None,
-    eps: float = DEGENERACY_EPS,
+    curve3: Optional[ParametricCurve] = None,
 ) -> ParametricCurve:
     """The curve ``s -> alpha(s) + a*N1(s) + b*N3(s)``.
 
+    N1 and N3 come from the intrinsic frame of ``alpha4``, or from the
+    pair-built frame when the associated spatial curve ``curve3`` is given.
     The result stays parameterized by the base parameter ``s`` and is NOT
     unit speed; the oracle in :func:`verify_mate` reads its curvatures in
-    that parameter.  ``consts`` may be a plain ``(a, b)`` pair so that
-    degenerate offsets remain testable.
+    that parameter.  Its domain is the base domain less the order-3 reach
+    ``alpha4.fd_margin(3)`` at each end.  ``consts`` may be a plain
+    ``(a, b)`` pair so that degenerate offsets remain testable.
     """
     a, b = _offset_ab(consts)
-    if frame_provider is None:
+    if curve3 is None:
         def n1_n3(s: float):
-            basis = _frame4_basis(alpha4, s, step, eps)
+            basis = _frame4_basis(alpha4, s)
             return basis[1], basis[3]
     else:
         def n1_n3(s: float):
-            f = frame_provider(s)
+            f = frame4_from_pair(alpha4, curve3, s)
             return f.N1.as_vec4(), f.N3.as_vec4()
 
     def evaluate(s: float) -> np.ndarray:
@@ -382,7 +381,7 @@ def construct_mate(
         return alpha4.point(s) + a * n1 + b * n3
 
     lo, hi = alpha4.domain
-    margin = alpha4.fd_margin(3, step)
+    margin = alpha4.fd_margin(3)
     return ParametricCurve(
         dim=4,
         evaluate=evaluate,
@@ -548,11 +547,13 @@ def verify_mate(
 
     # The mate must be built from the same frame source as the profile the
     # constants were checked against (pair frames can orient N3 oppositely).
-    provider = None if alpha3 is None else (lambda s: frame4_from_pair(alpha4, alpha3, s))
-    base_frame = provider or (lambda s: frame4_intrinsic(alpha4, s))
+    def base_frame(s: float) -> Frame4:
+        if alpha3 is None:
+            return frame4_intrinsic(alpha4, s)
+        return frame4_from_pair(alpha4, alpha3, s)
 
     try:
-        mate = construct_mate(alpha4, consts, frame_provider=provider)
+        mate = construct_mate(alpha4, consts, curve3=alpha3)
         deviations = [
             abs(float(np.linalg.norm(mate.point(s) - alpha4.point(s))) - offset)
             for s in grid

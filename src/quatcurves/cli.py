@@ -29,6 +29,7 @@ from .errors import DegeneracyError, FitError
 from .frames import (
     FRAME3_CSV_HEADER,
     FRAME4_CSV_HEADER,
+    UNIT_SPEED_TOL,
     curvature_profile,
     frame3_at,
     frame3_csv_row,
@@ -55,10 +56,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, spatial=False, constants=False, out=False, report=False):
+    def add_common(p, constants=False, tol=True, out=False, report=False):
         p.add_argument("--curve", required=True, help="path to a curve spec JSON document")
-        if spatial:
-            p.add_argument("--spatial", help="path to an associated spatial curve spec")
+        p.add_argument("--spatial", help="path to an associated spatial curve spec")
         if constants:
             p.add_argument(
                 "--constants",
@@ -68,31 +68,31 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s0", type=float, help="grid start (defaults to the usable domain)")
         p.add_argument("--s1", type=float, help="grid end")
         p.add_argument("--samples", type=int, default=101, help="grid size (>= 3)")
-        p.add_argument("--step", type=float, help="override the finite-difference step")
-        p.add_argument("--tol", type=float, help="override the pass/fail tolerance")
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
         if out:
             p.add_argument("--out", required=True, help="output file path")
         if report:
             p.add_argument("--report", required=True, help="report JSON output path")
 
     p_frame = sub.add_parser("frame", help="emit a frame CSV over a grid")
-    add_common(p_frame, spatial=True, out=True)
+    add_common(p_frame, out=True)
 
     p_bertrand = sub.add_parser("bertrand", help="Bertrand constant operations")
     bsub = p_bertrand.add_subparsers(dest="bertrand_command", required=True)
 
     p_fit = bsub.add_parser("fit", help="fit constants from the curvature profile")
-    add_common(p_fit, spatial=True, out=True)
+    add_common(p_fit, out=True)
 
     p_check = bsub.add_parser("check", help="check conditions for given constants")
-    add_common(p_check, spatial=True, constants=True)
+    add_common(p_check, constants=True)
     p_check.add_argument("--report", help="optional report JSON output path")
 
     p_mate = bsub.add_parser("mate", help="emit the mate curve as CSV")
-    add_common(p_mate, spatial=True, constants=True, out=True)
+    add_common(p_mate, constants=True, tol=False, out=True)
 
     p_verify = sub.add_parser("verify", help="verify the mate against the intrinsic oracle")
-    add_common(p_verify, spatial=True, constants=True, report=True)
+    add_common(p_verify, constants=True, report=True)
 
     return parser
 
@@ -120,7 +120,7 @@ def _load_constants(text: str) -> BertrandConstants:
 
 
 def _ensure_unit_speed(curve: ParametricCurve) -> ParametricCurve:
-    ok, _ = is_unit_speed(curve, 1e-5)
+    ok, _ = is_unit_speed(curve, UNIT_SPEED_TOL)
     if ok:
         return curve
     return reparameterize_by_arclength(curve)
@@ -143,6 +143,15 @@ def _grid(curve: ParametricCurve, s0: Optional[float], s1: Optional[float],
     return np.linspace(lo, hi, samples)
 
 
+def _load_inputs(args) -> tuple[ParametricCurve, Optional[ParametricCurve], np.ndarray]:
+    """The unit-speed curve, the optional unit-speed spatial curve and the grid."""
+    curve = _ensure_unit_speed(_load_curve(args.curve))
+    spatial = None
+    if args.spatial:
+        spatial = _ensure_unit_speed(_load_curve(args.spatial))
+    return curve, spatial, _grid(curve, args.s0, args.s1, args.samples)
+
+
 def _write(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(text)
@@ -151,38 +160,29 @@ def _write(path: str, text: str):
 # -- subcommands -----------------------------------------------------------------
 
 def cmd_frame(args) -> int:
-    curve = _ensure_unit_speed(_load_curve(args.curve))
-    tol = args.tol if args.tol is not None else 1e-8
-    grid = _grid(curve, args.s0, args.s1, args.samples)
+    curve, spatial, grid = _load_inputs(args)
     lines = []
     if curve.dim == 3:
         lines.append(FRAME3_CSV_HEADER)
         residual = 0.0
         for s in grid:
-            f = frame3_at(curve, float(s), step=args.step)
+            f = frame3_at(curve, float(s))
             residual = max(residual, orthonormality_residual(f.vectors()))
             lines.append(frame3_csv_row(float(s), f, fnum))
     else:
-        spatial = None
-        if getattr(args, "spatial", None):
-            spatial = _ensure_unit_speed(_load_curve(args.spatial))
         lines.append(FRAME4_CSV_HEADER)
-        frames = frames_on_grid(curve, grid, curve3=spatial, step=args.step)
+        frames = frames_on_grid(curve, grid, curve3=spatial)
         residual = max(orthonormality_residual(f.vectors()) for f in frames)
         for s, f in zip(grid, frames):
             lines.append(frame4_csv_row(float(s), f, fnum))
     _write(args.out, "\n".join(lines) + "\n")
     print(f"max orthonormality residual: {fnum(residual)}")
-    return EXIT_OK if residual <= tol else EXIT_VERIFICATION
+    return EXIT_OK if residual <= args.tol else EXIT_VERIFICATION
 
 
 def _profile_for(args):
-    curve = _ensure_unit_speed(_load_curve(args.curve))
-    spatial = None
-    if getattr(args, "spatial", None):
-        spatial = _ensure_unit_speed(_load_curve(args.spatial))
-    grid = _grid(curve, args.s0, args.s1, args.samples)
-    return curve, spatial, grid, curvature_profile(curve, grid, curve3=spatial, step=args.step)
+    curve, spatial, grid = _load_inputs(args)
+    return curvature_profile(curve, grid, curve3=spatial)
 
 
 def _print_conditions(report):
@@ -195,31 +195,32 @@ def _print_conditions(report):
         )
 
 
+def _check(profile, consts, args):
+    report = check_conditions(profile, consts, tol=args.tol)
+    _print_conditions(report)
+    return report
+
+
 def cmd_bertrand_fit(args) -> int:
-    _, _, _, profile = _profile_for(args)
+    profile = _profile_for(args)
     consts = fit_constants(profile)
     _write(args.out, canonical_json(consts.to_json_dict()))
-    report = check_conditions(profile, consts)
-    _print_conditions(report)
+    report = _check(profile, consts, args)
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
 def cmd_bertrand_check(args) -> int:
     consts = _load_constants(args.constants)
-    _, _, _, profile = _profile_for(args)
-    tol = args.tol if args.tol is not None else 1e-8
-    report = check_conditions(profile, consts, tol=tol)
-    _print_conditions(report)
-    if getattr(args, "report", None):
+    report = _check(_profile_for(args), consts, args)
+    if args.report:
         _write(args.report, canonical_json(report.to_json_dict()))
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
 def cmd_bertrand_mate(args) -> int:
     consts = _load_constants(args.constants)
-    curve = _ensure_unit_speed(_load_curve(args.curve))
-    grid = _grid(curve, args.s0, args.s1, args.samples)
-    mate = construct_mate(curve, consts, step=args.step)
+    curve, spatial, grid = _load_inputs(args)
+    mate = construct_mate(curve, consts, curve3=spatial)
     lines = ["s,x0,x1,x2,x3"]
     for s in grid:
         p = mate.point(float(s))
@@ -231,14 +232,8 @@ def cmd_bertrand_mate(args) -> int:
 
 def cmd_verify(args) -> int:
     consts = _load_constants(args.constants)
-    curve = _ensure_unit_speed(_load_curve(args.curve))
-    spatial = None
-    if getattr(args, "spatial", None):
-        spatial = _ensure_unit_speed(_load_curve(args.spatial))
-    grid = _grid(curve, args.s0, args.s1, args.samples)
-    tols = VerifyTolerances()
-    if args.tol is not None:
-        tols.algebraic = args.tol
+    curve, spatial, grid = _load_inputs(args)
+    tols = VerifyTolerances(algebraic=args.tol)
     report = verify_mate(curve, consts, grid, alpha3=spatial, tolerances=tols)
     _write(args.report, canonical_json(report.to_json_dict()))
     _print_conditions(report)

@@ -101,18 +101,15 @@ class ParametricCurve:
     def has_analytic_derivatives(self) -> bool:
         return self._derivs is not None
 
-    def derivative(self, u: float, order: int, step: Optional[float] = None) -> np.ndarray:
-        return derivative(self, u, order, step)
+    def derivative(self, u: float, order: int) -> np.ndarray:
+        return derivative(self, u, order)
 
-    def speed(self, u: float, step: Optional[float] = None) -> float:
-        return float(np.linalg.norm(self.derivative(u, 1, step)))
+    def speed(self, u: float) -> float:
+        return float(np.linalg.norm(self.derivative(u, 1)))
 
-    def fd_margin(self, order: int, step: Optional[float] = None) -> float:
+    def fd_margin(self, order: int) -> float:
         """Distance from the boundary required to differentiate at ``order``."""
-        if self.has_analytic_derivatives:
-            return 0.0
-        h = DEFAULT_STEPS[order] if step is None else float(step)
-        return 2.0 * order * h
+        return 0.0 if self.has_analytic_derivatives else _fd_reach(order)
 
     @cached_property
     def unit_speed_deviation(self) -> float:
@@ -124,8 +121,7 @@ class ParametricCurve:
 
     def _validate_derivatives(self):
         lo, hi = self.domain
-        h = DEFAULT_STEPS[2]
-        margin = 2.0 * 2 * h + 1e-9 * (hi - lo)
+        margin = _fd_reach(2) + 1e-9 * (hi - lo)
         rng = np.random.default_rng(20240831)
         for u in rng.uniform(lo + margin, hi - margin, size=10):
             for order in (1, 2):
@@ -139,6 +135,11 @@ class ParametricCurve:
 
 
 # -- differentiation ---------------------------------------------------------
+
+def _fd_reach(order: int) -> float:
+    """How far the Richardson-central stencil of ``order`` reaches from its centre."""
+    return 2.0 * order * DEFAULT_STEPS[order]
+
 
 def _central_stencil(f, u: float, order: int, h: float) -> np.ndarray:
     if order == 1:
@@ -163,14 +164,14 @@ def _fd_derivative(f: Callable[[float], np.ndarray], u: float, order: int,
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def derivative(
-    curve: ParametricCurve, u: float, order: int, step: Optional[float] = None
-) -> np.ndarray:
+def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
     """Derivative of the curve at ``u`` for orders 1..4.
 
     Uses the analytic derivative when the curve carries one, otherwise
-    central finite differences of the stated order with one Richardson
-    extrapolation level.  Deterministic for fixed inputs.
+    central finite differences of the stated order with step
+    ``DEFAULT_STEPS[order]`` and one Richardson extrapolation level, which
+    needs ``u`` at least ``curve.fd_margin(order)`` inside the domain.
+    Deterministic for fixed inputs.
     """
     if not 1 <= order <= 4:
         raise ValueError("derivative order must be between 1 and 4")
@@ -183,16 +184,13 @@ def derivative(
         if not np.all(np.isfinite(d)):
             raise ValueError(f"derivative is not finite at u={u!r}")
         return d
-    h = DEFAULT_STEPS[order] if step is None else float(step)
-    if h <= 0:
-        raise ValueError("step must be positive")
-    margin = 2.0 * order * h
+    margin = curve.fd_margin(order)
     if u - margin < lo or u + margin > hi:
         raise ValueError(
             f"parameter {u!r} violates the differentiation margin "
             f"{margin:.3g} for order {order} on [{lo}, {hi}]"
         )
-    d = _fd_derivative(curve.point, float(u), order, h)
+    d = _fd_derivative(curve.point, float(u), order, DEFAULT_STEPS[order])
     if not np.all(np.isfinite(d)):
         raise ValueError(f"derivative is not finite at u={u!r}")
     return d
@@ -312,9 +310,10 @@ def reparameterize_by_arclength(curve: ParametricCurve, samples: int = 256) -> P
     """Return the same trace parameterized by arc length.
 
     ``samples`` sets the panel count of the underlying cumulative-length
-    table.  Rejects irregular curves (speed below ``SPEED_EPS`` anywhere on
-    the sample grid).  The returned curve has speed within 1e-6 of 1 on a
-    validation grid and carries no analytic derivatives.
+    table.  Raises :class:`DegeneracyError` for irregular curves (speed
+    below ``SPEED_EPS`` anywhere on the sample grid) and when the result's
+    speed strays more than 1e-6 from 1 on a validation grid.  The returned
+    curve carries no analytic derivatives.
     """
     lo, hi = curve.domain
     m = curve.fd_margin(1)
@@ -333,7 +332,9 @@ def reparameterize_by_arclength(curve: ParametricCurve, samples: int = 256) -> P
     )
     ok, dev = is_unit_speed(new, 1e-6)
     if not ok:
-        raise RuntimeError(f"arc-length reparameterization missed tolerance: deviation {dev:.3g}")
+        raise DegeneracyError(
+            f"arc-length reparameterization missed tolerance: deviation {dev:.3g}"
+        )
     return new
 
 

@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import ParametricCurve, _fd_derivative, is_unit_speed
+from .curves import DEFAULT_STEPS, ParametricCurve, _fd_derivative, is_unit_speed
 from .errors import DegeneracyError
 from .quaternion import Quaternion, mul
 
@@ -42,10 +42,14 @@ __all__ = [
     "FRAME3_CSV_HEADER",
     "DEGENERACY_EPS",
     "UNIT_SPEED_TOL",
+    "PAIR_TOL",
 ]
 
 DEGENERACY_EPS = 1e-9
 UNIT_SPEED_TOL = 1e-5
+# Largest orthonormality residual of a pair-built frame before the spatial
+# curve is rejected as not associated with the R^4 curve.
+PAIR_TOL = 1e-6
 
 FRAME4_CSV_HEADER = (
     "s,T0,T1,T2,T3,N1_0,N1_1,N1_2,N1_3,N2_0,N2_1,N2_2,N2_3,"
@@ -122,8 +126,8 @@ class CurvatureProfile:
 
 # -- helpers -------------------------------------------------------------------
 
-def _require_unit_speed(curve: ParametricCurve, tol: float):
-    ok, dev = is_unit_speed(curve, tol)
+def _require_unit_speed(curve: ParametricCurve):
+    ok, dev = is_unit_speed(curve, UNIT_SPEED_TOL)
     if not ok:
         raise ValueError(
             f"frame computation requires a unit-speed curve (max |speed-1| = {dev:.3g}); "
@@ -170,13 +174,7 @@ def frame_determinant(frame: Frame4) -> float:
 
 # -- spatial frame ---------------------------------------------------------------
 
-def frame3_at(
-    curve: ParametricCurve,
-    s: float,
-    step: Optional[float] = None,
-    eps: float = DEGENERACY_EPS,
-    unit_speed_tol: float = UNIT_SPEED_TOL,
-) -> Frame3:
+def frame3_at(curve: ParametricCurve, s: float) -> Frame3:
     """Frenet frame of a unit-speed spatial curve at parameter ``s``.
 
     ``t`` is the tangent, ``k = ||t'||`` the curvature, ``n = t'/k``, and
@@ -185,17 +183,17 @@ def frame3_at(
     """
     if curve.dim != 3:
         raise ValueError("frame3_at requires a curve of dimension 3")
-    _require_unit_speed(curve, unit_speed_tol)
-    d1 = curve.derivative(s, 1, step)
-    d2 = curve.derivative(s, 2, step)
-    d3 = curve.derivative(s, 3, step)
+    _require_unit_speed(curve)
+    d1 = curve.derivative(s, 1)
+    d2 = curve.derivative(s, 2)
+    d3 = curve.derivative(s, 3)
     k = float(np.linalg.norm(d2))
-    if k < eps:
+    if k < DEGENERACY_EPS:
         raise DegeneracyError("zero curvature")
     t_hat = d1 / np.linalg.norm(d1)
     n_vec = _orthonormalize(d2, [t_hat])
     nn = np.linalg.norm(n_vec)
-    if nn < eps:
+    if nn < DEGENERACY_EPS:
         raise DegeneracyError("zero curvature")
     n_hat = n_vec / nn
     tq = Quaternion.from_vec4(t_hat)
@@ -208,13 +206,13 @@ def frame3_at(
 
 # -- intrinsic R^4 frame ----------------------------------------------------------
 
-def _frame4_basis(curve: ParametricCurve, s: float, step: Optional[float], eps: float):
+def _frame4_basis(curve: ParametricCurve, s: float):
     """Orthonormal basis (T, N1, N2, N3) plus K, torsion and raw derivatives."""
-    d1 = curve.derivative(s, 1, step)
-    d2 = curve.derivative(s, 2, step)
-    d3 = curve.derivative(s, 3, step)
+    d1 = curve.derivative(s, 1)
+    d2 = curve.derivative(s, 2)
+    d3 = curve.derivative(s, 3)
     K = float(np.linalg.norm(d2))
-    if K < eps:
+    if K < DEGENERACY_EPS:
         raise DegeneracyError("zero curvature")
     t_hat = d1 / np.linalg.norm(d1)
     n1 = _orthonormalize(d2, [t_hat])
@@ -224,7 +222,7 @@ def _frame4_basis(curve: ParametricCurve, s: float, step: Optional[float], eps: 
     w = n1_prime + K * t_hat
     wp = _orthonormalize(w, [t_hat, n1])
     wn = float(np.linalg.norm(wp))
-    if wn < eps:
+    if wn < DEGENERACY_EPS:
         raise DegeneracyError("zero torsion")
     n2 = -wp / wn
     n3 = _oriented_complement(t_hat, n1, n2)
@@ -245,13 +243,7 @@ def _bitorsion(curve: ParametricCurve, s: float, basis) -> float:
     return float(n2_prime @ n3)
 
 
-def frame4_intrinsic(
-    curve: ParametricCurve,
-    s: float,
-    step: Optional[float] = None,
-    eps: float = DEGENERACY_EPS,
-    unit_speed_tol: float = UNIT_SPEED_TOL,
-) -> Frame4:
+def frame4_intrinsic(curve: ParametricCurve, s: float) -> Frame4:
     """R^4 frame recovered from curve derivatives alone.
 
     ``N1 = T'/K``; ``N2 = -(N1' + K T)/||N1' + K T||`` so the torsion
@@ -263,8 +255,8 @@ def frame4_intrinsic(
     """
     if curve.dim != 4:
         raise ValueError("frame4_intrinsic requires a curve of dimension 4")
-    _require_unit_speed(curve, unit_speed_tol)
-    basis = _frame4_basis(curve, s, step, eps)
+    _require_unit_speed(curve)
+    basis = _frame4_basis(curve, s)
     t_hat, n1, n2, n3, K, torsion, _ = basis
     return Frame4(
         T=Quaternion.from_vec4(t_hat),
@@ -279,15 +271,7 @@ def frame4_intrinsic(
 
 # -- pair-built R^4 frame ----------------------------------------------------------
 
-def frame4_from_pair(
-    curve4: ParametricCurve,
-    curve3: ParametricCurve,
-    s: float,
-    step: Optional[float] = None,
-    eps: float = DEGENERACY_EPS,
-    pair_tol: float = 1e-6,
-    unit_speed_tol: float = UNIT_SPEED_TOL,
-) -> Frame4:
+def frame4_from_pair(curve4: ParametricCurve, curve3: ParametricCurve, s: float) -> Frame4:
     """R^4 frame built from the spatial frame of an associated curve.
 
     ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with (t, n, b) the spatial
@@ -296,12 +280,12 @@ def frame4_from_pair(
     """
     if curve4.dim != 4:
         raise ValueError("frame4_from_pair requires a curve of dimension 4")
-    f3 = frame3_at(curve3, s, step, eps, unit_speed_tol)
-    _require_unit_speed(curve4, unit_speed_tol)
-    d1 = curve4.derivative(s, 1, step)
-    d2 = curve4.derivative(s, 2, step)
+    f3 = frame3_at(curve3, s)
+    _require_unit_speed(curve4)
+    d1 = curve4.derivative(s, 1)
+    d2 = curve4.derivative(s, 2)
     K = float(np.linalg.norm(d2))
-    if K < eps:
+    if K < DEGENERACY_EPS:
         raise DegeneracyError("zero curvature")
     L1 = float(np.linalg.norm(d1))
     t_hat = d1 / L1
@@ -310,9 +294,9 @@ def frame4_from_pair(
     N2 = mul(f3.n, Tq)
     N3 = mul(f3.t, Tq)
     residual = orthonormality_residual((Tq, N1, N2, N3))
-    if residual > pair_tol:
+    if residual > PAIR_TOL:
         raise DegeneracyError(
-            f"pair frame orthonormality residual {residual:.3g} exceeds {pair_tol:.3g}; "
+            f"pair frame orthonormality residual {residual:.3g} exceeds {PAIR_TOL:.3g}; "
             "the spatial curve is not associated with the R^4 curve"
         )
     # Frame derivatives via the spatial Frenet system and the chain rule.
@@ -332,15 +316,10 @@ def frame4_from_pair(
 FrameProvider = Callable[[float], Frame4]
 
 
-def _default_provider(
-    curve4: ParametricCurve,
-    curve3: Optional[ParametricCurve],
-    step: Optional[float],
-    eps: float,
-) -> FrameProvider:
+def _default_provider(curve4: ParametricCurve, curve3: Optional[ParametricCurve]) -> FrameProvider:
     if curve3 is None:
-        return lambda s: frame4_intrinsic(curve4, s, step=step, eps=eps)
-    return lambda s: frame4_from_pair(curve4, curve3, s, step=step, eps=eps)
+        return lambda s: frame4_intrinsic(curve4, s)
+    return lambda s: frame4_from_pair(curve4, curve3, s)
 
 
 def _flip_n2_n3(frame: Frame4) -> Frame4:
@@ -361,9 +340,6 @@ def frames_on_grid(
     curve4: ParametricCurve,
     grid: Sequence[float],
     curve3: Optional[ParametricCurve] = None,
-    step: Optional[float] = None,
-    eps: float = DEGENERACY_EPS,
-    provider: Optional[FrameProvider] = None,
 ) -> list[Frame4]:
     """Frames at each grid point with a sequential sign-continuity pass.
 
@@ -372,7 +348,7 @@ def frames_on_grid(
     (N2, N3) jointly whenever that brings the frame closer to its
     predecessor.
     """
-    fn = provider or _default_provider(curve4, curve3, step, eps)
+    fn = _default_provider(curve4, curve3)
     frames: list[Frame4] = []
     prev: Optional[Frame4] = None
     for s in grid:
@@ -402,20 +378,20 @@ def frame_ode_residual(
     grid: Sequence[float],
     curve3: Optional[ParametricCurve] = None,
     provider: Optional[FrameProvider] = None,
-    step: float = 1e-4,
-    fd_eps: float = DEGENERACY_EPS,
 ) -> OdeResidualReport:
     """Compare finite-difference frame derivatives against the frame ODE.
 
-    For each grid point the four frame fields are differentiated centrally
-    (with one Richardson level) and compared to the skew system
+    For each grid point the four frame fields returned by ``provider``
+    (by default the frame of ``curve4``, pair-built when ``curve3`` is
+    given) are differentiated centrally with the order-1 step and one
+    Richardson level, and compared to the skew system
 
         T'  =  K N1
         N1' = -K T + torsion * N2
         N2' = -torsion * N1 + bitorsion * N3
         N3' = -bitorsion * N2
     """
-    fn = provider or _default_provider(curve4, curve3, None, fd_eps)
+    fn = provider or _default_provider(curve4, curve3)
     grid = np.asarray(list(grid), dtype=float)
     residuals = np.zeros((len(grid), 4))
 
@@ -425,7 +401,7 @@ def frame_ode_residual(
 
     for idx, s in enumerate(grid):
         f = fn(s)
-        deriv = _fd_derivative(frame_vectors, s, 1, step)
+        deriv = _fd_derivative(frame_vectors, s, 1, DEFAULT_STEPS[1])
         T, N1, N2, N3 = (v.as_vec4() for v in f.vectors())
         expected = np.stack(
             [
@@ -447,11 +423,9 @@ def curvature_profile(
     curve4: ParametricCurve,
     grid: Sequence[float],
     curve3: Optional[ParametricCurve] = None,
-    step: Optional[float] = None,
-    eps: float = DEGENERACY_EPS,
 ) -> CurvatureProfile:
     """Curvature functions on the grid; ``k`` is recovered as K - bitorsion."""
-    frames = frames_on_grid(curve4, grid, curve3=curve3, step=step, eps=eps)
+    frames = frames_on_grid(curve4, grid, curve3=curve3)
     K = np.array([f.K for f in frames])
     r = np.array([-f.torsion for f in frames])
     k = np.array([f.K - f.bitorsion for f in frames])

@@ -1,9 +1,14 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from conftest import TORUS, TORUS_K, TORUS_M, TORUS_R, associated_helix
+from quatcurves._fmt import fnum
+from quatcurves.bertrand import BertrandConstants, construct_mate
 from quatcurves.cli import main
+from quatcurves.curves import torus_curve
 
 TORUS_DOC = {
     "family": "torus_curve",
@@ -39,6 +44,50 @@ WOBBLE_DOC = {
     },
     "domain": [0.0, 6.283185307179586],
 }
+
+# The canonical torus traced at twice unit speed: regular but not unit
+# speed, so the CLI reparameterizes it and differentiates by finite
+# differences only.
+FAST_TORUS_DOC = {
+    "family": "fourier",
+    "params": {
+        "coeffs": {
+            "cos": [[0.0, 0.0, 0.6], [0.0], [0.0, 0.0, 0.0, 0.0, 0.4], [0.0]],
+            "sin": [[0.0], [0.0, 0.0, 0.6], [0.0], [0.0, 0.0, 0.0, 0.0, 0.4]],
+        }
+    },
+    "domain": [0.0, 3.141592653589793],
+}
+
+# Regular (minimum speed about 0.01) but too sharply bent for the default
+# arc-length table to reach unit speed.
+UNRESOLVED_DOC = {
+    "family": "fourier",
+    "params": {
+        "coeffs": {
+            "cos": [[0], [1, -0.99], [0]],
+            "sin": [[0, -0.99], [0], [0]],
+            "linear": [1, 0, 0.001],
+        }
+    },
+    "domain": [-3, 3],
+}
+
+# The associated helix of tests/conftest.py as a spec document.
+HELIX_DOC = {
+    "family": "fourier",
+    "params": {
+        "coeffs": {
+            "cos": [[0.0] * 4, [0.0, 0.0, 0.0, -1.64 / (3.0 * TORUS_K)], [0.0] * 4],
+            "sin": [[0.0] * 4, [0.0] * 4, [0.0, 0.0, 0.0, -1.64 / (3.0 * TORUS_K)]],
+            "linear": [-0.48 / TORUS_K, 0.0, 0.0],
+        }
+    },
+}
+
+# Constants of the torus fitted from its pair-built frames.
+PAIR_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": TORUS_R / TORUS_M,
+                  "epsilon": -1, "delta": -1}
 
 
 @pytest.fixture
@@ -106,6 +155,13 @@ class TestFrameCommand:
         assert code == 2
         assert "cannot load curve spec" in capsys.readouterr().err
 
+    def test_unresolved_reparameterization_exit3(self, tmp_path, capsys):
+        spec = write_json(tmp_path, "unresolved.json", UNRESOLVED_DOC)
+        code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv"),
+                     "--samples", "11"])
+        assert code == 3
+        assert "reparameterization missed tolerance" in capsys.readouterr().err
+
 
 class TestBertrandCommands:
     def test_fit_and_check_round_trip(self, tmp_path, torus_spec, capsys):
@@ -128,6 +184,13 @@ class TestBertrandCommands:
         code = main(["bertrand", "check", "--curve", torus_spec, "--constants", inline])
         assert code == 1
 
+    def test_fit_honours_tol(self, tmp_path, torus_spec, capsys):
+        # The fitted torus constants leave residuals of about 2e-16.
+        code = main(["bertrand", "fit", "--curve", torus_spec,
+                     "--out", str(tmp_path / "c.json"), "--tol", "1e-20"])
+        assert code == 1
+        assert f"(tol {fnum(1e-20)})" in capsys.readouterr().out
+
     def test_fit_wobble_exit4(self, tmp_path, capsys):
         spec = write_json(tmp_path, "wobble.json", WOBBLE_DOC)
         code = main(["bertrand", "fit", "--curve", spec,
@@ -148,6 +211,21 @@ class TestBertrandCommands:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "s,x0,x1,x2,x3"
         assert len(lines) == 22
+
+    def test_mate_from_pair_frame(self, tmp_path, torus_spec):
+        helix = write_json(tmp_path, "helix.json", HELIX_DOC)
+        consts = write_json(tmp_path, "c.json", PAIR_CONSTANTS)
+        out = tmp_path / "mate.csv"
+        code = main(["bertrand", "mate", "--curve", torus_spec, "--spatial", helix,
+                     "--constants", consts, "--out", str(out)])
+        assert code == 0
+        mate = construct_mate(torus_curve(**TORUS), BertrandConstants(**PAIR_CONSTANTS),
+                              curve3=associated_helix())
+        grid = [float(s) for s in np.linspace(0.0, 2.0 * math.pi, 101)]
+        expected = ["s,x0,x1,x2,x3"] + [
+            ",".join(fnum(x) for x in [s, *mate.point(s)]) for s in grid
+        ]
+        assert out.read_text().splitlines() == expected
 
     def test_constants_with_zero_a_exit2(self, tmp_path, torus_spec):
         inline = json.dumps({"a": 0.0, "b": 1.0, "c": 0.0, "d": 0.72,
@@ -186,6 +264,37 @@ class TestVerifyCommand:
         doc = json.loads(report.read_text())
         assert doc["verdict"] is False
         assert doc["conditions"]["curvature_relation"]["pass"] is False
+
+
+@pytest.mark.parametrize("command", [
+    ["frame", "--out", "frame.csv"],
+    ["bertrand", "fit", "--out", "c.json"],
+    ["bertrand", "mate", "--constants", "c.json", "--out", "mate.csv"],
+    ["verify", "--constants", "c.json", "--report", "report.json"],
+], ids=["frame", "fit", "mate", "verify"])
+def test_default_grid_on_finite_difference_curve(tmp_path, monkeypatch, command):
+    # The default grid keeps the widest stencil inside the domain, so no
+    # command on a finite-difference-only curve fails for the margin.
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
+    write_json(tmp_path, "c.json", {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0,
+                                    "d": TORUS_R / TORUS_M, "epsilon": 1, "delta": 1})
+    assert main(command + ["--curve", "fast.json", "--samples", "11"]) != 2
+
+
+@pytest.mark.parametrize("command, reads_tol", [
+    (["frame"], True),
+    (["bertrand", "fit"], True),
+    (["bertrand", "check"], True),
+    (["bertrand", "mate"], False),
+    (["verify"], True),
+])
+def test_registered_options(command, reads_tol, capsys):
+    assert main(command + ["--help"]) == 0
+    usage = capsys.readouterr().out
+    assert "--step" not in usage
+    assert "--spatial" in usage
+    assert ("--tol" in usage) == reads_tol
 
 
 def test_usage_error_exit2(capsys):
