@@ -24,16 +24,16 @@ import numpy as np
 
 from .curves import ParametricCurve
 from .errors import DegeneracyError, FitError
-from .frames import (
+from .frames import (  # noqa: F401 -- frame4_intrinsic is a lookup site of perfbench/tracing.py
     DEGENERACY_EPS,
     CurvatureProfile,
     Frame4,
-    _frame4_basis,
+    _intrinsic_basis,
     curvature_profile,
-    frame4_from_pair,
     frame4_intrinsic,
+    frames4,
 )
-from .quaternion import Quaternion
+from .quaternion import Quaternion, inner, norm
 
 __all__ = [
     "BertrandConstants",
@@ -78,16 +78,15 @@ class BertrandConstants:
     @classmethod
     def from_json_dict(cls, data: dict) -> "BertrandConstants":
         try:
-            return cls(
-                a=float(data["a"]),
-                b=float(data["b"]),
-                c=float(data["c"]),
-                d=float(data["d"]),
-                epsilon=int(data.get("epsilon", 1)),
-                delta=int(data.get("delta", 1)),
-            )
-        except (KeyError, TypeError) as exc:
+            a, b, c, d = (_number(data[name], name) for name in "abcd")
+            signs = [_number(data.get(name, 1), name) for name in ("epsilon", "delta")]
+        except (KeyError, TypeError, OverflowError) as exc:
             raise ValueError(f"invalid constants document: {exc}") from exc
+        if any(sign not in (1.0, -1.0) for sign in signs):
+            raise ValueError(
+                f"invalid constants document: epsilon and delta must be 1 or -1, not {signs}"
+            )
+        return cls(a=a, b=b, c=c, d=d, epsilon=int(signs[0]), delta=int(signs[1]))
 
     def to_json_dict(self) -> dict:
         return {
@@ -98,6 +97,13 @@ class BertrandConstants:
             "epsilon": self.epsilon,
             "delta": self.delta,
         }
+
+
+def _number(value, name: str) -> float:
+    """A JSON number as a float; strings and booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -368,25 +374,24 @@ def construct_mate(
     """
     a, b = _offset_ab(consts)
     if curve3 is None:
-        def n1_n3(s: float):
-            basis = _frame4_basis(alpha4, s)
+        def n1_n3(s: np.ndarray):
+            basis = _intrinsic_basis(alpha4, s)
             return basis[1], basis[3]
     else:
-        def n1_n3(s: float):
-            f = frame4_from_pair(alpha4, curve3, s)
-            return f.N1.as_vec4(), f.N3.as_vec4()
+        def n1_n3(s: np.ndarray):
+            f = frames4(alpha4, s, curve3)
+            return f.N1, f.N3
 
-    def evaluate(s: float) -> np.ndarray:
+    def evaluate(s: np.ndarray) -> np.ndarray:
         n1, n3 = n1_n3(s)
-        return alpha4.point(s) + a * n1 + b * n3
+        return alpha4.points(s) + a * n1 + b * n3
 
     lo, hi = alpha4.domain
     margin = alpha4.fd_margin(3)
-    return ParametricCurve(
+    return ParametricCurve.from_arrays(
         dim=4,
         evaluate=evaluate,
         domain=(lo + margin, hi - margin),
-        derivatives=None,
         name=f"{alpha4.name or 'curve'}[mate]",
     )
 
@@ -545,20 +550,10 @@ def verify_mate(
     a, b = consts.a, consts.b
     offset = math.sqrt(a * a + b * b)
 
-    # The mate must be built from the same frame source as the profile the
-    # constants were checked against (pair frames can orient N3 oppositely).
-    def base_frame(s: float) -> Frame4:
-        if alpha3 is None:
-            return frame4_intrinsic(alpha4, s)
-        return frame4_from_pair(alpha4, alpha3, s)
-
     try:
         mate = construct_mate(alpha4, consts, curve3=alpha3)
-        deviations = [
-            abs(float(np.linalg.norm(mate.point(s) - alpha4.point(s))) - offset)
-            for s in grid
-        ]
-        report.distance_deviation = float(max(deviations))
+        distances = norm(mate.points(grid) - alpha4.points(grid))
+        report.distance_deviation = float(np.max(np.abs(distances - offset)))
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"mate construction: {exc}")
         report.verdict = False
@@ -570,13 +565,11 @@ def verify_mate(
         return np.flatnonzero((grid >= mate_lo + margin) & (grid <= mate_hi - margin))
 
     try:
-        speed_devs = []
-        for i in inside(mate.fd_margin(1)):
-            pp = phi_prime(profile.K[i], profile.r[i], profile.k[i], consts)
-            speed_devs.append(abs(mate.speed(float(grid[i])) - pp))
-        if not speed_devs:
+        idx = inside(mate.fd_margin(1))
+        if not len(idx):
             raise ValueError("no grid points admit the finite-difference margin")
-        report.speed_deviation = float(max(speed_devs))
+        pp = [phi_prime(profile.K[i], profile.r[i], profile.k[i], consts) for i in idx]
+        report.speed_deviation = float(np.max(np.abs(mate.speeds(grid[idx]) - pp)))
     except (DegeneracyError, ValueError) as exc:
         report.stage_errors.append(f"mate speed: {exc}")
 
@@ -586,32 +579,36 @@ def verify_mate(
         _finalize(report, tols)
         return report
 
-    curv_dev = 0.0
-    span_res = 0.0
     try:
-        for i in usable:
-            s = float(grid[i])
-            base = base_frame(s)
-            kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(
-                base.K, -base.torsion, base.K - base.bitorsion, consts
+        s = grid[usable]
+        # The base frames are those the mate is built from: pointwise, from
+        # the same source as the profile (pair frames can orient N3
+        # oppositely to intrinsic ones).
+        base = frames4(alpha4, s, alpha3)
+        closed = np.array([
+            mate_curvatures_closed_form(K, -torsion, K - bitorsion, consts)
+            for K, torsion, bitorsion in zip(base.K, base.torsion, base.bitorsion)
+        ])
+        # Columns of each matrix are the mate's derivatives of orders 1..4.
+        derivs = np.stack([mate.derivatives(s, n) for n in range(1, 5)], axis=-1)
+        q, r = np.linalg.qr(derivs)
+        d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
+        deficient = np.any(d <= DEGENERACY_EPS * np.linalg.norm(derivs, axis=-2), axis=-1)
+        if np.any(deficient):
+            raise DegeneracyError(
+                f"mate derivatives are rank-deficient at s={float(s[deficient][0])!r}"
             )
-            derivs = np.column_stack([mate.derivative(s, n) for n in range(1, 5)])
-            q, r = np.linalg.qr(derivs)
-            d = np.abs(np.diagonal(r))
-            if np.any(d <= DEGENERACY_EPS * np.linalg.norm(derivs, axis=0)):
-                raise DegeneracyError(f"mate derivatives are rank-deficient at s={s!r}")
-            curv_dev = max(
-                curv_dev,
-                abs(d[1] / d[0] ** 2 - kbar),
-                abs(d[2] / (d[0] * d[1]) - abs(torsion_bar)),
-                abs(d[3] / (d[0] * d[2]) - abs(bitorsion_bar)),
-            )
-            n1 = base.N1.as_vec4()
-            n3 = base.N3.as_vec4()
-            for v in (q[:, 1], q[:, 3]):
-                res = np.linalg.norm(v - (v @ n1) * n1 - (v @ n3) * n3)
-                span_res = max(span_res, float(res))
-        report.curvature_deviation = float(curv_dev)
+        kbar, torsion_bar, bitorsion_bar = closed.T
+        report.curvature_deviation = float(max(
+            np.max(np.abs(d[:, 1] / d[:, 0] ** 2 - kbar)),
+            np.max(np.abs(d[:, 2] / (d[:, 0] * d[:, 1]) - np.abs(torsion_bar))),
+            np.max(np.abs(d[:, 3] / (d[:, 0] * d[:, 2]) - np.abs(bitorsion_bar))),
+        ))
+        n1, n3 = base.N1, base.N3
+        span_res = 0.0
+        for v in (q[:, :, 1], q[:, :, 3]):
+            off_span = v - inner(v, n1)[:, None] * n1 - inner(v, n3)[:, None] * n3
+            span_res = max(span_res, float(np.max(norm(off_span))))
         report.span_residual = span_res
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"oracle frame: {exc}")

@@ -31,10 +31,8 @@ from .frames import (
     FRAME4_CSV_HEADER,
     UNIT_SPEED_TOL,
     curvature_profile,
-    frame3_at,
-    frame3_csv_row,
-    frame4_csv_row,
-    frames_on_grid,
+    frames3,
+    frames4,
     orthonormality_residual,
 )
 
@@ -159,23 +157,19 @@ def _write(path: str, text: str):
 
 # -- subcommands -----------------------------------------------------------------
 
+def _csv(header: str, table: np.ndarray) -> str:
+    lines = [header] + [",".join(fnum(x) for x in row) for row in table]
+    return "\n".join(lines) + "\n"
+
+
 def cmd_frame(args) -> int:
     curve, spatial, grid = _load_inputs(args)
-    lines = []
     if curve.dim == 3:
-        lines.append(FRAME3_CSV_HEADER)
-        residual = 0.0
-        for s in grid:
-            f = frame3_at(curve, float(s))
-            residual = max(residual, orthonormality_residual(f.vectors()))
-            lines.append(frame3_csv_row(float(s), f, fnum))
+        header, frames = FRAME3_CSV_HEADER, frames3(curve, grid)
     else:
-        lines.append(FRAME4_CSV_HEADER)
-        frames = frames_on_grid(curve, grid, curve3=spatial)
-        residual = max(orthonormality_residual(f.vectors()) for f in frames)
-        for s, f in zip(grid, frames):
-            lines.append(frame4_csv_row(float(s), f, fnum))
-    _write(args.out, "\n".join(lines) + "\n")
+        header, frames = FRAME4_CSV_HEADER, frames4(curve, grid, curve3=spatial).aligned()
+    residual = orthonormality_residual(frames.vectors())
+    _write(args.out, _csv(header, frames.table(grid)))
     print(f"max orthonormality residual: {fnum(residual)}")
     return EXIT_OK if residual <= args.tol else EXIT_VERIFICATION
 
@@ -221,11 +215,7 @@ def cmd_bertrand_mate(args) -> int:
     consts = _load_constants(args.constants)
     curve, spatial, grid = _load_inputs(args)
     mate = construct_mate(curve, consts, curve3=spatial)
-    lines = ["s,x0,x1,x2,x3"]
-    for s in grid:
-        p = mate.point(float(s))
-        lines.append(",".join([fnum(float(s))] + [fnum(x) for x in p]))
-    _write(args.out, "\n".join(lines) + "\n")
+    _write(args.out, _csv("s,x0,x1,x2,x3", np.column_stack([grid, mate.points(grid)])))
     print(f"mate written: {len(grid)} rows")
     return EXIT_OK
 

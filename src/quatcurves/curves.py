@@ -1,12 +1,15 @@
 """Parametric curves in R^3 and R^4 and their numerical calculus.
 
-Curves evaluate to length-4 arrays holding quaternion components
+Curves evaluate whole grids: a parameter array of shape ``(n,)`` maps to
+an ``(n, 4)`` array whose rows hold quaternion components
 ``(q0, q1, q2, q3)``; curves of dimension 3 keep ``q0 == 0`` (spatial
-quaternions).  The module provides high-order differentiation (analytic
-when the family ships derivatives, central finite differences with one
-Richardson extrapolation level otherwise), arc length by quadrature, and
-arc-length reparameterization with a monotone-cubic initial guess refined
-by Newton iteration.
+quaternions).  Row ``i`` depends on parameter ``i`` alone, so the scalar
+methods ``point``, ``derivative`` and ``speed`` evaluate a length-1 grid
+and return its row.  The module provides high-order differentiation
+(analytic when the family ships derivatives, central finite differences
+with one Richardson extrapolation level otherwise), arc length by
+quadrature, and arc-length reparameterization with a monotone-cubic
+initial guess refined by Newton iteration.
 """
 
 from __future__ import annotations
@@ -22,12 +25,14 @@ from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
 from .errors import DegeneracyError
+from .quaternion import norm
 
 __all__ = [
     "ParametricCurve",
     "CurveSpec",
     "ArcLengthTable",
     "derivative",
+    "derivatives",
     "arc_length",
     "reparameterize_by_arclength",
     "is_unit_speed",
@@ -37,6 +42,7 @@ __all__ = [
     "fourier_curve",
     "DEFAULT_STEPS",
     "SPEED_EPS",
+    "NEWTON_STEPS",
 ]
 
 # Default finite-difference steps per derivative order; chosen to balance
@@ -47,7 +53,27 @@ DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 3e-3, 4: 1e-2}
 # Speed below this is treated as an irregular (non-regular) curve.
 SPEED_EPS = 1e-9
 
+# Newton steps an arc-length inversion may take before it is reported as
+# not converged.
+NEWTON_STEPS = 8
+
 _TWO_PI = 2.0 * math.pi
+
+
+def _pointwise(fn: Callable) -> Callable:
+    """Grid form of a callable defined on one parameter (extra arguments pass through)."""
+    def on_grid(s: np.ndarray, *args) -> np.ndarray:
+        if not len(s):
+            return np.empty((0, 4))
+        return np.array([np.asarray(fn(float(u), *args), dtype=float) for u in s])
+
+    return on_grid
+
+
+def _require_finite(values: np.ndarray, s: np.ndarray, what: str):
+    bad = ~np.all(np.isfinite(values), axis=-1)
+    if np.any(bad):
+        raise ValueError(f"{what} at u={float(s[bad][0])!r}")
 
 
 class ParametricCurve:
@@ -60,6 +86,10 @@ class ParametricCurve:
     domain : (u_min, u_max)
     derivatives : optional callable ``(u, order) -> array`` for orders 1..4;
         validated against finite differences of ``evaluate`` on construction.
+
+    The constructor applies the callables point by point;
+    :meth:`from_arrays` takes callables that map a grid ``(n,)`` to
+    ``(n, 4)`` at once, as the built-in families do.
     """
 
     def __init__(
@@ -70,6 +100,25 @@ class ParametricCurve:
         derivatives: Optional[Callable[[float, int], np.ndarray]] = None,
         name: str = "",
     ):
+        self._setup(dim, _pointwise(evaluate), domain,
+                    None if derivatives is None else _pointwise(derivatives), name)
+
+    @classmethod
+    def from_arrays(
+        cls,
+        dim: int,
+        evaluate: Callable[[np.ndarray], np.ndarray],
+        domain: tuple[float, float],
+        derivatives: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+        name: str = "",
+    ) -> "ParametricCurve":
+        """Curve whose ``evaluate(s)`` and ``derivatives(s, order)`` map a grid
+        ``s`` of shape ``(n,)`` to ``(n, 4)``."""
+        curve = cls.__new__(cls)
+        curve._setup(dim, evaluate, domain, derivatives, name)
+        return curve
+
+    def _setup(self, dim, evaluate, domain, derivatives, name):
         if dim not in (3, 4):
             raise ValueError("curve dimension must be 3 or 4")
         lo, hi = float(domain[0]), float(domain[1])
@@ -85,27 +134,41 @@ class ParametricCurve:
 
     # -- evaluation ---------------------------------------------------------
 
-    def point(self, u: float) -> np.ndarray:
+    def _check_domain(self, s: np.ndarray):
         lo, hi = self.domain
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if not (lo - slack <= u <= hi + slack):
-            raise ValueError(f"parameter {u!r} outside domain [{lo}, {hi}]")
-        p = np.asarray(self._eval(float(u)), dtype=float)
-        if p.shape != (4,):
+        outside = ~((lo - slack <= s) & (s <= hi + slack))
+        if np.any(outside):
+            raise ValueError(f"parameter {float(s[outside][0])!r} outside domain [{lo}, {hi}]")
+
+    def points(self, s) -> np.ndarray:
+        """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``."""
+        s = np.asarray(s, dtype=float)
+        self._check_domain(s)
+        p = np.asarray(self._eval(s), dtype=float)
+        if p.shape != (len(s), 4):
             raise ValueError("curve evaluation must return 4 quaternion components")
-        if not np.all(np.isfinite(p)):
-            raise ValueError(f"curve evaluation is not finite at u={u!r}")
+        _require_finite(p, s, "curve evaluation is not finite")
         return p
+
+    def point(self, u: float) -> np.ndarray:
+        return self.points(np.array([u], dtype=float))[0]
 
     @property
     def has_analytic_derivatives(self) -> bool:
         return self._derivs is not None
 
+    def derivatives(self, s, order: int) -> np.ndarray:
+        return derivatives(self, s, order)
+
     def derivative(self, u: float, order: int) -> np.ndarray:
         return derivative(self, u, order)
 
+    def speeds(self, s) -> np.ndarray:
+        return norm(self.derivatives(s, 1))
+
     def speed(self, u: float) -> float:
-        return float(np.linalg.norm(self.derivative(u, 1)))
+        return float(self.speeds(np.array([u], dtype=float))[0])
 
     def fd_margin(self, order: int) -> float:
         """Distance from the boundary required to differentiate at ``order``."""
@@ -117,21 +180,22 @@ class ParametricCurve:
         lo, hi = self.domain
         m = self.fd_margin(1)
         grid = np.linspace(lo + m, hi - m, 101)
-        return float(max(abs(self.speed(u) - 1.0) for u in grid))
+        return float(np.max(np.abs(self.speeds(grid) - 1.0)))
 
     def _validate_derivatives(self):
         lo, hi = self.domain
         margin = _fd_reach(2) + 1e-9 * (hi - lo)
         rng = np.random.default_rng(20240831)
-        for u in rng.uniform(lo + margin, hi - margin, size=10):
-            for order in (1, 2):
-                exact = np.asarray(self._derivs(float(u), order), dtype=float)
-                fd = _fd_derivative(self.point, float(u), order, DEFAULT_STEPS[order])
-                if np.max(np.abs(exact - fd)) > 1e-6:
-                    raise ValueError(
-                        "analytic derivatives disagree with finite differences "
-                        f"(order {order} at u={u:.6g})"
-                    )
+        us = rng.uniform(lo + margin, hi - margin, size=10)
+        for order in (1, 2):
+            exact = np.asarray(self._derivs(us, order), dtype=float)
+            fd = _fd_derivative(self.points, us, order, DEFAULT_STEPS[order])
+            off = np.max(np.abs(exact - fd), axis=-1) > 1e-6
+            if np.any(off):
+                raise ValueError(
+                    "analytic derivatives disagree with finite differences "
+                    f"(order {order} at u={us[off][0]:.6g})"
+                )
 
 
 # -- differentiation ---------------------------------------------------------
@@ -141,59 +205,75 @@ def _fd_reach(order: int) -> float:
     return 2.0 * order * DEFAULT_STEPS[order]
 
 
-def _central_stencil(f, u: float, order: int, h: float) -> np.ndarray:
+# The Richardson pair of central stencils of each order samples u + k*h at
+# these k; the stencils at h and h/2 share u +- h, since 2 * (h/2) == h.
+_FD_SHIFTS = {
+    1: (-1.0, -0.5, 0.5, 1.0),
+    2: (-1.0, -0.5, 0.0, 0.5, 1.0),
+    3: (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
+    4: (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0),
+}
+
+
+def _central_stencil(v: Callable[[float], np.ndarray], order: int, h: float) -> np.ndarray:
+    """Central difference of ``order`` from ``v(k)``, the function at ``u + k*h``."""
     if order == 1:
-        return (f(u + h) - f(u - h)) / (2.0 * h)
+        return (v(1) - v(-1)) / (2.0 * h)
     if order == 2:
-        return (f(u + h) - 2.0 * f(u) + f(u - h)) / (h * h)
+        return (v(1) - 2.0 * v(0) + v(-1)) / (h * h)
     if order == 3:
-        return (f(u + 2 * h) - 2.0 * f(u + h) + 2.0 * f(u - h) - f(u - 2 * h)) / (2.0 * h**3)
-    if order == 4:
-        return (
-            f(u + 2 * h) - 4.0 * f(u + h) + 6.0 * f(u) - 4.0 * f(u - h) + f(u - 2 * h)
-        ) / h**4
-    raise ValueError("derivative order must be between 1 and 4")
+        return (v(2) - 2.0 * v(1) + 2.0 * v(-1) - v(-2)) / (2.0 * h**3)
+    return (v(2) - 4.0 * v(1) + 6.0 * v(0) - 4.0 * v(-1) + v(-2)) / h**4
 
 
-def _fd_derivative(f: Callable[[float], np.ndarray], u: float, order: int,
-                   h: float) -> np.ndarray:
+def _fd_derivative(f: Callable, u: np.ndarray, order: int, h: float) -> np.ndarray:
+    """Richardson-central derivative of ``f`` of ``order`` on the grid ``u``, base step ``h``.
+
+    ``f`` maps a parameter array ``(m,)`` to ``(m, ...)`` and is called
+    once, on all shifted grids stacked.
+    """
+    shifts = _FD_SHIFTS[order]
+    values = np.split(f(np.concatenate([u + k * h for k in shifts])), len(shifts))
+    at = dict(zip(shifts, values))
     # One Richardson level: the central stencils are O(h^2), so the
     # combination (4 D(h/2) - D(h)) / 3 cancels the leading error term.
-    d_h = _central_stencil(f, u, order, h)
-    d_h2 = _central_stencil(f, u, order, h / 2.0)
+    d_h = _central_stencil(lambda k: at[k], order, h)
+    d_h2 = _central_stencil(lambda k: at[k / 2], order, h / 2.0)
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
-    """Derivative of the curve at ``u`` for orders 1..4.
+def derivatives(curve: ParametricCurve, s, order: int) -> np.ndarray:
+    """Derivatives of ``order`` (1..4) at every parameter of the grid ``s``, as ``(n, 4)``.
 
     Uses the analytic derivative when the curve carries one, otherwise
     central finite differences of the stated order with step
     ``DEFAULT_STEPS[order]`` and one Richardson extrapolation level, which
-    needs ``u`` at least ``curve.fd_margin(order)`` inside the domain.
-    Deterministic for fixed inputs.
+    needs every parameter at least ``curve.fd_margin(order)`` inside the
+    domain.  Deterministic for fixed inputs.
     """
     if not 1 <= order <= 4:
         raise ValueError("derivative order must be between 1 and 4")
-    lo, hi = curve.domain
+    s = np.asarray(s, dtype=float)
     if curve.has_analytic_derivatives:
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
-        if not (lo - slack <= u <= hi + slack):
-            raise ValueError(f"parameter {u!r} outside domain [{lo}, {hi}]")
-        d = np.asarray(curve._derivs(float(u), order), dtype=float)
-        if not np.all(np.isfinite(d)):
-            raise ValueError(f"derivative is not finite at u={u!r}")
-        return d
-    margin = curve.fd_margin(order)
-    if u - margin < lo or u + margin > hi:
-        raise ValueError(
-            f"parameter {u!r} violates the differentiation margin "
-            f"{margin:.3g} for order {order} on [{lo}, {hi}]"
-        )
-    d = _fd_derivative(curve.point, float(u), order, DEFAULT_STEPS[order])
-    if not np.all(np.isfinite(d)):
-        raise ValueError(f"derivative is not finite at u={u!r}")
+        curve._check_domain(s)
+        d = np.asarray(curve._derivs(s, order), dtype=float)
+    else:
+        lo, hi = curve.domain
+        margin = curve.fd_margin(order)
+        short = (s - margin < lo) | (s + margin > hi)
+        if np.any(short):
+            raise ValueError(
+                f"parameter {float(s[short][0])!r} violates the differentiation margin "
+                f"{margin:.3g} for order {order} on [{lo}, {hi}]"
+            )
+        d = _fd_derivative(curve.points, s, order, DEFAULT_STEPS[order])
+    _require_finite(d, s, "derivative is not finite")
     return d
+
+
+def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
+    """Derivative of the curve at ``u``: the row of :func:`derivatives` on ``[u]``."""
+    return derivatives(curve, np.array([u], dtype=float), order)[0]
 
 
 # -- arc length ---------------------------------------------------------------
@@ -211,6 +291,18 @@ def arc_length(curve: ParametricCurve, u0: float, u1: float) -> float:
     return float(value)
 
 
+def _node_speeds(speed, a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
+    """Half-widths of the intervals [a_i, b_i] and the speeds at their Gauss nodes."""
+    mid, half = 0.5 * (a + b), 0.5 * (b - a)
+    values = speed((mid[:, None] + half[:, None] * nodes).ravel())
+    return half, values.reshape(len(a), len(nodes))
+
+
+def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
+    # Node by node, so a row's sum does not depend on the other rows.
+    return sum(w * values[:, k] for k, w in enumerate(weights))
+
+
 @dataclass
 class ArcLengthTable:
     """Cumulative arc length on a panel grid; strictly monotone, starts at 0.
@@ -226,7 +318,7 @@ class ArcLengthTable:
     lengths: np.ndarray
     _nodes: np.ndarray = field(repr=False, default=None)
     _weights: np.ndarray = field(repr=False, default=None)
-    _speed: Callable[[float], float] = field(repr=False, default=None)
+    _speed: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
     _inverse_guess: PchipInterpolator = field(repr=False, default=None)
 
     GAUSS_DEGREE = 8
@@ -238,15 +330,10 @@ class ArcLengthTable:
         nodes, weights = np.polynomial.legendre.leggauss(cls.GAUSS_DEGREE)
         speed = _plain_speed(curve)
         edges = np.linspace(u0, u1, panels + 1)
-        increments = np.empty(panels)
-        for j in range(panels):
-            a, b = edges[j], edges[j + 1]
-            mid, half = 0.5 * (a + b), 0.5 * (b - a)
-            speeds = np.array([speed(mid + half * x) for x in nodes])
-            if np.any(speeds < SPEED_EPS):
-                raise DegeneracyError("irregular curve: speed below threshold")
-            increments[j] = half * float(weights @ speeds)
-        lengths = np.concatenate([[0.0], np.cumsum(increments)])
+        half, speeds = _node_speeds(speed, edges[:-1], edges[1:], nodes)
+        if np.any(speeds < SPEED_EPS):
+            raise DegeneracyError("irregular curve: speed below threshold")
+        lengths = np.concatenate([[0.0], np.cumsum(half * _weighted_sum(weights, speeds))])
         if np.any(np.diff(lengths) <= 0):
             raise DegeneracyError("irregular curve: arc length not strictly increasing")
         table = cls(curve, edges, lengths, nodes, weights, speed)
@@ -257,47 +344,65 @@ class ArcLengthTable:
     def total(self) -> float:
         return float(self.lengths[-1])
 
+    def lengths_at(self, u) -> np.ndarray:
+        """Arc length from the table start to every parameter of ``u``."""
+        u = np.minimum(np.maximum(np.asarray(u, dtype=float), self.edges[0]), self.edges[-1])
+        j = np.searchsorted(self.edges, u, side="right") - 1
+        j = np.minimum(np.maximum(j, 0), len(self.edges) - 2)
+        # On a panel edge the half-width is 0 and the tabulated length stays exact.
+        half, speeds = _node_speeds(self._speed, self.edges[j], u, self._nodes)
+        return self.lengths[j] + half * _weighted_sum(self._weights, speeds)
+
     def length_at(self, u: float) -> float:
         """Arc length from the table start to ``u``."""
-        u = min(max(u, self.edges[0]), self.edges[-1])
-        j = int(np.searchsorted(self.edges, u, side="right") - 1)
-        j = min(max(j, 0), len(self.edges) - 2)
-        a = self.edges[j]
-        if u == a:
-            return float(self.lengths[j])
-        mid, half = 0.5 * (a + u), 0.5 * (u - a)
-        speeds = np.array([self._speed(mid + half * x) for x in self._nodes])
-        return float(self.lengths[j] + half * (self._weights @ speeds))
+        return float(self.lengths_at(np.array([u], dtype=float))[0])
 
-    def invert(self, target: float) -> float:
-        """Parameter ``u`` with ``length_at(u) == target``, Newton-refined."""
-        target = min(max(target, 0.0), self.total)
-        u = float(self._inverse_guess(target))
-        u = min(max(u, self.edges[0]), self.edges[-1])
+    def parameters_at(self, targets) -> np.ndarray:
+        """Parameters ``u`` with ``length_at(u) == target`` for every target, Newton-refined.
+
+        Targets are clamped to ``[0, total]``.  Each one stops at the first
+        Newton step whose residual is within ``1e-13 * max(1, total)``; one
+        still outside after ``NEWTON_STEPS`` steps raises
+        :class:`DegeneracyError` with the worst residual.
+        """
+        lo, hi = self.edges[0], self.edges[-1]
+        goal = np.minimum(np.maximum(np.asarray(targets, dtype=float), 0.0), self.total)
+        u = np.minimum(np.maximum(self._inverse_guess(goal), lo), hi)
         tol = 1e-13 * max(1.0, self.total)
-        for _ in range(8):
-            err = self.length_at(u) - target
-            if abs(err) <= tol:
+        active = np.arange(len(goal))
+        for step in range(NEWTON_STEPS + 1):
+            err = self.lengths_at(u[active]) - goal[active]
+            moving = np.abs(err) > tol
+            active, err = active[moving], err[moving]
+            if not len(active):
                 break
-            u -= err / self._speed(u)
-            u = min(max(u, self.edges[0]), self.edges[-1])
+            if step == NEWTON_STEPS:
+                raise DegeneracyError(
+                    "arc-length inversion did not converge: residual "
+                    f"{float(np.max(np.abs(err))):.3g} after {NEWTON_STEPS} Newton steps"
+                )
+            u[active] = np.minimum(np.maximum(u[active] - err / self._speed(u[active]), lo), hi)
         return u
 
+    def invert(self, target: float) -> float:
+        """Parameter ``u`` with ``length_at(u) == target``: the row of :meth:`parameters_at`."""
+        return float(self.parameters_at(np.array([target], dtype=float))[0])
 
-def _plain_speed(curve: ParametricCurve) -> Callable[[float], float]:
-    """Speed via a single central difference; cheap and smooth in u.
+
+def _plain_speed(curve: ParametricCurve) -> Callable[[np.ndarray], np.ndarray]:
+    """Speeds via a single central difference; cheap and smooth in u.
 
     Used inside arc-length quadrature where the O(h^2) bias is a smooth
     function of the endpoint and therefore harmless to the inversion.
     """
     if curve.has_analytic_derivatives:
-        return curve.speed
+        return curve.speeds
     h = DEFAULT_STEPS[1]
 
-    def speed(u: float) -> float:
-        return float(np.linalg.norm((curve.point(u + h) - curve.point(u - h)) / (2.0 * h)))
+    def speeds(u: np.ndarray) -> np.ndarray:
+        return norm((curve.points(u + h) - curve.points(u - h)) / (2.0 * h))
 
-    return speed
+    return speeds
 
 
 def is_unit_speed(curve: ParametricCurve, tol: float) -> tuple[bool, float]:
@@ -311,23 +416,22 @@ def reparameterize_by_arclength(curve: ParametricCurve, samples: int = 256) -> P
 
     ``samples`` sets the panel count of the underlying cumulative-length
     table.  Raises :class:`DegeneracyError` for irregular curves (speed
-    below ``SPEED_EPS`` anywhere on the sample grid) and when the result's
-    speed strays more than 1e-6 from 1 on a validation grid.  The returned
-    curve carries no analytic derivatives.
+    below ``SPEED_EPS`` anywhere on the sample grid), when an arc-length
+    inversion does not converge, and when the result's speed strays more
+    than 1e-6 from 1 on a validation grid.  The returned curve carries no
+    analytic derivatives.
     """
     lo, hi = curve.domain
     m = curve.fd_margin(1)
     lo, hi = lo + m, hi - m
-    probe = np.linspace(lo, hi, max(samples, 32) + 1)
-    for u in probe:
-        if curve.speed(u) < SPEED_EPS:
-            raise DegeneracyError("irregular curve: speed below threshold")
-    table = ArcLengthTable.build(curve, lo, hi, max(samples, 32))
-    new = ParametricCurve(
+    panels = max(samples, 32)
+    if np.any(curve.speeds(np.linspace(lo, hi, panels + 1)) < SPEED_EPS):
+        raise DegeneracyError("irregular curve: speed below threshold")
+    table = ArcLengthTable.build(curve, lo, hi, panels)
+    new = ParametricCurve.from_arrays(
         dim=curve.dim,
-        evaluate=lambda sbar: curve.point(table.invert(sbar)),
+        evaluate=lambda sbar: curve.points(table.parameters_at(sbar)),
         domain=(0.0, table.total),
-        derivatives=None,
         name=f"{curve.name or 'curve'}[arclength]",
     )
     ok, dev = is_unit_speed(new, 1e-6)
@@ -349,24 +453,21 @@ def torus_curve(A: float, p: float, B: float, q: float,
     if abs(A * A * p * p + B * B * q * q - 1.0) > 1e-12:
         raise ValueError("torus_curve parameters must satisfy A^2 p^2 + B^2 q^2 = 1")
 
-    def evaluate(u):
-        return np.array(
-            [A * math.cos(p * u), A * math.sin(p * u), B * math.cos(q * u), B * math.sin(q * u)]
-        )
-
-    def derivs(u, n):
-        # d^n/du^n cos(pu) = p^n cos(pu + n*pi/2), same phase shift for sin.
+    def grid(u, n=0):
+        # d^n/du^n cos(pu) = p^n cos(pu + n*pi/2), same phase shift for sin;
+        # order 0 is the curve itself.
         ph = n * math.pi / 2.0
-        return np.array(
+        return np.stack(
             [
-                A * p**n * math.cos(p * u + ph),
-                A * p**n * math.sin(p * u + ph),
-                B * q**n * math.cos(q * u + ph),
-                B * q**n * math.sin(q * u + ph),
-            ]
+                A * p**n * np.cos(p * u + ph),
+                A * p**n * np.sin(p * u + ph),
+                B * q**n * np.cos(q * u + ph),
+                B * q**n * np.sin(q * u + ph),
+            ],
+            axis=-1,
         )
 
-    return ParametricCurve(4, evaluate, domain, derivs, name="torus_curve")
+    return ParametricCurve.from_arrays(4, grid, domain, grid, name="torus_curve")
 
 
 def circle3(R: float, mode: str = "arclength",
@@ -384,16 +485,14 @@ def circle3(R: float, mode: str = "arclength",
     if domain is None:
         domain = (0.0, _TWO_PI * R) if mode == "arclength" else (0.0, _TWO_PI)
 
-    def evaluate(u):
-        return np.array([0.0, R * math.cos(w * u), R * math.sin(w * u), 0.0])
-
-    def derivs(u, n):
+    def grid(u, n=0):
         ph = n * math.pi / 2.0
-        return np.array(
-            [0.0, R * w**n * math.cos(w * u + ph), R * w**n * math.sin(w * u + ph), 0.0]
+        zero = np.zeros_like(u)
+        return np.stack(
+            [zero, R * w**n * np.cos(w * u + ph), R * w**n * np.sin(w * u + ph), zero], axis=-1
         )
 
-    return ParametricCurve(3, evaluate, domain, derivs, name="circle3")
+    return ParametricCurve.from_arrays(3, grid, domain, grid, name="circle3")
 
 
 def helix3(a: float, h: float,
@@ -408,19 +507,20 @@ def helix3(a: float, h: float,
     if domain is None:
         domain = (0.0, _TWO_PI * c)
 
-    def evaluate(u):
-        return np.array([0.0, a * math.cos(u / c), a * math.sin(u / c), h * u / c])
-
-    def derivs(u, n):
+    def grid(u, n=0):
         ph = n * math.pi / 2.0
-        out = np.array(
-            [0.0, a * c**-n * math.cos(u / c + ph), a * c**-n * math.sin(u / c + ph), 0.0]
+        rise = h * u / c if n == 0 else np.full_like(u, h / c if n == 1 else 0.0)
+        return np.stack(
+            [
+                np.zeros_like(u),
+                a * c**-n * np.cos(u / c + ph),
+                a * c**-n * np.sin(u / c + ph),
+                rise,
+            ],
+            axis=-1,
         )
-        if n == 1:
-            out[3] = h / c
-        return out
 
-    return ParametricCurve(3, evaluate, domain, derivs, name="helix3")
+    return ParametricCurve.from_arrays(3, grid, domain, grid, name="helix3")
 
 
 def fourier_curve(
@@ -448,34 +548,31 @@ def fourier_curve(
     offset = 0 if dim == 4 else 1
 
     def coord(u, i, n):
-        total = 0.0
+        total = np.zeros_like(u)
         ph = n * math.pi / 2.0
         for m, c in enumerate(cos_c[i]):
             if c:
-                total += c * float(m) ** n * math.cos(m * u + ph) if n else c * math.cos(m * u)
+                total = total + (c * float(m) ** n * np.cos(m * u + ph) if n
+                                 else c * np.cos(m * u))
         for m, s in enumerate(sin_c[i]):
             if s:
-                total += s * float(m) ** n * math.sin(m * u + ph) if n else s * math.sin(m * u)
+                total = total + (s * float(m) ** n * np.sin(m * u + ph) if n
+                                 else s * np.sin(m * u))
         if lin[i]:
             if n == 0:
-                total += lin[i] * u
+                total = total + lin[i] * u
             elif n == 1:
-                total += lin[i]
+                total = total + lin[i]
         return total
 
-    def evaluate(u):
-        out = np.zeros(4)
+    def grid(u, n=0):
+        # Order 0 is the curve itself.
+        out = np.zeros((len(u), 4))
         for i in range(ncoords):
-            out[offset + i] = coord(u, i, 0)
+            out[:, offset + i] = coord(u, i, n)
         return out
 
-    def derivs(u, n):
-        out = np.zeros(4)
-        for i in range(ncoords):
-            out[offset + i] = coord(u, i, n)
-        return out
-
-    return ParametricCurve(dim, evaluate, domain, derivs, name="fourier")
+    return ParametricCurve.from_arrays(dim, grid, domain, grid, name="fourier")
 
 
 # -- curve specifications ------------------------------------------------------

@@ -1,9 +1,14 @@
-"""Real quaternion algebra on immutable values.
+"""Real quaternion algebra on immutable values and on arrays.
 
 A quaternion is a scalar part plus a three component vector part over the
 unit vectors e1, e2, e3 with e1^2 = e2^2 = e3^2 = e1*e2*e3 = -1.  Values
 are never renormalized implicitly; frame construction normalizes
 explicitly where it needs unit vectors.
+
+``mul``, ``inner`` and ``norm`` also take ``(..., 4)`` arrays of components
+``(s, v0, v1, v2)`` and work row by row; on :class:`Quaternion` values they
+compute the same row.  Row results never depend on the other rows, so a
+grid computed at once and one point computed alone agree bit for bit.
 """
 
 from __future__ import annotations
@@ -135,32 +140,50 @@ def conjugate(q: Quaternion) -> Quaternion:
     return q.conjugate()
 
 
-def mul(p: Quaternion, q: Quaternion) -> Quaternion:
+def mul(p, q):
     """Quaternion product: associative, distributive, not commutative.
 
     Scalar part is ``s_p*s_q - <v_p, v_q>``; vector part is
-    ``s_p*v_q + s_q*v_p + v_p x v_q``.
+    ``s_p*v_q + s_q*v_p + v_p x v_q``.  Two Quaternions give a Quaternion;
+    two ``(..., 4)`` arrays give the ``(..., 4)`` array of row products.
     """
-    a1, (b1, c1, d1) = p.s, p.v
-    a2, (b2, c2, d2) = q.s, q.v
-    return Quaternion(
-        a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
-        (
+    if isinstance(p, Quaternion):
+        return Quaternion.from_vec4(_product(p.as_vec4(), q.as_vec4()))
+    return _product(np.asarray(p, dtype=float), np.asarray(q, dtype=float))
+
+
+def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    a1, b1, c1, d1 = (p[..., i] for i in range(4))
+    a2, b2, c2, d2 = (q[..., i] for i in range(4))
+    return np.stack(
+        [
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
             a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
             a1 * c2 + c1 * a2 + d1 * b2 - b1 * d2,
             a1 * d2 + d1 * a2 + b1 * c2 - c1 * b2,
-        ),
+        ],
+        axis=-1,
     )
 
 
-def inner(p: Quaternion, q: Quaternion) -> float:
-    """Symmetric bilinear inner product; equals the 4D Euclidean dot product."""
-    return p.dot(q)
+def inner(p, q):
+    """Symmetric bilinear inner product; equals the 4D Euclidean dot product.
+
+    On ``(..., 4)`` arrays, the row-wise products summed in component order.
+    """
+    if isinstance(p, Quaternion):
+        return p.dot(q)
+    return (
+        p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
+        + p[..., 3] * q[..., 3]
+    )
 
 
-def norm(q: Quaternion) -> float:
-    """Nonnegative; ``norm(q)**2 == inner(q, q)``."""
-    return q.norm()
+def norm(q):
+    """Nonnegative; ``norm(q)**2 == inner(q, q)``.  Row-wise on ``(..., 4)`` arrays."""
+    if isinstance(q, Quaternion):
+        return q.norm()
+    return np.sqrt(inner(q, q))
 
 
 def spatial_cross_check(p: Quaternion, q: Quaternion, atol: float = 1e-9) -> float:

@@ -234,6 +234,21 @@ class TestBertrandCommands:
         assert code == 2
 
 
+    @pytest.mark.parametrize("document", [
+        '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":1e400}',
+        '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":1.7}',
+        '{"a":1,"b":1,"c":0,"d":0.72,"delta":"1"}',
+        '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":true}',
+        '{"a":"0.5852","b":1,"c":0,"d":0.72}',
+        '{"a":1,"b":true,"c":0,"d":0.72}',
+    ], ids=["huge-epsilon", "fractional-epsilon", "string-delta", "boolean-epsilon",
+            "string-a", "boolean-b"])
+    def test_constants_not_numbers_or_signs_exit2(self, torus_spec, capsys, document):
+        code = main(["bertrand", "check", "--curve", torus_spec, "--constants", document])
+        assert code == 2
+        assert "invalid constants document" in capsys.readouterr().err
+
+
 class TestVerifyCommand:
     def test_verify_deterministic_and_passing(self, tmp_path, torus_spec, capsys):
         consts = write_json(

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -42,7 +43,7 @@ class TestDerivative:
         want = np.array([0.0, SQ2, 0.0, SQ2])
         assert np.allclose(c.derivative(0.0, 1), want, atol=1e-14)
         # finite-difference path must agree
-        fd = _fd_derivative(c.point, 0.0, 1, 1e-4)
+        fd = _fd_derivative(c.points, np.array([0.0]), 1, 1e-4)[0]
         assert np.allclose(fd, want, atol=1e-9)
 
     def test_constant_curve_all_orders_zero(self):
@@ -63,10 +64,10 @@ class TestDerivative:
             for u in rng.uniform(lo + 0.5, hi - 0.5, 8):
                 for order in (1, 2, 3):
                     ex = c.derivative(float(u), order)
-                    fd = _fd_derivative(c.point, float(u), order, DEFAULT_STEPS[order])
+                    fd = _fd_derivative(c.points, np.array([u]), order, DEFAULT_STEPS[order])[0]
                     assert np.max(np.abs(ex - fd)) <= 1e-6, (name, order)
                 ex = c.derivative(float(u), 4)
-                fd = _fd_derivative(c.point, float(u), 4, DEFAULT_STEPS[4])
+                fd = _fd_derivative(c.points, np.array([u]), 4, DEFAULT_STEPS[4])[0]
                 assert np.max(np.abs(ex - fd)) <= 1e-4, name
 
     def test_margin_enforced_for_fd_curves(self):
@@ -113,6 +114,18 @@ class TestArcLength:
         for target in (0.3, 2.0, 5.9):
             u = table.invert(target)
             assert abs(table.length_at(u) - target) <= 1e-11
+
+
+    def test_inversion_reports_non_convergence(self):
+        # With the speed halved after the table is built, the length inside a
+        # panel reaches only half of the panel's tabulated increment, so a
+        # target in the upper half of a panel has no solution and Newton
+        # cycles between panels.
+        c = torus_curve(0.6, 1.0, 0.4, 2.0)
+        table = ArcLengthTable.build(c, 0.0, 2 * math.pi, 8)
+        slow = dataclasses.replace(table, _speed=lambda u: 0.5 * c.speeds(u))
+        with pytest.raises(DegeneracyError, match="did not converge: residual"):
+            slow.invert(0.75 * table.lengths[1])
 
 
 class TestReparameterize:
