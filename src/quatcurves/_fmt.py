@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-__all__ = ["fnum", "canonical_json"]
+__all__ = ["fnum", "ftable", "canonical_json"]
 
 
 def fnum(x: float) -> str:
@@ -20,6 +20,22 @@ def fnum(x: float) -> str:
     if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite value {x!r}")
     return format(x, ".16e")
+
+
+def ftable(table) -> str:
+    """CSV lines of a 2-D table, each value rendered as :func:`fnum` renders it.
+
+    The whole table is formatted in one call; ``"%.16e"`` on a Python float
+    gives the same digits as ``format(x, ".16e")``.  A non-finite value
+    raises :func:`fnum`'s error for the first one in row-major order.
+    """
+    table = np.asarray(table, dtype=float)
+    finite = np.isfinite(table)
+    if not finite.all():
+        fnum(table[~finite][0])  # raises
+    rows, cols = table.shape
+    line = ",".join(["%.16e"] * cols) + "\n"
+    return (line * rows) % tuple(table.ravel().tolist())
 
 
 def _render(obj, indent: int) -> str:

@@ -9,13 +9,15 @@ numeric output is fully deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 from typing import Optional
 
 import numpy as np
 
-from ._fmt import canonical_json, fnum
+from ._fmt import canonical_json, fnum, ftable
 from .bertrand import (
     BertrandConstants,
     VerifyTolerances,
@@ -47,6 +49,17 @@ class _InputError(Exception):
     pass
 
 
+def _tolerance(text: str) -> float:
+    """``--tol`` values: finite numbers >= 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value >= 0.0):
+        raise argparse.ArgumentTypeError(f"need a finite tolerance >= 0, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quatcurves",
@@ -67,7 +80,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--s1", type=float, help="grid end")
         p.add_argument("--samples", type=int, default=101, help="grid size (>= 3)")
         if tol:
-            p.add_argument("--tol", type=float, default=1e-8, help="pass/fail tolerance")
+            p.add_argument("--tol", type=_tolerance, default=1e-8, help="pass/fail tolerance")
         if out:
             p.add_argument("--out", required=True, help="output file path")
         if report:
@@ -93,6 +106,10 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p_verify, constants=True, report=True)
 
     return parser
+
+
+# One parser per process: building it costs more than parsing a command line.
+_parser = functools.cache(build_parser)
 
 
 # -- input loading ---------------------------------------------------------------
@@ -136,8 +153,8 @@ def _grid(curve: ParametricCurve, s0: Optional[float], s1: Optional[float],
         lo = s0
     if s1 is not None:
         hi = s1
-    if not lo < hi:
-        raise _InputError("need s0 < s1 inside the curve domain")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise _InputError("need finite s0 < s1 inside the curve domain")
     return np.linspace(lo, hi, samples)
 
 
@@ -158,8 +175,7 @@ def _write(path: str, text: str):
 # -- subcommands -----------------------------------------------------------------
 
 def _csv(header: str, table: np.ndarray) -> str:
-    lines = [header] + [",".join(fnum(x) for x in row) for row in table]
-    return "\n".join(lines) + "\n"
+    return header + "\n" + ftable(table)
 
 
 def cmd_frame(args) -> int:
@@ -238,9 +254,8 @@ def cmd_verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:

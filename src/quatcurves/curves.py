@@ -21,8 +21,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DegeneracyError
 from .quaternion import norm
@@ -280,6 +278,8 @@ def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
 
 def arc_length(curve: ParametricCurve, u0: float, u1: float) -> float:
     """Arc length by adaptive quadrature of the speed (absolute tol 1e-10)."""
+    from scipy.integrate import quad
+
     lo, hi = curve.domain
     if not (lo <= u0 <= u1 <= hi):
         raise ValueError("need u0 <= u1 inside the curve domain")
@@ -319,12 +319,16 @@ class ArcLengthTable:
     _nodes: np.ndarray = field(repr=False, default=None)
     _weights: np.ndarray = field(repr=False, default=None)
     _speed: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    _inverse_guess: PchipInterpolator = field(repr=False, default=None)
+    _inverse_guess: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     GAUSS_DEGREE = 8
 
     @classmethod
     def build(cls, curve: ParametricCurve, u0: float, u1: float, panels: int) -> "ArcLengthTable":
+        # SciPy is imported here, not at module level, so that commands on
+        # unit-speed curves start without it.
+        from scipy.interpolate import PchipInterpolator
+
         if panels < 2:
             raise ValueError("need at least 2 panels")
         nodes, weights = np.polynomial.legendre.leggauss(cls.GAUSS_DEGREE)

@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import quatcurves
 from conftest import TORUS, TORUS_K, TORUS_M, TORUS_R, associated_helix
 from quatcurves._fmt import fnum
 from quatcurves.bertrand import BertrandConstants, construct_mate
@@ -84,6 +89,10 @@ HELIX_DOC = {
         }
     },
 }
+
+# Constants of the torus fitted from its intrinsic frames.
+TORUS_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": 0.72,
+                   "epsilon": 1, "delta": 1}
 
 # Constants of the torus fitted from its pair-built frames.
 PAIR_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": TORUS_R / TORUS_M,
@@ -315,3 +324,75 @@ def test_registered_options(command, reads_tol, capsys):
 def test_usage_error_exit2(capsys):
     assert main(["frame"]) == 2  # missing required flags
     assert main(["no-such-command"]) == 2
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("command", [
+    ["frame", "--out", "out.csv"],
+    ["bertrand", "fit", "--out", "out.json"],
+    ["bertrand", "check", "--constants", "c.json", "--report", "out.json"],
+    ["verify", "--constants", "c.json", "--report", "out.json"],
+], ids=["frame", "fit", "check", "verify"])
+def test_tol_must_be_finite_and_non_negative(tmp_path, monkeypatch, capsys, command, tol):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path, "torus.json", TORUS_DOC)
+    write_json(tmp_path, "c.json", TORUS_CONSTANTS)
+    assert main(command + ["--curve", "torus.json", "--tol", tol]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "need a finite tolerance >= 0" in err
+    assert not (tmp_path / "out.csv").exists() and not (tmp_path / "out.json").exists()
+
+
+@pytest.mark.parametrize("bound", ["--s1=inf", "--s0=-inf", "--s1=nan"])
+def test_non_finite_grid_bound_exit2(tmp_path, torus_spec, capsys, bound):
+    out = tmp_path / "frame.csv"
+    assert main(["frame", "--curve", torus_spec, "--out", str(out), bound]) == 2
+    assert "need finite s0 < s1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+# Runs each command line of the JSON list in argv[1] through one fresh
+# interpreter's ``main``, then reports the exit codes, the stdout of each
+# command and whether SciPy was imported.
+FRESH_CLI = """
+import contextlib, io, json, sys
+from quatcurves.cli import main
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        results.append([main(argv), out.getvalue()])
+print(json.dumps({"results": results, "scipy": "scipy" in sys.modules}))
+"""
+
+
+def run_fresh_cli(cwd, commands):
+    src = Path(quatcurves.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-c", FRESH_CLI, json.dumps(commands)],
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_analytic_commands_start_without_scipy(tmp_path):
+    write_json(tmp_path, "torus.json", TORUS_DOC)
+    write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
+    write_json(tmp_path, "c.json", TORUS_CONSTANTS)
+    frame = ["frame", "--curve", "torus.json", "--samples", "21"]
+    run = run_fresh_cli(tmp_path, [
+        frame + ["--out", "a.csv"],
+        ["frame"],  # a usage error on the shared parser
+        frame + ["--out", "b.csv"],
+        ["verify", "--curve", "torus.json", "--constants", "c.json", "--samples", "21",
+         "--report", "r.json"],
+    ])
+    assert [rc for rc, _ in run["results"]] == [0, 2, 0, 0]
+    assert run["results"][2][1] == run["results"][0][1]
+    assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
+    assert not run["scipy"]
+    # A non-unit-speed curve is reparameterized by arc length, which uses SciPy.
+    fast = run_fresh_cli(tmp_path, [["frame", "--curve", "fast.json", "--samples", "11",
+                                     "--out", "f.csv"]])
+    assert fast["results"][0][0] == 0
+    assert fast["scipy"]
