@@ -25,7 +25,6 @@ from .curves import (
     fourier_curve,
     helix3,
     is_unit_speed,
-    reparameterize_by_arclength,
     torus_curve,
 )
 from .frames import (

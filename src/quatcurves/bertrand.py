@@ -11,7 +11,8 @@ offset ``a*N1 + b*N3`` exactly when constants a != 0, b != 0, c, d satisfy
 This module checks those conditions, fits the constants from curvature
 data, constructs the mate, evaluates its closed-form frame and curvature
 functions, and verifies the closed forms against curvatures read from
-finite-difference derivatives of the actual mate curve.
+finite-difference derivatives of the actual mate curve.  Curvatures are
+per arc length and frames pointwise, in the base curve's own parameter.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .frames import (  # noqa: F401 -- frame4_intrinsic is a lookup site of perf
     DEGENERACY_EPS,
     CurvatureProfile,
     Frame4,
+    _derivative_frame,
     _intrinsic_basis,
     curvature_profile,
     frame4_intrinsic,
@@ -375,8 +377,8 @@ def construct_mate(
     a, b = _offset_ab(consts)
     if curve3 is None:
         def n1_n3(s: np.ndarray):
-            basis = _intrinsic_basis(alpha4, s)
-            return basis[1], basis[3]
+            _, n1, _, n3, _ = _intrinsic_basis(alpha4, s)
+            return n1, n3
     else:
         def n1_n3(s: np.ndarray):
             f = frames4(alpha4, s, curve3)
@@ -533,14 +535,15 @@ def verify_mate(
     """Full verification of the Bertrand mate against the intrinsic oracle.
 
     Stages: (i) condition check on the curvature profile; (ii) mate
-    construction with the constant-distance check; (iii) speed versus the
-    closed-form phi'; (iv) the oracle: at every grid point at least
-    ``mate.fd_margin(4)`` inside the mate's domain, a QR factorization of
-    the mate's first four finite-difference derivatives in the base
-    parameter (Gluck's formulas need no arc-length parameter); (v)
-    curvature comparison in absolute value; (vi) span check that the oracle
-    N1bar/N3bar (QR columns 1 and 3) stay in span{N1, N3}.  Stage failures
-    are recorded in the report, not thrown.
+    construction with the constant-distance check; (iii) the mate's speed
+    versus the closed-form phi' times the base curve's speed; (iv) the
+    oracle: at every grid point at least ``mate.fd_margin(4)`` inside the
+    mate's domain, the Gram-Schmidt reading of the mate's first four
+    finite-difference derivatives in the base parameter (Gluck's formulas
+    need no arc-length parameter); (v) curvature comparison in absolute
+    value; (vi) span check that the oracle N1bar/N3bar (units 1 and 3)
+    stay in span{N1, N3}.  Stage failures are recorded in the report, not
+    thrown.
     """
     tols = tolerances or VerifyTolerances()
     grid = np.asarray(list(grid), dtype=float)
@@ -568,8 +571,9 @@ def verify_mate(
         idx = inside(mate.fd_margin(1))
         if not len(idx):
             raise ValueError("no grid points admit the finite-difference margin")
-        pp = [phi_prime(profile.K[i], profile.r[i], profile.k[i], consts) for i in idx]
-        report.speed_deviation = float(np.max(np.abs(mate.speeds(grid[idx]) - pp)))
+        pp = np.array([phi_prime(profile.K[i], profile.r[i], profile.k[i], consts) for i in idx])
+        expected = pp * alpha4.speeds(grid[idx])
+        report.speed_deviation = float(np.max(np.abs(mate.speeds(grid[idx]) - expected)))
     except (DegeneracyError, ValueError) as exc:
         report.stage_errors.append(f"mate speed: {exc}")
 
@@ -589,24 +593,16 @@ def verify_mate(
             mate_curvatures_closed_form(K, -torsion, K - bitorsion, consts)
             for K, torsion, bitorsion in zip(base.K, base.torsion, base.bitorsion)
         ])
-        # Columns of each matrix are the mate's derivatives of orders 1..4.
-        derivs = np.stack([mate.derivatives(s, n) for n in range(1, 5)], axis=-1)
-        q, r = np.linalg.qr(derivs)
-        d = np.abs(np.diagonal(r, axis1=-2, axis2=-1))
-        deficient = np.any(d <= DEGENERACY_EPS * np.linalg.norm(derivs, axis=-2), axis=-1)
-        if np.any(deficient):
-            raise DegeneracyError(
-                f"mate derivatives are rank-deficient at s={float(s[deficient][0])!r}"
-            )
+        units, rho = _derivative_frame([mate.derivatives(s, n) for n in range(1, 5)])
         kbar, torsion_bar, bitorsion_bar = closed.T
         report.curvature_deviation = float(max(
-            np.max(np.abs(d[:, 1] / d[:, 0] ** 2 - kbar)),
-            np.max(np.abs(d[:, 2] / (d[:, 0] * d[:, 1]) - np.abs(torsion_bar))),
-            np.max(np.abs(d[:, 3] / (d[:, 0] * d[:, 2]) - np.abs(bitorsion_bar))),
+            np.max(np.abs(rho[1] / rho[0] ** 2 - kbar)),
+            np.max(np.abs(rho[2] / (rho[0] * rho[1]) - np.abs(torsion_bar))),
+            np.max(np.abs(rho[3] / (rho[0] * rho[2]) - np.abs(bitorsion_bar))),
         ))
         n1, n3 = base.N1, base.N3
         span_res = 0.0
-        for v in (q[:, :, 1], q[:, :, 3]):
+        for v in (units[1], units[3]):
             off_span = v - inner(v, n1)[:, None] * n1 - inner(v, n3)[:, None] * n3
             span_res = max(span_res, float(np.max(norm(off_span))))
         report.span_residual = span_res

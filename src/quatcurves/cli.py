@@ -26,7 +26,7 @@ from .bertrand import (
     fit_constants,
     verify_mate,
 )
-from .curves import CurveSpec, ParametricCurve, is_unit_speed, reparameterize_by_arclength
+from .curves import CurveSpec, ParametricCurve, is_unit_speed
 from .errors import DegeneracyError, FitError
 from .frames import (
     FRAME3_CSV_HEADER,
@@ -43,6 +43,11 @@ EXIT_VERIFICATION = 1
 EXIT_INPUT = 2
 EXIT_DEGENERACY = 3
 EXIT_FIT = 4
+
+# Largest --samples.  At this size verify, the heaviest command, peaks near
+# 300 MB (about 3 kB per grid point), so no size it admits fails to
+# allocate on an ordinary machine.
+MAX_SAMPLES = 100_000
 
 
 class _InputError(Exception):
@@ -76,9 +81,11 @@ def build_parser() -> argparse.ArgumentParser:
                 required=True,
                 help="constants JSON document: a path, or an inline JSON object",
             )
-        p.add_argument("--s0", type=float, help="grid start (defaults to the usable domain)")
-        p.add_argument("--s1", type=float, help="grid end")
-        p.add_argument("--samples", type=int, default=101, help="grid size (>= 3)")
+        p.add_argument("--s0", type=float,
+                       help="grid start in arc length (defaults to the curve's start)")
+        p.add_argument("--s1", type=float, help="grid end in arc length")
+        p.add_argument("--samples", type=int, default=101,
+                       help=f"grid size (3 to {MAX_SAMPLES})")
         if tol:
             p.add_argument("--tol", type=_tolerance, default=1e-8, help="pass/fail tolerance")
         if out:
@@ -134,37 +141,33 @@ def _load_constants(text: str) -> BertrandConstants:
         raise _InputError(f"cannot load constants: {exc}") from exc
 
 
-def _ensure_unit_speed(curve: ParametricCurve) -> ParametricCurve:
-    ok, _ = is_unit_speed(curve, UNIT_SPEED_TOL)
-    if ok:
-        return curve
-    return reparameterize_by_arclength(curve)
-
-
 def _grid(curve: ParametricCurve, s0: Optional[float], s1: Optional[float],
-          samples: int) -> np.ndarray:
-    if samples < 3:
-        raise _InputError("--samples must be at least 3")
-    # The default grid keeps the widest (order-4) stencil inside the domain.
-    lo, hi = curve.domain
-    margin = curve.fd_margin(4)
-    lo, hi = lo + margin, hi - margin
-    if s0 is not None:
-        lo = s0
-    if s1 is not None:
-        hi = s1
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise _InputError("need finite s0 < s1 inside the curve domain")
-    return np.linspace(lo, hi, samples)
+          samples: int) -> tuple[np.ndarray, np.ndarray]:
+    """Uniform arc-length grid ``s`` and the curve's parameters ``u`` on it.
+
+    A unit-speed curve's parameter is its arc length, so there ``u = s`` on
+    the domain.  Any other curve's arc length runs from 0 at the start of
+    its domain, and its table maps each ``s`` to ``u``.
+    """
+    if not 3 <= samples <= MAX_SAMPLES:
+        raise _InputError(f"--samples must be between 3 and {MAX_SAMPLES}")
+    unit_speed, _ = is_unit_speed(curve, UNIT_SPEED_TOL)
+    start, end = curve.domain if unit_speed else (0.0, curve.arc_lengths.total)
+    lo = start if s0 is None else s0
+    hi = end if s1 is None else s1
+    slack = 1e-12 * max(1.0, abs(start), abs(end))
+    if not (math.isfinite(lo) and math.isfinite(hi) and start - slack <= lo < hi <= end + slack):
+        raise _InputError(f"need finite s0 < s1 inside [{start!r}, {end!r}]")
+    s = np.linspace(lo, hi, samples)
+    return s, (s if unit_speed else curve.arc_lengths.parameters_at(s))
 
 
-def _load_inputs(args) -> tuple[ParametricCurve, Optional[ParametricCurve], np.ndarray]:
-    """The unit-speed curve, the optional unit-speed spatial curve and the grid."""
-    curve = _ensure_unit_speed(_load_curve(args.curve))
-    spatial = None
-    if args.spatial:
-        spatial = _ensure_unit_speed(_load_curve(args.spatial))
-    return curve, spatial, _grid(curve, args.s0, args.s1, args.samples)
+def _load_inputs(args):
+    """The curve, the optional spatial curve, the arc-length grid and the curve's
+    parameters on it."""
+    curve = _load_curve(args.curve)
+    spatial = _load_curve(args.spatial) if args.spatial else None
+    return (curve, spatial, *_grid(curve, args.s0, args.s1, args.samples))
 
 
 def _write(path: str, text: str):
@@ -179,20 +182,20 @@ def _csv(header: str, table: np.ndarray) -> str:
 
 
 def cmd_frame(args) -> int:
-    curve, spatial, grid = _load_inputs(args)
+    curve, spatial, s, u = _load_inputs(args)
     if curve.dim == 3:
-        header, frames = FRAME3_CSV_HEADER, frames3(curve, grid)
+        header, frames = FRAME3_CSV_HEADER, frames3(curve, u)
     else:
-        header, frames = FRAME4_CSV_HEADER, frames4(curve, grid, curve3=spatial).aligned()
+        header, frames = FRAME4_CSV_HEADER, frames4(curve, u, curve3=spatial)
     residual = orthonormality_residual(frames.vectors())
-    _write(args.out, _csv(header, frames.table(grid)))
+    _write(args.out, _csv(header, frames.table(s)))
     print(f"max orthonormality residual: {fnum(residual)}")
     return EXIT_OK if residual <= args.tol else EXIT_VERIFICATION
 
 
 def _profile_for(args):
-    curve, spatial, grid = _load_inputs(args)
-    return curvature_profile(curve, grid, curve3=spatial)
+    curve, spatial, _, u = _load_inputs(args)
+    return curvature_profile(curve, u, curve3=spatial)
 
 
 def _print_conditions(report):
@@ -229,18 +232,18 @@ def cmd_bertrand_check(args) -> int:
 
 def cmd_bertrand_mate(args) -> int:
     consts = _load_constants(args.constants)
-    curve, spatial, grid = _load_inputs(args)
+    curve, spatial, s, u = _load_inputs(args)
     mate = construct_mate(curve, consts, curve3=spatial)
-    _write(args.out, _csv("s,x0,x1,x2,x3", np.column_stack([grid, mate.points(grid)])))
-    print(f"mate written: {len(grid)} rows")
+    _write(args.out, _csv("s,x0,x1,x2,x3", np.column_stack([s, mate.points(u)])))
+    print(f"mate written: {len(s)} rows")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
     consts = _load_constants(args.constants)
-    curve, spatial, grid = _load_inputs(args)
+    curve, spatial, _, u = _load_inputs(args)
     tols = VerifyTolerances(algebraic=args.tol)
-    report = verify_mate(curve, consts, grid, alpha3=spatial, tolerances=tols)
+    report = verify_mate(curve, consts, u, alpha3=spatial, tolerances=tols)
     _write(args.report, canonical_json(report.to_json_dict()))
     _print_conditions(report)
     for label in ("distance_deviation", "speed_deviation", "curvature_deviation",

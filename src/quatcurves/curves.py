@@ -7,9 +7,8 @@ quaternions).  Row ``i`` depends on parameter ``i`` alone, so the scalar
 methods ``point``, ``derivative`` and ``speed`` evaluate a length-1 grid
 and return its row.  The module provides high-order differentiation
 (analytic when the family ships derivatives, central finite differences
-with one Richardson extrapolation level otherwise), arc length by
-quadrature, and arc-length reparameterization with a monotone-cubic
-initial guess refined by Newton iteration.
+with one Richardson extrapolation level otherwise) and a cumulative
+arc-length table whose Newton inversion maps arc lengths to parameters.
 """
 
 from __future__ import annotations
@@ -32,7 +31,6 @@ __all__ = [
     "derivative",
     "derivatives",
     "arc_length",
-    "reparameterize_by_arclength",
     "is_unit_speed",
     "torus_curve",
     "circle3",
@@ -41,6 +39,7 @@ __all__ = [
     "DEFAULT_STEPS",
     "SPEED_EPS",
     "NEWTON_STEPS",
+    "TABLE_PANELS",
 ]
 
 # Default finite-difference steps per derivative order; chosen to balance
@@ -54,6 +53,9 @@ SPEED_EPS = 1e-9
 # Newton steps an arc-length inversion may take before it is reported as
 # not converged.
 NEWTON_STEPS = 8
+
+# Panels of the arc-length table a curve keeps for its whole domain.
+TABLE_PANELS = 256
 
 _TWO_PI = 2.0 * math.pi
 
@@ -173,6 +175,11 @@ class ParametricCurve:
         return 0.0 if self.has_analytic_derivatives else _fd_reach(order)
 
     @cached_property
+    def arc_lengths(self) -> "ArcLengthTable":
+        """Arc length from the start of the domain, tabulated on ``TABLE_PANELS`` panels."""
+        return ArcLengthTable.build(self, *self.domain, TABLE_PANELS)
+
+    @cached_property
     def unit_speed_deviation(self) -> float:
         """Max |speed - 1| on a 101-point uniform grid (finite-difference safe)."""
         lo, hi = self.domain
@@ -277,18 +284,13 @@ def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
 # -- arc length ---------------------------------------------------------------
 
 def arc_length(curve: ParametricCurve, u0: float, u1: float) -> float:
-    """Arc length by adaptive quadrature of the speed (absolute tol 1e-10)."""
-    from scipy.integrate import quad
-
+    """Arc length from ``u0`` to ``u1``: the total of a ``TABLE_PANELS``-panel table."""
     lo, hi = curve.domain
     if not (lo <= u0 <= u1 <= hi):
         raise ValueError("need u0 <= u1 inside the curve domain")
     if u0 == u1:
         return 0.0
-    value, _ = quad(curve.speed, u0, u1, epsabs=1e-10, epsrel=1e-12, limit=200)
-    if not math.isfinite(value):
-        raise ValueError("non-finite speed encountered during arc-length quadrature")
-    return float(value)
+    return ArcLengthTable.build(curve, u0, u1, TABLE_PANELS).total
 
 
 def _node_speeds(speed, a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
@@ -319,20 +321,15 @@ class ArcLengthTable:
     _nodes: np.ndarray = field(repr=False, default=None)
     _weights: np.ndarray = field(repr=False, default=None)
     _speed: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
-    _inverse_guess: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     GAUSS_DEGREE = 8
 
     @classmethod
     def build(cls, curve: ParametricCurve, u0: float, u1: float, panels: int) -> "ArcLengthTable":
-        # SciPy is imported here, not at module level, so that commands on
-        # unit-speed curves start without it.
-        from scipy.interpolate import PchipInterpolator
-
         if panels < 2:
             raise ValueError("need at least 2 panels")
         nodes, weights = np.polynomial.legendre.leggauss(cls.GAUSS_DEGREE)
-        speed = _plain_speed(curve)
+        speed = curve.speeds
         edges = np.linspace(u0, u1, panels + 1)
         half, speeds = _node_speeds(speed, edges[:-1], edges[1:], nodes)
         if np.any(speeds < SPEED_EPS):
@@ -340,9 +337,7 @@ class ArcLengthTable:
         lengths = np.concatenate([[0.0], np.cumsum(half * _weighted_sum(weights, speeds))])
         if np.any(np.diff(lengths) <= 0):
             raise DegeneracyError("irregular curve: arc length not strictly increasing")
-        table = cls(curve, edges, lengths, nodes, weights, speed)
-        table._inverse_guess = PchipInterpolator(lengths, edges)
-        return table
+        return cls(curve, edges, lengths, nodes, weights, speed)
 
     @property
     def total(self) -> float:
@@ -364,14 +359,15 @@ class ArcLengthTable:
     def parameters_at(self, targets) -> np.ndarray:
         """Parameters ``u`` with ``length_at(u) == target`` for every target, Newton-refined.
 
-        Targets are clamped to ``[0, total]``.  Each one stops at the first
-        Newton step whose residual is within ``1e-13 * max(1, total)``; one
-        still outside after ``NEWTON_STEPS`` steps raises
-        :class:`DegeneracyError` with the worst residual.
+        Targets are clamped to ``[0, total]``.  The first guess interpolates
+        the table linearly.  Each target stops at the first Newton step
+        whose residual is within ``1e-13 * max(1, total)``; one still
+        outside after ``NEWTON_STEPS`` steps raises :class:`DegeneracyError`
+        with the worst residual.
         """
         lo, hi = self.edges[0], self.edges[-1]
         goal = np.minimum(np.maximum(np.asarray(targets, dtype=float), 0.0), self.total)
-        u = np.minimum(np.maximum(self._inverse_guess(goal), lo), hi)
+        u = np.interp(goal, self.lengths, self.edges)
         tol = 1e-13 * max(1.0, self.total)
         active = np.arange(len(goal))
         for step in range(NEWTON_STEPS + 1):
@@ -393,57 +389,10 @@ class ArcLengthTable:
         return float(self.parameters_at(np.array([target], dtype=float))[0])
 
 
-def _plain_speed(curve: ParametricCurve) -> Callable[[np.ndarray], np.ndarray]:
-    """Speeds via a single central difference; cheap and smooth in u.
-
-    Used inside arc-length quadrature where the O(h^2) bias is a smooth
-    function of the endpoint and therefore harmless to the inversion.
-    """
-    if curve.has_analytic_derivatives:
-        return curve.speeds
-    h = DEFAULT_STEPS[1]
-
-    def speeds(u: np.ndarray) -> np.ndarray:
-        return norm((curve.points(u + h) - curve.points(u - h)) / (2.0 * h))
-
-    return speeds
-
-
 def is_unit_speed(curve: ParametricCurve, tol: float) -> tuple[bool, float]:
     """Sample speed on a 101-point grid; true iff max |speed - 1| <= tol."""
     dev = curve.unit_speed_deviation
     return dev <= tol, dev
-
-
-def reparameterize_by_arclength(curve: ParametricCurve, samples: int = 256) -> ParametricCurve:
-    """Return the same trace parameterized by arc length.
-
-    ``samples`` sets the panel count of the underlying cumulative-length
-    table.  Raises :class:`DegeneracyError` for irregular curves (speed
-    below ``SPEED_EPS`` anywhere on the sample grid), when an arc-length
-    inversion does not converge, and when the result's speed strays more
-    than 1e-6 from 1 on a validation grid.  The returned curve carries no
-    analytic derivatives.
-    """
-    lo, hi = curve.domain
-    m = curve.fd_margin(1)
-    lo, hi = lo + m, hi - m
-    panels = max(samples, 32)
-    if np.any(curve.speeds(np.linspace(lo, hi, panels + 1)) < SPEED_EPS):
-        raise DegeneracyError("irregular curve: speed below threshold")
-    table = ArcLengthTable.build(curve, lo, hi, panels)
-    new = ParametricCurve.from_arrays(
-        dim=curve.dim,
-        evaluate=lambda sbar: curve.points(table.parameters_at(sbar)),
-        domain=(0.0, table.total),
-        name=f"{curve.name or 'curve'}[arclength]",
-    )
-    ok, dev = is_unit_speed(new, 1e-6)
-    if not ok:
-        raise DegeneracyError(
-            f"arc-length reparameterization missed tolerance: deviation {dev:.3g}"
-        )
-    return new
 
 
 # -- curve families -----------------------------------------------------------

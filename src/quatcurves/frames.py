@@ -1,17 +1,23 @@
-"""Moving frames for unit-speed curves in R^3 and R^4.
+"""Moving frames for regular curves in R^3 and R^4, in any parameter.
+
+Every frame is a pointwise function of the curve's derivatives in its own
+parameter: a Gram-Schmidt pass over ``[d1, d2, ...]`` gives the unit
+vectors, and the norms of the orthogonalized derivatives give the
+curvatures per arc length (Gluck, "Higher curvatures of curves in
+Euclidean space", Amer. Math. Monthly 73, 1966).
 
 The spatial frame (t, n, b) uses the quaternion product for the binormal,
 ``b = t * n``.  The R^4 frame {T, N1, N2, N3} is computed two ways:
 
 * intrinsically, from derivatives of the curve alone, with N2 oriented so
-  that the torsion reading ``h(N1', N2)`` is ``-||N1' + K T||`` and N3
+  that the torsion reading ``h(N1', N2)`` is nonpositive and N3
   completing a determinant +1 orthonormal basis;
 * from a pair (R^4 curve, associated spatial curve) via the products
   ``N1 = b * T``, ``N2 = n * T``, ``N3 = t * T``.
 
-Both satisfy the same skew frame ODE with coefficients K (curvature),
-torsion and bitorsion; ``frame_ode_residual`` measures how well finite
-differences of the frame fields reproduce that system.
+Both satisfy the same skew frame ODE in arc length with coefficients K
+(curvature), torsion and bitorsion; ``frame_ode_residual`` measures how
+well finite differences of the frame fields reproduce that system.
 
 Frames are built for a whole grid at once: :func:`frames3` and
 :func:`frames4` return every frame vector as an ``(n, 4)`` array.
@@ -26,7 +32,14 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import DEFAULT_STEPS, ParametricCurve, _fd_derivative, _pointwise, is_unit_speed
+from .curves import (
+    DEFAULT_STEPS,
+    SPEED_EPS,
+    ParametricCurve,
+    _fd_derivative,
+    _pointwise,
+    is_unit_speed,
+)
 from .errors import DegeneracyError
 from .quaternion import Quaternion, inner, mul, norm
 
@@ -55,6 +68,9 @@ __all__ = [
 ]
 
 DEGENERACY_EPS = 1e-9
+# A curve whose speed stays this close to 1 is read as parameterized by
+# arc length: the CLI keeps its parameter as the grid, and a pair of such
+# curves shares one parameter.
 UNIT_SPEED_TOL = 1e-5
 # Largest orthonormality residual of a pair-built frame before the spatial
 # curve is rejected as not associated with the R^4 curve.
@@ -149,23 +165,6 @@ class Frames4:
         """Rows in the column order of ``FRAME4_CSV_HEADER``."""
         return np.column_stack([s, *self.vectors(), self.K, self.torsion, self.bitorsion])
 
-    def aligned(self) -> "Frames4":
-        """The frames with a sign-continuity pass along the grid.
-
-        Pointwise frames are deterministic, but where the torsion crosses
-        zero the N2 orientation can jump between adjacent points.  The pass
-        flips (N2, N3) jointly wherever that brings N2 closer to its
-        predecessor's: the sign at point i is the product of the signs of
-        ``N2_j . N2_(j-1)`` for j <= i (an exactly zero product counts as
-        +1).  The joint flip keeps orthonormality and the determinant; the
-        torsion reading changes sign while the bitorsion is invariant.
-        """
-        steps = np.where(inner(self.N2[1:], self.N2[:-1]) < 0.0, -1.0, 1.0)
-        sign = np.cumprod(np.concatenate([[1.0], steps]))
-        col = sign[:, None]
-        return Frames4(T=self.T, N1=self.N1, N2=col * self.N2, N3=col * self.N3, K=self.K,
-                       torsion=sign * self.torsion, bitorsion=self.bitorsion)
-
 
 @dataclass
 class CurvatureProfile:
@@ -199,15 +198,6 @@ class CurvatureProfile:
 
 
 # -- helpers -------------------------------------------------------------------
-
-def _require_unit_speed(curve: ParametricCurve):
-    ok, dev = is_unit_speed(curve, UNIT_SPEED_TOL)
-    if not ok:
-        raise ValueError(
-            f"frame computation requires a unit-speed curve (max |speed-1| = {dev:.3g}); "
-            "reparameterize by arc length first"
-        )
-
 
 def _orthogonalize(vec: np.ndarray, against: Sequence[np.ndarray]) -> np.ndarray:
     """Rows of ``vec`` less their components along the unit rows of ``against``, in turn."""
@@ -247,6 +237,33 @@ def _oriented_complement(u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.n
     return x / nx[:, None]
 
 
+# What vanishes when derivative j has no component off the ones before it.
+_VANISHING = ("irregular curve: speed below threshold", "zero curvature", "zero torsion",
+              "zero bitorsion")
+
+
+def _derivative_frame(derivs: Sequence[np.ndarray]):
+    """Unit rows ``e_j`` and norms ``rho_j`` of the derivative rows ``[d1, d2, ...]``.
+
+    ``e_j`` is ``d_(j+1)`` less its components along ``e_0 .. e_(j-1)``,
+    normalized; ``rho_j`` is the norm it had.  In any regular parameter the
+    curvatures per arc length are ``rho_j / (rho_0 rho_(j-1))`` for j >= 1
+    (``rho_1 / rho_0^2`` is the curvature).  Raises
+    :class:`DegeneracyError` where the speed falls below ``SPEED_EPS`` or a
+    curvature below ``DEGENERACY_EPS``, before anything divides by it.
+    """
+    units, rhos = [], []
+    for j, d in enumerate(derivs):
+        v = _orthogonalize(d, units)
+        rho = norm(v)
+        floor = SPEED_EPS if j == 0 else DEGENERACY_EPS * rhos[0] * rhos[-1]
+        if np.any(rho < floor):
+            raise DegeneracyError(_VANISHING[j])
+        units.append(v / rho[:, None])
+        rhos.append(rho)
+    return units, rhos
+
+
 def orthonormality_residual(vectors: Sequence) -> float:
     """Max deviation of all pairwise inner products from the identity pattern.
 
@@ -274,115 +291,89 @@ def _one(s: float) -> np.ndarray:
 # -- spatial frame ---------------------------------------------------------------
 
 def frames3(curve: ParametricCurve, s) -> Frames3:
-    """Frenet frames of a unit-speed spatial curve at every parameter of ``s``.
+    """Frenet frames of a spatial curve at every parameter of ``s``.
 
-    ``t`` is the tangent, ``k = ||t'||`` the curvature, ``n = t'/k``, and
-    ``b = t * n`` (quaternion product).  The torsion is the projection
-    ``h(n', b)``.
+    ``t`` and ``n`` are the Gram-Schmidt units of the first two
+    derivatives, ``k = rho_1 / rho_0^2`` the curvature, and ``b = t * n``
+    (quaternion product).  The torsion is ``r = h(d3, b) / (rho_0 rho_1)``,
+    read from the part of ``d3`` orthogonal to t and n.
     """
     if curve.dim != 3:
         raise ValueError("frame3_at requires a curve of dimension 3")
-    _require_unit_speed(curve)
     s = np.asarray(s, dtype=float)
     d1, d2, d3 = (curve.derivatives(s, order) for order in (1, 2, 3))
-    k = norm(d2)
-    if np.any(k < DEGENERACY_EPS):
-        raise DegeneracyError("zero curvature")
-    t_hat = d1 / norm(d1)[:, None]
-    n_vec = _orthogonalize(d2, [t_hat])
-    nn = norm(n_vec)
-    if np.any(nn < DEGENERACY_EPS):
-        raise DegeneracyError("zero curvature")
-    n_hat = n_vec / nn[:, None]
-    b = mul(t_hat, n_hat)
-    n_prime = d3 / k[:, None] - d2 * inner(d3, d2)[:, None] / k[:, None] ** 3
-    return Frames3(t=t_hat, n=n_hat, b=b, k=k, r=inner(n_prime, b))
+    (t, n), (rho0, rho1) = _derivative_frame([d1, d2])
+    b = mul(t, n)
+    r = inner(_orthogonalize(d3, [t, n]), b) / (rho0 * rho1)
+    return Frames3(t=t, n=n, b=b, k=rho1 / rho0**2, r=r)
 
 
 def frame3_at(curve: ParametricCurve, s: float) -> Frame3:
-    """Frenet frame of a unit-speed spatial curve at ``s``: the row of :func:`frames3`."""
+    """Frenet frame of a spatial curve at ``s``: the row of :func:`frames3`."""
     return frames3(curve, _one(s)).frame(0)
 
 
 # -- intrinsic R^4 frame ----------------------------------------------------------
 
 def _intrinsic_basis(curve: ParametricCurve, s: np.ndarray):
-    """Orthonormal rows (T, N1, N2, N3) plus K, torsion and raw derivatives."""
-    d1, d2, d3 = (curve.derivatives(s, order) for order in (1, 2, 3))
-    K = norm(d2)
-    if np.any(K < DEGENERACY_EPS):
-        raise DegeneracyError("zero curvature")
-    Kc = K[:, None]
-    t_hat = d1 / norm(d1)[:, None]
-    n1 = _orthogonalize(d2, [t_hat])
-    n1 = n1 / norm(n1)[:, None]
-    kp = inner(d3, d2)[:, None] / Kc
-    n1_prime = d3 / Kc - d2 * kp / Kc**2
-    w = n1_prime + Kc * t_hat
-    wp = _orthogonalize(w, [t_hat, n1])
-    wn = norm(wp)
-    if np.any(wn < DEGENERACY_EPS):
-        raise DegeneracyError("zero torsion")
-    n2 = -wp / wn[:, None]
-    n3 = _oriented_complement(t_hat, n1, n2)
-    return t_hat, n1, n2, n3, K, -wn, (d1, d2, d3, w)
-
-
-def _bitorsion(curve: ParametricCurve, s: np.ndarray, basis) -> np.ndarray:
-    t_hat, n1, n2, n3, K, torsion, (d1, d2, d3, w) = basis
-    d4 = curve.derivatives(s, 4)
-    Kc = K[:, None]
-    L1 = norm(d1)[:, None]
-    t_prime = d2 / L1 - d1 * inner(d2, d1)[:, None] / L1**3
-    kp = inner(d3, d2)[:, None] / Kc
-    kpp = (inner(d4, d2)[:, None] + inner(d3, d3)[:, None] - kp * kp) / Kc
-    n1_pp = d4 / Kc - 2.0 * d3 * kp / Kc**2 - d2 * kpp / Kc**2 + 2.0 * d2 * kp**2 / Kc**3
-    w_prime = n1_pp + kp * t_hat + Kc * t_prime
-    wn = norm(w)[:, None]
-    n2_prime = -w_prime / wn + w * inner(w_prime, w)[:, None] / wn**3
-    return inner(n2_prime, n3)
+    """Rows T, N1, N2, N3 of the intrinsic frame and the norms rho_0, rho_1, rho_2."""
+    (T, N1, e3), rhos = _derivative_frame([curve.derivatives(s, order) for order in (1, 2, 3)])
+    N2 = -e3
+    return T, N1, N2, _oriented_complement(T, N1, N2), rhos
 
 
 def _intrinsic_frames(curve: ParametricCurve, s) -> Frames4:
     if curve.dim != 4:
         raise ValueError("frame4_intrinsic requires a curve of dimension 4")
-    _require_unit_speed(curve)
     s = np.asarray(s, dtype=float)
-    basis = _intrinsic_basis(curve, s)
-    t_hat, n1, n2, n3, K, torsion, _ = basis
-    return Frames4(T=t_hat, N1=n1, N2=n2, N3=n3, K=K, torsion=torsion,
-                   bitorsion=_bitorsion(curve, s, basis))
+    T, N1, N2, N3, (rho0, rho1, rho2) = _intrinsic_basis(curve, s)
+    d4 = _orthogonalize(curve.derivatives(s, 4), [T, N1, N2])
+    return Frames4(T=T, N1=N1, N2=N2, N3=N3, K=rho1 / rho0**2, torsion=-rho2 / (rho0 * rho1),
+                   bitorsion=-inner(d4, N3) / (rho0 * rho2))
 
 
 def frame4_intrinsic(curve: ParametricCurve, s: float) -> Frame4:
-    """R^4 frame recovered from curve derivatives alone.
+    """R^4 frame recovered from curve derivatives alone, in any regular parameter.
 
-    ``N1 = T'/K``; ``N2 = -(N1' + K T)/||N1' + K T||`` so the torsion
-    reading is always nonpositive; ``N3`` completes the unique orthonormal
-    basis with determinant +1.  The bitorsion is ``h(N2', N3)``, with
-    ``N2'`` written in closed form from the first four derivatives, so
-    analytic and finite-difference curves are read the same way (the latter
-    need the order-4 stencil reach ``curve.fd_margin(4)`` from the ends).
-    Returns the row of ``frames4(curve, [s])``.
+    T, N1 and ``-N2`` are the Gram-Schmidt units of the first three
+    derivatives, so the torsion reading ``-rho_2 / (rho_0 rho_1)`` is
+    always nonpositive; ``N3`` completes the unique orthonormal basis with
+    determinant +1.  The bitorsion ``h(N2', N3)`` is
+    ``-h(d4, N3) / (rho_0 rho_2)``, read from the part of ``d4`` orthogonal
+    to T, N1, N2, so analytic and finite-difference curves are read the
+    same way (the latter need the order-4 stencil reach
+    ``curve.fd_margin(4)`` from the ends).  Returns the row of
+    ``frames4(curve, [s])``.
     """
     return _intrinsic_frames(curve, _one(s)).frame(0)
 
 
 # -- pair-built R^4 frame ----------------------------------------------------------
 
+def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
+                        s: np.ndarray) -> np.ndarray:
+    """Parameters of ``curve3`` at the arc lengths that ``s`` has on ``curve4``.
+
+    Two unit-speed curves share their parameter; otherwise arc length is
+    counted from the start of each curve's domain, and one beyond the end
+    of ``curve3`` is a ``ValueError``.
+    """
+    if all(is_unit_speed(c, UNIT_SPEED_TOL)[0] for c in (curve4, curve3)):
+        return s
+    lengths, table = curve4.arc_lengths.lengths_at(s), curve3.arc_lengths
+    if np.any(lengths > table.total + 1e-12 * max(1.0, table.total)):
+        raise ValueError(f"arc length {float(np.max(lengths))!r} is beyond the end of the "
+                         f"spatial curve at {table.total!r}")
+    return table.parameters_at(lengths)
+
+
 def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s) -> Frames4:
     if curve4.dim != 4:
         raise ValueError("frame4_from_pair requires a curve of dimension 4")
     s = np.asarray(s, dtype=float)
-    f3 = frames3(curve3, s)
-    _require_unit_speed(curve4)
-    d1 = curve4.derivatives(s, 1)
-    d2 = curve4.derivatives(s, 2)
-    K = norm(d2)
-    if np.any(K < DEGENERACY_EPS):
-        raise DegeneracyError("zero curvature")
-    L1 = norm(d1)[:, None]
-    T = d1 / L1
+    f3 = frames3(curve3, _spatial_parameters(curve4, curve3, s))
+    (T, n1), (rho0, rho1) = _derivative_frame([curve4.derivatives(s, order) for order in (1, 2)])
+    K = rho1 / rho0**2
     N1 = mul(f3.b, T)
     N2 = mul(f3.n, T)
     N3 = mul(f3.t, T)
@@ -392,8 +383,8 @@ def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s) -> Frames4
             f"pair frame orthonormality residual {residual:.3g} exceeds {PAIR_TOL:.3g}; "
             "the spatial curve is not associated with the R^4 curve"
         )
-    # Frame derivatives via the spatial Frenet system and the chain rule.
-    t_prime = d2 / L1 - d1 * inner(d2, d1)[:, None] / L1**3
+    # Frame derivatives per arc length via the spatial Frenet system and the chain rule.
+    t_prime = K[:, None] * n1
     k, r = f3.k[:, None], f3.r[:, None]
     b_prime = -r * f3.n
     n_prime = -k * f3.t + r * f3.b
@@ -407,8 +398,9 @@ def frame4_from_pair(curve4: ParametricCurve, curve3: ParametricCurve, s: float)
     """R^4 frame built from the spatial frame of an associated curve.
 
     ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with (t, n, b) the spatial
-    frame of ``curve3`` at the same parameter.  Torsion and bitorsion are
-    read from the frame-ODE projections h(N1', N2) and h(N2', N3).
+    frame of ``curve3`` at the same arc length (the same parameter when
+    both curves are unit speed).  Torsion and bitorsion are read from the
+    frame-ODE projections h(N1', N2) and h(N2', N3) per arc length.
     Returns the row of ``frames4(curve4, [s], curve3)``.
     """
     return _pair_frames(curve4, curve3, _one(s)).frame(0)
@@ -421,8 +413,7 @@ def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None
 
     Intrinsic frames of ``curve4``, or pair-built ones when the associated
     spatial curve ``curve3`` is given; see :func:`frame4_intrinsic` and
-    :func:`frame4_from_pair`.  No sign-continuity pass: see
-    :meth:`Frames4.aligned`.
+    :func:`frame4_from_pair`.
     """
     if curve3 is None:
         return _intrinsic_frames(curve4, s)
@@ -443,9 +434,8 @@ def frames_on_grid(
     grid: Sequence[float],
     curve3: Optional[ParametricCurve] = None,
 ) -> list[Frame4]:
-    """Frames at each grid point with the sign-continuity pass of
-    :meth:`Frames4.aligned`."""
-    frames = frames4(curve4, grid, curve3).aligned()
+    """The frames of :func:`frames4` at each grid point, as :class:`Frame4` values."""
+    frames = frames4(curve4, grid, curve3)
     return [frames.frame(i) for i in range(len(frames.K))]
 
 
@@ -473,7 +463,8 @@ def frame_ode_residual(
     For each grid point the four frame fields returned by ``provider``
     (by default the frame of ``curve4``, pair-built when ``curve3`` is
     given) are differentiated centrally with the order-1 step and one
-    Richardson level, and compared to the skew system
+    Richardson level, divided by the speed of ``curve4`` to take them per
+    arc length, and compared to the skew system
 
         T'  =  K N1
         N1' = -K T + torsion * N2
@@ -487,6 +478,7 @@ def frame_ode_residual(
         return np.stack([v.as_vec4() for v in fn(s).vectors()])
 
     deriv = _fd_derivative(_pointwise(frame_vectors), grid, 1, DEFAULT_STEPS[1])
+    deriv = deriv / curve4.speeds(grid)[:, None, None]
     frames = [fn(s) for s in grid]
     T, N1, N2, N3 = (np.array([v.as_vec4() for v in vs]) for vs in zip(*(f.vectors() for f in frames)))
     K, torsion, bitorsion = (np.array([[getattr(f, c)] for f in frames])
@@ -515,7 +507,7 @@ def curvature_profile(
 ) -> CurvatureProfile:
     """Curvature functions on the grid; ``k`` is recovered as K - bitorsion."""
     grid = np.asarray(grid, dtype=float)
-    frames = frames4(curve4, grid, curve3).aligned()
+    frames = frames4(curve4, grid, curve3)
     return CurvatureProfile(
         s=grid,
         K=frames.K,

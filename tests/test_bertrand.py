@@ -17,9 +17,16 @@ from quatcurves.bertrand import (
     phi_prime,
     verify_mate,
 )
+from quatcurves.curves import ParametricCurve
 from quatcurves.errors import FitError
-from quatcurves.frames import CurvatureProfile, Frame4, orthonormality_residual
-from quatcurves.quaternion import Quaternion
+from quatcurves.frames import (
+    CurvatureProfile,
+    Frame4,
+    curvature_profile,
+    frames4,
+    orthonormality_residual,
+)
+from quatcurves.quaternion import Quaternion, mul
 
 from conftest import TORUS_K
 
@@ -344,3 +351,27 @@ def test_mate_frame_curvatures_match_oracle_on_torus(torus, torus_constants, tor
     assert kbar == pytest.approx(math.sqrt(r * r + m * m) / pp, rel=1e-12)
     assert torsion_bar == pytest.approx(K * r / (pp * math.sqrt(r * r + m * m)), rel=1e-12)
     assert bitorsion_bar == pytest.approx(m * K / (pp * math.sqrt(r * r + m * m)), rel=1e-12)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_rotation_invariance(torus, seed):
+    # x -> p x q with unit quaternions p, q is a rotation of R^4 (det +1),
+    # so curvatures, fitted constants and the verdict do not move.
+    rng = np.random.default_rng(seed)
+    p, q = (v / np.linalg.norm(v) for v in rng.normal(size=(2, 4)))
+
+    def grid_fn(u, n=0):
+        return mul(p, mul(torus.points(u) if n == 0 else torus.derivatives(u, n), q))
+
+    moved = ParametricCurve.from_arrays(4, grid_fn, torus.domain, grid_fn, name="moved")
+    grid = np.linspace(0.0, 2.0 * math.pi, 21)
+    got, want = frames4(moved, grid), frames4(torus, grid)
+    for name in ("K", "torsion", "bitorsion"):
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
+    fitted = [fit_constants(curvature_profile(c, grid)) for c in (moved, torus)]
+    for name in ("a", "b", "c", "d"):
+        assert abs(getattr(fitted[0], name) - getattr(fitted[1], name)) <= 1e-12, name
+    assert (fitted[0].epsilon, fitted[0].delta) == (fitted[1].epsilon, fitted[1].delta)
+    off = BertrandConstants(**{**fitted[1].to_json_dict(), "a": fitted[1].a + 0.01})
+    verdicts = [[verify_mate(c, k, grid).verdict for c in (moved, torus)] for k in (fitted[1], off)]
+    assert verdicts == [[True, True], [False, False]]

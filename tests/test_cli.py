@@ -12,8 +12,8 @@ import quatcurves
 from conftest import TORUS, TORUS_K, TORUS_M, TORUS_R, associated_helix
 from quatcurves._fmt import fnum
 from quatcurves.bertrand import BertrandConstants, construct_mate
-from quatcurves.cli import main
-from quatcurves.curves import torus_curve
+from quatcurves.cli import MAX_SAMPLES, main
+from quatcurves.curves import CurveSpec, torus_curve
 
 TORUS_DOC = {
     "family": "torus_curve",
@@ -51,8 +51,8 @@ WOBBLE_DOC = {
 }
 
 # The canonical torus traced at twice unit speed: regular but not unit
-# speed, so the CLI reparameterizes it and differentiates by finite
-# differences only.
+# speed, so the CLI's arc-length grid maps to its parameter through the
+# arc-length table.
 FAST_TORUS_DOC = {
     "family": "fourier",
     "params": {
@@ -64,8 +64,8 @@ FAST_TORUS_DOC = {
     "domain": [0.0, 3.141592653589793],
 }
 
-# Regular (minimum speed about 0.01) but too sharply bent for the default
-# arc-length table to reach unit speed.
+# Regular (minimum speed about 0.01) and sharply bent: curvature about
+# 9,800 at u = 0.
 UNRESOLVED_DOC = {
     "family": "fourier",
     "params": {
@@ -97,6 +97,24 @@ TORUS_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": 0.72,
 # Constants of the torus fitted from its pair-built frames.
 PAIR_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": TORUS_R / TORUS_M,
                   "epsilon": -1, "delta": -1}
+
+# A (2,5) flat torus with A*p = 0.858: on a coarse grid its adjacent N2
+# fields point more than 90 degrees apart.
+TORUS25 = dict(A=0.429, p=2, B=math.sqrt(1.0 - 0.858**2) / 5.0, q=5)
+
+
+def torus_doc(A, p, B, q, m=1):
+    """The flat torus traced at m times unit speed, as a spec document."""
+    if m == 1:
+        return {"family": "torus_curve", "params": dict(A=A, p=p, B=B, q=q),
+                "domain": [0.0, 2.0 * math.pi]}
+    size = m * max(p, q) + 1
+    cos = [[0.0] * size for _ in range(4)]
+    sin = [[0.0] * size for _ in range(4)]
+    cos[0][m * p] = sin[1][m * p] = A
+    cos[2][m * q] = sin[3][m * q] = B
+    return {"family": "fourier", "params": {"coeffs": {"cos": cos, "sin": sin}},
+            "domain": [0.0, 2.0 * math.pi / m]}
 
 
 @pytest.fixture
@@ -164,12 +182,36 @@ class TestFrameCommand:
         assert code == 2
         assert "cannot load curve spec" in capsys.readouterr().err
 
-    def test_unresolved_reparameterization_exit3(self, tmp_path, capsys):
-        spec = write_json(tmp_path, "unresolved.json", UNRESOLVED_DOC)
-        code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv"),
-                     "--samples", "11"])
-        assert code == 3
-        assert "reparameterization missed tolerance" in capsys.readouterr().err
+    def test_sharp_bend_frame_exit0(self, tmp_path, capsys):
+        # The curvature column at the mapped parameters is the classical
+        # |a' x a''| / |a'|^3 of the curve in its own parameter.
+        spec = write_json(tmp_path, "sharp.json", UNRESOLVED_DOC)
+        out = tmp_path / "x.csv"
+        assert main(["frame", "--curve", spec, "--out", str(out), "--samples", "11"]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        curve = CurveSpec.from_dict(UNRESOLVED_DOC).build()
+        u = curve.arc_lengths.parameters_at(rows[:, 0])
+        d1, d2 = (curve.derivatives(u, n)[:, 1:] for n in (1, 2))
+        k = np.linalg.norm(np.cross(d1, d2), axis=1) / np.linalg.norm(d1, axis=1) ** 3
+        assert np.max(np.abs(rows[:, 10] - k) / k) <= 1e-10
+        assert np.max(k) > 9000.0
+
+    def test_spatial_shorter_than_curve_exit2(self, tmp_path, capsys):
+        fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
+        short = write_json(tmp_path, "short.json", {**HELIX_DOC, "domain": [0.0, 5.0]})
+        code = main(["frame", "--curve", fast, "--spatial", short,
+                     "--out", str(tmp_path / "x.csv"), "--samples", "11"])
+        assert code == 2
+        assert "beyond the end of the spatial curve" in capsys.readouterr().err
+
+    def test_samples_beyond_bound_exit2(self, tmp_path, torus_spec, capsys):
+        # Rejected before any grid array is allocated.
+        out = tmp_path / "frame.csv"
+        code = main(["frame", "--curve", torus_spec, "--out", str(out),
+                     "--samples", "100000000000"])
+        assert code == 2
+        assert f"between 3 and {MAX_SAMPLES}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestBertrandCommands:
@@ -199,6 +241,27 @@ class TestBertrandCommands:
                      "--out", str(tmp_path / "c.json"), "--tol", "1e-20"])
         assert code == 1
         assert f"(tol {fnum(1e-20)})" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("m", [1, 3], ids=["unit-speed", "3x-speed"])
+    def test_fit_coarse_torus25(self, tmp_path, capsys, m):
+        spec = write_json(tmp_path, "t.json", torus_doc(**TORUS25, m=m))
+        out = tmp_path / "c.json"
+        assert main(["bertrand", "fit", "--curve", spec, "--out", str(out),
+                     "--samples", "11"]) == 0
+        c = json.loads(out.read_text())
+        t = TORUS25
+        K = math.sqrt(t["A"] ** 2 * t["p"] ** 4 + t["B"] ** 2 * t["q"] ** 4)
+        assert abs(c["a"] * K - 1.0) <= 1e-10
+        assert abs(abs(c["d"]) - t["A"] * t["B"] * abs(t["q"] ** 2 - t["p"] ** 2)) <= 1e-10
+
+    def test_check_pair_on_fast_torus(self, tmp_path, capsys):
+        fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
+        helix = write_json(tmp_path, "helix.json", HELIX_DOC)
+        report = tmp_path / "r.json"
+        assert main(["bertrand", "check", "--curve", fast, "--spatial", helix,
+                     "--constants", json.dumps(PAIR_CONSTANTS), "--report", str(report)]) == 0
+        doc = json.loads(report.read_text())
+        assert doc["conditions"]["torsion_relation"]["max_residual"] <= 1e-12
 
     def test_fit_wobble_exit4(self, tmp_path, capsys):
         spec = write_json(tmp_path, "wobble.json", WOBBLE_DOC)
@@ -275,6 +338,13 @@ class TestVerifyCommand:
         assert doc["verdict"] is True
         assert doc["distance_deviation"] < 1e-10
 
+    def test_verify_fast_torus(self, tmp_path, capsys):
+        fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
+        report = tmp_path / "r.json"
+        assert main(["verify", "--curve", fast, "--constants", json.dumps(TORUS_CONSTANTS),
+                     "--samples", "41", "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["curvature_deviation"] < 1e-6
+
     def test_verify_perturbed_exit1(self, tmp_path, torus_spec):
         consts = write_json(
             tmp_path, "cbad.json",
@@ -297,8 +367,8 @@ class TestVerifyCommand:
     ["verify", "--constants", "c.json", "--report", "report.json"],
 ], ids=["frame", "fit", "mate", "verify"])
 def test_default_grid_on_finite_difference_curve(tmp_path, monkeypatch, command):
-    # The default grid keeps the widest stencil inside the domain, so no
-    # command on a finite-difference-only curve fails for the margin.
+    # On a curve that is not unit speed the default grid spans its whole
+    # arc length, [0, total]; no command rejects it as input.
     monkeypatch.chdir(tmp_path)
     write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
     write_json(tmp_path, "c.json", {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0,
@@ -391,8 +461,8 @@ def test_analytic_commands_start_without_scipy(tmp_path):
     assert run["results"][2][1] == run["results"][0][1]
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
     assert not run["scipy"]
-    # A non-unit-speed curve is reparameterized by arc length, which uses SciPy.
+    # Nor does the arc-length grid of a curve that is not unit speed.
     fast = run_fresh_cli(tmp_path, [["frame", "--curve", "fast.json", "--samples", "11",
                                      "--out", "f.csv"]])
     assert fast["results"][0][0] == 0
-    assert fast["scipy"]
+    assert not fast["scipy"]

@@ -15,7 +15,6 @@ from quatcurves.curves import (
     fourier_curve,
     helix3,
     is_unit_speed,
-    reparameterize_by_arclength,
     torus_curve,
     _fd_derivative,
 )
@@ -129,25 +128,29 @@ class TestArcLength:
 
 
 class TestReparameterize:
+    # Arc length is mapped to the parameter by the table's Newton inversion.
     def test_identity_on_unit_speed_curve(self):
         c = torus_curve(0.6, 1.0, 0.4, 2.0)
-        new = reparameterize_by_arclength(c, 128)
-        for s in np.linspace(0.1, 5.0, 9):
-            assert np.max(np.abs(new.point(s) - c.point(s + c.domain[0]))) <= 1e-8
+        table = ArcLengthTable.build(c, *c.domain, 128)
+        s = np.linspace(0.1, 5.0, 9)
+        u = table.parameters_at(s)
+        assert np.max(np.abs(c.points(u) - c.points(s + c.domain[0]))) <= 1e-8
 
     def test_angle_circle_becomes_unit_speed(self):
         c = circle3(2.0, mode="angle")
         ok, dev = is_unit_speed(c, 1e-6)
         assert not ok
-        new = reparameterize_by_arclength(c, 128)
-        ok, dev = is_unit_speed(new, 1e-6)
-        assert ok, dev
-        assert abs(new.domain[1] - 4 * math.pi) <= 1e-8
+        table = ArcLengthTable.build(c, *c.domain, 128)
+        assert abs(table.total - 4 * math.pi) <= 1e-8
+        s = np.linspace(0.0, table.total, 17)
+        zero = np.zeros_like(s)
+        at_length = np.column_stack([zero, 2.0 * np.cos(s / 2.0), 2.0 * np.sin(s / 2.0), zero])
+        assert np.max(np.abs(c.points(table.parameters_at(s)) - at_length)) <= 1e-8
 
     def test_point_curve_rejected(self):
         c = fourier_curve([[1.0], [0.0], [0.0]], [[0.0], [0.0], [0.0]])
         with pytest.raises(DegeneracyError, match="irregular"):
-            reparameterize_by_arclength(c, 64)
+            ArcLengthTable.build(c, *c.domain, 64)
 
 
 class TestIsUnitSpeed:
@@ -171,10 +174,14 @@ class TestIsUnitSpeed:
         assert abs(dev - 1.0) <= 1e-12
 
     def test_after_reparameterization_all_families(self):
+        # Uniform arc-length targets mapped through the table land on
+        # parameters whose arc lengths, measured again, are those targets.
         for name, c in builtin_families().items():
-            new = reparameterize_by_arclength(c, 128)
-            ok, dev = is_unit_speed(new, 1e-5)
-            assert ok, (name, dev)
+            table = ArcLengthTable.build(c, *c.domain, 128)
+            targets = np.linspace(0.0, table.total, 41)
+            u = table.parameters_at(targets)
+            steps = [arc_length(c, u[i], u[i + 1]) for i in range(len(u) - 1)]
+            assert np.max(np.abs(np.array(steps) - np.diff(targets))) <= 1e-9, name
 
 
 class TestCurveSpec:

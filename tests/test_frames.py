@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 
 from quatcurves.curves import (
+    ParametricCurve,
     circle3,
     fourier_curve,
     helix3,
-    reparameterize_by_arclength,
     torus_curve,
 )
 from quatcurves.errors import DegeneracyError
@@ -19,6 +19,8 @@ from quatcurves.frames import (
     frame4_intrinsic,
     frame_determinant,
     frame_ode_residual,
+    frames3,
+    frames4,
     frames_on_grid,
     orthonormality_residual,
 )
@@ -36,6 +38,30 @@ def straight_line3():
 def straight_line4():
     zeros = [[0.0]] * 4
     return fourier_curve(zeros, zeros, linear=[1.0, 0.0, 0.0, 0.0])
+
+
+def warped(curve):
+    """``curve`` traced as ``u -> curve(u + 0.3 sin u)``, with analytic derivatives.
+
+    On a domain [0, 2*pi*m] the warp maps the domain onto itself with
+    derivative at least 0.7, so the trace and its curvatures are unchanged.
+    """
+    def grid(u, n=0):
+        w = (u + 0.3 * np.sin(u), 1.0 + 0.3 * np.cos(u), -0.3 * np.sin(u),
+             -0.3 * np.cos(u), 0.3 * np.sin(u))
+        d = [curve.points(w[0])] + [curve.derivatives(w[0], k) for k in (1, 2, 3, 4)]
+        # Faa di Bruno's formula up to order 4.
+        terms = {
+            0: [(d[0], 1.0)],
+            1: [(d[1], w[1])],
+            2: [(d[2], w[1] ** 2), (d[1], w[2])],
+            3: [(d[3], w[1] ** 3), (d[2], 3.0 * w[1] * w[2]), (d[1], w[3])],
+            4: [(d[4], w[1] ** 4), (d[3], 6.0 * w[1] ** 2 * w[2]),
+                (d[2], 3.0 * w[2] ** 2 + 4.0 * w[1] * w[3]), (d[1], w[4])],
+        }[n]
+        return sum(v * np.reshape(f, (-1, 1)) for v, f in terms)
+
+    return ParametricCurve.from_arrays(curve.dim, grid, curve.domain, grid, name="warped")
 
 
 class TestFrame3:
@@ -70,10 +96,6 @@ class TestFrame3:
     def test_zero_curvature(self):
         with pytest.raises(DegeneracyError, match="zero curvature"):
             frame3_at(straight_line3(), 3.0)
-
-    def test_requires_unit_speed(self):
-        with pytest.raises(ValueError, match="unit-speed"):
-            frame3_at(circle3(2.0, mode="angle"), 3.0)
 
     def test_requires_dimension3(self):
         with pytest.raises(ValueError, match="dimension 3"):
@@ -113,29 +135,24 @@ class TestFrame4Intrinsic:
         with pytest.raises(DegeneracyError, match="zero curvature"):
             frame4_intrinsic(straight_line4(), 3.0)
 
-    def test_requires_unit_speed(self):
-        doubled = fourier_curve(
-            [[0.0, 1.2], [0.0, 0.0], [0.0, 0.0, 0.8], [0.0, 0.0, 0.0]],
-            [[0.0, 0.0], [0.0, 1.2], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]],
-        )
-        with pytest.raises(ValueError, match="unit-speed"):
-            frame4_intrinsic(doubled, 1.0)
 
-    def test_finite_difference_curve_invariants(self):
-        # The canonical torus traced at twice unit speed, reparameterized by
-        # arc length: a curve with finite-difference derivatives only.
-        fast = fourier_curve(
-            [[0.0, 0.0, 0.6], [0.0], [0.0, 0.0, 0.0, 0.0, 0.4], [0.0]],
-            [[0.0], [0.0, 0.0, 0.6], [0.0], [0.0, 0.0, 0.0, 0.0, 0.4]],
-            domain=(0.0, math.pi),
-        )
-        curve = reparameterize_by_arclength(fast)
-        assert not curve.has_analytic_derivatives
-        for s in np.linspace(0.5, 5.8, 7):
-            f = frame4_intrinsic(curve, float(s))
-            assert abs(f.K - TORUS_K) <= 1e-5
-            assert abs(f.torsion + TORUS_R) <= 1e-5
-            assert abs(f.bitorsion - TORUS_M) <= 1e-5
+@pytest.mark.parametrize("curve", [torus_curve(0.6, 1.0, 0.4, 2.0), helix3(3.0, 4.0)],
+                         ids=["torus", "helix"])
+def test_reparameterization_invariants(curve):
+    # Frames and curvatures are functions of the trace: reading them in the
+    # warped parameter u changes nothing but round-off.
+    u = np.linspace(*curve.domain, 41)
+    at = u + 0.3 * np.sin(u)
+    read = frames3 if curve.dim == 3 else frames4
+    got, want = read(warped(curve), u), read(curve, at)
+    assert np.max(np.abs(np.stack(got.vectors()) - np.stack(want.vectors()))) <= 1e-12
+    names = ("k", "r") if curve.dim == 3 else ("K", "torsion", "bitorsion")
+    for name in names:
+        assert np.max(np.abs(getattr(got, name) - getattr(want, name))) <= 1e-12, name
+    if curve.dim == 4:
+        assert np.max(np.abs(got.K - TORUS_K)) <= 1e-12
+        assert np.max(np.abs(got.torsion + TORUS_R)) <= 1e-12
+        assert np.max(np.abs(got.bitorsion - TORUS_M)) <= 1e-12
 
 
 class TestFrame4Pair:

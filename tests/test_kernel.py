@@ -1,10 +1,12 @@
 """The grid kernel against the pointwise construction, and its scalar wrappers.
 
-The reference below builds one frame per grid point: derivatives from
-``curve.derivative`` (or the sequential Richardson-central stencil on
-``curve.point`` for finite-difference curves), Gram-Schmidt with ``@``,
-N3 from five determinants, then the sequential sign pass.  The kernel
-sums its inner products in another order and builds N3 from closed-form
+The reference below builds one frame per grid point of a unit-speed
+curve: derivatives from ``curve.derivative`` (or the sequential
+Richardson-central stencil on ``curve.point`` for finite-difference
+curves), Gram-Schmidt with ``@``, N3 from five determinants, and the
+unit-speed chain-rule formulas for N1', N2' and the curvatures.  The
+kernel reads the same frame from the norms of its Gram-Schmidt pass, sums
+its inner products in another order and builds N3 from closed-form
 minors, so on analytic curves the two agree to the last bits (1e-13
 absolute on vectors and mate points, 1e-13 relative on K, torsion and
 bitorsion).  On a finite-difference curve the order-4 stencil at
@@ -24,7 +26,7 @@ from quatcurves.curves import (
     DEFAULT_STEPS,
     ArcLengthTable,
     CurveSpec,
-    reparameterize_by_arclength,
+    ParametricCurve,
     torus_curve,
 )
 from quatcurves.frames import (
@@ -150,17 +152,6 @@ def ref_frames(curve4, grid, curve3=None):
     return [ref_pair(curve4, curve3, float(s)) for s in grid]
 
 
-def ref_sign_pass(frames):
-    out, prev = [], None
-    for vectors, K, torsion, bitorsion in frames:
-        if prev is not None and vectors[2] @ prev[2] < 0.0:
-            vectors = vectors * np.array([[1.0], [1.0], [-1.0], [-1.0]])
-            torsion = -torsion
-        out.append((vectors, K, torsion, bitorsion))
-        prev = vectors
-    return out
-
-
 def ref_mate(curve4, grid, curve3=None):
     a, b = OFFSETS
     rows = []
@@ -176,13 +167,9 @@ def ref_mate(curve4, grid, curve3=None):
 
 # -- cases -------------------------------------------------------------------------
 
-def fast_torus():
-    return reparameterize_by_arclength(CurveSpec.from_dict(FAST_TORUS_DOC).build())
-
-
 def cases():
     torus, full = torus_curve(**TORUS), np.linspace(0.0, 2.0 * math.pi, 101)
-    fd = fast_torus()
+    fd = ParametricCurve(4, torus.point, torus.domain)  # no analytic derivatives
     m = fd.fd_margin(4)
     return {
         "torus": (torus, None, full, ANALYTIC_TOL),
@@ -214,32 +201,16 @@ def test_kernel_matches_pointwise_reference(name):
     for got, i in ((raw.K, 1), (raw.torsion, 2), (raw.bitorsion, 3)):
         assert max_rel(got, [f[i] for f in ref]) <= tol
 
-    aligned = ref_sign_pass(ref)
     profile = curvature_profile(curve4, grid, curve3=curve3)
-    assert max_rel(profile.K, [f[1] for f in aligned]) <= tol
-    assert max_rel(profile.r, [-f[2] for f in aligned]) <= tol
-    assert max_rel(profile.bitorsion, [f[3] for f in aligned]) <= tol
+    assert max_rel(profile.K, [f[1] for f in ref]) <= tol
+    assert max_rel(profile.r, [-f[2] for f in ref]) <= tol
+    assert max_rel(profile.bitorsion, [f[3] for f in ref]) <= tol
     listed = frames_on_grid(curve4, grid, curve3=curve3)
     assert max_abs([[v.as_vec4() for v in f.vectors()] for f in listed],
-                   [f[0] for f in aligned]) <= tol
+                   [f[0] for f in ref]) <= tol
 
     mate = construct_mate(curve4, OFFSETS, curve3=curve3)
     assert max_abs(mate.points(grid), ref_mate(curve4, grid, curve3)) <= tol
-
-
-@pytest.mark.parametrize("samples, flips", [(5, [1, 3]), (7, [1, 3, 5])])
-def test_sign_pass_on_coarse_grid(samples, flips):
-    # On a (2,5) torus at a handful of samples, adjacent N2 fields point
-    # more than 90 degrees apart, so the pass flips every other frame.
-    curve = torus_curve(0.3, 2.0, 0.16, 5.0)
-    grid = np.linspace(0.0, 2.0 * math.pi, samples)
-    raw = frames4(curve, grid)
-    aligned = raw.aligned()
-    assert list(np.flatnonzero(aligned.torsion != raw.torsion)) == flips
-    assert np.array_equal(aligned.N3[flips], -raw.N3[flips])
-    assert np.array_equal(aligned.bitorsion, raw.bitorsion)
-    ref = ref_sign_pass(ref_frames(curve, grid))
-    assert [i for i, f in enumerate(ref) if f[2] > 0.0] == flips
 
 
 # -- scalar wrappers return the batch rows bit for bit ---------------------------------
