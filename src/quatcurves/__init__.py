@@ -42,7 +42,6 @@ from .bertrand import (
     BertrandConstants,
     BertrandReport,
     MateFrameClosedForm,
-    VerifyTolerances,
     check_conditions,
     construct_mate,
     fit_constants,

@@ -23,14 +23,17 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curves import ParametricCurve
+from .curves import ParametricCurve, _number
 from .errors import DegeneracyError, FitError
-from .frames import (  # noqa: F401 -- frame4_intrinsic is a lookup site of perfbench/tracing.py
+# frame4_intrinsic and curvature_profile are not called here: they stay
+# bound as lookup sites that perfbench/tracing.py patches.
+from .frames import (  # noqa: F401
     DEGENERACY_EPS,
     CurvatureProfile,
     Frame4,
     _derivative_frame,
     _intrinsic_basis,
+    _profile,
     curvature_profile,
     frame4_intrinsic,
     frames4,
@@ -42,7 +45,7 @@ __all__ = [
     "MateFrameClosedForm",
     "ConditionResult",
     "BertrandReport",
-    "VerifyTolerances",
+    "VERIFY_TOLERANCES",
     "check_conditions",
     "fit_constants",
     "construct_mate",
@@ -101,13 +104,6 @@ class BertrandConstants:
         }
 
 
-def _number(value, name: str) -> float:
-    """A JSON number as a float; strings and booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{name} must be a number, not {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class MateFrameClosedForm:
     """Closed-form mate frame and curvature functions at one parameter."""
@@ -135,26 +131,15 @@ class ConditionResult:
     min_abs: Optional[float] = None
 
 
-@dataclass
-class VerifyTolerances:
-    """Tolerances for the mate verification stages (all overridable)."""
-
-    algebraic: float = 1e-8
-    nonzero: float = 1e-9
-    distance: float = 1e-10
-    speed: float = 1e-5
-    span: float = 1e-5
-    curvature: float = 1e-4
-
-    def to_json_dict(self) -> dict:
-        return {
-            "algebraic": self.algebraic,
-            "nonzero": self.nonzero,
-            "distance": self.distance,
-            "speed": self.speed,
-            "span": self.span,
-            "curvature": self.curvature,
-        }
+# Fixed tolerances of verify_mate's stages after its algebraic ``tol``: nonzero
+# conditions, constant distance, mate speed, span check and oracle curvatures.
+VERIFY_TOLERANCES = {
+    "nonzero": DEGENERACY_EPS,
+    "distance": 1e-10,
+    "speed": 1e-5,
+    "span": 1e-5,
+    "curvature": 1e-4,
+}
 
 
 @dataclass
@@ -162,7 +147,6 @@ class BertrandReport:
     """Residuals and verdicts for every checked identity."""
 
     conditions: dict[str, ConditionResult]
-    residual_arrays: dict[str, np.ndarray] = field(default_factory=dict)
     distance_deviation: Optional[float] = None
     speed_deviation: Optional[float] = None
     curvature_deviation: Optional[float] = None
@@ -203,13 +187,13 @@ def check_conditions(
     profile: CurvatureProfile,
     consts: BertrandConstants,
     tol: float = 1e-8,
-    tol_nonzero: float = 1e-9,
 ) -> BertrandReport:
     """Evaluate the four Bertrand conditions over a curvature profile.
 
-    The two equalities are scored by their max residual; the two nonzero
-    conditions by their min absolute value against ``tol_nonzero``.  The
-    stored epsilon and delta signs must match the profile everywhere.
+    The two equalities are scored by their max residual against ``tol``;
+    the two nonzero conditions by their min absolute value against
+    ``DEGENERACY_EPS``.  The stored epsilon and delta signs must match the
+    profile everywhere.
     """
     if len(profile) == 0:
         raise ValueError("profile must be nonempty")
@@ -226,11 +210,11 @@ def check_conditions(
 
     def nonzero_result(values: np.ndarray) -> ConditionResult:
         min_abs = float(np.min(values))
-        shortfall = max(0.0, tol_nonzero - min_abs)
+        shortfall = max(0.0, DEGENERACY_EPS - min_abs)
         return ConditionResult(
             max_residual=shortfall,
-            tolerance=tol_nonzero,
-            passed=min_abs >= tol_nonzero,
+            tolerance=DEGENERACY_EPS,
+            passed=min_abs >= DEGENERACY_EPS,
             min_abs=min_abs,
         )
 
@@ -244,13 +228,7 @@ def check_conditions(
     }
     report = BertrandReport(
         conditions=conditions,
-        residual_arrays={
-            "mate_regularity": eq1_abs,
-            "curvature_relation": eq2,
-            "torsion_relation": eq3,
-            "mate_torsion_nonzero": eq4_abs,
-        },
-        tolerances={"algebraic": tol, "nonzero": tol_nonzero},
+        tolerances={"algebraic": tol, "nonzero": DEGENERACY_EPS},
     )
     report.verdict = report.conditions_pass()
     return report
@@ -390,7 +368,7 @@ def construct_mate(
 
     lo, hi = alpha4.domain
     margin = alpha4.fd_margin(3)
-    return ParametricCurve.from_arrays(
+    return ParametricCurve(
         dim=4,
         evaluate=evaluate,
         domain=(lo + margin, hi - margin),
@@ -398,21 +376,26 @@ def construct_mate(
     )
 
 
-def phi_prime(K: float, r: float, k: float, consts: BertrandConstants) -> float:
+def _scale(*values):
+    """``max(1, |v|, ...)`` element by element, for floats or arrays of one shape."""
+    return np.maximum(1.0, np.max(np.abs(values), axis=0))
+
+
+def phi_prime(K, r, k, consts: BertrandConstants):
     """Derivative of the parameter correspondence s -> sbar.
 
     ``epsilon * sqrt(1 + c^2) * (a*r + b*(K-k))``; positive whenever the
-    stored epsilon matches the sign of the combination.
+    stored epsilon matches the sign of the combination.  ``K``, ``r`` and
+    ``k`` are floats or arrays of one shape, as in every closed form here;
+    a degenerate value anywhere raises.
     """
     combo = consts.a * r + consts.b * (K - k)
-    if abs(combo) < 1e-14 * max(1.0, abs(K), abs(r), abs(K - k)):
+    if np.any(np.abs(combo) < 1e-14 * _scale(K, r, K - k)):
         raise ValueError("mate regularity violated: a*r + b*(K-k) = 0")
     return consts.epsilon * math.sqrt(1.0 + consts.c * consts.c) * combo
 
 
-def mate_curvatures_closed_form(
-    K: float, r: float, k: float, consts: BertrandConstants
-) -> tuple[float, float, float]:
+def mate_curvatures_closed_form(K, r, k, consts: BertrandConstants):
     """Mate curvature functions from the general closed forms.
 
     Returns (Kbar, torsion_bar, bitorsion_bar) where torsion_bar is the
@@ -422,60 +405,56 @@ def mate_curvatures_closed_form(
     c = consts.c
     m = K - k
     pp = phi_prime(K, r, k, consts)
-    root = math.sqrt((c * K + r) ** 2 + m * m)
-    if root < 1e-14 * max(1.0, abs(K), abs(r), abs(m)):
+    # A product, not ``** 2``: NumPy squares arrays as ``w * w`` but float
+    # scalars through ``pow``, which can differ in the last bit.
+    w = c * K + r
+    root = np.sqrt(w * w + m * m)
+    if np.any(root < 1e-14 * _scale(K, r, m)):
         raise ValueError("degenerate denominator: (c*K+r)^2 + (K-k)^2 = 0")
     sq = math.sqrt(1.0 + c * c)
     kbar = root / (pp * sq)
-    torsion_bar = abs((1.0 - c * c) * K * r + c * (K * K - r * r - m * m)) / (pp * sq * root)
+    torsion_bar = np.abs((1.0 - c * c) * K * r + c * (K * K - r * r - m * m)) / (pp * sq * root)
     bitorsion_bar = m * K * sq / (pp * root)
     return kbar, torsion_bar, bitorsion_bar
 
 
-def mate_curvatures_Kk_form(
-    K: float, k: float, consts: BertrandConstants
-) -> tuple[float, float, float]:
-    """Mate curvature functions in terms of K and k only (needs c != 0).
+def _Kk_terms(K, k, consts: BertrandConstants):
+    """``K - k``, ``1 + c^2``, ``sqrt(1 + d^2)`` and ``1 - a*K`` for the Kk-forms.
 
     With c = 0 the curvature relation forces a*K = 1 and the denominators
-    vanish identically, so that case is rejected.  The whole map never
-    takes the torsion r as an argument.
+    vanish identically, so that case is rejected, as is ``1 - a*K`` near 0.
     """
     a, c, d = consts.a, consts.c, consts.d
-    eps, delta = consts.epsilon, consts.delta
     if c == 0.0:
         raise ValueError("Kk-form indeterminate, use closed_form")
     denom = 1.0 - a * K
-    if abs(denom) < 1e-14 * max(1.0, abs(a * K)):
+    if np.any(np.abs(denom) < 1e-14 * _scale(a * K)):
         raise ValueError("Kk-form indeterminate, use closed_form")
-    m = K - k
-    sq_c = 1.0 + c * c
-    sq_d = math.sqrt(1.0 + d * d)
+    return K - k, 1.0 + c * c, math.sqrt(1.0 + d * d), denom
+
+
+def mate_curvatures_Kk_form(K, k, consts: BertrandConstants):
+    """Mate curvature functions in terms of K and k only (needs c != 0).
+
+    The whole map never takes the torsion r as an argument.
+    """
+    c, d, eps, delta = consts.c, consts.d, consts.epsilon, consts.delta
+    m, sq_c, sq_d, denom = _Kk_terms(K, k, consts)
     kbar = c * sq_d * m / (eps * delta * sq_c * denom)
-    torsion_bar = c * abs(c * (1.0 + d * d) * m - sq_c * d * K) / (eps * sq_c * sq_d * denom)
+    torsion_bar = c * np.abs(c * (1.0 + d * d) * m - sq_c * d * K) / (eps * sq_c * sq_d * denom)
     bitorsion_bar = c * K / (eps * delta * sq_d * denom)
     return kbar, torsion_bar, bitorsion_bar
 
 
-def mate_spatial_curvatures(
-    K: float, k: float, consts: BertrandConstants
-) -> tuple[float, float]:
+def mate_spatial_curvatures(K, k, consts: BertrandConstants):
     """Curvature and torsion of the spatial curve associated with the mate."""
-    a, c, d = consts.a, consts.c, consts.d
-    eps, delta = consts.epsilon, consts.delta
-    if c == 0.0:
-        raise ValueError("Kk-form indeterminate, use closed_form")
-    denom = 1.0 - a * K
-    if abs(denom) < 1e-14 * max(1.0, abs(a * K)):
-        raise ValueError("Kk-form indeterminate, use closed_form")
-    m = K - k
-    sq_c = 1.0 + c * c
-    sq_d = math.sqrt(1.0 + d * d)
+    c, d, eps, delta = consts.c, consts.d, consts.epsilon, consts.delta
+    m, sq_c, sq_d, denom = _Kk_terms(K, k, consts)
     kbar_spatial = c * ((1.0 + d * d) * m - sq_c * K) / (eps * delta * sq_c * sq_d * denom)
-    rbar_spatial = -c * abs(c * (1.0 + d * d) * m - sq_c * d * K) / (eps * sq_c * sq_d * denom)
+    rbar_spatial = -c * np.abs(c * (1.0 + d * d) * m - sq_c * d * K) / (eps * sq_c * sq_d * denom)
     # Consistency with the Kk-form: kbar equals Kbar - (Kbar - kbar).
     kbar4, _, bit4 = mate_curvatures_Kk_form(K, k, consts)
-    if abs(kbar_spatial - (kbar4 - bit4)) > 1e-12 * max(1.0, abs(kbar_spatial)):
+    if np.any(np.abs(kbar_spatial - (kbar4 - bit4)) > 1e-12 * _scale(kbar_spatial)):
         raise RuntimeError("spatial mate curvature inconsistent with the Kk-form")
     return kbar_spatial, rbar_spatial
 
@@ -530,26 +509,31 @@ def verify_mate(
     consts: BertrandConstants,
     grid: Sequence[float],
     alpha3: Optional[ParametricCurve] = None,
-    tolerances: Optional[VerifyTolerances] = None,
+    tol: float = 1e-8,
 ) -> BertrandReport:
     """Full verification of the Bertrand mate against the intrinsic oracle.
 
-    Stages: (i) condition check on the curvature profile; (ii) mate
-    construction with the constant-distance check; (iii) the mate's speed
-    versus the closed-form phi' times the base curve's speed; (iv) the
-    oracle: at every grid point at least ``mate.fd_margin(4)`` inside the
-    mate's domain, the Gram-Schmidt reading of the mate's first four
-    finite-difference derivatives in the base parameter (Gluck's formulas
-    need no arc-length parameter); (v) curvature comparison in absolute
-    value; (vi) span check that the oracle N1bar/N3bar (units 1 and 3)
-    stay in span{N1, N3}.  Stage failures are recorded in the report, not
+    Stages: (i) condition check on the curvature profile, with the
+    algebraic tolerance ``tol``; (ii) mate construction with the
+    constant-distance check; (iii) the mate's speed versus the closed-form
+    phi' times the base curve's speed; (iv) the oracle: at every grid
+    point at least ``mate.fd_margin(4)`` inside the mate's domain, the
+    Gram-Schmidt reading of the mate's first four finite-difference
+    derivatives in the base parameter (Gluck's formulas need no arc-length
+    parameter); (v) curvature comparison in absolute value; (vi) span
+    check that the oracle N1bar/N3bar (units 1 and 3) stay in span{N1, N3}.
+    The base frames are computed once, and the later stages hold to
+    ``VERIFY_TOLERANCES``.  Stage failures are recorded in the report, not
     thrown.
     """
-    tols = tolerances or VerifyTolerances()
     grid = np.asarray(list(grid), dtype=float)
-    profile = curvature_profile(alpha4, grid, curve3=alpha3)
-    report = check_conditions(profile, consts, tol=tols.algebraic, tol_nonzero=tols.nonzero)
-    report.tolerances = tols.to_json_dict()
+    # The base frames are those the mate is built from: pointwise, from
+    # the same source as the profile (pair frames can orient N3
+    # oppositely to intrinsic ones).
+    base = frames4(alpha4, grid, alpha3)
+    profile = _profile(grid, base, alpha3)
+    report = check_conditions(profile, consts, tol=tol)
+    report.tolerances = {"algebraic": tol, **VERIFY_TOLERANCES}
     a, b = consts.a, consts.b
     offset = math.sqrt(a * a + b * b)
 
@@ -571,7 +555,7 @@ def verify_mate(
         idx = inside(mate.fd_margin(1))
         if not len(idx):
             raise ValueError("no grid points admit the finite-difference margin")
-        pp = np.array([phi_prime(profile.K[i], profile.r[i], profile.k[i], consts) for i in idx])
+        pp = phi_prime(profile.K[idx], profile.r[idx], profile.k[idx], consts)
         expected = pp * alpha4.speeds(grid[idx])
         report.speed_deviation = float(np.max(np.abs(mate.speeds(grid[idx]) - expected)))
     except (DegeneracyError, ValueError) as exc:
@@ -580,27 +564,22 @@ def verify_mate(
     usable = inside(mate.fd_margin(4))
     if not len(usable):
         report.stage_errors.append("oracle: no grid points admit the finite-difference margins")
-        _finalize(report, tols)
+        _finalize(report)
         return report
 
     try:
+        K, torsion, bitorsion = base.K[usable], base.torsion[usable], base.bitorsion[usable]
+        kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(
+            K, -torsion, K - bitorsion, consts
+        )
         s = grid[usable]
-        # The base frames are those the mate is built from: pointwise, from
-        # the same source as the profile (pair frames can orient N3
-        # oppositely to intrinsic ones).
-        base = frames4(alpha4, s, alpha3)
-        closed = np.array([
-            mate_curvatures_closed_form(K, -torsion, K - bitorsion, consts)
-            for K, torsion, bitorsion in zip(base.K, base.torsion, base.bitorsion)
-        ])
         units, rho = _derivative_frame([mate.derivatives(s, n) for n in range(1, 5)])
-        kbar, torsion_bar, bitorsion_bar = closed.T
         report.curvature_deviation = float(max(
             np.max(np.abs(rho[1] / rho[0] ** 2 - kbar)),
             np.max(np.abs(rho[2] / (rho[0] * rho[1]) - np.abs(torsion_bar))),
             np.max(np.abs(rho[3] / (rho[0] * rho[2]) - np.abs(bitorsion_bar))),
         ))
-        n1, n3 = base.N1, base.N3
+        n1, n3 = base.N1[usable], base.N3[usable]
         span_res = 0.0
         for v in (units[1], units[3]):
             off_span = v - inner(v, n1)[:, None] * n1 - inner(v, n3)[:, None] * n3
@@ -609,18 +588,13 @@ def verify_mate(
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"oracle frame: {exc}")
 
-    _finalize(report, tols)
+    _finalize(report)
     return report
 
 
-def _finalize(report: BertrandReport, tols: VerifyTolerances):
-    checks = [report.conditions_pass(), not report.stage_errors]
-    checks.append(
-        report.distance_deviation is not None and report.distance_deviation <= tols.distance
+def _finalize(report: BertrandReport):
+    measured = {"distance": report.distance_deviation, "speed": report.speed_deviation,
+                "curvature": report.curvature_deviation, "span": report.span_residual}
+    report.verdict = report.conditions_pass() and not report.stage_errors and all(
+        value is not None and value <= VERIFY_TOLERANCES[name] for name, value in measured.items()
     )
-    checks.append(report.speed_deviation is not None and report.speed_deviation <= tols.speed)
-    checks.append(
-        report.curvature_deviation is not None and report.curvature_deviation <= tols.curvature
-    )
-    checks.append(report.span_residual is not None and report.span_residual <= tols.span)
-    report.verdict = all(checks)

@@ -20,7 +20,6 @@ import numpy as np
 from ._fmt import canonical_json, fnum, ftable
 from .bertrand import (
     BertrandConstants,
-    VerifyTolerances,
     check_conditions,
     construct_mate,
     fit_constants,
@@ -242,8 +241,7 @@ def cmd_bertrand_mate(args) -> int:
 def cmd_verify(args) -> int:
     consts = _load_constants(args.constants)
     curve, spatial, _, u = _load_inputs(args)
-    tols = VerifyTolerances(algebraic=args.tol)
-    report = verify_mate(curve, consts, u, alpha3=spatial, tolerances=tols)
+    report = verify_mate(curve, consts, u, alpha3=spatial, tol=args.tol)
     _write(args.report, canonical_json(report.to_json_dict()))
     _print_conditions(report)
     for label in ("distance_deviation", "speed_deviation", "curvature_deviation",
@@ -262,15 +260,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_INPUT if exc.code else EXIT_OK
     try:
-        if args.command == "frame":
-            return cmd_frame(args)
-        if args.command == "bertrand":
-            if args.bertrand_command == "fit":
-                return cmd_bertrand_fit(args)
-            if args.bertrand_command == "check":
-                return cmd_bertrand_check(args)
-            return cmd_bertrand_mate(args)
-        return cmd_verify(args)
+        # Overflow or NaN from finite inputs means a number is out of range: exit 2.
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            if args.command == "frame":
+                return cmd_frame(args)
+            if args.command == "bertrand":
+                if args.bertrand_command == "fit":
+                    return cmd_bertrand_fit(args)
+                if args.bertrand_command == "check":
+                    return cmd_bertrand_check(args)
+                return cmd_bertrand_mate(args)
+            return cmd_verify(args)
+    except FloatingPointError as exc:
+        print(f"error: number out of range: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     except _InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -60,14 +60,11 @@ TABLE_PANELS = 256
 _TWO_PI = 2.0 * math.pi
 
 
-def _pointwise(fn: Callable) -> Callable:
-    """Grid form of a callable defined on one parameter (extra arguments pass through)."""
-    def on_grid(s: np.ndarray, *args) -> np.ndarray:
-        if not len(s):
-            return np.empty((0, 4))
-        return np.array([np.asarray(fn(float(u), *args), dtype=float) for u in s])
-
-    return on_grid
+def _number(value, name: str) -> float:
+    """A JSON number as a float; strings, booleans, NaN and infinities are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise TypeError(f"{name} must be a finite number, not {value!r}")
+    return float(value)
 
 
 def _require_finite(values: np.ndarray, s: np.ndarray, what: str):
@@ -82,43 +79,20 @@ class ParametricCurve:
     Parameters
     ----------
     dim : 3 or 4
-    evaluate : callable mapping a float parameter to a length-4 array
+    evaluate : callable mapping a parameter grid ``(n,)`` to ``(n, 4)``
     domain : (u_min, u_max)
-    derivatives : optional callable ``(u, order) -> array`` for orders 1..4;
+    derivatives : optional callable ``(s, order) -> (n, 4)`` for orders 1..4;
         validated against finite differences of ``evaluate`` on construction.
-
-    The constructor applies the callables point by point;
-    :meth:`from_arrays` takes callables that map a grid ``(n,)`` to
-    ``(n, 4)`` at once, as the built-in families do.
     """
 
     def __init__(
         self,
         dim: int,
-        evaluate: Callable[[float], np.ndarray],
-        domain: tuple[float, float],
-        derivatives: Optional[Callable[[float, int], np.ndarray]] = None,
-        name: str = "",
-    ):
-        self._setup(dim, _pointwise(evaluate), domain,
-                    None if derivatives is None else _pointwise(derivatives), name)
-
-    @classmethod
-    def from_arrays(
-        cls,
-        dim: int,
         evaluate: Callable[[np.ndarray], np.ndarray],
         domain: tuple[float, float],
         derivatives: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
         name: str = "",
-    ) -> "ParametricCurve":
-        """Curve whose ``evaluate(s)`` and ``derivatives(s, order)`` map a grid
-        ``s`` of shape ``(n,)`` to ``(n, 4)``."""
-        curve = cls.__new__(cls)
-        curve._setup(dim, evaluate, domain, derivatives, name)
-        return curve
-
-    def _setup(self, dim, evaluate, domain, derivatives, name):
+    ):
         if dim not in (3, 4):
             raise ValueError("curve dimension must be 3 or 4")
         lo, hi = float(domain[0]), float(domain[1])
@@ -420,7 +394,7 @@ def torus_curve(A: float, p: float, B: float, q: float,
             axis=-1,
         )
 
-    return ParametricCurve.from_arrays(4, grid, domain, grid, name="torus_curve")
+    return ParametricCurve(4, grid, domain, grid, name="torus_curve")
 
 
 def circle3(R: float, mode: str = "arclength",
@@ -445,7 +419,7 @@ def circle3(R: float, mode: str = "arclength",
             [zero, R * w**n * np.cos(w * u + ph), R * w**n * np.sin(w * u + ph), zero], axis=-1
         )
 
-    return ParametricCurve.from_arrays(3, grid, domain, grid, name="circle3")
+    return ParametricCurve(3, grid, domain, grid, name="circle3")
 
 
 def helix3(a: float, h: float,
@@ -473,7 +447,7 @@ def helix3(a: float, h: float,
             axis=-1,
         )
 
-    return ParametricCurve.from_arrays(3, grid, domain, grid, name="helix3")
+    return ParametricCurve(3, grid, domain, grid, name="helix3")
 
 
 def fourier_curve(
@@ -525,7 +499,7 @@ def fourier_curve(
             out[:, offset + i] = coord(u, i, n)
         return out
 
-    return ParametricCurve.from_arrays(dim, grid, domain, grid, name="fourier")
+    return ParametricCurve(dim, grid, domain, grid, name="fourier")
 
 
 # -- curve specifications ------------------------------------------------------
@@ -561,7 +535,7 @@ class CurveSpec:
             if not isinstance(domain, (list, tuple)) or len(domain) != 2:
                 raise ValueError("curve spec 'domain' must be [u_min, u_max]")
             try:
-                domain = (float(domain[0]), float(domain[1]))
+                domain = (_number(domain[0], "u_min"), _number(domain[1], "u_max"))
             except (TypeError, OverflowError) as exc:
                 raise ValueError(f"curve spec 'domain' must hold two numbers: {exc}") from exc
         return cls(family=family, params=params, domain=domain)
@@ -573,22 +547,28 @@ class CurveSpec:
 
     def build(self) -> ParametricCurve:
         p = self.params
+
+        def numbers(values, name):
+            return [_number(x, name) for x in values]
+
         try:
             if self.family == "torus_curve":
-                kwargs = dict(A=float(p["A"]), p=float(p["p"]), B=float(p["B"]), q=float(p["q"]))
+                kwargs = {name: _number(p[name], name) for name in ("A", "p", "B", "q")}
                 return torus_curve(**kwargs) if self.domain is None else torus_curve(
                     **kwargs, domain=self.domain
                 )
             if self.family == "circle3":
-                return circle3(float(p["R"]), p.get("mode", "arclength"), self.domain)
+                return circle3(_number(p["R"], "R"), p.get("mode", "arclength"), self.domain)
             if self.family == "helix3":
-                return helix3(float(p["a"]), float(p["h"]), self.domain)
+                return helix3(_number(p["a"], "a"), _number(p["h"], "h"), self.domain)
             coeffs = p["coeffs"]
             kwargs = dict(
-                cos_coeffs=coeffs["cos"],
-                sin_coeffs=coeffs["sin"],
+                cos_coeffs=[numbers(row, "cos") for row in coeffs["cos"]],
+                sin_coeffs=[numbers(row, "sin") for row in coeffs["sin"]],
                 linear=coeffs.get("linear"),
             )
+            if kwargs["linear"] is not None:
+                kwargs["linear"] = numbers(kwargs["linear"], "linear")
             if self.domain is not None:
                 kwargs["domain"] = self.domain
             return fourier_curve(**kwargs)

@@ -37,7 +37,6 @@ from .curves import (
     SPEED_EPS,
     ParametricCurve,
     _fd_derivative,
-    _pointwise,
     is_unit_speed,
 )
 from .errors import DegeneracyError
@@ -299,7 +298,7 @@ def frames3(curve: ParametricCurve, s) -> Frames3:
     read from the part of ``d3`` orthogonal to t and n.
     """
     if curve.dim != 3:
-        raise ValueError("frame3_at requires a curve of dimension 3")
+        raise ValueError(f"the spatial curve must have dimension 3, not {curve.dim}")
     s = np.asarray(s, dtype=float)
     d1, d2, d3 = (curve.derivatives(s, order) for order in (1, 2, 3))
     (t, n), (rho0, rho1) = _derivative_frame([d1, d2])
@@ -324,7 +323,7 @@ def _intrinsic_basis(curve: ParametricCurve, s: np.ndarray):
 
 def _intrinsic_frames(curve: ParametricCurve, s) -> Frames4:
     if curve.dim != 4:
-        raise ValueError("frame4_intrinsic requires a curve of dimension 4")
+        raise ValueError(f"the R^4 curve must have dimension 4, not {curve.dim}")
     s = np.asarray(s, dtype=float)
     T, N1, N2, N3, (rho0, rho1, rho2) = _intrinsic_basis(curve, s)
     d4 = _orthogonalize(curve.derivatives(s, 4), [T, N1, N2])
@@ -369,7 +368,7 @@ def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
 
 def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s) -> Frames4:
     if curve4.dim != 4:
-        raise ValueError("frame4_from_pair requires a curve of dimension 4")
+        raise ValueError(f"the R^4 curve must have dimension 4, not {curve4.dim}")
     s = np.asarray(s, dtype=float)
     f3 = frames3(curve3, _spatial_parameters(curve4, curve3, s))
     (T, n1), (rho0, rho1) = _derivative_frame([curve4.derivatives(s, order) for order in (1, 2)])
@@ -420,15 +419,6 @@ def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None
     return _pair_frames(curve4, curve3, s)
 
 
-FrameProvider = Callable[[float], Frame4]
-
-
-def _default_provider(curve4: ParametricCurve, curve3: Optional[ParametricCurve]) -> FrameProvider:
-    if curve3 is None:
-        return lambda s: frame4_intrinsic(curve4, s)
-    return lambda s: frame4_from_pair(curve4, curve3, s)
-
-
 def frames_on_grid(
     curve4: ParametricCurve,
     grid: Sequence[float],
@@ -456,39 +446,35 @@ def frame_ode_residual(
     curve4: ParametricCurve,
     grid: Sequence[float],
     curve3: Optional[ParametricCurve] = None,
-    provider: Optional[FrameProvider] = None,
+    provider: Optional[Callable[[np.ndarray], Frames4]] = None,
 ) -> OdeResidualReport:
     """Compare finite-difference frame derivatives against the frame ODE.
 
-    For each grid point the four frame fields returned by ``provider``
-    (by default the frame of ``curve4``, pair-built when ``curve3`` is
-    given) are differentiated centrally with the order-1 step and one
-    Richardson level, divided by the speed of ``curve4`` to take them per
-    arc length, and compared to the skew system
+    ``provider`` maps a parameter grid to its :class:`Frames4`; by default
+    ``frames4(curve4, s, curve3)``, pair-built when ``curve3`` is given.
+    The four frame fields are differentiated centrally on the whole grid
+    with the order-1 step and one Richardson level, divided by the speed
+    of ``curve4`` to take them per arc length, and compared to the skew
+    system
 
         T'  =  K N1
         N1' = -K T + torsion * N2
         N2' = -torsion * N1 + bitorsion * N3
         N3' = -bitorsion * N2
     """
-    fn = provider or _default_provider(curve4, curve3)
+    provider = provider or (lambda s: frames4(curve4, s, curve3))
     grid = np.asarray(list(grid), dtype=float)
-
-    def frame_vectors(s: float) -> np.ndarray:
-        return np.stack([v.as_vec4() for v in fn(s).vectors()])
-
-    deriv = _fd_derivative(_pointwise(frame_vectors), grid, 1, DEFAULT_STEPS[1])
+    deriv = _fd_derivative(lambda s: np.stack(provider(s).vectors(), axis=1), grid, 1,
+                           DEFAULT_STEPS[1])
     deriv = deriv / curve4.speeds(grid)[:, None, None]
-    frames = [fn(s) for s in grid]
-    T, N1, N2, N3 = (np.array([v.as_vec4() for v in vs]) for vs in zip(*(f.vectors() for f in frames)))
-    K, torsion, bitorsion = (np.array([[getattr(f, c)] for f in frames])
-                             for c in ("K", "torsion", "bitorsion"))
+    f = provider(grid)
+    K, torsion, bitorsion = (v[:, None] for v in (f.K, f.torsion, f.bitorsion))
     expected = np.stack(
         [
-            K * N1,
-            -K * T + torsion * N2,
-            -torsion * N1 + bitorsion * N3,
-            -bitorsion * N2,
+            K * f.N1,
+            -K * f.T + torsion * f.N2,
+            -torsion * f.N1 + bitorsion * f.N3,
+            -bitorsion * f.N2,
         ],
         axis=1,
     )
@@ -500,6 +486,17 @@ def frame_ode_residual(
     )
 
 
+def _profile(s: np.ndarray, frames: Frames4, curve3: Optional[ParametricCurve]) -> CurvatureProfile:
+    """The curvature functions that ``frames`` read on the grid ``s``."""
+    return CurvatureProfile(
+        s=s,
+        K=frames.K,
+        r=-frames.torsion,
+        k=frames.K - frames.bitorsion,
+        source="pair" if curve3 is not None else "intrinsic",
+    )
+
+
 def curvature_profile(
     curve4: ParametricCurve,
     grid: Sequence[float],
@@ -507,11 +504,4 @@ def curvature_profile(
 ) -> CurvatureProfile:
     """Curvature functions on the grid; ``k`` is recovered as K - bitorsion."""
     grid = np.asarray(grid, dtype=float)
-    frames = frames4(curve4, grid, curve3)
-    return CurvatureProfile(
-        s=grid,
-        K=frames.K,
-        r=-frames.torsion,
-        k=frames.K - frames.bitorsion,
-        source="pair" if curve3 is not None else "intrinsic",
-    )
+    return _profile(grid, frames4(curve4, grid, curve3), curve3)

@@ -240,6 +240,36 @@ class TestClosedFormCurvatures:
         with pytest.raises(ValueError, match="indeterminate"):
             mate_spatial_curvatures(1.0, 0.0, worked_constants())
 
+    def test_array_calls_are_scalar_rows(self):
+        # One set of constants; the 50 rows move along the one-parameter
+        # family of (K, r, K-k) that satisfies both equalities for it.
+        rng = np.random.default_rng(33)
+        K0, _, k0, consts = random_valid_tuple(rng)
+        a, b, c, d = consts.a, consts.b, consts.c, consts.d
+        m = (K0 - k0) * rng.uniform(0.9, 1.1, size=50)
+        K = (1.0 + c * (a * d + b) * m) / (a * (1.0 + c * c))
+        r = d * m - c * K
+        k = K - m
+        # Row 17 made degenerate: a*r + b*(K-k) = 0, or 1 - a*K = 0 for the Kk-forms.
+        r_bad, K_bad = r.copy(), K.copy()
+        r_bad[17], K_bad[17] = -b * m[17] / a, 1.0 / a
+        cases = [
+            (phi_prime, (K, r, k), (K, r_bad, k)),
+            (mate_curvatures_closed_form, (K, r, k), (K, r_bad, k)),
+            (mate_curvatures_Kk_form, (K, k), (K_bad, k)),
+            (mate_spatial_curvatures, (K, k), (K_bad, k)),
+        ]
+        for form, args, bad in cases:
+            rows = np.array(form(*args, consts)).reshape(-1, 50)
+            for i in range(50):
+                want = np.array(form(*(float(x[i]) for x in args), consts)).reshape(-1)
+                assert np.array_equal(rows[:, i], want), (form.__name__, i)
+            with pytest.raises(ValueError) as on_array:
+                form(*bad, consts)
+            with pytest.raises(ValueError) as on_row:
+                form(*(float(x[17]) for x in bad), consts)
+            assert str(on_array.value) == str(on_row.value), form.__name__
+
 
 class TestClosedFormFrame:
     def test_c_zero_swaps_tangent_and_n2(self):
@@ -363,7 +393,7 @@ def test_rotation_invariance(torus, seed):
     def grid_fn(u, n=0):
         return mul(p, mul(torus.points(u) if n == 0 else torus.derivatives(u, n), q))
 
-    moved = ParametricCurve.from_arrays(4, grid_fn, torus.domain, grid_fn, name="moved")
+    moved = ParametricCurve(4, grid_fn, torus.domain, grid_fn, name="moved")
     grid = np.linspace(0.0, 2.0 * math.pi, 21)
     got, want = frames4(moved, grid), frames4(torus, grid)
     for name in ("K", "torsion", "bitorsion"):

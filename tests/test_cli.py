@@ -175,12 +175,36 @@ class TestFrameCommand:
         {**TORUS_DOC, "domain": 5},
         {"family": "fourier", "params": {"coeffs": [1, 2]}},
         {**TORUS_DOC, "params": {**TORUS_DOC["params"], "q": 10**400}},
-    ], ids=["null-param", "scalar-domain", "list-coeffs", "huge-int-param"])
+        # Strings and booleans are not JSON numbers, though float() takes them.
+        {"family": "circle3", "params": {"R": True}},
+        {"family": "helix3", "params": {"a": "3", "h": 4.0}},
+        {**TORUS_DOC, "domain": [False, 6]},
+        {**TORUS_DOC, "domain": ["0", "6.283185307179586"]},
+        {**LINE_DOC, "params": {"coeffs": {"cos": [["0"], ["0"], ["0"]],
+                                           "sin": [["0"], ["0"], ["0"]],
+                                           "linear": ["1", "0", "0"]}}},
+    ], ids=["null-param", "scalar-domain", "list-coeffs", "huge-int-param", "bool-param",
+            "string-param", "bool-domain", "string-domain", "string-coeffs"])
     def test_mistyped_spec_exit2(self, tmp_path, capsys, doc):
         spec = write_json(tmp_path, "typed.json", doc)
         code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv")])
         assert code == 2
         assert "cannot load curve spec" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
+
+    @pytest.mark.parametrize("command, message", [
+        (["frame", "--curve", "torus.json", "--spatial", "torus.json", "--out", "x.csv"],
+         "the spatial curve must have dimension 3, not 4"),
+        (["verify", "--curve", "circle.json", "--constants", json.dumps(TORUS_CONSTANTS),
+          "--report", "x.json"], "the R^4 curve must have dimension 4, not 3"),
+    ], ids=["4d-spatial", "3d-curve"])
+    def test_wrong_dimension_names_the_curve_exit2(self, tmp_path, monkeypatch, capsys,
+                                                   command, message):
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "torus.json", TORUS_DOC)
+        write_json(tmp_path, "circle.json", CIRCLE_DOC)
+        assert main(command) == 2
+        assert message in capsys.readouterr().err
 
     def test_sharp_bend_frame_exit0(self, tmp_path, capsys):
         # The curvature column at the mapped parameters is the classical

@@ -71,7 +71,7 @@ class TestDerivative:
 
     def test_margin_enforced_for_fd_curves(self):
         base = torus_curve(0.6, 1.0, 0.4, 2.0)
-        plain = ParametricCurve(4, base.point, base.domain)  # no analytic derivatives
+        plain = ParametricCurve(4, base.points, base.domain)  # no analytic derivatives
         with pytest.raises(ValueError, match="margin"):
             plain.derivative(1e-5, 3)
 
@@ -230,10 +230,10 @@ class TestCurveSpec:
 
 def test_analytic_derivative_validation_catches_mismatch():
     def evaluate(u):
-        return np.array([0.0, math.cos(u), math.sin(u), 0.0])
+        return np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)
 
     def wrong_derivs(u, n):
-        return np.array([0.0, math.cos(u), math.sin(u), 0.0])  # ignores the order
+        return np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)  # ignores the order
 
     with pytest.raises(ValueError, match="disagree"):
         ParametricCurve(3, evaluate, (0.0, 6.0), wrong_derivs)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,6 @@ from quatcurves.curves import (
 )
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import (
-    Frame4,
     curvature_profile,
     frame3_at,
     frame4_from_pair,
@@ -61,7 +61,7 @@ def warped(curve):
         }[n]
         return sum(v * np.reshape(f, (-1, 1)) for v, f in terms)
 
-    return ParametricCurve.from_arrays(curve.dim, grid, curve.domain, grid, name="warped")
+    return ParametricCurve(curve.dim, grid, curve.domain, grid, name="warped")
 
 
 class TestFrame3:
@@ -204,7 +204,7 @@ class TestFrame4Pair:
         f = frame4_from_pair(torus, wrong, 1.0)
         assert orthonormality_residual(f.vectors()) <= 1e-8
         report = frame_ode_residual(
-            torus, np.linspace(0.5, 5.5, 7), provider=lambda s: frame4_from_pair(torus, wrong, s)
+            torus, np.linspace(0.5, 5.5, 7), provider=lambda s: frames4(torus, s, wrong)
         )
         assert report.max_residual > 0.1
 
@@ -221,11 +221,8 @@ class TestOdeResidual:
 
     def test_corrupted_frame_detected(self, torus):
         def corrupted(s):
-            f = frame4_intrinsic(torus, s)
-            return Frame4(
-                T=f.T, N1=f.N1, N2=-f.N2, N3=f.N3,
-                K=f.K, torsion=f.torsion, bitorsion=f.bitorsion,
-            )
+            f = frames4(torus, s)
+            return dataclasses.replace(f, N2=-f.N2)
 
         report = frame_ode_residual(torus, [1.0, 2.0, 3.0], provider=corrupted)
         assert report.max_residual > 0.1

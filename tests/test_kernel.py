@@ -169,7 +169,7 @@ def ref_mate(curve4, grid, curve3=None):
 
 def cases():
     torus, full = torus_curve(**TORUS), np.linspace(0.0, 2.0 * math.pi, 101)
-    fd = ParametricCurve(4, torus.point, torus.domain)  # no analytic derivatives
+    fd = ParametricCurve(4, torus.points, torus.domain)  # no analytic derivatives
     m = fd.fd_margin(4)
     return {
         "torus": (torus, None, full, ANALYTIC_TOL),
