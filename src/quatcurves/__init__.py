@@ -24,24 +24,19 @@ from .curves import (
     derivative,
     fourier_curve,
     helix3,
-    is_unit_speed,
     torus_curve,
 )
 from .frames import (
     CurvatureProfile,
-    Frame3,
-    Frame4,
     curvature_profile,
     frame3_at,
     frame4_from_pair,
     frame4_intrinsic,
     frame_ode_residual,
-    frames_on_grid,
 )
 from .bertrand import (
     BertrandConstants,
     BertrandReport,
-    MateFrameClosedForm,
     check_conditions,
     construct_mate,
     fit_constants,

@@ -13,6 +13,8 @@ data, constructs the mate, evaluates its closed-form frame and curvature
 functions, and verifies the closed forms against curvatures read from
 finite-difference derivatives of the actual mate curve.  Curvatures are
 per arc length and frames pointwise, in the base curve's own parameter.
+Every closed form works on whole grids: curvatures as floats or arrays of
+one shape, the mate frame as a :class:`~quatcurves.frames.Frames4` record.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .errors import DegeneracyError, FitError
 from .frames import (  # noqa: F401
     DEGENERACY_EPS,
     CurvatureProfile,
-    Frame4,
+    Frames4,
     _derivative_frame,
     _intrinsic_basis,
     _profile,
@@ -38,11 +40,10 @@ from .frames import (  # noqa: F401
     frame4_intrinsic,
     frames4,
 )
-from .quaternion import Quaternion, inner, norm
+from .quaternion import inner, norm
 
 __all__ = [
     "BertrandConstants",
-    "MateFrameClosedForm",
     "ConditionResult",
     "BertrandReport",
     "VERIFY_TOLERANCES",
@@ -102,25 +103,6 @@ class BertrandConstants:
             "epsilon": self.epsilon,
             "delta": self.delta,
         }
-
-
-@dataclass(frozen=True)
-class MateFrameClosedForm:
-    """Closed-form mate frame and curvature functions at one parameter."""
-
-    phi_prime: float
-    Tbar: Quaternion
-    N1bar: Quaternion
-    N2bar: Quaternion
-    N3bar: Quaternion
-    cos_gamma0: float
-    sin_gamma0: float
-    Kbar: float
-    torsion_bar: float
-    bitorsion_bar: float
-
-    def vectors(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-        return (self.Tbar, self.N1bar, self.N2bar, self.N3bar)
 
 
 @dataclass(frozen=True)
@@ -387,12 +369,14 @@ def phi_prime(K, r, k, consts: BertrandConstants):
     ``epsilon * sqrt(1 + c^2) * (a*r + b*(K-k))``; positive whenever the
     stored epsilon matches the sign of the combination.  ``K``, ``r`` and
     ``k`` are floats or arrays of one shape, as in every closed form here;
-    a degenerate value anywhere raises.
+    a degenerate value anywhere raises.  Here and in
+    :func:`mate_curvatures_closed_form` and :func:`mate_frame_closed_form`
+    the fields of ``consts`` may be arrays of that shape too.
     """
     combo = consts.a * r + consts.b * (K - k)
     if np.any(np.abs(combo) < 1e-14 * _scale(K, r, K - k)):
         raise ValueError("mate regularity violated: a*r + b*(K-k) = 0")
-    return consts.epsilon * math.sqrt(1.0 + consts.c * consts.c) * combo
+    return consts.epsilon * np.sqrt(1.0 + consts.c * consts.c) * combo
 
 
 def mate_curvatures_closed_form(K, r, k, consts: BertrandConstants):
@@ -411,7 +395,7 @@ def mate_curvatures_closed_form(K, r, k, consts: BertrandConstants):
     root = np.sqrt(w * w + m * m)
     if np.any(root < 1e-14 * _scale(K, r, m)):
         raise ValueError("degenerate denominator: (c*K+r)^2 + (K-k)^2 = 0")
-    sq = math.sqrt(1.0 + c * c)
+    sq = np.sqrt(1.0 + c * c)
     kbar = root / (pp * sq)
     torsion_bar = np.abs((1.0 - c * c) * K * r + c * (K * K - r * r - m * m)) / (pp * sq * root)
     bitorsion_bar = m * K * sq / (pp * root)
@@ -459,47 +443,29 @@ def mate_spatial_curvatures(K, k, consts: BertrandConstants):
     return kbar_spatial, rbar_spatial
 
 
-def mate_frame_closed_form(
-    frame: Frame4, consts: BertrandConstants
-) -> MateFrameClosedForm:
-    """Closed-form mate frame from the base frame at one parameter.
+def mate_frame_closed_form(frames: Frames4, consts: BertrandConstants) -> Frames4:
+    """Closed-form mate frames from the base frames, row by row.
 
-    The bar vectors are exact algebraic combinations of the base frame, so
-    they are h-orthonormal up to round-off; N1bar and N3bar lie in
-    span{N1, N3} by construction.
+    Returns the record of Tbar, N1bar, N2bar, N3bar with the closed-form
+    Kbar, torsion_bar and bitorsion_bar of
+    :func:`mate_curvatures_closed_form`, which also rejects degenerate
+    rows.  The bar vectors are exact algebraic combinations of the base
+    frame, so they are h-orthonormal up to round-off; N1bar and N3bar lie
+    in span{N1, N3} by construction, turned by the angle gamma0 with
+    ``cos gamma0 = h(N1bar, N1)`` and ``sin gamma0 = h(N1bar, N3)``.
     """
-    K = frame.K
-    r = -frame.torsion
-    m = frame.bitorsion
-    k = K - m
-    c = consts.c
-    root = math.sqrt((c * K + r) ** 2 + m * m)
-    if root < 1e-14 * max(1.0, abs(K), abs(r), abs(m)):
-        raise ValueError("degenerate denominator: (c*K+r)^2 + (K-k)^2 = 0")
-    pp = phi_prime(K, r, k, consts)
-    eps_bar = -consts.epsilon
-    E = eps_bar * math.sqrt(1.0 + c * c)
-    D = eps_bar * root
-    cos_g = (c * K + r) / D
-    sin_g = m / D
-    T, N1, N2, N3 = frame.vectors()
-    Tbar = (1.0 / E) * (c * T + N2)
-    N1bar = cos_g * N1 + sin_g * N3
-    N2bar = (1.0 / E) * (-1.0 * T + c * N2)
-    N3bar = -sin_g * N1 + cos_g * N3
-    kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(K, r, k, consts)
-    return MateFrameClosedForm(
-        phi_prime=pp,
-        Tbar=Tbar,
-        N1bar=N1bar,
-        N2bar=N2bar,
-        N3bar=N3bar,
-        cos_gamma0=cos_g,
-        sin_gamma0=sin_g,
-        Kbar=kbar,
-        torsion_bar=torsion_bar,
-        bitorsion_bar=bitorsion_bar,
-    )
+    K, r, m = frames.K, -frames.torsion, frames.bitorsion
+    kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(K, r, K - m, consts)
+    c, eps_bar = consts.c, -consts.epsilon
+    w = c * K + r
+    D = eps_bar * np.sqrt(w * w + m * m)
+    # Per-row coefficients as columns, to scale the (n, 4) vector rows.
+    cos_g, sin_g, c, E = (np.reshape(x, (-1, 1))
+                          for x in (w / D, m / D, c, eps_bar * np.sqrt(1.0 + c * c)))
+    T, N1, N2, N3 = frames.vectors()
+    return Frames4(T=(c * T + N2) / E, N1=cos_g * N1 + sin_g * N3, N2=(c * N2 - T) / E,
+                   N3=cos_g * N3 - sin_g * N1, K=kbar, torsion=torsion_bar,
+                   bitorsion=bitorsion_bar)
 
 
 # -- end-to-end verification --------------------------------------------------------

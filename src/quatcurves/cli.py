@@ -25,12 +25,11 @@ from .bertrand import (
     fit_constants,
     verify_mate,
 )
-from .curves import CurveSpec, ParametricCurve, is_unit_speed
+from .curves import CurveSpec, ParametricCurve
 from .errors import DegeneracyError, FitError
 from .frames import (
     FRAME3_CSV_HEADER,
     FRAME4_CSV_HEADER,
-    UNIT_SPEED_TOL,
     curvature_profile,
     frames3,
     frames4,
@@ -47,10 +46,6 @@ EXIT_FIT = 4
 # 300 MB (about 3 kB per grid point), so no size it admits fails to
 # allocate on an ordinary machine.
 MAX_SAMPLES = 100_000
-
-
-class _InputError(Exception):
-    pass
 
 
 def _tolerance(text: str) -> float:
@@ -125,7 +120,7 @@ def _load_curve(path: str) -> ParametricCurve:
         spec = CurveSpec.from_file(path)
         return spec.build()
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot load curve spec {path!r}: {exc}") from exc
+        raise ValueError(f"cannot load curve spec {path!r}: {exc}") from exc
 
 
 def _load_constants(text: str) -> BertrandConstants:
@@ -137,7 +132,7 @@ def _load_constants(text: str) -> BertrandConstants:
                 data = json.load(fh)
         return BertrandConstants.from_json_dict(data)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
-        raise _InputError(f"cannot load constants: {exc}") from exc
+        raise ValueError(f"cannot load constants: {exc}") from exc
 
 
 def _grid(curve: ParametricCurve, s0: Optional[float], s1: Optional[float],
@@ -149,14 +144,14 @@ def _grid(curve: ParametricCurve, s0: Optional[float], s1: Optional[float],
     its domain, and its table maps each ``s`` to ``u``.
     """
     if not 3 <= samples <= MAX_SAMPLES:
-        raise _InputError(f"--samples must be between 3 and {MAX_SAMPLES}")
-    unit_speed, _ = is_unit_speed(curve, UNIT_SPEED_TOL)
+        raise ValueError(f"--samples must be between 3 and {MAX_SAMPLES}")
+    unit_speed = curve.is_unit_speed
     start, end = curve.domain if unit_speed else (0.0, curve.arc_lengths.total)
     lo = start if s0 is None else s0
     hi = end if s1 is None else s1
     slack = 1e-12 * max(1.0, abs(start), abs(end))
     if not (math.isfinite(lo) and math.isfinite(hi) and start - slack <= lo < hi <= end + slack):
-        raise _InputError(f"need finite s0 < s1 inside [{start!r}, {end!r}]")
+        raise ValueError(f"need finite s0 < s1 inside [{start!r}, {end!r}]")
     s = np.linspace(lo, hi, samples)
     return s, (s if unit_speed else curve.arc_lengths.parameters_at(s))
 
@@ -273,9 +268,6 @@ def main(argv=None) -> int:
             return cmd_verify(args)
     except FloatingPointError as exc:
         print(f"error: number out of range: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except _InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except DegeneracyError as exc:
         print(f"degeneracy: {exc}", file=sys.stderr)

@@ -3,12 +3,12 @@
 Curves evaluate whole grids: a parameter array of shape ``(n,)`` maps to
 an ``(n, 4)`` array whose rows hold quaternion components
 ``(q0, q1, q2, q3)``; curves of dimension 3 keep ``q0 == 0`` (spatial
-quaternions).  Row ``i`` depends on parameter ``i`` alone, so the scalar
-methods ``point``, ``derivative`` and ``speed`` evaluate a length-1 grid
-and return its row.  The module provides high-order differentiation
-(analytic when the family ships derivatives, central finite differences
-with one Richardson extrapolation level otherwise) and a cumulative
-arc-length table whose Newton inversion maps arc lengths to parameters.
+quaternions).  Row ``i`` depends on parameter ``i`` alone, so ``point``
+and :func:`derivative` evaluate a length-1 grid and return its row.  The
+module provides high-order differentiation (analytic when the family
+ships derivatives, central finite differences with one Richardson
+extrapolation level otherwise) and a cumulative arc-length table whose
+Newton inversion maps arc lengths to parameters.
 """
 
 from __future__ import annotations
@@ -29,9 +29,7 @@ __all__ = [
     "CurveSpec",
     "ArcLengthTable",
     "derivative",
-    "derivatives",
     "arc_length",
-    "is_unit_speed",
     "torus_curve",
     "circle3",
     "helix3",
@@ -40,6 +38,7 @@ __all__ = [
     "SPEED_EPS",
     "NEWTON_STEPS",
     "TABLE_PANELS",
+    "UNIT_SPEED_TOL",
 ]
 
 # Default finite-difference steps per derivative order; chosen to balance
@@ -49,6 +48,11 @@ DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 3e-3, 4: 1e-2}
 
 # Speed below this is treated as an irregular (non-regular) curve.
 SPEED_EPS = 1e-9
+
+# A curve whose speed stays this close to 1 is read as parameterized by
+# arc length: the CLI keeps its parameter as the grid, and a pair of such
+# curves shares one parameter.
+UNIT_SPEED_TOL = 1e-5
 
 # Newton steps an arc-length inversion may take before it is reported as
 # not converged.
@@ -133,16 +137,35 @@ class ParametricCurve:
         return self._derivs is not None
 
     def derivatives(self, s, order: int) -> np.ndarray:
-        return derivatives(self, s, order)
+        """Derivatives of ``order`` (1..4) at every parameter of the grid ``s``, as ``(n, 4)``.
 
-    def derivative(self, u: float, order: int) -> np.ndarray:
-        return derivative(self, u, order)
+        Uses the analytic derivative when the curve carries one, otherwise
+        central finite differences of the stated order with step
+        ``DEFAULT_STEPS[order]`` and one Richardson extrapolation level, which
+        needs every parameter at least ``fd_margin(order)`` inside the
+        domain.  Deterministic for fixed inputs.
+        """
+        if not 1 <= order <= 4:
+            raise ValueError("derivative order must be between 1 and 4")
+        s = np.asarray(s, dtype=float)
+        if self.has_analytic_derivatives:
+            self._check_domain(s)
+            d = np.asarray(self._derivs(s, order), dtype=float)
+        else:
+            lo, hi = self.domain
+            margin = self.fd_margin(order)
+            short = (s - margin < lo) | (s + margin > hi)
+            if np.any(short):
+                raise ValueError(
+                    f"parameter {float(s[short][0])!r} violates the differentiation margin "
+                    f"{margin:.3g} for order {order} on [{lo}, {hi}]"
+                )
+            d = _fd_derivative(self.points, s, order, DEFAULT_STEPS[order])
+        _require_finite(d, s, "derivative is not finite")
+        return d
 
     def speeds(self, s) -> np.ndarray:
         return norm(self.derivatives(s, 1))
-
-    def speed(self, u: float) -> float:
-        return float(self.speeds(np.array([u], dtype=float))[0])
 
     def fd_margin(self, order: int) -> float:
         """Distance from the boundary required to differentiate at ``order``."""
@@ -161,15 +184,23 @@ class ParametricCurve:
         grid = np.linspace(lo + m, hi - m, 101)
         return float(np.max(np.abs(self.speeds(grid) - 1.0)))
 
+    @cached_property
+    def is_unit_speed(self) -> bool:
+        """Whether the parameter is read as arc length (deviation <= ``UNIT_SPEED_TOL``)."""
+        return self.unit_speed_deviation <= UNIT_SPEED_TOL
+
     def _validate_derivatives(self):
         lo, hi = self.domain
         margin = _fd_reach(2) + 1e-9 * (hi - lo)
         rng = np.random.default_rng(20240831)
         us = rng.uniform(lo + margin, hi - margin, size=10)
+        # The stencils' round-off grows with the size of the points, so the
+        # bound does too (it is 1e-6 on curves of unit size).
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(self.points(us)))))
         for order in (1, 2):
             exact = np.asarray(self._derivs(us, order), dtype=float)
             fd = _fd_derivative(self.points, us, order, DEFAULT_STEPS[order])
-            off = np.max(np.abs(exact - fd), axis=-1) > 1e-6
+            off = np.max(np.abs(exact - fd), axis=-1) > tol
             if np.any(off):
                 raise ValueError(
                     "analytic derivatives disagree with finite differences "
@@ -221,38 +252,9 @@ def _fd_derivative(f: Callable, u: np.ndarray, order: int, h: float) -> np.ndarr
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def derivatives(curve: ParametricCurve, s, order: int) -> np.ndarray:
-    """Derivatives of ``order`` (1..4) at every parameter of the grid ``s``, as ``(n, 4)``.
-
-    Uses the analytic derivative when the curve carries one, otherwise
-    central finite differences of the stated order with step
-    ``DEFAULT_STEPS[order]`` and one Richardson extrapolation level, which
-    needs every parameter at least ``curve.fd_margin(order)`` inside the
-    domain.  Deterministic for fixed inputs.
-    """
-    if not 1 <= order <= 4:
-        raise ValueError("derivative order must be between 1 and 4")
-    s = np.asarray(s, dtype=float)
-    if curve.has_analytic_derivatives:
-        curve._check_domain(s)
-        d = np.asarray(curve._derivs(s, order), dtype=float)
-    else:
-        lo, hi = curve.domain
-        margin = curve.fd_margin(order)
-        short = (s - margin < lo) | (s + margin > hi)
-        if np.any(short):
-            raise ValueError(
-                f"parameter {float(s[short][0])!r} violates the differentiation margin "
-                f"{margin:.3g} for order {order} on [{lo}, {hi}]"
-            )
-        d = _fd_derivative(curve.points, s, order, DEFAULT_STEPS[order])
-    _require_finite(d, s, "derivative is not finite")
-    return d
-
-
 def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
-    """Derivative of the curve at ``u``: the row of :func:`derivatives` on ``[u]``."""
-    return derivatives(curve, np.array([u], dtype=float), order)[0]
+    """Derivative of the curve at ``u``: the row of ``curve.derivatives`` on ``[u]``."""
+    return curve.derivatives(np.array([u], dtype=float), order)[0]
 
 
 # -- arc length ---------------------------------------------------------------
@@ -289,7 +291,6 @@ class ArcLengthTable:
     finite differences downstream would amplify.
     """
 
-    curve: ParametricCurve
     edges: np.ndarray
     lengths: np.ndarray
     _nodes: np.ndarray = field(repr=False, default=None)
@@ -311,7 +312,7 @@ class ArcLengthTable:
         lengths = np.concatenate([[0.0], np.cumsum(half * _weighted_sum(weights, speeds))])
         if np.any(np.diff(lengths) <= 0):
             raise DegeneracyError("irregular curve: arc length not strictly increasing")
-        return cls(curve, edges, lengths, nodes, weights, speed)
+        return cls(edges, lengths, nodes, weights, speed)
 
     @property
     def total(self) -> float:
@@ -361,12 +362,6 @@ class ArcLengthTable:
     def invert(self, target: float) -> float:
         """Parameter ``u`` with ``length_at(u) == target``: the row of :meth:`parameters_at`."""
         return float(self.parameters_at(np.array([target], dtype=float))[0])
-
-
-def is_unit_speed(curve: ParametricCurve, tol: float) -> tuple[bool, float]:
-    """Sample speed on a 101-point grid; true iff max |speed - 1| <= tol."""
-    dev = curve.unit_speed_deviation
-    return dev <= tol, dev
 
 
 # -- curve families -----------------------------------------------------------

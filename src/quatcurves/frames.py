@@ -20,9 +20,11 @@ Both satisfy the same skew frame ODE in arc length with coefficients K
 well finite differences of the frame fields reproduce that system.
 
 Frames are built for a whole grid at once: :func:`frames3` and
-:func:`frames4` return every frame vector as an ``(n, 4)`` array.
-:func:`frame3_at`, :func:`frame4_intrinsic` and :func:`frame4_from_pair`
-return one row of that computation as Quaternion-valued frames.
+:func:`frames4` return every frame vector as an ``(n, 4)`` array, in the
+records :class:`Frames3` and :class:`Frames4`.  :func:`frame3_at`,
+:func:`frame4_intrinsic` and :func:`frame4_from_pair` return the
+one-row record at a single parameter; they are kept as lookup sites for
+per-layer tracing.
 """
 
 from __future__ import annotations
@@ -32,19 +34,11 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import (
-    DEFAULT_STEPS,
-    SPEED_EPS,
-    ParametricCurve,
-    _fd_derivative,
-    is_unit_speed,
-)
+from .curves import DEFAULT_STEPS, SPEED_EPS, ParametricCurve, _fd_derivative
 from .errors import DegeneracyError
-from .quaternion import Quaternion, inner, mul, norm
+from .quaternion import inner, mul, norm
 
 __all__ = [
-    "Frame3",
-    "Frame4",
     "Frames3",
     "Frames4",
     "CurvatureProfile",
@@ -54,7 +48,6 @@ __all__ = [
     "frame3_at",
     "frame4_intrinsic",
     "frame4_from_pair",
-    "frames_on_grid",
     "frame_ode_residual",
     "curvature_profile",
     "orthonormality_residual",
@@ -62,15 +55,10 @@ __all__ = [
     "FRAME4_CSV_HEADER",
     "FRAME3_CSV_HEADER",
     "DEGENERACY_EPS",
-    "UNIT_SPEED_TOL",
     "PAIR_TOL",
 ]
 
 DEGENERACY_EPS = 1e-9
-# A curve whose speed stays this close to 1 is read as parameterized by
-# arc length: the CLI keeps its parameter as the grid, and a pair of such
-# curves shares one parameter.
-UNIT_SPEED_TOL = 1e-5
 # Largest orthonormality residual of a pair-built frame before the spatial
 # curve is rejected as not associated with the R^4 curve.
 PAIR_TOL = 1e-6
@@ -83,43 +71,11 @@ FRAME3_CSV_HEADER = "s,t0,t1,t2,n0,n1,n2,b0,b1,b2,k,r"
 
 
 @dataclass(frozen=True)
-class Frame3:
-    """Spatial frame with curvature k >= 0 and signed torsion r."""
-
-    t: Quaternion
-    n: Quaternion
-    b: Quaternion
-    k: float
-    r: float
-
-    def vectors(self) -> tuple[Quaternion, Quaternion, Quaternion]:
-        return (self.t, self.n, self.b)
-
-
-@dataclass(frozen=True)
-class Frame4:
-    """R^4 frame with principal curvature K, torsion and bitorsion readings.
-
-    ``torsion`` is the frame-ODE entry h(N1', N2); ``bitorsion`` is
-    h(N2', N3).  The spatial-curve curvature implied by the frame is
-    ``K - bitorsion``.
-    """
-
-    T: Quaternion
-    N1: Quaternion
-    N2: Quaternion
-    N3: Quaternion
-    K: float
-    torsion: float
-    bitorsion: float
-
-    def vectors(self) -> tuple[Quaternion, Quaternion, Quaternion, Quaternion]:
-        return (self.T, self.N1, self.N2, self.N3)
-
-
-@dataclass(frozen=True)
 class Frames3:
-    """Spatial frames on a grid: ``t, n, b`` of shape ``(n, 4)``, ``k, r`` of shape ``(n,)``."""
+    """Spatial frames on a grid: ``t, n, b`` of shape ``(n, 4)``, ``k, r`` of shape ``(n,)``.
+
+    ``k >= 0`` is the curvature and ``r`` the signed torsion.
+    """
 
     t: np.ndarray
     n: np.ndarray
@@ -130,10 +86,6 @@ class Frames3:
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         return (self.t, self.n, self.b)
 
-    def frame(self, i: int) -> Frame3:
-        t, n, b = (Quaternion.from_vec4(v[i]) for v in self.vectors())
-        return Frame3(t=t, n=n, b=b, k=float(self.k[i]), r=float(self.r[i]))
-
     def table(self, s: np.ndarray) -> np.ndarray:
         """Rows in the column order of ``FRAME3_CSV_HEADER``."""
         return np.column_stack([s, self.t[:, 1:], self.n[:, 1:], self.b[:, 1:], self.k, self.r])
@@ -142,7 +94,12 @@ class Frames3:
 @dataclass(frozen=True)
 class Frames4:
     """R^4 frames on a grid: ``T, N1, N2, N3`` of shape ``(n, 4)``; ``K``,
-    ``torsion`` and ``bitorsion`` of shape ``(n,)``."""
+    ``torsion`` and ``bitorsion`` of shape ``(n,)``.
+
+    ``K`` is the principal curvature, ``torsion`` the frame-ODE entry
+    h(N1', N2) and ``bitorsion`` h(N2', N3).  The spatial-curve curvature
+    implied by the frame is ``K - bitorsion``.
+    """
 
     T: np.ndarray
     N1: np.ndarray
@@ -154,11 +111,6 @@ class Frames4:
 
     def vectors(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         return (self.T, self.N1, self.N2, self.N3)
-
-    def frame(self, i: int) -> Frame4:
-        T, N1, N2, N3 = (Quaternion.from_vec4(v[i]) for v in self.vectors())
-        return Frame4(T=T, N1=N1, N2=N2, N3=N3, K=float(self.K[i]), torsion=float(self.torsion[i]),
-                      bitorsion=float(self.bitorsion[i]))
 
     def table(self, s: np.ndarray) -> np.ndarray:
         """Rows in the column order of ``FRAME4_CSV_HEADER``."""
@@ -278,13 +230,9 @@ def orthonormality_residual(vectors: Sequence) -> float:
     return res
 
 
-def frame_determinant(frame: Frame4) -> float:
-    cols = np.column_stack([v.as_vec4() for v in frame.vectors()])
-    return float(np.linalg.det(cols))
-
-
-def _one(s: float) -> np.ndarray:
-    return np.array([s], dtype=float)
+def frame_determinant(frames: Frames4) -> np.ndarray:
+    """Determinant of the columns T, N1, N2, N3 on every row of ``frames``."""
+    return np.linalg.det(np.stack(frames.vectors(), axis=-1))
 
 
 # -- spatial frame ---------------------------------------------------------------
@@ -307,9 +255,9 @@ def frames3(curve: ParametricCurve, s) -> Frames3:
     return Frames3(t=t, n=n, b=b, k=rho1 / rho0**2, r=r)
 
 
-def frame3_at(curve: ParametricCurve, s: float) -> Frame3:
-    """Frenet frame of a spatial curve at ``s``: the row of :func:`frames3`."""
-    return frames3(curve, _one(s)).frame(0)
+def frame3_at(curve: ParametricCurve, s: float) -> Frames3:
+    """Frenet frame of a spatial curve at ``s``: the one-row :func:`frames3`."""
+    return frames3(curve, [s])
 
 
 # -- intrinsic R^4 frame ----------------------------------------------------------
@@ -322,6 +270,17 @@ def _intrinsic_basis(curve: ParametricCurve, s: np.ndarray):
 
 
 def _intrinsic_frames(curve: ParametricCurve, s) -> Frames4:
+    """R^4 frames recovered from curve derivatives alone, in any regular parameter.
+
+    T, N1 and ``-N2`` are the Gram-Schmidt units of the first three
+    derivatives, so the torsion reading ``-rho_2 / (rho_0 rho_1)`` is
+    always nonpositive; ``N3`` completes the unique orthonormal basis with
+    determinant +1.  The bitorsion ``h(N2', N3)`` is
+    ``-h(d4, N3) / (rho_0 rho_2)``, read from the part of ``d4`` orthogonal
+    to T, N1, N2, so analytic and finite-difference curves are read the
+    same way (the latter need the order-4 stencil reach
+    ``curve.fd_margin(4)`` from the ends).
+    """
     if curve.dim != 4:
         raise ValueError(f"the R^4 curve must have dimension 4, not {curve.dim}")
     s = np.asarray(s, dtype=float)
@@ -331,20 +290,9 @@ def _intrinsic_frames(curve: ParametricCurve, s) -> Frames4:
                    bitorsion=-inner(d4, N3) / (rho0 * rho2))
 
 
-def frame4_intrinsic(curve: ParametricCurve, s: float) -> Frame4:
-    """R^4 frame recovered from curve derivatives alone, in any regular parameter.
-
-    T, N1 and ``-N2`` are the Gram-Schmidt units of the first three
-    derivatives, so the torsion reading ``-rho_2 / (rho_0 rho_1)`` is
-    always nonpositive; ``N3`` completes the unique orthonormal basis with
-    determinant +1.  The bitorsion ``h(N2', N3)`` is
-    ``-h(d4, N3) / (rho_0 rho_2)``, read from the part of ``d4`` orthogonal
-    to T, N1, N2, so analytic and finite-difference curves are read the
-    same way (the latter need the order-4 stencil reach
-    ``curve.fd_margin(4)`` from the ends).  Returns the row of
-    ``frames4(curve, [s])``.
-    """
-    return _intrinsic_frames(curve, _one(s)).frame(0)
+def frame4_intrinsic(curve: ParametricCurve, s: float) -> Frames4:
+    """Intrinsic R^4 frame at ``s``: the one-row ``frames4(curve, [s])``."""
+    return frames4(curve, [s])
 
 
 # -- pair-built R^4 frame ----------------------------------------------------------
@@ -357,7 +305,7 @@ def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
     counted from the start of each curve's domain, and one beyond the end
     of ``curve3`` is a ``ValueError``.
     """
-    if all(is_unit_speed(c, UNIT_SPEED_TOL)[0] for c in (curve4, curve3)):
+    if curve4.is_unit_speed and curve3.is_unit_speed:
         return s
     lengths, table = curve4.arc_lengths.lengths_at(s), curve3.arc_lengths
     if np.any(lengths > table.total + 1e-12 * max(1.0, table.total)):
@@ -367,6 +315,13 @@ def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
 
 
 def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s) -> Frames4:
+    """R^4 frames built from the spatial frames of an associated curve.
+
+    ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with (t, n, b) the spatial
+    frame of ``curve3`` at the same arc length (the same parameter when
+    both curves are unit speed).  Torsion and bitorsion are read from the
+    frame-ODE projections h(N1', N2) and h(N2', N3) per arc length.
+    """
     if curve4.dim != 4:
         raise ValueError(f"the R^4 curve must have dimension 4, not {curve4.dim}")
     s = np.asarray(s, dtype=float)
@@ -393,16 +348,9 @@ def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s) -> Frames4
                    bitorsion=inner(N2_prime, N3))
 
 
-def frame4_from_pair(curve4: ParametricCurve, curve3: ParametricCurve, s: float) -> Frame4:
-    """R^4 frame built from the spatial frame of an associated curve.
-
-    ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with (t, n, b) the spatial
-    frame of ``curve3`` at the same arc length (the same parameter when
-    both curves are unit speed).  Torsion and bitorsion are read from the
-    frame-ODE projections h(N1', N2) and h(N2', N3) per arc length.
-    Returns the row of ``frames4(curve4, [s], curve3)``.
-    """
-    return _pair_frames(curve4, curve3, _one(s)).frame(0)
+def frame4_from_pair(curve4: ParametricCurve, curve3: ParametricCurve, s: float) -> Frames4:
+    """Pair-built R^4 frame at ``s``: the one-row ``frames4(curve4, [s], curve3)``."""
+    return frames4(curve4, [s], curve3)
 
 
 # -- grid-level operations -----------------------------------------------------------
@@ -411,22 +359,12 @@ def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None
     """R^4 frames at every parameter of ``s``, each computed on its own.
 
     Intrinsic frames of ``curve4``, or pair-built ones when the associated
-    spatial curve ``curve3`` is given; see :func:`frame4_intrinsic` and
-    :func:`frame4_from_pair`.
+    spatial curve ``curve3`` is given; see :func:`_intrinsic_frames` and
+    :func:`_pair_frames`.
     """
     if curve3 is None:
         return _intrinsic_frames(curve4, s)
     return _pair_frames(curve4, curve3, s)
-
-
-def frames_on_grid(
-    curve4: ParametricCurve,
-    grid: Sequence[float],
-    curve3: Optional[ParametricCurve] = None,
-) -> list[Frame4]:
-    """The frames of :func:`frames4` at each grid point, as :class:`Frame4` values."""
-    frames = frames4(curve4, grid, curve3)
-    return [frames.frame(i) for i in range(len(frames.K))]
 
 
 @dataclass

@@ -1,5 +1,7 @@
+import dataclasses
 import inspect
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,12 +23,12 @@ from quatcurves.curves import ParametricCurve
 from quatcurves.errors import FitError
 from quatcurves.frames import (
     CurvatureProfile,
-    Frame4,
+    Frames4,
     curvature_profile,
     frames4,
     orthonormality_residual,
 )
-from quatcurves.quaternion import Quaternion, mul
+from quatcurves.quaternion import inner, mul
 
 from conftest import TORUS_K
 
@@ -50,8 +52,20 @@ def random_frame4(rng, K, torsion, bitorsion):
     basis, _ = np.linalg.qr(mat)
     if np.linalg.det(basis) < 0:
         basis[:, 3] = -basis[:, 3]
-    T, N1, N2, N3 = (Quaternion.from_vec4(basis[:, i]) for i in range(4))
-    return Frame4(T=T, N1=N1, N2=N2, N3=N3, K=K, torsion=torsion, bitorsion=bitorsion)
+    T, N1, N2, N3 = (basis[None, :, i] for i in range(4))
+    return Frames4(T=T, N1=N1, N2=N2, N3=N3, K=np.array([K]), torsion=np.array([torsion]),
+                   bitorsion=np.array([bitorsion]))
+
+
+def stack_frames(frames):
+    """One record holding the rows of every record in ``frames``, in order."""
+    return Frames4(*(np.concatenate([getattr(f, field.name) for f in frames])
+                     for field in dataclasses.fields(Frames4)))
+
+
+def frame_row(frames, i):
+    """Row ``i`` of ``frames`` as a one-row record."""
+    return Frames4(*(getattr(frames, field.name)[i:i + 1] for field in dataclasses.fields(Frames4)))
 
 
 def random_valid_tuple(rng):
@@ -177,7 +191,7 @@ class TestConstructMate:
             s = float(torus_profile.s[i])
             pp = phi_prime(torus_profile.K[i], torus_profile.r[i], torus_profile.k[i],
                            torus_constants)
-            assert abs(mate.speed(s) - pp) <= 1e-5
+            assert abs(mate.speeds([s])[0] - pp) <= 1e-5
 
 
 class TestPhiPrime:
@@ -269,6 +283,20 @@ class TestClosedFormCurvatures:
             with pytest.raises(ValueError) as on_row:
                 form(*(float(x[17]) for x in bad), consts)
             assert str(on_array.value) == str(on_row.value), form.__name__
+        # The frame closed form: its n-row call against its one-row calls.
+        frames = stack_frames([random_frame4(rng, K[i], -r[i], m[i]) for i in range(50)])
+        rows = mate_frame_closed_form(frames, consts)
+        for i in range(50):
+            one = mate_frame_closed_form(frame_row(frames, i), consts)
+            for field in dataclasses.fields(Frames4):
+                got, want = getattr(one, field.name)[0], getattr(rows, field.name)[i]
+                assert np.array_equal(got, want), (field.name, i)
+        bad_frames = dataclasses.replace(frames, torsion=-r_bad)
+        with pytest.raises(ValueError) as on_array:
+            mate_frame_closed_form(bad_frames, consts)
+        with pytest.raises(ValueError) as on_row:
+            mate_frame_closed_form(frame_row(bad_frames, 17), consts)
+        assert str(on_array.value) == str(on_row.value)
 
 
 class TestClosedFormFrame:
@@ -277,33 +305,39 @@ class TestClosedFormFrame:
         f = random_frame4(rng, K=1.0, torsion=-1.0, bitorsion=1.0)
         cf = mate_frame_closed_form(f, worked_constants())
         # epsilon = +1 makes the leading factor -1: Tbar = -N2, N2bar = +T.
-        assert cf.Tbar.approx_eq(-f.N2, 1e-12)
-        assert cf.N2bar.approx_eq(f.T, 1e-12)
+        assert np.max(np.abs(cf.T + f.N2)) <= 1e-12
+        assert np.max(np.abs(cf.N2 - f.T)) <= 1e-12
 
     def test_worked_gamma_components(self):
         rng = np.random.default_rng(34)
         f = random_frame4(rng, K=1.0, torsion=-1.0, bitorsion=1.0)
         cf = mate_frame_closed_form(f, worked_constants())
-        assert abs(cf.cos_gamma0 + 1.0 / SQ2) <= 1e-12
-        assert abs(cf.sin_gamma0 + 1.0 / SQ2) <= 1e-12
-        assert abs(cf.cos_gamma0**2 + cf.sin_gamma0**2 - 1.0) <= 1e-10
+        cos_gamma0, sin_gamma0 = inner(cf.N1, f.N1)[0], inner(cf.N1, f.N3)[0]
+        assert abs(cos_gamma0 + 1.0 / SQ2) <= 1e-12
+        assert abs(sin_gamma0 + 1.0 / SQ2) <= 1e-12
+        assert abs(cos_gamma0**2 + sin_gamma0**2 - 1.0) <= 1e-10
 
     def test_orthonormality_random_inputs(self):
+        # The 300 draws in one call: each row carries its own constants.
         rng = np.random.default_rng(35)
+        frames, draws = [], []
         for _ in range(300):
             K, r, k, consts = random_valid_tuple(rng)
-            f = random_frame4(rng, K=K, torsion=-r, bitorsion=K - k)
-            cf = mate_frame_closed_form(f, consts)
-            assert orthonormality_residual(cf.vectors()) <= 1e-10
-            assert abs(cf.Tbar.dot(cf.N2bar)) <= 1e-13
+            frames.append(random_frame4(rng, K=K, torsion=-r, bitorsion=K - k))
+            draws.append(consts)
+        consts = SimpleNamespace(**{name: np.array([getattr(c, name) for c in draws])
+                                    for name in ("a", "b", "c", "d", "epsilon", "delta")})
+        cf = mate_frame_closed_form(stack_frames(frames), consts)
+        assert orthonormality_residual(cf.vectors()) <= 1e-10
+        assert np.max(np.abs(inner(cf.T, cf.N2))) <= 1e-13
 
     def test_bar_normals_stay_in_span(self):
         rng = np.random.default_rng(36)
         K, r, k, consts = random_valid_tuple(rng)
         f = random_frame4(rng, K=K, torsion=-r, bitorsion=K - k)
         cf = mate_frame_closed_form(f, consts)
-        n1, n3 = f.N1.as_vec4(), f.N3.as_vec4()
-        for v in (cf.N1bar.as_vec4(), cf.N3bar.as_vec4()):
+        n1, n3 = f.N1[0], f.N3[0]
+        for v in (cf.N1[0], cf.N3[0]):
             res = v - (v @ n1) * n1 - (v @ n3) * n3
             assert np.max(np.abs(res)) <= 1e-12
 

@@ -220,6 +220,19 @@ class TestFrameCommand:
         assert np.max(np.abs(rows[:, 10] - k) / k) <= 1e-10
         assert np.max(k) > 9000.0
 
+    def test_large_amplitude_frame_exit0(self, tmp_path, capsys):
+        # Correct analytic derivatives of a curve of size 1e4: the order-2
+        # stencil's round-off (about 1e-10 of the size) exceeds an absolute
+        # 1e-6, so the derivative check must scale with the points.
+        doc = {"family": "fourier", "params": {"coeffs": {
+            "cos": [[0.0, 1e4], [0.0], [0.0, 0.0, 2.5e3], [0.0]],
+            "sin": [[0.0], [0.0, 1e4], [0.0], [0.0, 0.0, 2.5e3]],
+        }}, "domain": [0.0, 2.0 * math.pi]}
+        spec = write_json(tmp_path, "large.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["frame", "--curve", spec, "--out", str(out), "--samples", "21"]) == 0
+        assert "max orthonormality residual" in capsys.readouterr().out
+
     def test_spatial_shorter_than_curve_exit2(self, tmp_path, capsys):
         fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
         short = write_json(tmp_path, "short.json", {**HELIX_DOC, "domain": [0.0, 5.0]})

@@ -12,9 +12,9 @@ from quatcurves.curves import (
     ParametricCurve,
     arc_length,
     circle3,
+    derivative,
     fourier_curve,
     helix3,
-    is_unit_speed,
     torus_curve,
     _fd_derivative,
 )
@@ -40,7 +40,7 @@ class TestDerivative:
     def test_torus_first_derivative_at_zero(self):
         c = torus_curve(SQ2, 1.0, SQ2, 1.0, domain=(-math.pi, math.pi))
         want = np.array([0.0, SQ2, 0.0, SQ2])
-        assert np.allclose(c.derivative(0.0, 1), want, atol=1e-14)
+        assert np.allclose(derivative(c, 0.0, 1), want, atol=1e-14)
         # finite-difference path must agree
         fd = _fd_derivative(c.points, np.array([0.0]), 1, 1e-4)[0]
         assert np.allclose(fd, want, atol=1e-9)
@@ -48,12 +48,12 @@ class TestDerivative:
     def test_constant_curve_all_orders_zero(self):
         c = fourier_curve([[0.5], [1.0], [-2.0]], [[0.0], [0.0], [0.0]])
         for order in (1, 2, 3, 4):
-            assert np.allclose(c.derivative(1.0, order), 0.0, atol=1e-15)
+            assert np.allclose(derivative(c, 1.0, order), 0.0, atol=1e-15)
 
     def test_circle_second_derivative_norm(self):
         R = 2.5
         c = circle3(R)
-        d2 = c.derivative(1.0, 2)
+        d2 = derivative(c, 1.0, 2)
         assert math.isclose(np.linalg.norm(d2), 1.0 / R, rel_tol=1e-12)
 
     def test_fd_matches_analytic_all_families(self):
@@ -62,10 +62,10 @@ class TestDerivative:
             lo, hi = c.domain
             for u in rng.uniform(lo + 0.5, hi - 0.5, 8):
                 for order in (1, 2, 3):
-                    ex = c.derivative(float(u), order)
+                    ex = derivative(c, float(u), order)
                     fd = _fd_derivative(c.points, np.array([u]), order, DEFAULT_STEPS[order])[0]
                     assert np.max(np.abs(ex - fd)) <= 1e-6, (name, order)
-                ex = c.derivative(float(u), 4)
+                ex = derivative(c, float(u), 4)
                 fd = _fd_derivative(c.points, np.array([u]), 4, DEFAULT_STEPS[4])[0]
                 assert np.max(np.abs(ex - fd)) <= 1e-4, name
 
@@ -73,14 +73,14 @@ class TestDerivative:
         base = torus_curve(0.6, 1.0, 0.4, 2.0)
         plain = ParametricCurve(4, base.points, base.domain)  # no analytic derivatives
         with pytest.raises(ValueError, match="margin"):
-            plain.derivative(1e-5, 3)
+            derivative(plain, 1e-5, 3)
 
     def test_order_validation(self):
         c = circle3(1.0)
         with pytest.raises(ValueError):
-            c.derivative(1.0, 0)
+            derivative(c, 1.0, 0)
         with pytest.raises(ValueError):
-            c.derivative(1.0, 5)
+            derivative(c, 1.0, 5)
 
 
 class TestArcLength:
@@ -138,8 +138,7 @@ class TestReparameterize:
 
     def test_angle_circle_becomes_unit_speed(self):
         c = circle3(2.0, mode="angle")
-        ok, dev = is_unit_speed(c, 1e-6)
-        assert not ok
+        assert not c.is_unit_speed
         table = ArcLengthTable.build(c, *c.domain, 128)
         assert abs(table.total - 4 * math.pi) <= 1e-8
         s = np.linspace(0.0, table.total, 17)
@@ -155,7 +154,8 @@ class TestReparameterize:
 
 class TestIsUnitSpeed:
     def test_torus_is_unit_speed(self):
-        ok, dev = is_unit_speed(torus_curve(0.6, 1.0, 0.4, 2.0), 1e-9)
+        c = torus_curve(0.6, 1.0, 0.4, 2.0)
+        ok, dev = c.is_unit_speed, c.unit_speed_deviation
         assert ok and dev < 1e-12
 
     def test_scaled_curve_fails(self):
@@ -163,13 +163,13 @@ class TestIsUnitSpeed:
             [[0.0, 1.2], [0.0, 0.0], [0.0, 0.0, 0.8], [0.0, 0.0, 0.0]],
             [[0.0, 0.0], [0.0, 1.2], [0.0, 0.0, 0.0], [0.0, 0.0, 0.8]],
         )
-        ok, dev = is_unit_speed(doubled, 1e-6)
+        ok, dev = doubled.is_unit_speed, doubled.unit_speed_deviation
         assert not ok
         assert abs(dev - 1.0) <= 1e-9
 
     def test_constant_curve_fails(self):
         c = fourier_curve([[0.5], [0.0], [0.0]], [[0.0], [0.0], [0.0]])
-        ok, dev = is_unit_speed(c, 1e-6)
+        ok, dev = c.is_unit_speed, c.unit_speed_deviation
         assert not ok
         assert abs(dev - 1.0) <= 1e-12
 
