@@ -9,6 +9,7 @@ numeric output is fully deterministic.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -115,9 +116,20 @@ _parser = functools.cache(build_parser)
 
 # -- input loading ---------------------------------------------------------------
 
+@contextlib.contextmanager
+def _json_depth():
+    """Report a JSON document nested deeper than the parser can recurse as
+    malformed input (the parser recurses once per nesting level)."""
+    try:
+        yield
+    except RecursionError as exc:
+        raise ValueError(f"JSON nested too deeply: {exc}") from exc
+
+
 def _load_curve(path: str) -> ParametricCurve:
     try:
-        spec = CurveSpec.from_file(path)
+        with _json_depth():
+            spec = CurveSpec.from_file(path)
         return spec.build()
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot load curve spec {path!r}: {exc}") from exc
@@ -125,11 +137,12 @@ def _load_curve(path: str) -> ParametricCurve:
 
 def _load_constants(text: str) -> BertrandConstants:
     try:
-        if text.strip().startswith("{"):
-            data = json.loads(text)
-        else:
-            with open(text, "r", encoding="utf-8") as fh:
-                data = json.load(fh)
+        with _json_depth():
+            if text.strip().startswith("{"):
+                data = json.loads(text)
+            else:
+                with open(text, "r", encoding="utf-8") as fh:
+                    data = json.load(fh)
         return BertrandConstants.from_json_dict(data)
     except (OSError, ValueError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot load constants: {exc}") from exc

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -269,6 +269,16 @@ def arc_length(curve: ParametricCurve, u0: float, u1: float) -> float:
     return ArcLengthTable.build(curve, u0, u1, TABLE_PANELS).total
 
 
+@cache
+def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the ``degree``-point Gauss-Legendre rule, computed once
+    per process; read-only, as every table shares them."""
+    rule = np.polynomial.legendre.leggauss(degree)
+    for array in rule:
+        array.flags.writeable = False
+    return rule
+
+
 def _node_speeds(speed, a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
     """Half-widths of the intervals [a_i, b_i] and the speeds at their Gauss nodes."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
@@ -303,7 +313,7 @@ class ArcLengthTable:
     def build(cls, curve: ParametricCurve, u0: float, u1: float, panels: int) -> "ArcLengthTable":
         if panels < 2:
             raise ValueError("need at least 2 panels")
-        nodes, weights = np.polynomial.legendre.leggauss(cls.GAUSS_DEGREE)
+        nodes, weights = _gauss_legendre(cls.GAUSS_DEGREE)
         speed = curve.speeds
         edges = np.linspace(u0, u1, panels + 1)
         half, speeds = _node_speeds(speed, edges[:-1], edges[1:], nodes)

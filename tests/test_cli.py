@@ -164,6 +164,16 @@ class TestFrameCommand:
         bad.write_text("{not json at all")
         code = main(["frame", "--curve", str(bad), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+        # Nested deeper than the JSON parser can recurse, as the curve or the spatial curve.
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
+        torus = write_json(tmp_path, "torus.json", TORUS_DOC)
+        for inputs in (["--curve", str(deep)], ["--curve", torus, "--spatial", str(deep)]):
+            capsys.readouterr()
+            code = main(["frame", *inputs, "--out", str(tmp_path / "x.csv")])
+            assert code == 2
+            assert "cannot load curve spec" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     def test_missing_file_exit2(self, tmp_path):
         code = main(["frame", "--curve", str(tmp_path / "nope.json"),
@@ -357,6 +367,16 @@ class TestBertrandCommands:
         assert code == 2
         assert "invalid constants document" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
+    def test_constants_nested_too_deeply_exit2(self, tmp_path, torus_spec, capsys, inline):
+        document = '{"a": ' + "[" * 5000
+        if not inline:
+            (tmp_path / "deep.json").write_text(document)
+            document = str(tmp_path / "deep.json")
+        code = main(["bertrand", "check", "--curve", torus_spec, "--constants", document])
+        assert code == 2
+        assert "cannot load constants: JSON nested too deeply" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_verify_deterministic_and_passing(self, tmp_path, torus_spec, capsys):
@@ -461,7 +481,8 @@ def test_non_finite_grid_bound_exit2(tmp_path, torus_spec, capsys, bound):
 
 # Runs each command line of the JSON list in argv[1] through one fresh
 # interpreter's ``main``, then reports the exit codes, the stdout of each
-# command and whether SciPy was imported.
+# command and whether SciPy and each module kept off the start-up path were
+# imported.
 FRESH_CLI = """
 import contextlib, io, json, sys
 from quatcurves.cli import main
@@ -470,7 +491,8 @@ for argv in json.loads(sys.argv[1]):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
         results.append([main(argv), out.getvalue()])
-print(json.dumps({"results": results, "scipy": "scipy" in sys.modules}))
+modules = {name: name in sys.modules for name in ("scipy", "numpy.polynomial", "fractions", "decimal")}
+print(json.dumps({"results": results, **modules}))
 """
 
 
@@ -498,6 +520,8 @@ def test_analytic_commands_start_without_scipy(tmp_path):
     assert run["results"][2][1] == run["results"][0][1]
     assert (tmp_path / "b.csv").read_bytes() == (tmp_path / "a.csv").read_bytes()
     assert not run["scipy"]
+    # The formatter's tables and the Gauss-Legendre rule are built on first use.
+    assert not (run["numpy.polynomial"] or run["fractions"] or run["decimal"])
     # Nor does the arc-length grid of a curve that is not unit speed.
     fast = run_fresh_cli(tmp_path, [["frame", "--curve", "fast.json", "--samples", "11",
                                      "--out", "f.csv"]])
