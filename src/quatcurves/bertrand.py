@@ -35,6 +35,7 @@ from .frames import (  # noqa: F401
     Frames4,
     _derivative_frame,
     _intrinsic_basis,
+    _pair_frames,
     _profile,
     curvature_profile,
     frame4_intrinsic,
@@ -312,13 +313,6 @@ def fit_constants(
 ConstantsLike = Union[BertrandConstants, tuple[float, float]]
 
 
-def _offset_ab(consts: ConstantsLike) -> tuple[float, float]:
-    if isinstance(consts, BertrandConstants):
-        return consts.a, consts.b
-    a, b = consts
-    return float(a), float(b)
-
-
 def construct_mate(
     alpha4: ParametricCurve,
     consts: ConstantsLike,
@@ -328,25 +322,25 @@ def construct_mate(
 
     N1 and N3 come from the intrinsic frame of ``alpha4``, or from the
     pair-built frame when the associated spatial curve ``curve3`` is given.
-    The result stays parameterized by the base parameter ``s`` and is NOT
-    unit speed; the oracle in :func:`verify_mate` reads its curvatures in
-    that parameter.  Its domain is the base domain less the order-3 reach
+    Each evaluation (a block of at most ``ROW_BLOCK`` rows) reads one jet of
+    ``alpha4``: its points and the derivatives the frame needs.  The result
+    stays parameterized by the base parameter ``s`` and is NOT unit speed;
+    the oracle in :func:`verify_mate` reads its curvatures in that
+    parameter.  Its domain is the base domain less the order-3 reach
     ``alpha4.fd_margin(3)`` at each end.  ``consts`` may be a plain
     ``(a, b)`` pair so that degenerate offsets remain testable.
     """
-    a, b = _offset_ab(consts)
-    if curve3 is None:
-        def n1_n3(s: np.ndarray):
-            _, n1, _, n3, _ = _intrinsic_basis(alpha4, s)
-            return n1, n3
-    else:
-        def n1_n3(s: np.ndarray):
-            f = frames4(alpha4, s, curve3)
-            return f.N1, f.N3
+    a, b = (consts.a, consts.b) if isinstance(consts, BertrandConstants) else map(float, consts)
 
     def evaluate(s: np.ndarray) -> np.ndarray:
-        n1, n3 = n1_n3(s)
-        return alpha4.points(s) + a * n1 + b * n3
+        if curve3 is None:
+            x, *derivs = alpha4.jet(s, (0, 1, 2, 3))
+            _, n1, _, n3, _ = _intrinsic_basis(*derivs)
+        else:
+            x, *derivs = alpha4.jet(s, (0, 1, 2))
+            f = _pair_frames(alpha4, curve3, s, derivs)
+            n1, n3 = f.N1, f.N3
+        return x + a * n1 + b * n3
 
     lo, hi = alpha4.domain
     margin = alpha4.fd_margin(3)
@@ -489,8 +483,9 @@ def verify_mate(
     parameter); (v) curvature comparison in absolute value; (vi) span
     check that the oracle N1bar/N3bar (units 1 and 3) stay in span{N1, N3}.
     The base frames are computed once, and the later stages hold to
-    ``VERIFY_TOLERANCES``.  Stage failures are recorded in the report, not
-    thrown.
+    ``VERIFY_TOLERANCES``.  Each stage evaluates the mate once: points for
+    the distance, the order-1 stencil for the speed, one jet of orders 1-4
+    for the oracle.  Stage failures are recorded in the report, not thrown.
     """
     grid = np.asarray(list(grid), dtype=float)
     # The base frames are those the mate is built from: pointwise, from
@@ -539,7 +534,7 @@ def verify_mate(
             K, -torsion, K - bitorsion, consts
         )
         s = grid[usable]
-        units, rho = _derivative_frame([mate.derivatives(s, n) for n in range(1, 5)])
+        units, rho = _derivative_frame(list(mate.jet(s, (1, 2, 3, 4))))
         report.curvature_deviation = float(max(
             np.max(np.abs(rho[1] / rho[0] ** 2 - kbar)),
             np.max(np.abs(rho[2] / (rho[0] * rho[1]) - np.abs(torsion_bar))),

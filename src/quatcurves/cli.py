@@ -44,8 +44,9 @@ EXIT_DEGENERACY = 3
 EXIT_FIT = 4
 
 # Largest --samples.  At this size verify, the heaviest command, peaks near
-# 300 MB (about 3 kB per grid point), so no size it admits fails to
-# allocate on an ordinary machine.
+# 185 MB (about 1.8 kB per grid point; the mate is evaluated in blocks of
+# curves.ROW_BLOCK rows), and CI fails it above 300 MB, so no size it
+# admits fails to allocate on an ordinary machine.
 MAX_SAMPLES = 100_000
 
 

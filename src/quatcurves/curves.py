@@ -4,17 +4,24 @@ Curves evaluate whole grids: a parameter array of shape ``(n,)`` maps to
 an ``(n, 4)`` array whose rows hold quaternion components
 ``(q0, q1, q2, q3)``; curves of dimension 3 keep ``q0 == 0`` (spatial
 quaternions).  Row ``i`` depends on parameter ``i`` alone, so ``point``
-and :func:`derivative` evaluate a length-1 grid and return its row.  The
-module provides high-order differentiation (analytic when the family
-ships derivatives, central finite differences with one Richardson
-extrapolation level otherwise) and a cumulative arc-length table whose
-Newton inversion maps arc lengths to parameters.
+and :func:`derivative` evaluate a length-1 grid and return its row.
+
+``curve.jet(s, orders)`` returns the points (order 0) and derivatives of
+all requested orders as one ``(len(orders), n, 4)`` array.  A built-in
+family is one jet function, which evaluates each trigonometric term once
+for all orders; other curves (the Bertrand mate) take central finite
+differences with one Richardson level, from one ``points`` call on the
+shifted grids of all orders.  ``points`` evaluates in blocks of at most
+``ROW_BLOCK`` rows: that bounds the memory and, rows being independent,
+changes no bit.  A cumulative arc-length table, inverted by Newton steps,
+maps arc lengths to parameters.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import reprlib
 from dataclasses import dataclass, field
 from functools import cache, cached_property
 from typing import Callable, Optional
@@ -39,6 +46,7 @@ __all__ = [
     "NEWTON_STEPS",
     "TABLE_PANELS",
     "UNIT_SPEED_TOL",
+    "ROW_BLOCK",
 ]
 
 # Default finite-difference steps per derivative order; chosen to balance
@@ -61,18 +69,27 @@ NEWTON_STEPS = 8
 # Panels of the arc-length table a curve keeps for its whole domain.
 TABLE_PANELS = 256
 
+# Most rows one call of a curve's evaluation receives; a finite-difference
+# jet of four orders asks for 22 shifted rows per grid point.
+ROW_BLOCK = 1 << 15
+
 _TWO_PI = 2.0 * math.pi
+
+
+def _quote(value) -> str:
+    """``repr(value)`` in at most 80 characters, however large or deep the value."""
+    return reprlib.repr(value)[:80]
 
 
 def _number(value, name: str) -> float:
     """A JSON number as a float; strings, booleans, NaN and infinities are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise TypeError(f"{name} must be a finite number, not {value!r}")
+        raise TypeError(f"{name} must be a finite number, not {_quote(value)}")
     return float(value)
 
 
 def _require_finite(values: np.ndarray, s: np.ndarray, what: str):
-    bad = ~np.all(np.isfinite(values), axis=-1)
+    bad = ~np.all(np.isfinite(values), axis=(0, -1) if values.ndim == 3 else -1)  # jet: any order
     if np.any(bad):
         raise ValueError(f"{what} at u={float(s[bad][0])!r}")
 
@@ -85,8 +102,9 @@ class ParametricCurve:
     dim : 3 or 4
     evaluate : callable mapping a parameter grid ``(n,)`` to ``(n, 4)``
     domain : (u_min, u_max)
-    derivatives : optional callable ``(s, order) -> (n, 4)`` for orders 1..4;
-        validated against finite differences of ``evaluate`` on construction.
+    derivatives : optional jet callable ``(s, orders) -> (len(orders), n, 4)``, row
+        ``k`` of order ``orders[k]`` (0..4, 0 being the points); validated
+        against finite differences of ``evaluate`` on construction.
     """
 
     def __init__(
@@ -94,7 +112,7 @@ class ParametricCurve:
         dim: int,
         evaluate: Callable[[np.ndarray], np.ndarray],
         domain: tuple[float, float],
-        derivatives: Optional[Callable[[np.ndarray, int], np.ndarray]] = None,
+        derivatives: Optional[Callable[[np.ndarray, tuple[int, ...]], np.ndarray]] = None,
         name: str = "",
     ):
         if dim not in (3, 4):
@@ -120,12 +138,17 @@ class ParametricCurve:
             raise ValueError(f"parameter {float(s[outside][0])!r} outside domain [{lo}, {hi}]")
 
     def points(self, s) -> np.ndarray:
-        """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``."""
+        """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``;
+        ``evaluate`` receives blocks of at most ``ROW_BLOCK`` rows."""
         s = np.asarray(s, dtype=float)
         self._check_domain(s)
-        p = np.asarray(self._eval(s), dtype=float)
-        if p.shape != (len(s), 4):
-            raise ValueError("curve evaluation must return 4 quaternion components")
+        p = np.empty((len(s), 4))
+        for i in range(0, len(s), ROW_BLOCK):
+            rows = s[i:i + ROW_BLOCK]
+            block = np.asarray(self._eval(rows), dtype=float)
+            if block.shape != (len(rows), 4):
+                raise ValueError("curve evaluation must return 4 quaternion components")
+            p[i:i + ROW_BLOCK] = block
         _require_finite(p, s, "curve evaluation is not finite")
         return p
 
@@ -136,33 +159,41 @@ class ParametricCurve:
     def has_analytic_derivatives(self) -> bool:
         return self._derivs is not None
 
-    def derivatives(self, s, order: int) -> np.ndarray:
-        """Derivatives of ``order`` (1..4) at every parameter of the grid ``s``, as ``(n, 4)``.
+    def jet(self, s, orders) -> np.ndarray:
+        """Points (order 0) and derivatives of the ``orders`` (0..4) on the grid ``s``,
+        as ``(len(orders), n, 4)``; row ``k`` is ``jet(s, (orders[k],))[0]`` bit for bit.
 
-        Uses the analytic derivative when the curve carries one, otherwise
-        central finite differences of the stated order with step
-        ``DEFAULT_STEPS[order]`` and one Richardson extrapolation level, which
-        needs every parameter at least ``fd_margin(order)`` inside the
-        domain.  Deterministic for fixed inputs.
+        One call of the analytic jet when the curve carries one, else central
+        differences with step ``DEFAULT_STEPS[order]`` and one Richardson level
+        from one ``points`` call, at least ``fd_margin(order)`` inside the domain.
         """
-        if not 1 <= order <= 4:
-            raise ValueError("derivative order must be between 1 and 4")
+        if not all(0 <= order <= 4 for order in orders):
+            raise ValueError("derivative orders must be between 0 and 4")
         s = np.asarray(s, dtype=float)
         if self.has_analytic_derivatives:
             self._check_domain(s)
-            d = np.asarray(self._derivs(s, order), dtype=float)
+            d = np.asarray(self._derivs(s, orders), dtype=float)
+            if d.shape != (len(orders), len(s), 4):
+                raise ValueError("a derivative jet must return one (n, 4) array per order")
         else:
             lo, hi = self.domain
-            margin = self.fd_margin(order)
-            short = (s - margin < lo) | (s + margin > hi)
-            if np.any(short):
-                raise ValueError(
-                    f"parameter {float(s[short][0])!r} violates the differentiation margin "
-                    f"{margin:.3g} for order {order} on [{lo}, {hi}]"
-                )
-            d = _fd_derivative(self.points, s, order, DEFAULT_STEPS[order])
+            for order in (order for order in orders if order):
+                margin = self.fd_margin(order)
+                short = (s - margin < lo) | (s + margin > hi)
+                if np.any(short):
+                    raise ValueError(
+                        f"parameter {float(s[short][0])!r} violates the differentiation margin "
+                        f"{margin:.3g} for order {order} on [{lo}, {hi}]"
+                    )
+            d = _fd_jet(self.points, s, orders)
         _require_finite(d, s, "derivative is not finite")
         return d
+
+    def derivatives(self, s, order: int) -> np.ndarray:
+        """Derivatives of ``order`` (1..4) on the grid ``s``: the one-order :meth:`jet`."""
+        if not 1 <= order <= 4:
+            raise ValueError("derivative order must be between 1 and 4")
+        return self.jet(s, (order,))[0]
 
     def speeds(self, s) -> np.ndarray:
         return norm(self.derivatives(s, 1))
@@ -192,20 +223,29 @@ class ParametricCurve:
     def _validate_derivatives(self):
         lo, hi = self.domain
         margin = _fd_reach(2) + 1e-9 * (hi - lo)
-        rng = np.random.default_rng(20240831)
-        us = rng.uniform(lo + margin, hi - margin, size=10)
+        if not lo + margin <= hi - margin:
+            raise ValueError(f"domain [{lo}, {hi}] is too short for the derivative check")
+        # The doubles of default_rng(20240831).uniform(lo + margin, hi - margin, 10).
+        us = (lo + margin) + ((hi - margin) - (lo + margin)) * _validation_draws()
+        points, *fd = _fd_jet(self.points, us, (0, 1, 2))
         # The stencils' round-off grows with the size of the points, so the
         # bound does too (it is 1e-6 on curves of unit size).
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(self.points(us)))))
-        for order in (1, 2):
-            exact = np.asarray(self._derivs(us, order), dtype=float)
-            fd = _fd_derivative(self.points, us, order, DEFAULT_STEPS[order])
-            off = np.max(np.abs(exact - fd), axis=-1) > tol
+        tol = 1e-6 * max(1.0, float(np.max(np.abs(points))))
+        for order, exact, approx in zip((1, 2), self.jet(us, (1, 2)), fd):
+            off = np.max(np.abs(exact - approx), axis=-1) > tol
             if np.any(off):
                 raise ValueError(
                     "analytic derivatives disagree with finite differences "
                     f"(order {order} at u={us[off][0]:.6g})"
                 )
+
+
+@cache
+def _validation_draws() -> np.ndarray:
+    """Uniforms placing the derivative check's points; drawn once, shared read-only."""
+    draws = np.random.default_rng(20240831).random(10)
+    draws.flags.writeable = False
+    return draws
 
 
 # -- differentiation ---------------------------------------------------------
@@ -236,20 +276,31 @@ def _central_stencil(v: Callable[[float], np.ndarray], order: int, h: float) -> 
     return (v(2) - 4.0 * v(1) + 6.0 * v(0) - 4.0 * v(-1) + v(-2)) / h**4
 
 
-def _fd_derivative(f: Callable, u: np.ndarray, order: int, h: float) -> np.ndarray:
-    """Richardson-central derivative of ``f`` of ``order`` on the grid ``u``, base step ``h``.
+def _fd_jet(f: Callable, u: np.ndarray, orders, steps=DEFAULT_STEPS) -> np.ndarray:
+    """``f`` (order 0) and its Richardson-central derivatives of the ``orders`` on ``u``,
+    base step ``steps[n]``, as ``(len(orders), len(u), ...)``; ``f`` maps ``(m,)`` to
+    ``(m, ...)`` and is called once, on the shifted grids of all orders stacked."""
+    shifts = [_FD_SHIFTS.get(n, (0.0,)) for n in orders]  # order 0 samples u itself
+    grids = [u + k * steps[n] if n else u for n, ks in zip(orders, shifts) for k in ks]
+    values = np.split(f(np.concatenate(grids)), len(grids))
+    jet = []
+    for n, ks in zip(orders, shifts):
+        at, values = dict(zip(ks, values)), values[len(ks):]
+        if not n:
+            jet.append(at[0.0])
+            continue
+        # One Richardson level: the central stencils are O(h^2), so the
+        # combination (4 D(h/2) - D(h)) / 3 cancels the leading error term.
+        d_h = _central_stencil(lambda k: at[k], n, steps[n])
+        d_h2 = _central_stencil(lambda k: at[k / 2], n, steps[n] / 2.0)
+        jet.append((4.0 * d_h2 - d_h) / 3.0)
+    return np.stack(jet)
 
-    ``f`` maps a parameter array ``(m,)`` to ``(m, ...)`` and is called
-    once, on all shifted grids stacked.
-    """
-    shifts = _FD_SHIFTS[order]
-    values = np.split(f(np.concatenate([u + k * h for k in shifts])), len(shifts))
-    at = dict(zip(shifts, values))
-    # One Richardson level: the central stencils are O(h^2), so the
-    # combination (4 D(h/2) - D(h)) / 3 cancels the leading error term.
-    d_h = _central_stencil(lambda k: at[k], order, h)
-    d_h2 = _central_stencil(lambda k: at[k / 2], order, h / 2.0)
-    return (4.0 * d_h2 - d_h) / 3.0
+
+def _fd_derivative(f: Callable, u: np.ndarray, order: int, h: float) -> np.ndarray:
+    """Richardson-central derivative of ``f`` of ``order`` on the grid ``u``, base
+    step ``h``: the one-order :func:`_fd_jet`."""
+    return _fd_jet(f, u, (order,), {order: h})[0]
 
 
 def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
@@ -375,6 +426,22 @@ class ArcLengthTable:
 
 
 # -- curve families -----------------------------------------------------------
+# d^n/du^n cos(wu) = w^n cos(wu + n*pi/2), the same shift for sin: one call on
+# the stacked shifted arguments serves every order, each row keeping the
+# arithmetic of its order alone.
+
+def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
+    """A curve whose points are the order-0 row of its analytic ``jet``."""
+    return ParametricCurve(dim, lambda u: jet(u, (0,))[0], domain, jet, name=name)
+
+
+def _phases(orders) -> np.ndarray:
+    return np.array([n * math.pi / 2.0 for n in orders])[:, None]
+
+
+def _scales(c: float, w: float, powers) -> np.ndarray:
+    return np.array([c * w**n for n in powers])[:, None]
+
 
 def torus_curve(A: float, p: float, B: float, q: float,
                 domain: tuple[float, float] = (0.0, _TWO_PI)) -> ParametricCurve:
@@ -385,21 +452,14 @@ def torus_curve(A: float, p: float, B: float, q: float,
     if abs(A * A * p * p + B * B * q * q - 1.0) > 1e-12:
         raise ValueError("torus_curve parameters must satisfy A^2 p^2 + B^2 q^2 = 1")
 
-    def grid(u, n=0):
-        # d^n/du^n cos(pu) = p^n cos(pu + n*pi/2), same phase shift for sin;
-        # order 0 is the curve itself.
-        ph = n * math.pi / 2.0
-        return np.stack(
-            [
-                A * p**n * np.cos(p * u + ph),
-                A * p**n * np.sin(p * u + ph),
-                B * q**n * np.cos(q * u + ph),
-                B * q**n * np.sin(q * u + ph),
-            ],
-            axis=-1,
-        )
+    def jet(u, orders):
+        ph = _phases(orders)
+        pu, qu = p * u + ph, q * u + ph
+        sa, sb = _scales(A, p, orders), _scales(B, q, orders)
+        return np.stack([sa * np.cos(pu), sa * np.sin(pu), sb * np.cos(qu), sb * np.sin(qu)],
+                        axis=-1)
 
-    return ParametricCurve(4, grid, domain, grid, name="torus_curve")
+    return _family(4, jet, domain, "torus_curve")
 
 
 def circle3(R: float, mode: str = "arclength",
@@ -417,14 +477,12 @@ def circle3(R: float, mode: str = "arclength",
     if domain is None:
         domain = (0.0, _TWO_PI * R) if mode == "arclength" else (0.0, _TWO_PI)
 
-    def grid(u, n=0):
-        ph = n * math.pi / 2.0
-        zero = np.zeros_like(u)
-        return np.stack(
-            [zero, R * w**n * np.cos(w * u + ph), R * w**n * np.sin(w * u + ph), zero], axis=-1
-        )
+    def jet(u, orders):
+        wu, scale = w * u + _phases(orders), _scales(R, w, orders)
+        zero = np.zeros_like(wu)
+        return np.stack([zero, scale * np.cos(wu), scale * np.sin(wu), zero], axis=-1)
 
-    return ParametricCurve(3, grid, domain, grid, name="circle3")
+    return _family(3, jet, domain, "circle3")
 
 
 def helix3(a: float, h: float,
@@ -439,20 +497,14 @@ def helix3(a: float, h: float,
     if domain is None:
         domain = (0.0, _TWO_PI * c)
 
-    def grid(u, n=0):
-        ph = n * math.pi / 2.0
-        rise = h * u / c if n == 0 else np.full_like(u, h / c if n == 1 else 0.0)
-        return np.stack(
-            [
-                np.zeros_like(u),
-                a * c**-n * np.cos(u / c + ph),
-                a * c**-n * np.sin(u / c + ph),
-                rise,
-            ],
-            axis=-1,
-        )
+    def jet(u, orders):
+        angle, scale = u / c + _phases(orders), _scales(a, c, [-n for n in orders])
+        rise = np.stack([h * u / c if n == 0 else np.full_like(u, h / c if n == 1 else 0.0)
+                         for n in orders])
+        return np.stack([np.zeros_like(angle), scale * np.cos(angle), scale * np.sin(angle),
+                         rise], axis=-1)
 
-    return ParametricCurve(3, grid, domain, grid, name="helix3")
+    return _family(3, jet, domain, "helix3")
 
 
 def fourier_curve(
@@ -479,32 +531,23 @@ def fourier_curve(
     dim = ncoords
     offset = 0 if dim == 4 else 1
 
-    def coord(u, i, n):
-        total = np.zeros_like(u)
-        ph = n * math.pi / 2.0
-        for m, c in enumerate(cos_c[i]):
-            if c:
-                total = total + (c * float(m) ** n * np.cos(m * u + ph) if n
-                                 else c * np.cos(m * u))
-        for m, s in enumerate(sin_c[i]):
-            if s:
-                total = total + (s * float(m) ** n * np.sin(m * u + ph) if n
-                                 else s * np.sin(m * u))
-        if lin[i]:
-            if n == 0:
-                total = total + lin[i] * u
-            elif n == 1:
-                total = total + lin[i]
-        return total
-
-    def grid(u, n=0):
-        # Order 0 is the curve itself.
-        out = np.zeros((len(u), 4))
+    def jet(u, orders):
+        ph = _phases(orders)
+        out = np.zeros((len(orders), len(u), 4))
         for i in range(ncoords):
-            out[:, offset + i] = coord(u, i, n)
+            # Terms in coefficient order, the drift last, as order by order.
+            total = np.zeros((len(orders), len(u)))
+            for coeffs, trig in ((cos_c[i], np.cos), (sin_c[i], np.sin)):
+                for m, c in enumerate(coeffs):
+                    if c:
+                        total = total + _scales(c, float(m), orders) * trig(m * u + ph)
+            for j, n in enumerate(orders):
+                if lin[i] and n < 2:
+                    total[j] = total[j] + (lin[i] * u if n == 0 else lin[i])
+            out[:, :, offset + i] = total
         return out
 
-    return ParametricCurve(dim, grid, domain, grid, name="fourier")
+    return _family(dim, jet, domain, "fourier")
 
 
 # -- curve specifications ------------------------------------------------------
@@ -531,7 +574,7 @@ class CurveSpec:
             raise ValueError("curve spec must be a JSON object")
         family = data.get("family")
         if family not in _FAMILIES:
-            raise ValueError(f"unknown curve family {family!r}; expected one of {_FAMILIES}")
+            raise ValueError(f"unknown curve family {_quote(family)}; expected one of {_FAMILIES}")
         params = data.get("params")
         if not isinstance(params, dict):
             raise ValueError("curve spec needs a 'params' object")

@@ -247,8 +247,7 @@ def frames3(curve: ParametricCurve, s) -> Frames3:
     """
     if curve.dim != 3:
         raise ValueError(f"the spatial curve must have dimension 3, not {curve.dim}")
-    s = np.asarray(s, dtype=float)
-    d1, d2, d3 = (curve.derivatives(s, order) for order in (1, 2, 3))
+    d1, d2, d3 = curve.jet(s, (1, 2, 3))
     (t, n), (rho0, rho1) = _derivative_frame([d1, d2])
     b = mul(t, n)
     r = inner(_orthogonalize(d3, [t, n]), b) / (rho0 * rho1)
@@ -262,9 +261,9 @@ def frame3_at(curve: ParametricCurve, s: float) -> Frames3:
 
 # -- intrinsic R^4 frame ----------------------------------------------------------
 
-def _intrinsic_basis(curve: ParametricCurve, s: np.ndarray):
-    """Rows T, N1, N2, N3 of the intrinsic frame and the norms rho_0, rho_1, rho_2."""
-    (T, N1, e3), rhos = _derivative_frame([curve.derivatives(s, order) for order in (1, 2, 3)])
+def _intrinsic_basis(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
+    """Rows T, N1, N2, N3 of the intrinsic frame of d1, d2, d3 and the norms rho_0..2."""
+    (T, N1, e3), rhos = _derivative_frame([d1, d2, d3])
     N2 = -e3
     return T, N1, N2, _oriented_complement(T, N1, N2), rhos
 
@@ -283,9 +282,9 @@ def _intrinsic_frames(curve: ParametricCurve, s) -> Frames4:
     """
     if curve.dim != 4:
         raise ValueError(f"the R^4 curve must have dimension 4, not {curve.dim}")
-    s = np.asarray(s, dtype=float)
-    T, N1, N2, N3, (rho0, rho1, rho2) = _intrinsic_basis(curve, s)
-    d4 = _orthogonalize(curve.derivatives(s, 4), [T, N1, N2])
+    d1, d2, d3, d4 = curve.jet(s, (1, 2, 3, 4))
+    T, N1, N2, N3, (rho0, rho1, rho2) = _intrinsic_basis(d1, d2, d3)
+    d4 = _orthogonalize(d4, [T, N1, N2])
     return Frames4(T=T, N1=N1, N2=N2, N3=N3, K=rho1 / rho0**2, torsion=-rho2 / (rho0 * rho1),
                    bitorsion=-inner(d4, N3) / (rho0 * rho2))
 
@@ -314,19 +313,22 @@ def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
     return table.parameters_at(lengths)
 
 
-def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s) -> Frames4:
+def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s,
+                 derivs: Optional[Sequence[np.ndarray]] = None) -> Frames4:
     """R^4 frames built from the spatial frames of an associated curve.
 
     ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with (t, n, b) the spatial
     frame of ``curve3`` at the same arc length (the same parameter when
     both curves are unit speed).  Torsion and bitorsion are read from the
     frame-ODE projections h(N1', N2) and h(N2', N3) per arc length.
+    ``derivs``, if given, is ``curve4.jet(s, (1, 2))``, read by the caller.
     """
     if curve4.dim != 4:
         raise ValueError(f"the R^4 curve must have dimension 4, not {curve4.dim}")
     s = np.asarray(s, dtype=float)
     f3 = frames3(curve3, _spatial_parameters(curve4, curve3, s))
-    (T, n1), (rho0, rho1) = _derivative_frame([curve4.derivatives(s, order) for order in (1, 2)])
+    d1, d2 = curve4.jet(s, (1, 2)) if derivs is None else derivs
+    (T, n1), (rho0, rho1) = _derivative_frame([d1, d2])
     K = rho1 / rho0**2
     N1 = mul(f3.b, T)
     N2 = mul(f3.n, T)

@@ -202,6 +202,17 @@ class TestFrameCommand:
         assert "cannot load curve spec" in capsys.readouterr().err
         assert not (tmp_path / "x.csv").exists()
 
+    def test_deeply_nested_coefficient_short_message_exit2(self, tmp_path, capsys):
+        # The offending value is quoted in a bounded form, not in full.
+        nested = json.loads("[" * 900 + "1" + "]" * 900)
+        doc = {**LINE_DOC, "params": {"coeffs": {"cos": [nested, [0.0], [0.0]],
+                                                 "sin": [[0.0], [0.0], [0.0]]}}}
+        spec = write_json(tmp_path, "deep.json", doc)
+        assert main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert "cos must be a finite number" in err
+
     @pytest.mark.parametrize("command, message", [
         (["frame", "--curve", "torus.json", "--spatial", "torus.json", "--out", "x.csv"],
          "the spatial curve must have dimension 3, not 4"),
@@ -367,6 +378,14 @@ class TestBertrandCommands:
         assert code == 2
         assert "invalid constants document" in capsys.readouterr().err
 
+    def test_deeply_nested_constant_short_message_exit2(self, torus_spec, capsys):
+        document = '{"a": ' + "[" * 900 + "1" + "]" * 900 + ', "b": 1, "c": 0, "d": 0.72}'
+        code = main(["bertrand", "check", "--curve", torus_spec, "--constants", document])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 300
+        assert "a must be a finite number" in err
+
     @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
     def test_constants_nested_too_deeply_exit2(self, tmp_path, torus_spec, capsys, inline):
         document = '{"a": ' + "[" * 5000
@@ -415,6 +434,37 @@ class TestVerifyCommand:
         doc = json.loads(report.read_text())
         assert doc["verdict"] is False
         assert doc["conditions"]["curvature_relation"]["pass"] is False
+
+    @pytest.mark.parametrize("pair, options, errors", [
+        (False, ["--samples", "5", "--s0", "0", "--s1", "0.07"],
+         ["oracle: no grid points admit the finite-difference margins"]),
+        (False, ["--samples", "5", "--s0", "0", "--s1", "0.0001"],
+         ["mate speed: no grid points admit the finite-difference margin",
+          "oracle: no grid points admit the finite-difference margins"]),
+        (True, ["--samples", "11", "--s0", "0.5", "--s1", "2.99"],
+         ["oracle frame: parameter 3.0100000000000002 outside domain [0.0, 3.0]"]),
+        (True, ["--samples", "11", "--s0", "0.5", "--s1", "3.0"],
+         ["mate speed: parameter 3.00005 outside domain [0.0, 3.0]",
+          "oracle frame: parameter 3.00005 outside domain [0.0, 3.0]"]),
+    ], ids=["oracle-margin", "speed-and-oracle-margin", "oracle-domain",
+            "speed-and-oracle-domain"])
+    def test_stage_errors_name_their_stage(self, tmp_path, torus_spec, capsys, pair, options,
+                                           errors):
+        # Each stage that cannot run records its own error: too short a grid
+        # for the stencils' margins, or a stencil reaching past the end of a
+        # spatial curve cut to [0, 3].
+        if pair:
+            spatial = ["--spatial", write_json(tmp_path, "helix.json",
+                                               {**HELIX_DOC, "domain": [0.0, 3.0]})]
+            consts = PAIR_CONSTANTS
+        else:
+            spatial, consts = [], TORUS_CONSTANTS
+        report = tmp_path / "r.json"
+        code = main(["verify", "--curve", torus_spec, *spatial, "--constants",
+                     json.dumps(consts), "--report", str(report), *options])
+        assert code == 1
+        assert json.loads(report.read_text())["stage_errors"] == errors
+        assert capsys.readouterr().err.splitlines() == [f"stage error: {e}" for e in errors]
 
 
 @pytest.mark.parametrize("command", [

@@ -232,8 +232,16 @@ def test_analytic_derivative_validation_catches_mismatch():
     def evaluate(u):
         return np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)
 
-    def wrong_derivs(u, n):
-        return np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)  # ignores the order
+    def wrong_derivs(u, orders):
+        row = np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)
+        return np.stack([row] * len(orders))  # ignores the order
 
     with pytest.raises(ValueError, match="disagree"):
         ParametricCurve(3, evaluate, (0.0, 6.0), wrong_derivs)
+
+
+@pytest.mark.parametrize("domain", [(0.0, 0.005), (0.0, 0.003)])
+def test_domain_shorter_than_the_derivative_check_rejected(domain):
+    # The check samples at least the order-2 stencil's reach from each end.
+    with pytest.raises(ValueError, match="too short for the derivative check"):
+        torus_curve(0.6, 1.0, 0.4, 2.0, domain=domain)

@@ -46,10 +46,10 @@ def warped(curve):
     On a domain [0, 2*pi*m] the warp maps the domain onto itself with
     derivative at least 0.7, so the trace and its curvatures are unchanged.
     """
-    def grid(u, n=0):
+    def grid(u, orders=(0,)):
         w = (u + 0.3 * np.sin(u), 1.0 + 0.3 * np.cos(u), -0.3 * np.sin(u),
              -0.3 * np.cos(u), 0.3 * np.sin(u))
-        d = [curve.points(w[0])] + [curve.derivatives(w[0], k) for k in (1, 2, 3, 4)]
+        d = curve.jet(w[0], (0, 1, 2, 3, 4))
         # Faa di Bruno's formula up to order 4.
         terms = {
             0: [(d[0], 1.0)],
@@ -58,10 +58,10 @@ def warped(curve):
             3: [(d[3], w[1] ** 3), (d[2], 3.0 * w[1] * w[2]), (d[1], w[3])],
             4: [(d[4], w[1] ** 4), (d[3], 6.0 * w[1] ** 2 * w[2]),
                 (d[2], 3.0 * w[2] ** 2 + 4.0 * w[1] * w[3]), (d[1], w[4])],
-        }[n]
-        return sum(v * np.reshape(f, (-1, 1)) for v, f in terms)
+        }
+        return np.stack([sum(v * np.reshape(f, (-1, 1)) for v, f in terms[n]) for n in orders])
 
-    return ParametricCurve(curve.dim, grid, curve.domain, grid, name="warped")
+    return ParametricCurve(curve.dim, lambda u: grid(u)[0], curve.domain, grid, name="warped")
 
 
 class TestFrame3:
