@@ -10,11 +10,14 @@ offset ``a*N1 + b*N3`` exactly when constants a != 0, b != 0, c, d satisfy
 
 This module checks those conditions, fits the constants from curvature
 data, constructs the mate, evaluates its closed-form frame and curvature
-functions, and verifies the closed forms against curvatures read from
-finite-difference derivatives of the actual mate curve.  Curvatures are
-per arc length and frames pointwise, in the base curve's own parameter.
-Every closed form works on whole grids: curvatures as floats or arrays of
-one shape, the mate frame as a :class:`~quatcurves.frames.Frames4` record.
+functions, and verifies the closed forms against curvatures read from the
+exact derivatives of the actual mate curve.  Those derivatives are the
+Taylor coefficients of ``alpha + a*N1 + b*N3`` that series arithmetic
+(:mod:`quatcurves.series`) gives from one jet of the base curve, of
+orders 0-7; no finite difference enters.  Curvatures are per arc length
+and frames pointwise, in the base curve's own parameter.  Every closed
+form works on whole grids: curvatures as floats or arrays of one shape,
+the mate frame as a :class:`~quatcurves.frames.Frames4` record.
 """
 
 from __future__ import annotations
@@ -25,7 +28,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .curves import ParametricCurve, _number
+from . import series
+from .curves import ParametricCurve, _number, row_blocks
 from .errors import DegeneracyError, FitError
 # frame4_intrinsic and curvature_profile are not called here: they stay
 # bound as lookup sites that perfbench/tracing.py patches.
@@ -35,11 +39,14 @@ from .frames import (  # noqa: F401
     Frames4,
     _derivative_frame,
     _intrinsic_basis,
+    _intrinsic_frames,
     _pair_frames,
     _profile,
+    _require_r4,
+    _spatial_parameters,
     curvature_profile,
     frame4_intrinsic,
-    frames4,
+    frames3,
 )
 from .quaternion import inner, norm
 
@@ -312,6 +319,103 @@ def fit_constants(
 
 ConstantsLike = Union[BertrandConstants, tuple[float, float]]
 
+# The mate's Taylor series have degree 4, the oracle's highest order.  N3
+# follows from the third derivative of the base curve, so its series of
+# degree 4 reads the base curve's jet up to order 7.  The spatial curve of a
+# pair enters through its first two derivatives along the base parameter,
+# so through its series of degree 6.
+_DEGREE = 4
+_JET_ORDERS = tuple(range(_DEGREE + 4))
+_SPATIAL_DEGREE = _DEGREE + 2
+_SPATIAL_ORDERS = tuple(range(_SPATIAL_DEGREE + 1))
+
+
+def _without_jet(*curves: Optional[ParametricCurve]) -> Optional[ParametricCurve]:
+    """The first of ``curves`` that has no analytic jet, if any."""
+    return next((c for c in curves if c is not None and not c.has_analytic_derivatives), None)
+
+
+def _read_jet(alpha4: ParametricCurve, s: np.ndarray, alpha3: Optional[ParametricCurve]):
+    """The jet of ``alpha4`` of orders 0-7 on ``s``, its frames from the rows and
+    arithmetic of :func:`~quatcurves.frames.frames4`, and for a pair the jet of
+    ``alpha3`` of orders 0-6 at the matching parameters and whether the two
+    curves share their parameter (None without a pair)."""
+    _require_r4(alpha4)
+    if alpha3 is None:
+        jet = alpha4.jet(s, _JET_ORDERS)
+        return jet, _intrinsic_frames(*jet[1:5]), None
+    sigma = _spatial_parameters(alpha4, alpha3, s)
+    spatial = alpha3.jet(sigma, _SPATIAL_ORDERS)
+    f3 = frames3(alpha3, sigma, spatial[1:4])
+    jet = alpha4.jet(s, _JET_ORDERS)
+    shared = alpha4.is_unit_speed and alpha3.is_unit_speed
+    return jet, _pair_frames(jet[1], jet[2], f3), (spatial, shared)
+
+
+def _gram_schmidt(derivs):
+    """The unit series of ``_derivative_frame``'s Gram-Schmidt pass over the derivative
+    series ``[d1, d2, ...]``: each less its components along the units before it."""
+    units = []
+    for d in derivs:
+        for u in units:
+            d = d - series.product(series.inner(d, u)[..., None], u)
+        units.append(series.unit(d))
+    return units
+
+
+def _spatial_offsets(x: np.ndarray, g: np.ndarray, shared: bool) -> np.ndarray:
+    """Series of ``sigma(s + t) - sigma(s)`` for the parameter ``sigma`` of the spatial
+    curve (jet ``g`` at ``sigma(s)``) that matches arc lengths with the base curve (jet
+    ``x``).  A shared parameter gives ``t``; otherwise
+    ``sigma' = |alpha'(s)| / |gamma'(sigma)|`` is solved coefficient by coefficient
+    (the Taylor-series ODE method)."""
+    delta = np.zeros((_SPATIAL_DEGREE + 1,) + x.shape[1:-1])
+    if shared:
+        delta[1] = 1.0
+        return delta
+    speed2 = series.inner(*(2 * [series.taylor(x, 1, _SPATIAL_DEGREE - 1)]))
+    speed = series.product(speed2, series.rsqrt(speed2))
+    tangent = series.taylor(g, 1, _SPATIAL_DEGREE - 1)
+    for k in range(_SPATIAL_DEGREE):
+        v = series.compose(tangent[:k + 1], delta[:k + 1])
+        rate = series.product(speed[:k + 1], series.rsqrt(series.inner(v, v)))
+        delta[k + 1] = rate[k] / (k + 1)
+    return delta
+
+
+def _mate_block(x: np.ndarray, a: float, b: float, pair) -> np.ndarray:
+    """Taylor coefficients 0-4 of ``alpha + a*N1 + b*N3`` from the jet rows ``x``."""
+    d1, d2 = series.taylor(x, 1, _DEGREE), series.taylor(x, 2, _DEGREE)
+    if pair is None:
+        # N3 is orthogonal to d1, d2, d3, and det[d1 d2 d3 N3] has the sign of
+        # det[T N1 -N2 N3] = -1 (the Gram-Schmidt pass is triangular with a
+        # positive diagonal), so it is minus their normalized cross product.
+        T, N1 = _gram_schmidt([d1, d2])
+        N3 = -series.unit(series.cross(d1, d2, series.taylor(x, 3, _DEGREE)))
+    else:
+        # The spatial curve along the base parameter, gamma(sigma(s + t)),
+        # gives t and n; then N1 = b*T and N3 = t*T with b = t*n.
+        g, shared = pair
+        gamma = series.compose(series.taylor(g, 0, _SPATIAL_DEGREE),
+                               _spatial_offsets(x, g, shared))
+        velocity = series.derivative(gamma)
+        t, n = _gram_schmidt([velocity[:_DEGREE + 1], series.derivative(velocity)])
+        T = series.unit(d1)
+        N1 = series.qproduct(series.qproduct(t, n), T)
+        N3 = series.qproduct(t, T)
+    return series.taylor(x, 0, _DEGREE) + a * N1 + b * N3
+
+
+def _mate_series(jet: np.ndarray, a: float, b: float, pair=None) -> np.ndarray:
+    """Taylor coefficients 0-4 of the mate ``alpha + a*N1 + b*N3`` at every grid point,
+    shape ``(5, n, 4)``, from the rows of :func:`_read_jet`; built on blocks of at most
+    ``ROW_BLOCK`` rows of the jet."""
+    out = np.empty((_DEGREE + 1,) + jet.shape[1:])
+    for rows in row_blocks(jet.shape[1], len(jet)):
+        block_pair = None if pair is None else (pair[0][:, rows], pair[1])
+        out[:, rows] = _mate_block(jet[:, rows], a, b, block_pair)
+    return out
+
 
 def construct_mate(
     alpha4: ParametricCurve,
@@ -322,34 +426,47 @@ def construct_mate(
 
     N1 and N3 come from the intrinsic frame of ``alpha4``, or from the
     pair-built frame when the associated spatial curve ``curve3`` is given.
-    Each evaluation (a block of at most ``ROW_BLOCK`` rows) reads one jet of
-    ``alpha4``: its points and the derivatives the frame needs.  The result
-    stays parameterized by the base parameter ``s`` and is NOT unit speed;
-    the oracle in :func:`verify_mate` reads its curvatures in that
-    parameter.  Its domain is the base domain less the order-3 reach
-    ``alpha4.fd_margin(3)`` at each end.  ``consts`` may be a plain
-    ``(a, b)`` pair so that degenerate offsets remain testable.
+    The result stays parameterized by the base parameter ``s`` and is NOT
+    unit speed.  Its points read one jet of ``alpha4`` per block: the points
+    and the derivatives the frame needs.  When ``alpha4`` carries an
+    analytic jet, the mate carries the exact jet of orders 0-4 on the same
+    domain: order 0 its points, order k the k-th Taylor coefficient of the
+    series of :func:`_mate_series` times k!.  Otherwise (``alpha4`` or
+    ``curve3`` without one) it is differentiated by finite differences and
+    its domain is the base domain less the order-3 reach
+    ``alpha4.fd_margin(3)`` at each end.  ``consts``
+    may be a plain ``(a, b)`` pair so that degenerate offsets remain
+    testable.
     """
     a, b = (consts.a, consts.b) if isinstance(consts, BertrandConstants) else map(float, consts)
+    _require_r4(alpha4)
 
     def evaluate(s: np.ndarray) -> np.ndarray:
         if curve3 is None:
             x, *derivs = alpha4.jet(s, (0, 1, 2, 3))
             _, n1, _, n3, _ = _intrinsic_basis(*derivs)
         else:
-            x, *derivs = alpha4.jet(s, (0, 1, 2))
-            f = _pair_frames(alpha4, curve3, s, derivs)
+            x, d1, d2 = alpha4.jet(s, (0, 1, 2))
+            f = _pair_frames(d1, d2, frames3(curve3, _spatial_parameters(alpha4, curve3, s)))
             n1, n3 = f.N1, f.N3
         return x + a * n1 + b * n3
 
-    lo, hi = alpha4.domain
-    margin = alpha4.fd_margin(3)
-    return ParametricCurve(
-        dim=4,
-        evaluate=evaluate,
-        domain=(lo + margin, hi - margin),
-        name=f"{alpha4.name or 'curve'}[mate]",
-    )
+    name = f"{alpha4.name or 'curve'}[mate]"
+    if _without_jet(alpha4, curve3) is not None:
+        lo, hi = alpha4.domain
+        margin = alpha4.fd_margin(3)
+        return ParametricCurve(dim=4, evaluate=evaluate, domain=(lo + margin, hi - margin),
+                               name=name)
+
+    def jet(s: np.ndarray, orders) -> np.ndarray:
+        x, base, pair = _read_jet(alpha4, s, curve3)
+        coeffs = _mate_series(x, a, b, pair)
+        return np.stack([x[0] + a * base.N1 + b * base.N3 if n == 0
+                         else math.factorial(n) * coeffs[n] for n in orders])
+
+    # Exact by construction: building the mate evaluates nothing.
+    return ParametricCurve(dim=4, evaluate=evaluate, domain=alpha4.domain, derivatives=jet,
+                           name=name, jet_order=_DEGREE, validate=False)
 
 
 def _scale(*values):
@@ -473,25 +590,31 @@ def verify_mate(
 ) -> BertrandReport:
     """Full verification of the Bertrand mate against the intrinsic oracle.
 
-    Stages: (i) condition check on the curvature profile, with the
-    algebraic tolerance ``tol``; (ii) mate construction with the
-    constant-distance check; (iii) the mate's speed versus the closed-form
-    phi' times the base curve's speed; (iv) the oracle: at every grid
-    point at least ``mate.fd_margin(4)`` inside the mate's domain, the
-    Gram-Schmidt reading of the mate's first four finite-difference
-    derivatives in the base parameter (Gluck's formulas need no arc-length
-    parameter); (v) curvature comparison in absolute value; (vi) span
-    check that the oracle N1bar/N3bar (units 1 and 3) stay in span{N1, N3}.
-    The base frames are computed once, and the later stages hold to
-    ``VERIFY_TOLERANCES``.  Each stage evaluates the mate once: points for
-    the distance, the order-1 stencil for the speed, one jet of orders 1-4
-    for the oracle.  Stage failures are recorded in the report, not thrown.
+    One jet of ``alpha4`` of orders 0-7 on the grid (and, for a pair, one
+    of ``alpha3``) feeds every stage.  Stages: (i) condition check on the
+    curvature profile of the base frames, with the algebraic tolerance
+    ``tol``; (ii) mate construction: its points ``alpha + a*N1 + b*N3``
+    with the constant-distance check, and its Taylor series of degree 4;
+    (iii) the mate's speed (coefficient 1) versus the closed-form phi'
+    times the base curve's speed; (iv) the oracle: at every grid point, the
+    Gram-Schmidt reading of the mate's first four derivatives (k! times
+    coefficient k) in the base parameter (Gluck's formulas need no
+    arc-length parameter); (v) curvature comparison in absolute value; (vi)
+    span check that the oracle N1bar/N3bar (units 1 and 3) stay in
+    span{N1, N3}.  The base frames are those of ``frames4``, row for row,
+    and the later stages hold to ``VERIFY_TOLERANCES``.  Stage failures are
+    recorded in the report, not thrown; a base curve without analytic
+    derivatives is a ``ValueError``.
     """
+    fd_curve = _without_jet(alpha4, alpha3)
+    if fd_curve is not None:
+        raise ValueError(f"verify_mate needs analytic derivatives: curve {fd_curve.name!r} "
+                         "has finite differences only")
     grid = np.asarray(list(grid), dtype=float)
     # The base frames are those the mate is built from: pointwise, from
     # the same source as the profile (pair frames can orient N3
     # oppositely to intrinsic ones).
-    base = frames4(alpha4, grid, alpha3)
+    jet, base, pair = _read_jet(alpha4, grid, alpha3)
     profile = _profile(grid, base, alpha3)
     report = check_conditions(profile, consts, tol=tol)
     report.tolerances = {"algebraic": tol, **VERIFY_TOLERANCES}
@@ -499,48 +622,34 @@ def verify_mate(
     offset = math.sqrt(a * a + b * b)
 
     try:
-        mate = construct_mate(alpha4, consts, curve3=alpha3)
-        distances = norm(mate.points(grid) - alpha4.points(grid))
+        # The mate's points as construct_mate computes them, less alpha's.
+        distances = norm(jet[0] + a * base.N1 + b * base.N3 - jet[0])
         report.distance_deviation = float(np.max(np.abs(distances - offset)))
+        coeffs = _mate_series(jet, a, b, pair)
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"mate construction: {exc}")
         report.verdict = False
         return report
 
-    mate_lo, mate_hi = mate.domain
-
-    def inside(margin: float) -> np.ndarray:
-        return np.flatnonzero((grid >= mate_lo + margin) & (grid <= mate_hi - margin))
-
     try:
-        idx = inside(mate.fd_margin(1))
-        if not len(idx):
-            raise ValueError("no grid points admit the finite-difference margin")
-        pp = phi_prime(profile.K[idx], profile.r[idx], profile.k[idx], consts)
-        expected = pp * alpha4.speeds(grid[idx])
-        report.speed_deviation = float(np.max(np.abs(mate.speeds(grid[idx]) - expected)))
+        pp = phi_prime(profile.K, profile.r, profile.k, consts)
+        report.speed_deviation = float(np.max(np.abs(norm(coeffs[1]) - pp * norm(jet[1]))))
     except (DegeneracyError, ValueError) as exc:
         report.stage_errors.append(f"mate speed: {exc}")
 
-    usable = inside(mate.fd_margin(4))
-    if not len(usable):
-        report.stage_errors.append("oracle: no grid points admit the finite-difference margins")
-        _finalize(report)
-        return report
-
     try:
-        K, torsion, bitorsion = base.K[usable], base.torsion[usable], base.bitorsion[usable]
+        K, torsion, bitorsion = base.K, base.torsion, base.bitorsion
         kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(
             K, -torsion, K - bitorsion, consts
         )
-        s = grid[usable]
-        units, rho = _derivative_frame(list(mate.jet(s, (1, 2, 3, 4))))
+        units, rho = _derivative_frame([math.factorial(k) * coeffs[k]
+                                        for k in range(1, _DEGREE + 1)])
         report.curvature_deviation = float(max(
             np.max(np.abs(rho[1] / rho[0] ** 2 - kbar)),
             np.max(np.abs(rho[2] / (rho[0] * rho[1]) - np.abs(torsion_bar))),
             np.max(np.abs(rho[3] / (rho[0] * rho[2]) - np.abs(bitorsion_bar))),
         ))
-        n1, n3 = base.N1[usable], base.N3[usable]
+        n1, n3 = base.N1, base.N3
         span_res = 0.0
         for v in (units[1], units[3]):
             off_span = v - inner(v, n1)[:, None] * n1 - inner(v, n3)[:, None] * n3

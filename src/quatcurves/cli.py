@@ -44,8 +44,9 @@ EXIT_DEGENERACY = 3
 EXIT_FIT = 4
 
 # Largest --samples.  At this size verify, the heaviest command, peaks near
-# 185 MB (about 1.8 kB per grid point; the mate is evaluated in blocks of
-# curves.ROW_BLOCK rows), and CI fails it above 300 MB, so no size it
+# 140 MB on a curve and 160 MB with its spatial curve (about 1.6 kB per
+# grid point; the jets and the mate's Taylor series are built in blocks of
+# curves.ROW_BLOCK rows), and CI fails either above 300 MB, so no size it
 # admits fails to allocate on an ordinary machine.
 MAX_SAMPLES = 100_000
 

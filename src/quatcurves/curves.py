@@ -8,13 +8,16 @@ and :func:`derivative` evaluate a length-1 grid and return its row.
 
 ``curve.jet(s, orders)`` returns the points (order 0) and derivatives of
 all requested orders as one ``(len(orders), n, 4)`` array.  A built-in
-family is one jet function, which evaluates each trigonometric term once
-for all orders; other curves (the Bertrand mate) take central finite
-differences with one Richardson level, from one ``points`` call on the
-shifted grids of all orders.  ``points`` evaluates in blocks of at most
-``ROW_BLOCK`` rows: that bounds the memory and, rows being independent,
-changes no bit.  A cumulative arc-length table, inverted by Newton steps,
-maps arc lengths to parameters.
+family is one jet function of orders 0-7, which evaluates each
+trigonometric term once for all orders; the Bertrand mate of such a curve
+carries the exact jet of orders 0-4 that Taylor-series arithmetic gives
+(:mod:`quatcurves.series`).  A curve with no analytic jet takes central
+finite differences of orders 1-4 with one Richardson level, from one
+``points`` call on the shifted grids of all orders.  ``points`` and an
+analytic jet evaluate in blocks of at most ``ROW_BLOCK`` rows (grid points
+times orders): that bounds the memory and, rows being independent, changes
+no bit.  A cumulative arc-length table, inverted by Newton steps, maps arc
+lengths to parameters.
 """
 
 from __future__ import annotations
@@ -47,6 +50,7 @@ __all__ = [
     "TABLE_PANELS",
     "UNIT_SPEED_TOL",
     "ROW_BLOCK",
+    "row_blocks",
 ]
 
 # Default finite-difference steps per derivative order; chosen to balance
@@ -69,8 +73,9 @@ NEWTON_STEPS = 8
 # Panels of the arc-length table a curve keeps for its whole domain.
 TABLE_PANELS = 256
 
-# Most rows one call of a curve's evaluation receives; a finite-difference
-# jet of four orders asks for 22 shifted rows per grid point.
+# Most rows (grid points times orders) one call of a curve's evaluation or
+# analytic jet receives; the mate's Taylor series are built on blocks of as
+# many rows of the base curve's jet of orders 0-7.
 ROW_BLOCK = 1 << 15
 
 _TWO_PI = 2.0 * math.pi
@@ -88,7 +93,15 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def row_blocks(n: int, orders: int) -> list[slice]:
+    """Slices of ``range(n)`` of at most ``ROW_BLOCK // orders`` grid points each."""
+    step = max(1, ROW_BLOCK // orders)
+    return [slice(i, i + step) for i in range(0, n, step)]
+
+
 def _require_finite(values: np.ndarray, s: np.ndarray, what: str):
+    if np.isfinite(values).all():
+        return
     bad = ~np.all(np.isfinite(values), axis=(0, -1) if values.ndim == 3 else -1)  # jet: any order
     if np.any(bad):
         raise ValueError(f"{what} at u={float(s[bad][0])!r}")
@@ -103,8 +116,11 @@ class ParametricCurve:
     evaluate : callable mapping a parameter grid ``(n,)`` to ``(n, 4)``
     domain : (u_min, u_max)
     derivatives : optional jet callable ``(s, orders) -> (len(orders), n, 4)``, row
-        ``k`` of order ``orders[k]`` (0..4, 0 being the points); validated
-        against finite differences of ``evaluate`` on construction.
+        ``k`` of order ``orders[k]`` (0..``jet_order``, 0 being the points);
+        validated against ``evaluate`` and finite differences on construction
+        unless ``validate`` is false.
+    jet_order : highest order the jet provides (7 for the built-in families);
+        a curve without one differentiates up to order 4.
     """
 
     def __init__(
@@ -114,6 +130,8 @@ class ParametricCurve:
         domain: tuple[float, float],
         derivatives: Optional[Callable[[np.ndarray, tuple[int, ...]], np.ndarray]] = None,
         name: str = "",
+        jet_order: int = 7,
+        validate: bool = True,
     ):
         if dim not in (3, 4):
             raise ValueError("curve dimension must be 3 or 4")
@@ -124,8 +142,9 @@ class ParametricCurve:
         self.domain = (lo, hi)
         self._eval = evaluate
         self._derivs = derivatives
+        self.jet_order = 4 if derivatives is None else jet_order
         self.name = name
-        if derivatives is not None:
+        if derivatives is not None and validate:
             self._validate_derivatives()
 
     # -- evaluation ---------------------------------------------------------
@@ -133,6 +152,8 @@ class ParametricCurve:
     def _check_domain(self, s: np.ndarray):
         lo, hi = self.domain
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        if not len(s) or lo - slack <= s.min() and s.max() <= hi + slack:  # NaN fails both
+            return
         outside = ~((lo - slack <= s) & (s <= hi + slack))
         if np.any(outside):
             raise ValueError(f"parameter {float(s[outside][0])!r} outside domain [{lo}, {hi}]")
@@ -143,12 +164,11 @@ class ParametricCurve:
         s = np.asarray(s, dtype=float)
         self._check_domain(s)
         p = np.empty((len(s), 4))
-        for i in range(0, len(s), ROW_BLOCK):
-            rows = s[i:i + ROW_BLOCK]
-            block = np.asarray(self._eval(rows), dtype=float)
-            if block.shape != (len(rows), 4):
+        for rows in row_blocks(len(s), 1):
+            block = np.asarray(self._eval(s[rows]), dtype=float)
+            if block.shape != (len(s[rows]), 4):
                 raise ValueError("curve evaluation must return 4 quaternion components")
-            p[i:i + ROW_BLOCK] = block
+            p[rows] = block
         _require_finite(p, s, "curve evaluation is not finite")
         return p
 
@@ -160,21 +180,26 @@ class ParametricCurve:
         return self._derivs is not None
 
     def jet(self, s, orders) -> np.ndarray:
-        """Points (order 0) and derivatives of the ``orders`` (0..4) on the grid ``s``,
-        as ``(len(orders), n, 4)``; row ``k`` is ``jet(s, (orders[k],))[0]`` bit for bit.
+        """Points (order 0) and derivatives of the ``orders`` (0..``jet_order``) on the
+        grid ``s``, as ``(len(orders), n, 4)``; row ``k`` is ``jet(s, (orders[k],))[0]``
+        bit for bit.
 
-        One call of the analytic jet when the curve carries one, else central
-        differences with step ``DEFAULT_STEPS[order]`` and one Richardson level
-        from one ``points`` call, at least ``fd_margin(order)`` inside the domain.
+        One call of the analytic jet per block of ``ROW_BLOCK`` rows when the
+        curve carries one, else central differences with step
+        ``DEFAULT_STEPS[order]`` and one Richardson level from one ``points``
+        call, at least ``fd_margin(order)`` inside the domain.
         """
-        if not all(0 <= order <= 4 for order in orders):
-            raise ValueError("derivative orders must be between 0 and 4")
+        if not all(0 <= order <= self.jet_order for order in orders):
+            raise ValueError(f"derivative orders must be between 0 and {self.jet_order}")
         s = np.asarray(s, dtype=float)
         if self.has_analytic_derivatives:
             self._check_domain(s)
-            d = np.asarray(self._derivs(s, orders), dtype=float)
-            if d.shape != (len(orders), len(s), 4):
-                raise ValueError("a derivative jet must return one (n, 4) array per order")
+            blocks = []
+            for rows in row_blocks(len(s), len(orders)):
+                blocks.append(np.asarray(self._derivs(s[rows], orders), dtype=float))
+                if blocks[-1].shape != (len(orders), len(s[rows]), 4):
+                    raise ValueError("a derivative jet must return one (n, 4) array per order")
+            d = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         else:
             lo, hi = self.domain
             for order in (order for order in orders if order):
@@ -190,7 +215,8 @@ class ParametricCurve:
         return d
 
     def derivatives(self, s, order: int) -> np.ndarray:
-        """Derivatives of ``order`` (1..4) on the grid ``s``: the one-order :meth:`jet`."""
+        """Derivatives of ``order`` (1..4, the orders a frame reads) on the grid ``s``:
+        the one-order :meth:`jet`."""
         if not 1 <= order <= 4:
             raise ValueError("derivative order must be between 1 and 4")
         return self.jet(s, (order,))[0]
@@ -221,23 +247,31 @@ class ParametricCurve:
         return self.unit_speed_deviation <= UNIT_SPEED_TOL
 
     def _validate_derivatives(self):
+        """Check the jet's order 0 against ``evaluate`` and each order k + 1 against
+        the order-1 stencil of order k, from one jet call on 10 draws and their
+        shifts by +-h and +-h/2."""
         lo, hi = self.domain
         margin = _fd_reach(2) + 1e-9 * (hi - lo)
         if not lo + margin <= hi - margin:
             raise ValueError(f"domain [{lo}, {hi}] is too short for the derivative check")
         # The doubles of default_rng(20240831).uniform(lo + margin, hi - margin, 10).
         us = (lo + margin) + ((hi - margin) - (lo + margin)) * _validation_draws()
-        points, *fd = _fd_jet(self.points, us, (0, 1, 2))
-        # The stencils' round-off grows with the size of the points, so the
-        # bound does too (it is 1e-6 on curves of unit size).
-        tol = 1e-6 * max(1.0, float(np.max(np.abs(points))))
-        for order, exact, approx in zip((1, 2), self.jet(us, (1, 2)), fd):
-            off = np.max(np.abs(exact - approx), axis=-1) > tol
-            if np.any(off):
-                raise ValueError(
-                    "analytic derivatives disagree with finite differences "
-                    f"(order {order} at u={us[off][0]:.6g})"
-                )
+        orders, h, ks = range(self.jet_order + 1), DEFAULT_STEPS[1], (0.0,) + _FD_SHIFTS[1]
+        jet = self.jet((us + h * np.array(ks)[:, None]).ravel(), orders)
+        at = dict(zip(ks, jet.reshape(len(orders), len(ks), len(us), 4).swapaxes(0, 1)))
+        # Row k: order k of the jet, what it should equal, and the rows that
+        # comparison differentiates (none for the points).
+        rows, source = at[0.0], np.concatenate([at[0.0][:1], at[0.0][:-1]])
+        approx = np.concatenate([self.points(us)[None], _richardson(at, 1, h)[:-1]])
+        # The stencils' round-off grows with the size of the rows they
+        # differentiate, so the bound does too (1e-6 on rows of unit size).
+        tol = 1e-6 * np.maximum(1.0, np.abs(source).max(axis=-1).max(axis=-1))
+        off = np.abs(rows - approx).max(axis=-1) > tol[:, None]
+        if off.any():
+            order, i = np.argwhere(off)[0]
+            what = ("analytic derivatives disagree with finite differences" if order
+                    else "analytic jet disagrees with the curve's evaluation")
+            raise ValueError(f"{what} (order {order} at u={us[i]:.6g})")
 
 
 @cache
@@ -286,15 +320,17 @@ def _fd_jet(f: Callable, u: np.ndarray, orders, steps=DEFAULT_STEPS) -> np.ndarr
     jet = []
     for n, ks in zip(orders, shifts):
         at, values = dict(zip(ks, values)), values[len(ks):]
-        if not n:
-            jet.append(at[0.0])
-            continue
-        # One Richardson level: the central stencils are O(h^2), so the
-        # combination (4 D(h/2) - D(h)) / 3 cancels the leading error term.
-        d_h = _central_stencil(lambda k: at[k], n, steps[n])
-        d_h2 = _central_stencil(lambda k: at[k / 2], n, steps[n] / 2.0)
-        jet.append((4.0 * d_h2 - d_h) / 3.0)
+        jet.append(_richardson(at, n, steps[n]) if n else at[0.0])
     return np.stack(jet)
+
+
+def _richardson(at: dict, order: int, h: float) -> np.ndarray:
+    """Derivative of ``order`` from ``at[k]``, the function at ``u + k*h`` for the
+    shifts of ``_FD_SHIFTS[order]``: one Richardson level on the central stencils,
+    which are O(h^2), so (4 D(h/2) - D(h)) / 3 cancels the leading error term."""
+    d_h = _central_stencil(lambda k: at[k], order, h)
+    d_h2 = _central_stencil(lambda k: at[k / 2], order, h / 2.0)
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def _fd_derivative(f: Callable, u: np.ndarray, order: int, h: float) -> np.ndarray:

@@ -150,6 +150,12 @@ class CurvatureProfile:
 
 # -- helpers -------------------------------------------------------------------
 
+def _require_r4(curve: ParametricCurve):
+    """Reject a curve that is not in R^4 where one is needed."""
+    if curve.dim != 4:
+        raise ValueError(f"the R^4 curve must have dimension 4, not {curve.dim}")
+
+
 def _orthogonalize(vec: np.ndarray, against: Sequence[np.ndarray]) -> np.ndarray:
     """Rows of ``vec`` less their components along the unit rows of ``against``, in turn."""
     out = vec
@@ -218,7 +224,7 @@ def _derivative_frame(derivs: Sequence[np.ndarray]):
 def orthonormality_residual(vectors: Sequence) -> float:
     """Max deviation of all pairwise inner products from the identity pattern.
 
-    ``vectors`` holds Quaternions, or ``(n, 4)`` arrays of n frames at once.
+    ``vectors`` holds one ``(n, 4)`` array per frame vector, n frames at once.
     """
     res = 0.0
     for i, p in enumerate(vectors):
@@ -237,17 +243,18 @@ def frame_determinant(frames: Frames4) -> np.ndarray:
 
 # -- spatial frame ---------------------------------------------------------------
 
-def frames3(curve: ParametricCurve, s) -> Frames3:
+def frames3(curve: ParametricCurve, s, derivs: Optional[Sequence[np.ndarray]] = None) -> Frames3:
     """Frenet frames of a spatial curve at every parameter of ``s``.
 
     ``t`` and ``n`` are the Gram-Schmidt units of the first two
     derivatives, ``k = rho_1 / rho_0^2`` the curvature, and ``b = t * n``
     (quaternion product).  The torsion is ``r = h(d3, b) / (rho_0 rho_1)``,
-    read from the part of ``d3`` orthogonal to t and n.
+    read from the part of ``d3`` orthogonal to t and n.  ``derivs``, if
+    given, is ``curve.jet(s, (1, 2, 3))``, read by the caller.
     """
     if curve.dim != 3:
         raise ValueError(f"the spatial curve must have dimension 3, not {curve.dim}")
-    d1, d2, d3 = curve.jet(s, (1, 2, 3))
+    d1, d2, d3 = curve.jet(s, (1, 2, 3)) if derivs is None else derivs
     (t, n), (rho0, rho1) = _derivative_frame([d1, d2])
     b = mul(t, n)
     r = inner(_orthogonalize(d3, [t, n]), b) / (rho0 * rho1)
@@ -268,8 +275,9 @@ def _intrinsic_basis(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray):
     return T, N1, N2, _oriented_complement(T, N1, N2), rhos
 
 
-def _intrinsic_frames(curve: ParametricCurve, s) -> Frames4:
-    """R^4 frames recovered from curve derivatives alone, in any regular parameter.
+def _intrinsic_frames(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray,
+                      d4: np.ndarray) -> Frames4:
+    """R^4 frames from the derivative rows d1..d4 alone, in any regular parameter.
 
     T, N1 and ``-N2`` are the Gram-Schmidt units of the first three
     derivatives, so the torsion reading ``-rho_2 / (rho_0 rho_1)`` is
@@ -280,9 +288,6 @@ def _intrinsic_frames(curve: ParametricCurve, s) -> Frames4:
     same way (the latter need the order-4 stencil reach
     ``curve.fd_margin(4)`` from the ends).
     """
-    if curve.dim != 4:
-        raise ValueError(f"the R^4 curve must have dimension 4, not {curve.dim}")
-    d1, d2, d3, d4 = curve.jet(s, (1, 2, 3, 4))
     T, N1, N2, N3, (rho0, rho1, rho2) = _intrinsic_basis(d1, d2, d3)
     d4 = _orthogonalize(d4, [T, N1, N2])
     return Frames4(T=T, N1=N1, N2=N2, N3=N3, K=rho1 / rho0**2, torsion=-rho2 / (rho0 * rho1),
@@ -313,21 +318,15 @@ def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
     return table.parameters_at(lengths)
 
 
-def _pair_frames(curve4: ParametricCurve, curve3: ParametricCurve, s,
-                 derivs: Optional[Sequence[np.ndarray]] = None) -> Frames4:
+def _pair_frames(d1: np.ndarray, d2: np.ndarray, f3: Frames3) -> Frames4:
     """R^4 frames built from the spatial frames of an associated curve.
 
-    ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with (t, n, b) the spatial
-    frame of ``curve3`` at the same arc length (the same parameter when
-    both curves are unit speed).  Torsion and bitorsion are read from the
+    ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with T the unit tangent of the
+    derivative rows d1, d2 of the R^4 curve and (t, n, b) the spatial
+    frames ``f3`` at the same arc lengths (the same parameter when both
+    curves are unit speed).  Torsion and bitorsion are read from the
     frame-ODE projections h(N1', N2) and h(N2', N3) per arc length.
-    ``derivs``, if given, is ``curve4.jet(s, (1, 2))``, read by the caller.
     """
-    if curve4.dim != 4:
-        raise ValueError(f"the R^4 curve must have dimension 4, not {curve4.dim}")
-    s = np.asarray(s, dtype=float)
-    f3 = frames3(curve3, _spatial_parameters(curve4, curve3, s))
-    d1, d2 = curve4.jet(s, (1, 2)) if derivs is None else derivs
     (T, n1), (rho0, rho1) = _derivative_frame([d1, d2])
     K = rho1 / rho0**2
     N1 = mul(f3.b, T)
@@ -364,9 +363,12 @@ def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None
     spatial curve ``curve3`` is given; see :func:`_intrinsic_frames` and
     :func:`_pair_frames`.
     """
+    _require_r4(curve4)
     if curve3 is None:
-        return _intrinsic_frames(curve4, s)
-    return _pair_frames(curve4, curve3, s)
+        return _intrinsic_frames(*curve4.jet(s, (1, 2, 3, 4)))
+    s = np.asarray(s, dtype=float)
+    f3 = frames3(curve3, _spatial_parameters(curve4, curve3, s))
+    return _pair_frames(*curve4.jet(s, (1, 2)), f3)
 
 
 @dataclass

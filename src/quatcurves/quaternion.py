@@ -173,10 +173,8 @@ def inner(p, q):
     """
     if isinstance(p, Quaternion):
         return p.dot(q)
-    return (
-        p[..., 0] * q[..., 0] + p[..., 1] * q[..., 1] + p[..., 2] * q[..., 2]
-        + p[..., 3] * q[..., 3]
-    )
+    products = p * q
+    return products[..., 0] + products[..., 1] + products[..., 2] + products[..., 3]
 
 
 def norm(q):

@@ -1,0 +1,105 @@
+"""Truncated Taylor series on grids.
+
+A series of degree ``d`` is an array whose axis 0 holds the Taylor
+coefficients ``x_0 .. x_d`` (``x_k = x^(k) / k!``) at every grid point;
+the trailing axes are the grid and, for a vector, its 4 quaternion
+components.  Every operation is the standard recurrence of Taylor-series
+arithmetic (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM
+2008, ch. 13), truncated at the degree of its operands, and works row by
+row, so a grid point's series never depends on the other points.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from .quaternion import mul
+
+__all__ = ["taylor", "product", "qproduct", "inner", "rsqrt", "unit", "compose", "cross",
+           "derivative"]
+
+
+# k! for the degrees a jet of orders 0-7 gives.
+_FACTORIALS = np.array([math.factorial(k) for k in range(8)], dtype=float)
+# The weights j/2 - k, j = 1..k, of the recurrence of x^(-1/2), shaped (k, 1).
+_RSQRT_WEIGHTS = [None] + [(np.arange(1, k + 1) / 2.0 - k)[:, None] for k in range(1, 8)]
+
+
+def taylor(jet: np.ndarray, order: int, degree: int) -> np.ndarray:
+    """The series of derivative ``order`` from the jet rows of orders 0, 1, ...
+    (axis 0), up to ``degree``: coefficient i is row ``order + i`` over ``i!``."""
+    rows = jet[order:order + degree + 1]
+    return rows / _FACTORIALS[:degree + 1].reshape((-1,) + (1,) * (rows.ndim - 1))
+
+
+def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cauchy product ``c_k = sum_i a_i b_(k-i)`` of two series of one degree; trailing
+    axes broadcast."""
+    c = a[0] * b
+    for i in range(1, len(a)):
+        c[i:] += a[i] * b[:-i]
+    return c
+
+
+def qproduct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Cauchy product of two quaternion series, with the quaternion product."""
+    c = mul(x[0], y)
+    for i in range(1, len(x)):
+        c[i:] += mul(x[i], y[:-i])
+    return c
+
+
+def inner(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Series of the row inner products of two vector series."""
+    return product(x, y).sum(axis=-1)
+
+
+def rsqrt(x: np.ndarray) -> np.ndarray:
+    """Series of ``x^(-1/2)`` for a scalar series ``x`` of shape ``(degree + 1, n)``:
+    from ``y' x = -y x' / 2``, ``y_k = sum_(j=1..k) (j/2 - k) x_j y_(k-j) / (k x_0)``."""
+    y = np.empty_like(x)
+    y[0] = 1.0 / np.sqrt(x[0])
+    reciprocal = 1.0 / x[0]
+    for k in range(1, len(x)):
+        y[k] = (_RSQRT_WEIGHTS[k] * x[1:k + 1] * y[k - 1::-1]).sum(axis=0) * (reciprocal / k)
+    return y
+
+
+def unit(v: np.ndarray) -> np.ndarray:
+    """The vector series ``v / |v|``."""
+    return product(rsqrt(inner(v, v))[..., None], v)
+
+
+def compose(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
+    """Series of ``f(u + delta)`` from f's Taylor coefficients ``c`` at u (axis 0) and
+    the series ``delta`` with ``delta_0 = 0``, by Horner's rule; degree of ``delta``."""
+    out = np.zeros(delta.shape + c.shape[2:])
+    for m in range(len(c) - 1, -1, -1):
+        if m < len(c) - 1:
+            out = product(out, delta.reshape(delta.shape + (1,) * (c.ndim - 2)))
+        out[0] += c[m]
+    return out
+
+
+# The 4-D ternary cross product x of rows a, b, c: component i is
+# sum_t sign[i, t] * a[row[i, t]] * p[minor[i, t]], with p the 2x2 minors
+# b_j c_k - b_k c_j for (j, k) = (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
+_MINOR_J = np.array([0, 0, 0, 1, 1, 2])
+_MINOR_K = np.array([1, 2, 3, 2, 3, 3])
+_ROW = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
+_MINOR = np.array([[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]])
+_SIGN = np.array([[-1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+
+
+def cross(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """Series of the vector orthogonal to a, b, c with det[a b c x] = |x|^2: the cofactor
+    expansion of ``frames._oriented_complement`` before it normalizes."""
+    p = product(b[..., _MINOR_J], c[..., _MINOR_K]) - product(b[..., _MINOR_K], c[..., _MINOR_J])
+    return (product(a[..., _ROW], p[..., _MINOR]) * _SIGN).sum(axis=-1)
+
+
+def derivative(x: np.ndarray) -> np.ndarray:
+    """Series of the derivative, one degree lower: coefficient k is ``(k + 1) x_(k+1)``."""
+    return x[1:] * np.arange(1, len(x)).reshape((-1,) + (1,) * (x.ndim - 1))

@@ -218,7 +218,10 @@ class TestFrameCommand:
          "the spatial curve must have dimension 3, not 4"),
         (["verify", "--curve", "circle.json", "--constants", json.dumps(TORUS_CONSTANTS),
           "--report", "x.json"], "the R^4 curve must have dimension 4, not 3"),
-    ], ids=["4d-spatial", "3d-curve"])
+        (["bertrand", "mate", "--curve", "circle.json", "--constants",
+          json.dumps(TORUS_CONSTANTS), "--out", "x.csv"],
+         "the R^4 curve must have dimension 4, not 3"),
+    ], ids=["4d-spatial", "3d-curve", "3d-mate"])
     def test_wrong_dimension_names_the_curve_exit2(self, tmp_path, monkeypatch, capsys,
                                                    command, message):
         monkeypatch.chdir(tmp_path)
@@ -226,6 +229,7 @@ class TestFrameCommand:
         write_json(tmp_path, "circle.json", CIRCLE_DOC)
         assert main(command) == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
     def test_sharp_bend_frame_exit0(self, tmp_path, capsys):
         # The curvature column at the mapped parameters is the classical
@@ -435,35 +439,38 @@ class TestVerifyCommand:
         assert doc["verdict"] is False
         assert doc["conditions"]["curvature_relation"]["pass"] is False
 
-    @pytest.mark.parametrize("pair, options, errors", [
-        (False, ["--samples", "5", "--s0", "0", "--s1", "0.07"],
-         ["oracle: no grid points admit the finite-difference margins"]),
-        (False, ["--samples", "5", "--s0", "0", "--s1", "0.0001"],
-         ["mate speed: no grid points admit the finite-difference margin",
-          "oracle: no grid points admit the finite-difference margins"]),
-        (True, ["--samples", "11", "--s0", "0.5", "--s1", "2.99"],
-         ["oracle frame: parameter 3.0100000000000002 outside domain [0.0, 3.0]"]),
-        (True, ["--samples", "11", "--s0", "0.5", "--s1", "3.0"],
-         ["mate speed: parameter 3.00005 outside domain [0.0, 3.0]",
-          "oracle frame: parameter 3.00005 outside domain [0.0, 3.0]"]),
+    @pytest.mark.parametrize("pair, options, a, code, errors", [
+        (False, ["--samples", "5", "--s0", "0", "--s1", "0.07"], None, 0, []),
+        (False, ["--samples", "5", "--s0", "0", "--s1", "0.0001"], None, 0, []),
+        (True, ["--samples", "11", "--s0", "0.5", "--s1", "2.99"], None, 0, []),
+        (True, ["--samples", "11", "--s0", "0.5", "--s1", "3.0"], None, 0, []),
+        # a = -2/1.44 makes a*r + b*(K-k) = 0 on the torus: phi' vanishes,
+        # and with it the closed forms of both stages.
+        (False, ["--samples", "11"], -2.0 / 1.44, 1,
+         ["mate speed: mate regularity violated: a*r + b*(K-k) = 0",
+          "oracle frame: mate regularity violated: a*r + b*(K-k) = 0"]),
     ], ids=["oracle-margin", "speed-and-oracle-margin", "oracle-domain",
-            "speed-and-oracle-domain"])
+            "speed-and-oracle-domain", "speed-and-oracle-regularity"])
     def test_stage_errors_name_their_stage(self, tmp_path, torus_spec, capsys, pair, options,
-                                           errors):
-        # Each stage that cannot run records its own error: too short a grid
-        # for the stencils' margins, or a stencil reaching past the end of a
-        # spatial curve cut to [0, 3].
+                                           a, code, errors):
+        # Each stage that cannot run records its own error.  The first four
+        # grids are too short for finite-difference stencils, or end where a
+        # stencil would reach past a spatial curve cut to [0, 3]; the exact
+        # jets need neither, so those verifications pass.
         if pair:
             spatial = ["--spatial", write_json(tmp_path, "helix.json",
                                                {**HELIX_DOC, "domain": [0.0, 3.0]})]
             consts = PAIR_CONSTANTS
         else:
             spatial, consts = [], TORUS_CONSTANTS
+        if a is not None:
+            consts = {**consts, "a": a}
         report = tmp_path / "r.json"
-        code = main(["verify", "--curve", torus_spec, *spatial, "--constants",
-                     json.dumps(consts), "--report", str(report), *options])
-        assert code == 1
-        assert json.loads(report.read_text())["stage_errors"] == errors
+        assert main(["verify", "--curve", torus_spec, *spatial, "--constants",
+                     json.dumps(consts), "--report", str(report), *options]) == code
+        doc = json.loads(report.read_text())
+        assert doc.get("stage_errors", []) == errors
+        assert doc["verdict"] is (code == 0)
         assert capsys.readouterr().err.splitlines() == [f"stage error: {e}" for e in errors]
 
 

@@ -12,6 +12,7 @@ from quatcurves.curves import (
     helix3,
     torus_curve,
 )
+from quatcurves import series
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import (
     curvature_profile,
@@ -45,21 +46,15 @@ def warped(curve):
 
     On a domain [0, 2*pi*m] the warp maps the domain onto itself with
     derivative at least 0.7, so the trace and its curvatures are unchanged.
+    The jet of orders 0-7 composes the Taylor series of the curve at the
+    warped parameter with the series of the warp's increment.
     """
     def grid(u, orders=(0,)):
-        w = (u + 0.3 * np.sin(u), 1.0 + 0.3 * np.cos(u), -0.3 * np.sin(u),
-             -0.3 * np.cos(u), 0.3 * np.sin(u))
-        d = curve.jet(w[0], (0, 1, 2, 3, 4))
-        # Faa di Bruno's formula up to order 4.
-        terms = {
-            0: [(d[0], 1.0)],
-            1: [(d[1], w[1])],
-            2: [(d[2], w[1] ** 2), (d[1], w[2])],
-            3: [(d[3], w[1] ** 3), (d[2], 3.0 * w[1] * w[2]), (d[1], w[3])],
-            4: [(d[4], w[1] ** 4), (d[3], 6.0 * w[1] ** 2 * w[2]),
-                (d[2], 3.0 * w[2] ** 2 + 4.0 * w[1] * w[3]), (d[1], w[4])],
-        }
-        return np.stack([sum(v * np.reshape(f, (-1, 1)) for v, f in terms[n]) for n in orders])
+        steps = [np.zeros_like(u), 1.0 + 0.3 * np.cos(u)]
+        steps += [0.3 * np.sin(u + k * math.pi / 2.0) for k in range(2, 8)]
+        at = curve.jet(u + 0.3 * np.sin(u), range(8))
+        d = series.compose(series.taylor(at, 0, 7), series.taylor(np.stack(steps), 0, 7))
+        return np.stack([math.factorial(n) * d[n] for n in orders])
 
     return ParametricCurve(curve.dim, lambda u: grid(u)[0], curve.domain, grid, name="warped")
 

@@ -1,11 +1,11 @@
 """Derivative jets: the rows of one call, and the work a frame and a verify do.
 
 A jet returns the points and the derivatives of several orders from one
-call of the curve's family (analytic curves) or one ``points`` call on all
-shifted grids (finite-difference curves such as the mate).  Its row for an
-order is the one-order jet bit for bit.  The counters below are machine
-independent: family calls per frame, mate evaluations per verify stage and
-rows per evaluation block.
+call of the curve's family per block of rows (analytic curves, and the
+Bertrand mate of one through its Taylor series) or one ``points`` call on
+all shifted grids (finite-difference curves).  Its row for an order is the
+one-order jet bit for bit.  The counters below are machine independent:
+family calls per frame and per verify, and rows per block.
 """
 
 import math
@@ -60,9 +60,16 @@ def test_jet_rows_equal_single_order_jets(name):
     assert np.array_equal(curve.jet(s, (3, 1))[0], jet[3])
 
 
-def test_jet_rejects_orders_beyond_four():
+def test_jet_rejects_orders_beyond_seven():
+    torus = torus_curve(**TORUS)
+    assert torus.jet([1.0], (1, 7)).shape == (2, 1, 4)
+    with pytest.raises(ValueError, match="between 0 and 7"):
+        torus.jet([1.0], (1, 8))
+    # The mate's series have degree 4; finite differences go to order 4.
     with pytest.raises(ValueError, match="between 0 and 4"):
-        torus_curve(**TORUS).jet([1.0], (1, 5))
+        construct_mate(torus, (0.3, -0.2)).jet([1.0], (5,))
+    with pytest.raises(ValueError, match="between 0 and 4"):
+        ParametricCurve(4, torus.points, torus.domain).jet([1.0], (5,))
 
 
 def counted_torus():
@@ -86,9 +93,10 @@ def test_frames_make_one_family_call():
     assert calls == [(41, (1, 2, 3, 4))]
 
 
-def test_verify_evaluates_the_mate_once_per_stage(monkeypatch, torus_constants):
-    # Distance on the grid, the order-1 stencil for the speed, one jet of
-    # orders 1-4 for the oracle.
+def test_verify_makes_one_family_call(monkeypatch, torus_constants):
+    # One jet of orders 0-7 feeds every stage; no mate point is evaluated,
+    # so no finite difference of the mate either.
+    curve, calls = counted_torus()
     evaluations = []
     points = ParametricCurve.points
 
@@ -98,19 +106,17 @@ def test_verify_evaluates_the_mate_once_per_stage(monkeypatch, torus_constants):
         return points(self, s)
 
     monkeypatch.setattr(ParametricCurve, "points", counted)
-    report = verify_mate(torus_curve(**TORUS), torus_constants,
-                         np.linspace(0.0, 2.0 * math.pi, 41))
+    report = verify_mate(curve, torus_constants, np.linspace(0.0, 2.0 * math.pi, 41))
     assert report.verdict
-    usable = 41 - 2  # the stencils reach past the domain from the two end points
-    assert evaluations == [41, 4 * usable, 22 * usable]
+    assert calls == [(41, tuple(range(8)))]
+    assert sum(rows * len(orders) for rows, orders in calls) == 328
+    assert evaluations == []
 
 
 def test_mate_evaluations_stay_within_the_row_block(torus_constants):
     curve, calls = counted_torus()
     report = verify_mate(curve, torus_constants, np.linspace(0.0, 2.0 * math.pi, 5000))
     assert report.verdict
-    mate_blocks = [rows for rows, orders in calls if orders == (0, 1, 2, 3)]
-    assert max(rows for rows, _ in calls) <= ROW_BLOCK
-    # The oracle's jet of about 22 * 5000 rows arrives in full blocks and a remainder.
-    assert mate_blocks.count(ROW_BLOCK) == 3
-    assert sum(mate_blocks) > 22 * 4900
+    # The 8 orders of 5000 points are 40,000 rows: full blocks and a remainder.
+    assert all(rows * len(orders) <= ROW_BLOCK for rows, orders in calls)
+    assert [rows for rows, _ in calls] == [ROW_BLOCK // 8, 5000 - ROW_BLOCK // 8]
