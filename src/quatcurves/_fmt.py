@@ -11,10 +11,11 @@ import functools
 import json
 import math
 from types import SimpleNamespace
+from typing import Iterator
 
 import numpy as np
 
-__all__ = ["fnum", "ftable", "canonical_json"]
+__all__ = ["fnum", "ftable", "ftable_blocks", "canonical_json"]
 
 
 def fnum(x: float) -> str:
@@ -32,7 +33,7 @@ def fnum(x: float) -> str:
 # The kernel finds e exactly, computes M with a double-double product, and
 # hands every cell whose M it cannot decide exactly to fnum.
 
-BLOCK = 4096  # cells per block, rounded down to whole rows: bounds the temporaries
+BLOCK = 8192  # cells per block, rounded down to whole rows: bounds the temporaries
 E_MIN, E_MAX = -99, 99  # exponents written with two digits
 # Tables are indexed by j = e + _J, for e in [E_MIN - 1, E_MAX + 1].
 _J = 1 - E_MIN
@@ -71,7 +72,7 @@ def _words(texts) -> np.ndarray:
 
 @functools.cache
 def _tables() -> SimpleNamespace:
-    """The kernel's lookup tables, built on the first call to :func:`ftable`.
+    """The kernel's lookup tables, built on the first call to :func:`ftable_blocks`.
 
     By j: ``ceil``, the smallest double >= 10**e; ``hi``, ``lo``, with
     10**(16 - e) = hi + lo, and ``hi_h``, ``hi_l``, with hi = hi_h + hi_l;
@@ -164,26 +165,34 @@ def _render_block(x, sep, t) -> bytes:
         start, end = width * i, width * (i + 1)
         pieces += [text[done:start], fnum(x[i]).encode("ascii"), text[end - 1:end]]
         done = end
-    return b"".join(pieces + [text[done:]]).translate(None, b"\0")
+    return b"".join(pieces + [text[done:]]).replace(b"\0", b"")
 
 
-def ftable(table) -> str:
-    """CSV lines of a 2-D table, each value rendered as :func:`fnum` renders it.
+def ftable_blocks(table) -> Iterator[bytes]:
+    """The CSV bytes of a 2-D table, one block of ``max(1, BLOCK // cols)`` rows
+    at a time, each value rendered as :func:`fnum` renders it.
 
-    The cells are rendered in blocks of ``max(1, BLOCK // cols)`` rows by a
-    NumPy kernel that writes the bytes of ``format(x, ".16e")``;
-    see ``_render_block`` for which cells it leaves to :func:`fnum` and
-    ``_scaled`` for why the digits of the others are exact.  A non-finite
-    value raises :func:`fnum`'s error for the first one in row-major order.
+    A NumPy kernel writes the bytes of ``format(x, ".16e")``; see
+    ``_render_block`` for which cells it leaves to :func:`fnum` and
+    ``_scaled`` for why the digits of the others are exact.  The whole
+    table is checked on the call, before any block is rendered: a
+    non-finite value raises :func:`fnum`'s error for the first one in
+    row-major order.
     """
     table = np.asarray(table, dtype=float)
     rows, cols = table.shape
+    finite = np.isfinite(table)
+    if not finite.all():
+        fnum(table.flat[np.flatnonzero(~finite)[0]])  # raises
     t = _tables()
     step = max(1, BLOCK // cols)
     sep = np.tile(np.array([ord(",")] * (cols - 1) + [ord("\n")], _WORD) << 24, step)
-    return b"".join(
-        _render_block(table[r:r + step].ravel(), sep, t) for r in range(0, rows, step)
-    ).decode("ascii")
+    return (_render_block(table[r:r + step].ravel(), sep, t) for r in range(0, rows, step))
+
+
+def ftable(table) -> str:
+    """CSV lines of a 2-D table: the blocks of :func:`ftable_blocks` as one ``str``."""
+    return b"".join(ftable_blocks(table)).decode("ascii")
 
 
 def _render(obj, indent: int) -> str:

@@ -610,7 +610,7 @@ def verify_mate(
     if fd_curve is not None:
         raise ValueError(f"verify_mate needs analytic derivatives: curve {fd_curve.name!r} "
                          "has finite differences only")
-    grid = np.asarray(list(grid), dtype=float)
+    grid = np.asarray(grid, dtype=float)
     # The base frames are those the mate is built from: pointwise, from
     # the same source as the profile (pair frames can orient N3
     # oppositely to intrinsic ones).

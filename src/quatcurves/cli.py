@@ -14,11 +14,11 @@ import functools
 import json
 import math
 import sys
-from typing import Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
-from ._fmt import canonical_json, fnum, ftable
+from ._fmt import canonical_json, fnum, ftable_blocks
 from .bertrand import (
     BertrandConstants,
     check_conditions,
@@ -46,8 +46,10 @@ EXIT_FIT = 4
 # Largest --samples.  At this size verify, the heaviest command, peaks near
 # 140 MB on a curve and 160 MB with its spatial curve (about 1.6 kB per
 # grid point; the jets and the mate's Taylor series are built in blocks of
-# curves.ROW_BLOCK rows), and CI fails either above 300 MB, so no size it
-# admits fails to allocate on an ordinary machine.
+# curves.ROW_BLOCK rows); frame peaks near 80 MB and bertrand mate near
+# 55 MB, as their CSV text is written one block at a time.  CI fails any of
+# the four above 300 MB, so no size it admits fails to allocate on an
+# ordinary machine.
 MAX_SAMPLES = 100_000
 
 
@@ -179,16 +181,19 @@ def _load_inputs(args):
     return (curve, spatial, *_grid(curve, args.s0, args.s1, args.samples))
 
 
-def _write(path: str, text: str):
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _write(path: str, head: bytes, blocks: Iterable[bytes] = ()):
+    """Write ``head``, then each of ``blocks`` as it is produced, to ``path``.
+
+    CSV tables arrive as :func:`ftable_blocks`, which checks the whole table
+    before the file is opened, so a table that cannot be written leaves no
+    file; only one block is held in memory at a time.
+    """
+    with open(path, "wb") as fh:
+        fh.write(head)
+        fh.writelines(blocks)
 
 
 # -- subcommands -----------------------------------------------------------------
-
-def _csv(header: str, table: np.ndarray) -> str:
-    return header + "\n" + ftable(table)
-
 
 def cmd_frame(args) -> int:
     curve, spatial, s, u = _load_inputs(args)
@@ -197,7 +202,7 @@ def cmd_frame(args) -> int:
     else:
         header, frames = FRAME4_CSV_HEADER, frames4(curve, u, curve3=spatial)
     residual = orthonormality_residual(frames.vectors())
-    _write(args.out, _csv(header, frames.table(s)))
+    _write(args.out, f"{header}\n".encode(), ftable_blocks(frames.table(s)))
     print(f"max orthonormality residual: {fnum(residual)}")
     return EXIT_OK if residual <= args.tol else EXIT_VERIFICATION
 
@@ -226,7 +231,7 @@ def _check(profile, consts, args):
 def cmd_bertrand_fit(args) -> int:
     profile = _profile_for(args)
     consts = fit_constants(profile)
-    _write(args.out, canonical_json(consts.to_json_dict()))
+    _write(args.out, canonical_json(consts.to_json_dict()).encode())
     report = _check(profile, consts, args)
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
@@ -235,7 +240,7 @@ def cmd_bertrand_check(args) -> int:
     consts = _load_constants(args.constants)
     report = _check(_profile_for(args), consts, args)
     if args.report:
-        _write(args.report, canonical_json(report.to_json_dict()))
+        _write(args.report, canonical_json(report.to_json_dict()).encode())
     return EXIT_OK if report.verdict else EXIT_VERIFICATION
 
 
@@ -243,7 +248,7 @@ def cmd_bertrand_mate(args) -> int:
     consts = _load_constants(args.constants)
     curve, spatial, s, u = _load_inputs(args)
     mate = construct_mate(curve, consts, curve3=spatial)
-    _write(args.out, _csv("s,x0,x1,x2,x3", np.column_stack([s, mate.points(u)])))
+    _write(args.out, b"s,x0,x1,x2,x3\n", ftable_blocks(np.column_stack([s, mate.points(u)])))
     print(f"mate written: {len(s)} rows")
     return EXIT_OK
 
@@ -252,7 +257,7 @@ def cmd_verify(args) -> int:
     consts = _load_constants(args.constants)
     curve, spatial, _, u = _load_inputs(args)
     report = verify_mate(curve, consts, u, alpha3=spatial, tol=args.tol)
-    _write(args.report, canonical_json(report.to_json_dict()))
+    _write(args.report, canonical_json(report.to_json_dict()).encode())
     _print_conditions(report)
     for label in ("distance_deviation", "speed_deviation", "curvature_deviation",
                   "span_residual"):

@@ -405,7 +405,7 @@ def frame_ode_residual(
         N3' = -bitorsion * N2
     """
     provider = provider or (lambda s: frames4(curve4, s, curve3))
-    grid = np.asarray(list(grid), dtype=float)
+    grid = np.asarray(grid, dtype=float)
     deriv = _fd_derivative(lambda s: np.stack(provider(s).vectors(), axis=1), grid, 1,
                            DEFAULT_STEPS[1])
     deriv = deriv / curve4.speeds(grid)[:, None, None]

@@ -391,6 +391,12 @@ class TestVerifyMate:
         assert not report.verdict
         assert report.curvature_deviation > 1e-4
 
+    def test_grid_as_list_tuple_or_array(self, torus, torus_constants):
+        grid = np.linspace(0.1, 6.0, 9)
+        reports = [verify_mate(torus, torus_constants, g).to_json_dict()
+                   for g in (grid, list(grid), tuple(grid))]
+        assert reports[0] == reports[1] == reports[2]
+
     def test_finite_difference_base_curve_rejected(self, torus, torus_constants):
         # The oracle reads the mate's exact jet, which needs the base curve's.
         fd = ParametricCurve(4, torus.points, torus.domain, name="fd-torus")

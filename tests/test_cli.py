@@ -10,10 +10,12 @@ import pytest
 
 import quatcurves
 from conftest import TORUS, TORUS_K, TORUS_M, TORUS_R, associated_helix
-from quatcurves._fmt import fnum
+from quatcurves import cli
+from quatcurves._fmt import BLOCK, fnum, ftable, ftable_blocks
 from quatcurves.bertrand import BertrandConstants, construct_mate
 from quatcurves.cli import MAX_SAMPLES, main
 from quatcurves.curves import CurveSpec, torus_curve
+from quatcurves.frames import FRAME4_CSV_HEADER, frames4
 
 TORUS_DOC = {
     "family": "torus_curve",
@@ -399,6 +401,58 @@ class TestBertrandCommands:
         code = main(["bertrand", "check", "--curve", torus_spec, "--constants", document])
         assert code == 2
         assert "cannot load constants: JSON nested too deeply" in capsys.readouterr().err
+
+
+class TestCsvOutput:
+    """CSV tables go to the file block by block, as bytes."""
+
+    @pytest.mark.parametrize("command, samples, cols", [
+        (["frame"], 1000, 20),
+        (["bertrand", "mate", "--constants", json.dumps(TORUS_CONSTANTS)], 3500, 5),
+    ], ids=["frame", "mate"])
+    def test_csv_is_header_plus_ftable(self, tmp_path, torus_spec, command, samples, cols):
+        assert samples > 2 * (BLOCK // cols)  # at least three blocks
+        out = tmp_path / "table.csv"
+        assert main([*command, "--curve", torus_spec, "--out", str(out),
+                     "--samples", str(samples)]) == 0
+        # The default grid of a unit-speed curve: its parameters on the domain.
+        curve = CurveSpec.from_file(torus_spec).build()
+        s = np.linspace(*curve.domain, samples)
+        if command == ["frame"]:
+            header, table = FRAME4_CSV_HEADER, frames4(curve, s).table(s)
+        else:
+            mate = construct_mate(curve, BertrandConstants.from_json_dict(TORUS_CONSTANTS))
+            header, table = "s,x0,x1,x2,x3", np.column_stack([s, mate.points(s)])
+        assert table.shape == (samples, cols)
+        assert out.read_bytes() == (header + "\n" + ftable(table)).encode("ascii")
+
+    def test_non_finite_table_is_refused_before_rendering(self):
+        table = np.ones((3 * BLOCK, 2))
+        table[2 * BLOCK, 1] = np.inf
+        table[-1, 0] = np.nan
+        # Raised on the call, before the first block is asked for.
+        with pytest.raises(ValueError) as raised:
+            ftable_blocks(table)
+        with pytest.raises(ValueError) as expected:
+            fnum(np.inf)
+        assert str(raised.value) == str(expected.value)
+
+    def test_non_finite_mate_writes_no_file(self, tmp_path, torus_spec, monkeypatch, capsys):
+        class NanMate:
+            def points(self, u):
+                rows = np.zeros((len(u), 4))
+                rows[len(u) // 2, 2] = np.nan
+                return rows
+
+        monkeypatch.setattr(cli, "construct_mate", lambda *args, **kwargs: NanMate())
+        out = tmp_path / "mate.csv"
+        code = main(["bertrand", "mate", "--curve", torus_spec, "--out", str(out),
+                     "--constants", json.dumps(TORUS_CONSTANTS), "--samples", "1000"])
+        assert code == 2
+        with pytest.raises(ValueError) as expected:
+            fnum(np.nan)
+        assert capsys.readouterr().err == f"error: {expected.value}\n"
+        assert not out.exists()
 
 
 class TestVerifyCommand:

@@ -210,6 +210,13 @@ class TestOdeResidual:
         report = frame_ode_residual(torus, inner[:: len(inner) // 15])
         assert report.max_residual < 1e-4
 
+    def test_grid_as_list_tuple_or_array(self, torus):
+        grid = np.linspace(1.0, 3.0, 5)
+        reports = [frame_ode_residual(torus, g) for g in (grid, list(grid), tuple(grid))]
+        for report in reports[1:]:
+            for field in ("grid", "max_per_row", "mean_per_row"):
+                assert np.array_equal(getattr(report, field), getattr(reports[0], field))
+
     def test_line_degenerates(self):
         with pytest.raises(DegeneracyError, match="zero curvature"):
             frame_ode_residual(straight_line4(), [3.0, 3.5])
