@@ -330,24 +330,18 @@ _SPATIAL_DEGREE = _DEGREE + 2
 _SPATIAL_ORDERS = tuple(range(_SPATIAL_DEGREE + 1))
 
 
-def _without_jet(*curves: Optional[ParametricCurve]) -> Optional[ParametricCurve]:
-    """The first of ``curves`` that has no analytic jet, if any."""
-    return next((c for c in curves if c is not None and not c.has_analytic_derivatives), None)
-
-
 def _read_jet(alpha4: ParametricCurve, s: np.ndarray, alpha3: Optional[ParametricCurve]):
     """The jet of ``alpha4`` of orders 0-7 on ``s``, its frames from the rows and
     arithmetic of :func:`~quatcurves.frames.frames4`, and for a pair the jet of
     ``alpha3`` of orders 0-6 at the matching parameters and whether the two
     curves share their parameter (None without a pair)."""
     _require_r4(alpha4)
+    jet = alpha4.jet(s, _JET_ORDERS)
     if alpha3 is None:
-        jet = alpha4.jet(s, _JET_ORDERS)
         return jet, _intrinsic_frames(*jet[1:5]), None
     sigma = _spatial_parameters(alpha4, alpha3, s)
     spatial = alpha3.jet(sigma, _SPATIAL_ORDERS)
     f3 = frames3(alpha3, sigma, spatial[1:4])
-    jet = alpha4.jet(s, _JET_ORDERS)
     shared = alpha4.is_unit_speed and alpha3.is_unit_speed
     return jet, _pair_frames(jet[1], jet[2], f3), (spatial, shared)
 
@@ -428,15 +422,11 @@ def construct_mate(
     pair-built frame when the associated spatial curve ``curve3`` is given.
     The result stays parameterized by the base parameter ``s`` and is NOT
     unit speed.  Its points read one jet of ``alpha4`` per block: the points
-    and the derivatives the frame needs.  When ``alpha4`` carries an
-    analytic jet, the mate carries the exact jet of orders 0-4 on the same
-    domain: order 0 its points, order k the k-th Taylor coefficient of the
-    series of :func:`_mate_series` times k!.  Otherwise (``alpha4`` or
-    ``curve3`` without one) it is differentiated by finite differences and
-    its domain is the base domain less the order-3 reach
-    ``alpha4.fd_margin(3)`` at each end.  ``consts``
-    may be a plain ``(a, b)`` pair so that degenerate offsets remain
-    testable.
+    and the derivatives the frame needs.  It carries the exact jet of orders
+    0-4 on the domain of ``alpha4``: order 0 its points, order k the k-th
+    Taylor coefficient of the series of :func:`_mate_series` times k!.
+    ``consts`` may be a plain ``(a, b)`` pair so that degenerate offsets
+    remain testable.
     """
     a, b = (consts.a, consts.b) if isinstance(consts, BertrandConstants) else map(float, consts)
     _require_r4(alpha4)
@@ -451,13 +441,6 @@ def construct_mate(
             n1, n3 = f.N1, f.N3
         return x + a * n1 + b * n3
 
-    name = f"{alpha4.name or 'curve'}[mate]"
-    if _without_jet(alpha4, curve3) is not None:
-        lo, hi = alpha4.domain
-        margin = alpha4.fd_margin(3)
-        return ParametricCurve(dim=4, evaluate=evaluate, domain=(lo + margin, hi - margin),
-                               name=name)
-
     def jet(s: np.ndarray, orders) -> np.ndarray:
         x, base, pair = _read_jet(alpha4, s, curve3)
         coeffs = _mate_series(x, a, b, pair)
@@ -466,7 +449,8 @@ def construct_mate(
 
     # Exact by construction: building the mate evaluates nothing.
     return ParametricCurve(dim=4, evaluate=evaluate, domain=alpha4.domain, derivatives=jet,
-                           name=name, jet_order=_DEGREE, validate=False)
+                           name=f"{alpha4.name or 'curve'}[mate]", jet_order=_DEGREE,
+                           validate=False)
 
 
 def _scale(*values):
@@ -603,13 +587,8 @@ def verify_mate(
     span check that the oracle N1bar/N3bar (units 1 and 3) stay in
     span{N1, N3}.  The base frames are those of ``frames4``, row for row,
     and the later stages hold to ``VERIFY_TOLERANCES``.  Stage failures are
-    recorded in the report, not thrown; a base curve without analytic
-    derivatives is a ``ValueError``.
+    recorded in the report, not thrown.
     """
-    fd_curve = _without_jet(alpha4, alpha3)
-    if fd_curve is not None:
-        raise ValueError(f"verify_mate needs analytic derivatives: curve {fd_curve.name!r} "
-                         "has finite differences only")
     grid = np.asarray(grid, dtype=float)
     # The base frames are those the mate is built from: pointwise, from
     # the same source as the profile (pair frames can orient N3

@@ -11,13 +11,13 @@ all requested orders as one ``(len(orders), n, 4)`` array.  A built-in
 family is one jet function of orders 0-7, which evaluates each
 trigonometric term once for all orders; the Bertrand mate of such a curve
 carries the exact jet of orders 0-4 that Taylor-series arithmetic gives
-(:mod:`quatcurves.series`).  A curve with no analytic jet takes central
-finite differences of orders 1-4 with one Richardson level, from one
-``points`` call on the shifted grids of all orders.  ``points`` and an
-analytic jet evaluate in blocks of at most ``ROW_BLOCK`` rows (grid points
-times orders): that bounds the memory and, rows being independent, changes
-no bit.  A cumulative arc-length table, inverted by Newton steps, maps arc
-lengths to parameters.
+(:mod:`quatcurves.series`).  Every curve carries a jet: it is the only
+source of derivatives.  ``points`` and a jet evaluate in blocks of at most
+``ROW_BLOCK`` rows (grid points times orders): that bounds the memory and,
+rows being independent, changes no bit.  A cumulative arc-length table,
+inverted by Newton steps, maps arc lengths to parameters.  Central
+finite differences with one Richardson level only check a jet against
+its curve and measure how well frames follow their ODE.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ __all__ = [
     "row_blocks",
 ]
 
-# Default finite-difference steps per derivative order; chosen to balance
+# Finite-difference steps per derivative order; chosen to balance
 # truncation against round-off for the downstream ~1e-6 frame tolerances
 # (Richardson halves the step once, so round-off grows fast below these).
 DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 3e-3, 4: 1e-2}
@@ -74,7 +74,7 @@ NEWTON_STEPS = 8
 TABLE_PANELS = 256
 
 # Most rows (grid points times orders) one call of a curve's evaluation or
-# analytic jet receives; the mate's Taylor series are built on blocks of as
+# jet receives; the mate's Taylor series are built on blocks of as
 # many rows of the base curve's jet of orders 0-7.
 ROW_BLOCK = 1 << 15
 
@@ -115,12 +115,12 @@ class ParametricCurve:
     dim : 3 or 4
     evaluate : callable mapping a parameter grid ``(n,)`` to ``(n, 4)``
     domain : (u_min, u_max)
-    derivatives : optional jet callable ``(s, orders) -> (len(orders), n, 4)``, row
+    derivatives : jet callable ``(s, orders) -> (len(orders), n, 4)``, row
         ``k`` of order ``orders[k]`` (0..``jet_order``, 0 being the points);
         validated against ``evaluate`` and finite differences on construction
         unless ``validate`` is false.
-    jet_order : highest order the jet provides (7 for the built-in families);
-        a curve without one differentiates up to order 4.
+    jet_order : highest order the jet provides (7 for the built-in families,
+        4 for a Bertrand mate).
     """
 
     def __init__(
@@ -128,7 +128,7 @@ class ParametricCurve:
         dim: int,
         evaluate: Callable[[np.ndarray], np.ndarray],
         domain: tuple[float, float],
-        derivatives: Optional[Callable[[np.ndarray, tuple[int, ...]], np.ndarray]] = None,
+        derivatives: Callable[[np.ndarray, tuple[int, ...]], np.ndarray],
         name: str = "",
         jet_order: int = 7,
         validate: bool = True,
@@ -142,27 +142,29 @@ class ParametricCurve:
         self.domain = (lo, hi)
         self._eval = evaluate
         self._derivs = derivatives
-        self.jet_order = 4 if derivatives is None else jet_order
+        self.jet_order = jet_order
         self.name = name
-        if derivatives is not None and validate:
+        if validate:
             self._validate_derivatives()
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check_domain(self, s: np.ndarray):
+    def _check_domain(self, s) -> np.ndarray:
+        """The grid ``s`` as a float array of shape ``(n,)`` inside the domain."""
+        s = np.asarray(s, dtype=float)
+        if s.ndim != 1:
+            raise ValueError(f"a parameter grid must have shape (n,), not {s.shape}")
         lo, hi = self.domain
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
         if not len(s) or lo - slack <= s.min() and s.max() <= hi + slack:  # NaN fails both
-            return
+            return s
         outside = ~((lo - slack <= s) & (s <= hi + slack))
-        if np.any(outside):
-            raise ValueError(f"parameter {float(s[outside][0])!r} outside domain [{lo}, {hi}]")
+        raise ValueError(f"parameter {float(s[outside][0])!r} outside domain [{lo}, {hi}]")
 
     def points(self, s) -> np.ndarray:
         """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``;
         ``evaluate`` receives blocks of at most ``ROW_BLOCK`` rows."""
-        s = np.asarray(s, dtype=float)
-        self._check_domain(s)
+        s = self._check_domain(s)
         p = np.empty((len(s), 4))
         for rows in row_blocks(len(s), 1):
             block = np.asarray(self._eval(s[rows]), dtype=float)
@@ -177,40 +179,23 @@ class ParametricCurve:
 
     @property
     def has_analytic_derivatives(self) -> bool:
-        return self._derivs is not None
+        """Always true, as every curve carries a jet; kept for ``perfbench/tracing.py``."""
+        return True
 
     def jet(self, s, orders) -> np.ndarray:
         """Points (order 0) and derivatives of the ``orders`` (0..``jet_order``) on the
-        grid ``s``, as ``(len(orders), n, 4)``; row ``k`` is ``jet(s, (orders[k],))[0]``
-        bit for bit.
-
-        One call of the analytic jet per block of ``ROW_BLOCK`` rows when the
-        curve carries one, else central differences with step
-        ``DEFAULT_STEPS[order]`` and one Richardson level from one ``points``
-        call, at least ``fd_margin(order)`` inside the domain.
+        grid ``s``, as ``(len(orders), n, 4)``, from one call of the curve's jet per
+        block of ``ROW_BLOCK`` rows; row ``k`` is ``jet(s, (orders[k],))[0]`` bit for bit.
         """
         if not all(0 <= order <= self.jet_order for order in orders):
             raise ValueError(f"derivative orders must be between 0 and {self.jet_order}")
-        s = np.asarray(s, dtype=float)
-        if self.has_analytic_derivatives:
-            self._check_domain(s)
-            blocks = []
-            for rows in row_blocks(len(s), len(orders)):
-                blocks.append(np.asarray(self._derivs(s[rows], orders), dtype=float))
-                if blocks[-1].shape != (len(orders), len(s[rows]), 4):
-                    raise ValueError("a derivative jet must return one (n, 4) array per order")
-            d = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
-        else:
-            lo, hi = self.domain
-            for order in (order for order in orders if order):
-                margin = self.fd_margin(order)
-                short = (s - margin < lo) | (s + margin > hi)
-                if np.any(short):
-                    raise ValueError(
-                        f"parameter {float(s[short][0])!r} violates the differentiation margin "
-                        f"{margin:.3g} for order {order} on [{lo}, {hi}]"
-                    )
-            d = _fd_jet(self.points, s, orders)
+        s = self._check_domain(s)
+        blocks = []
+        for rows in row_blocks(len(s), len(orders)):
+            blocks.append(np.asarray(self._derivs(s[rows], orders), dtype=float))
+            if blocks[-1].shape != (len(orders), len(s[rows]), 4):
+                raise ValueError("a derivative jet must return one (n, 4) array per order")
+        d = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
         _require_finite(d, s, "derivative is not finite")
         return d
 
@@ -224,10 +209,6 @@ class ParametricCurve:
     def speeds(self, s) -> np.ndarray:
         return norm(self.derivatives(s, 1))
 
-    def fd_margin(self, order: int) -> float:
-        """Distance from the boundary required to differentiate at ``order``."""
-        return 0.0 if self.has_analytic_derivatives else _fd_reach(order)
-
     @cached_property
     def arc_lengths(self) -> "ArcLengthTable":
         """Arc length from the start of the domain, tabulated on ``TABLE_PANELS`` panels."""
@@ -235,11 +216,8 @@ class ParametricCurve:
 
     @cached_property
     def unit_speed_deviation(self) -> float:
-        """Max |speed - 1| on a 101-point uniform grid (finite-difference safe)."""
-        lo, hi = self.domain
-        m = self.fd_margin(1)
-        grid = np.linspace(lo + m, hi - m, 101)
-        return float(np.max(np.abs(self.speeds(grid) - 1.0)))
+        """Max |speed - 1| on a 101-point uniform grid."""
+        return float(np.max(np.abs(self.speeds(np.linspace(*self.domain, 101)) - 1.0)))
 
     @cached_property
     def is_unit_speed(self) -> bool:
@@ -251,7 +229,8 @@ class ParametricCurve:
         the order-1 stencil of order k, from one jet call on 10 draws and their
         shifts by +-h and +-h/2."""
         lo, hi = self.domain
-        margin = _fd_reach(2) + 1e-9 * (hi - lo)
+        # The reach of the order-2 stencil, 2 * 2 * DEFAULT_STEPS[2], and a little more.
+        margin = 4.0 * DEFAULT_STEPS[2] + 1e-9 * (hi - lo)
         if not lo + margin <= hi - margin:
             raise ValueError(f"domain [{lo}, {hi}] is too short for the derivative check")
         # The doubles of default_rng(20240831).uniform(lo + margin, hi - margin, 10).
@@ -284,11 +263,6 @@ def _validation_draws() -> np.ndarray:
 
 # -- differentiation ---------------------------------------------------------
 
-def _fd_reach(order: int) -> float:
-    """How far the Richardson-central stencil of ``order`` reaches from its centre."""
-    return 2.0 * order * DEFAULT_STEPS[order]
-
-
 # The Richardson pair of central stencils of each order samples u + k*h at
 # these k; the stencils at h and h/2 share u +- h, since 2 * (h/2) == h.
 _FD_SHIFTS = {
@@ -310,20 +284,6 @@ def _central_stencil(v: Callable[[float], np.ndarray], order: int, h: float) -> 
     return (v(2) - 4.0 * v(1) + 6.0 * v(0) - 4.0 * v(-1) + v(-2)) / h**4
 
 
-def _fd_jet(f: Callable, u: np.ndarray, orders, steps=DEFAULT_STEPS) -> np.ndarray:
-    """``f`` (order 0) and its Richardson-central derivatives of the ``orders`` on ``u``,
-    base step ``steps[n]``, as ``(len(orders), len(u), ...)``; ``f`` maps ``(m,)`` to
-    ``(m, ...)`` and is called once, on the shifted grids of all orders stacked."""
-    shifts = [_FD_SHIFTS.get(n, (0.0,)) for n in orders]  # order 0 samples u itself
-    grids = [u + k * steps[n] if n else u for n, ks in zip(orders, shifts) for k in ks]
-    values = np.split(f(np.concatenate(grids)), len(grids))
-    jet = []
-    for n, ks in zip(orders, shifts):
-        at, values = dict(zip(ks, values)), values[len(ks):]
-        jet.append(_richardson(at, n, steps[n]) if n else at[0.0])
-    return np.stack(jet)
-
-
 def _richardson(at: dict, order: int, h: float) -> np.ndarray:
     """Derivative of ``order`` from ``at[k]``, the function at ``u + k*h`` for the
     shifts of ``_FD_SHIFTS[order]``: one Richardson level on the central stencils,
@@ -335,8 +295,11 @@ def _richardson(at: dict, order: int, h: float) -> np.ndarray:
 
 def _fd_derivative(f: Callable, u: np.ndarray, order: int, h: float) -> np.ndarray:
     """Richardson-central derivative of ``f`` of ``order`` on the grid ``u``, base
-    step ``h``: the one-order :func:`_fd_jet`."""
-    return _fd_jet(f, u, (order,), {order: h})[0]
+    step ``h``; ``f`` maps ``(m,)`` to ``(m, ...)`` and is called once, on the
+    shifted grids stacked."""
+    ks = _FD_SHIFTS[order]
+    values = np.split(f(np.concatenate([u + k * h for k in ks])), len(ks))
+    return _richardson(dict(zip(ks, values)), order, h)
 
 
 def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
@@ -390,8 +353,6 @@ class ArcLengthTable:
 
     edges: np.ndarray
     lengths: np.ndarray
-    _nodes: np.ndarray = field(repr=False, default=None)
-    _weights: np.ndarray = field(repr=False, default=None)
     _speed: Callable[[np.ndarray], np.ndarray] = field(repr=False, default=None)
 
     GAUSS_DEGREE = 8
@@ -409,7 +370,7 @@ class ArcLengthTable:
         lengths = np.concatenate([[0.0], np.cumsum(half * _weighted_sum(weights, speeds))])
         if np.any(np.diff(lengths) <= 0):
             raise DegeneracyError("irregular curve: arc length not strictly increasing")
-        return cls(edges, lengths, nodes, weights, speed)
+        return cls(edges, lengths, speed)
 
     @property
     def total(self) -> float:
@@ -421,8 +382,9 @@ class ArcLengthTable:
         j = np.searchsorted(self.edges, u, side="right") - 1
         j = np.minimum(np.maximum(j, 0), len(self.edges) - 2)
         # On a panel edge the half-width is 0 and the tabulated length stays exact.
-        half, speeds = _node_speeds(self._speed, self.edges[j], u, self._nodes)
-        return self.lengths[j] + half * _weighted_sum(self._weights, speeds)
+        nodes, weights = _gauss_legendre(self.GAUSS_DEGREE)
+        half, speeds = _node_speeds(self._speed, self.edges[j], u, nodes)
+        return self.lengths[j] + half * _weighted_sum(weights, speeds)
 
     def length_at(self, u: float) -> float:
         """Arc length from the table start to ``u``."""
@@ -467,7 +429,7 @@ class ArcLengthTable:
 # arithmetic of its order alone.
 
 def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
-    """A curve whose points are the order-0 row of its analytic ``jet``."""
+    """A curve whose points are the order-0 row of its ``jet``."""
     return ParametricCurve(dim, lambda u: jet(u, (0,))[0], domain, jet, name=name)
 
 

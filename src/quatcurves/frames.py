@@ -284,9 +284,7 @@ def _intrinsic_frames(d1: np.ndarray, d2: np.ndarray, d3: np.ndarray,
     always nonpositive; ``N3`` completes the unique orthonormal basis with
     determinant +1.  The bitorsion ``h(N2', N3)`` is
     ``-h(d4, N3) / (rho_0 rho_2)``, read from the part of ``d4`` orthogonal
-    to T, N1, N2, so analytic and finite-difference curves are read the
-    same way (the latter need the order-4 stencil reach
-    ``curve.fd_margin(4)`` from the ends).
+    to T, N1, N2.
     """
     T, N1, N2, N3, (rho0, rho1, rho2) = _intrinsic_basis(d1, d2, d3)
     d4 = _orthogonalize(d4, [T, N1, N2])
@@ -367,8 +365,8 @@ def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None
     if curve3 is None:
         return _intrinsic_frames(*curve4.jet(s, (1, 2, 3, 4)))
     s = np.asarray(s, dtype=float)
-    f3 = frames3(curve3, _spatial_parameters(curve4, curve3, s))
-    return _pair_frames(*curve4.jet(s, (1, 2)), f3)
+    d1, d2 = curve4.jet(s, (1, 2))
+    return _pair_frames(d1, d2, frames3(curve3, _spatial_parameters(curve4, curve3, s)))
 
 
 @dataclass
@@ -406,9 +404,10 @@ def frame_ode_residual(
     """
     provider = provider or (lambda s: frames4(curve4, s, curve3))
     grid = np.asarray(grid, dtype=float)
+    speeds = curve4.speeds(grid)  # rejects a grid that is not 1-D before the stencil
     deriv = _fd_derivative(lambda s: np.stack(provider(s).vectors(), axis=1), grid, 1,
                            DEFAULT_STEPS[1])
-    deriv = deriv / curve4.speeds(grid)[:, None, None]
+    deriv = deriv / speeds[:, None, None]
     f = provider(grid)
     K, torsion, bitorsion = (v[:, None] for v in (f.K, f.torsion, f.bitorsion))
     expected = np.stack(

@@ -397,16 +397,6 @@ class TestVerifyMate:
                    for g in (grid, list(grid), tuple(grid))]
         assert reports[0] == reports[1] == reports[2]
 
-    def test_finite_difference_base_curve_rejected(self, torus, torus_constants):
-        # The oracle reads the mate's exact jet, which needs the base curve's.
-        fd = ParametricCurve(4, torus.points, torus.domain, name="fd-torus")
-        with pytest.raises(ValueError, match="needs analytic derivatives: curve 'fd-torus'"):
-            verify_mate(fd, torus_constants, np.linspace(1.0, 2.0, 5))
-        # Its mate keeps finite differences, on the domain they leave.
-        mate = construct_mate(fd, torus_constants)
-        assert not mate.has_analytic_derivatives
-        assert mate.domain == (fd.fd_margin(3), torus.domain[1] - fd.fd_margin(3))
-
     def test_report_json_shape(self, torus_report):
         doc = torus_report.to_json_dict()
         assert set(doc["conditions"]) == {

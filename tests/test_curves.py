@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,7 +19,9 @@ from quatcurves.curves import (
     torus_curve,
     _fd_derivative,
 )
+from quatcurves.bertrand import verify_mate
 from quatcurves.errors import DegeneracyError
+from quatcurves.frames import frame_ode_residual, frames4
 
 SQ2 = math.sqrt(0.5)
 
@@ -68,12 +71,6 @@ class TestDerivative:
                 ex = derivative(c, float(u), 4)
                 fd = _fd_derivative(c.points, np.array([u]), 4, DEFAULT_STEPS[4])[0]
                 assert np.max(np.abs(ex - fd)) <= 1e-4, name
-
-    def test_margin_enforced_for_fd_curves(self):
-        base = torus_curve(0.6, 1.0, 0.4, 2.0)
-        plain = ParametricCurve(4, base.points, base.domain)  # no analytic derivatives
-        with pytest.raises(ValueError, match="margin"):
-            derivative(plain, 1e-5, 3)
 
     def test_order_validation(self):
         c = circle3(1.0)
@@ -245,3 +242,21 @@ def test_domain_shorter_than_the_derivative_check_rejected(domain):
     # The check samples at least the order-2 stencil's reach from each end.
     with pytest.raises(ValueError, match="too short for the derivative check"):
         torus_curve(0.6, 1.0, 0.4, 2.0, domain=domain)
+
+
+@pytest.mark.parametrize("grid", [1.0, [[1.0, 2.0], [3.0, 4.0]]], ids=["0-d", "2-d"])
+def test_grid_that_is_not_1d_rejected(torus, helix_assoc, torus_constants, grid):
+    # Every entry point rejects the grid where it enters the curve, naming its shape.
+    calls = {
+        "points": lambda: torus.points(grid),
+        "jet": lambda: torus.jet(grid, (0, 1)),
+        "frames4": lambda: frames4(torus, grid),
+        "frames4-pair": lambda: frames4(torus, grid, helix_assoc),
+        "verify_mate": lambda: verify_mate(torus, torus_constants, grid),
+        "verify_mate-pair": lambda: verify_mate(torus, torus_constants, grid, helix_assoc),
+        "frame_ode_residual": lambda: frame_ode_residual(torus, grid),
+    }
+    message = re.escape(f"a parameter grid must have shape (n,), not {np.shape(grid)}")
+    for name, call in calls.items():
+        with pytest.raises(ValueError, match=message):
+            call()

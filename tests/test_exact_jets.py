@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from conftest import TORUS_K
 from quatcurves import bertrand
 from quatcurves.bertrand import construct_mate, fit_constants, verify_mate
-from quatcurves.curves import CurveSpec, _fd_jet, torus_curve
+from quatcurves.curves import DEFAULT_STEPS, CurveSpec, _fd_derivative, torus_curve
 from quatcurves.errors import FitError
 from quatcurves.frames import curvature_profile, frames4
 from quatcurves.quaternion import inner, norm
@@ -58,7 +58,8 @@ def test_exact_jet_agrees_with_its_order_one_stencil(torus, helix_assoc, name):
     curve, curve3, grid, consts = case(name, torus, helix_assoc)
     mate = construct_mate(curve, consts, curve3=curve3)
     rows = mate.jet(grid, (1, 2, 3, 4))
-    stencil = _fd_jet(lambda u: np.moveaxis(mate.jet(u, (0, 1, 2, 3)), 0, 1), grid, (1,))[0]
+    stencil = _fd_derivative(lambda u: np.moveaxis(mate.jet(u, (0, 1, 2, 3)), 0, 1), grid, 1,
+                             DEFAULT_STEPS[1])
     # Richardson's O(h^4) error and O(eps / h) round-off: about 1e-11 here.
     for k in range(4):
         scale = max(1.0, float(np.max(np.abs(rows[k]))))

@@ -1,10 +1,9 @@
 """Derivative jets: the rows of one call, and the work a frame and a verify do.
 
 A jet returns the points and the derivatives of several orders from one
-call of the curve's family per block of rows (analytic curves, and the
-Bertrand mate of one through its Taylor series) or one ``points`` call on
-all shifted grids (finite-difference curves).  Its row for an order is the
-one-order jet bit for bit.  The counters below are machine independent:
+call of the curve's family per block of rows (the built-in families, and
+the Bertrand mate of one through its Taylor series).  Its row for an order
+is the one-order jet bit for bit.  The counters below are machine independent:
 family calls per frame and per verify, and rows per block.
 """
 
@@ -13,10 +12,11 @@ import math
 import numpy as np
 import pytest
 
-from conftest import TORUS
+from conftest import TORUS, associated_helix
 from quatcurves.bertrand import construct_mate, verify_mate
 from quatcurves.curves import (
     ROW_BLOCK,
+    CurveSpec,
     ParametricCurve,
     circle3,
     fourier_curve,
@@ -24,6 +24,7 @@ from quatcurves.curves import (
     torus_curve,
 )
 from quatcurves.frames import frames4
+from test_cli import FAST_TORUS_DOC
 
 
 def jet_curves():
@@ -43,15 +44,17 @@ def jet_curves():
             linear=[0.3, 0.0, -0.2, 0.1],
         ),
         "mate": construct_mate(torus_curve(**TORUS), (0.3, -0.2)),
+        # The pair frame, on a shared parameter and on one matched by arc length.
+        "pair-mate": construct_mate(torus_curve(**TORUS), (0.3, -0.2), associated_helix()),
+        "fast-pair-mate": construct_mate(CurveSpec.from_dict(FAST_TORUS_DOC).build(), (0.3, -0.2),
+                                         associated_helix()),
     }
 
 
 @pytest.mark.parametrize("name", list(jet_curves()))
 def test_jet_rows_equal_single_order_jets(name):
     curve = jet_curves()[name]
-    lo, hi = curve.domain
-    margin = curve.fd_margin(4)
-    s = np.linspace(lo + margin, hi - margin, 37)
+    s = np.linspace(*curve.domain, 37)
     jet = curve.jet(s, (0, 1, 2, 3, 4))
     assert jet.shape == (5, 37, 4)
     for k in range(5):
@@ -65,11 +68,9 @@ def test_jet_rejects_orders_beyond_seven():
     assert torus.jet([1.0], (1, 7)).shape == (2, 1, 4)
     with pytest.raises(ValueError, match="between 0 and 7"):
         torus.jet([1.0], (1, 8))
-    # The mate's series have degree 4; finite differences go to order 4.
+    # The mate's series have degree 4.
     with pytest.raises(ValueError, match="between 0 and 4"):
         construct_mate(torus, (0.3, -0.2)).jet([1.0], (5,))
-    with pytest.raises(ValueError, match="between 0 and 4"):
-        ParametricCurve(4, torus.points, torus.domain).jet([1.0], (5,))
 
 
 def counted_torus():

@@ -1,17 +1,13 @@
 """The grid kernel against the pointwise construction, and its scalar wrappers.
 
 The reference below builds one frame per grid point of a unit-speed
-curve: derivatives from ``curves.derivative`` (or the sequential
-Richardson-central stencil on ``curve.point`` for finite-difference
-curves), Gram-Schmidt with ``@``, N3 from five determinants, and the
-unit-speed chain-rule formulas for N1', N2' and the curvatures.  The
-kernel reads the same frame from the norms of its Gram-Schmidt pass, sums
-its inner products in another order and builds N3 from closed-form
-minors, so on analytic curves the two agree to the last bits (1e-13
-absolute on vectors and mate points, 1e-13 relative on K, torsion and
-bitorsion).  On a finite-difference curve the order-4 stencil at
-h/2 = 5e-3 amplifies a 1-ulp change in a point by about eps/h^4 = 4e-7,
-so the bound there is 1e-6.
+curve: derivatives from ``curves.derivative``, Gram-Schmidt with ``@``,
+N3 from five determinants, and the unit-speed chain-rule formulas for
+N1', N2' and the curvatures.  The kernel reads the same frame from the
+norms of its Gram-Schmidt pass, sums its inner products in another order
+and builds N3 from closed-form minors, so the two agree to the last bits
+(1e-13 absolute on vectors and mate points, 1e-13 relative on K, torsion
+and bitorsion).
 """
 
 import math
@@ -22,14 +18,7 @@ import pytest
 from conftest import TORUS, TORUS2, associated_helix
 from test_cli import FAST_TORUS_DOC
 from quatcurves.bertrand import construct_mate
-from quatcurves.curves import (
-    DEFAULT_STEPS,
-    ArcLengthTable,
-    CurveSpec,
-    ParametricCurve,
-    derivative,
-    torus_curve,
-)
+from quatcurves.curves import ArcLengthTable, CurveSpec, derivative, torus_curve
 from quatcurves.frames import (
     curvature_profile,
     frame3_at,
@@ -40,31 +29,11 @@ from quatcurves.frames import (
 )
 from quatcurves.quaternion import Quaternion, mul
 
-ANALYTIC_TOL = 1e-13
-FD_TOL = 1e-6
+TOL = 1e-13
 OFFSETS = (0.3, -0.7)
 
 
 # -- pointwise reference ----------------------------------------------------------
-
-def ref_derivative(curve, s, order):
-    if curve.has_analytic_derivatives:
-        return derivative(curve, s, order)
-    f = curve.point
-
-    def stencil(h):
-        if order == 1:
-            return (f(s + h) - f(s - h)) / (2.0 * h)
-        if order == 2:
-            return (f(s + h) - 2.0 * f(s) + f(s - h)) / (h * h)
-        if order == 3:
-            return (f(s + 2 * h) - 2.0 * f(s + h) + 2.0 * f(s - h) - f(s - 2 * h)) / (2.0 * h**3)
-        return (f(s + 2 * h) - 4.0 * f(s + h) + 6.0 * f(s) - 4.0 * f(s - h)
-                + f(s - 2 * h)) / h**4
-
-    h = DEFAULT_STEPS[order]
-    return (4.0 * stencil(h / 2.0) - stencil(h)) / 3.0
-
 
 def ref_orthonormalize(vec, against):
     out = vec.copy()
@@ -83,7 +52,7 @@ def ref_complement(u1, u2, u3):
 
 
 def ref_basis(curve, s):
-    d1, d2, d3 = (ref_derivative(curve, s, n) for n in (1, 2, 3))
+    d1, d2, d3 = (derivative(curve, s, n) for n in (1, 2, 3))
     K = float(np.linalg.norm(d2))
     t = d1 / np.linalg.norm(d1)
     n1 = ref_orthonormalize(d2, [t])
@@ -99,7 +68,7 @@ def ref_basis(curve, s):
 def ref_intrinsic(curve, s):
     vectors, K, torsion, (d1, d2, d3, w) = ref_basis(curve, s)
     t = vectors[0]
-    d4 = ref_derivative(curve, s, 4)
+    d4 = derivative(curve, s, 4)
     L1 = float(np.linalg.norm(d1))
     t_prime = d2 / L1 - d1 * (d2 @ d1) / L1**3
     kp = (d3 @ d2) / K
@@ -123,7 +92,7 @@ def qmul(p, q):
 
 
 def ref_spatial(curve, s):
-    d1, d2, d3 = (ref_derivative(curve, s, n) for n in (1, 2, 3))
+    d1, d2, d3 = (derivative(curve, s, n) for n in (1, 2, 3))
     k = float(np.linalg.norm(d2))
     t = d1 / np.linalg.norm(d1)
     n = ref_orthonormalize(d2, [t])
@@ -135,7 +104,7 @@ def ref_spatial(curve, s):
 
 def ref_pair(curve4, curve3, s):
     t, n, b, k, r = ref_spatial(curve3, s)
-    d1, d2 = (ref_derivative(curve4, s, order) for order in (1, 2))
+    d1, d2 = (derivative(curve4, s, order) for order in (1, 2))
     K = float(np.linalg.norm(d2))
     L1 = float(np.linalg.norm(d1))
     T = d1 / L1
@@ -169,14 +138,10 @@ def ref_mate(curve4, grid, curve3=None):
 
 def cases():
     torus, full = torus_curve(**TORUS), np.linspace(0.0, 2.0 * math.pi, 101)
-    fd = ParametricCurve(4, torus.points, torus.domain)  # no analytic derivatives
-    m = fd.fd_margin(4)
     return {
-        "torus": (torus, None, full, ANALYTIC_TOL),
-        "torus2": (torus_curve(**TORUS2), None, full, ANALYTIC_TOL),
-        "torus-helix": (torus, associated_helix(),
-                        np.linspace(0.05, 2.0 * math.pi - 0.05, 61), ANALYTIC_TOL),
-        "fd-torus": (fd, None, np.linspace(fd.domain[0] + m, fd.domain[1] - m, 21), FD_TOL),
+        "torus": (torus, None, full),
+        "torus2": (torus_curve(**TORUS2), None, full),
+        "torus-helix": (torus, associated_helix(), np.linspace(0.05, 2.0 * math.pi - 0.05, 61)),
     }
 
 
@@ -194,20 +159,20 @@ def max_rel(a, b):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_kernel_matches_pointwise_reference(name):
-    curve4, curve3, grid, tol = CASES[name]
+    curve4, curve3, grid = CASES[name]
     ref = ref_frames(curve4, grid, curve3)
     raw = frames4(curve4, grid, curve3)
-    assert max_abs(np.stack(raw.vectors(), axis=1), [f[0] for f in ref]) <= tol
+    assert max_abs(np.stack(raw.vectors(), axis=1), [f[0] for f in ref]) <= TOL
     for got, i in ((raw.K, 1), (raw.torsion, 2), (raw.bitorsion, 3)):
-        assert max_rel(got, [f[i] for f in ref]) <= tol
+        assert max_rel(got, [f[i] for f in ref]) <= TOL
 
     profile = curvature_profile(curve4, grid, curve3=curve3)
-    assert max_rel(profile.K, [f[1] for f in ref]) <= tol
-    assert max_rel(profile.r, [-f[2] for f in ref]) <= tol
-    assert max_rel(profile.bitorsion, [f[3] for f in ref]) <= tol
+    assert max_rel(profile.K, [f[1] for f in ref]) <= TOL
+    assert max_rel(profile.r, [-f[2] for f in ref]) <= TOL
+    assert max_rel(profile.bitorsion, [f[3] for f in ref]) <= TOL
 
     mate = construct_mate(curve4, OFFSETS, curve3=curve3)
-    assert max_abs(mate.points(grid), ref_mate(curve4, grid, curve3)) <= tol
+    assert max_abs(mate.points(grid), ref_mate(curve4, grid, curve3)) <= TOL
 
 
 # -- scalar wrappers return the batch rows bit for bit ---------------------------------
@@ -218,7 +183,7 @@ def frame_rows(frame):
 
 @pytest.mark.parametrize("name", list(CASES))
 def test_scalar_wrappers_are_batch_rows(name):
-    curve4, curve3, grid, _ = CASES[name]
+    curve4, curve3, grid = CASES[name]
     batch = frames4(curve4, grid, curve3)
     mate = construct_mate(curve4, OFFSETS, curve3=curve3)
     mate_points = mate.points(grid)
