@@ -9,15 +9,16 @@ and :func:`derivative` evaluate a length-1 grid and return its row.
 ``curve.jet(s, orders)`` returns the points (order 0) and derivatives of
 all requested orders as one ``(len(orders), n, 4)`` array.  A built-in
 family is one jet function of orders 0-7, which evaluates each
-trigonometric term once for all orders; the Bertrand mate of such a curve
-carries the exact jet of orders 0-4 that Taylor-series arithmetic gives
-(:mod:`quatcurves.series`).  Every curve carries a jet: it is the only
-source of derivatives.  ``points`` and a jet evaluate in blocks of at most
-``ROW_BLOCK`` rows (grid points times orders): that bounds the memory and,
-rows being independent, changes no bit.  A cumulative arc-length table,
-inverted by Newton steps, maps arc lengths to parameters.  Central
-finite differences with one Richardson level only check a jet against
-its curve and measure how well frames follow their ODE.
+trigonometric term once for all orders, and its points are the jet's
+order 0; the Bertrand mate of such a curve carries the exact jet of
+orders 0-4 that Taylor-series arithmetic gives (:mod:`quatcurves.series`).
+Every curve carries a jet: it is the only source of derivatives.
+``points`` and a jet evaluate in blocks of at most ``ROW_BLOCK`` rows
+(grid points times orders): that bounds the memory and, rows being
+independent, changes no bit.  A cumulative arc-length table, inverted by
+Newton steps of one speed call each, maps arc lengths to parameters.
+Central finite differences with one Richardson level only check a jet
+against its curve and measure how well frames follow their ODE.
 """
 
 from __future__ import annotations
@@ -80,6 +81,8 @@ ROW_BLOCK = 1 << 15
 
 _TWO_PI = 2.0 * math.pi
 
+_JET_SHAPE = "a derivative jet must return one (n, 4) array per order"
+
 
 def _quote(value) -> str:
     """``repr(value)`` in at most 80 characters, however large or deep the value."""
@@ -107,17 +110,46 @@ def _require_finite(values: np.ndarray, s: np.ndarray, what: str):
         raise ValueError(f"{what} at u={float(s[bad][0])!r}")
 
 
+def _grid(values, what: str) -> np.ndarray:
+    """``values`` as a float array of shape ``(n,)``; any other shape is refused by name."""
+    s = np.asarray(values, dtype=float)
+    if s.ndim != 1:
+        raise ValueError(f"{what} grid must have shape (n,), not {s.shape}")
+    return s
+
+
+def _in_blocks(fn, s: np.ndarray, k: int, error: str) -> np.ndarray:
+    """``fn`` on the grid ``s`` as a ``(k, n, 4)`` array: one call on the whole grid
+    when its ``n * k`` rows fit in ``ROW_BLOCK``, else one call per block of rows,
+    each block written into the result as it arrives."""
+    def call(u):
+        block = np.asarray(fn(u), dtype=float)
+        if block.shape != (k, len(u), 4):
+            raise ValueError(error)
+        return block
+
+    if len(s) * k <= ROW_BLOCK:
+        return call(s)
+    out = np.empty((k, len(s), 4))
+    for rows in row_blocks(len(s), k):
+        out[:, rows] = call(s[rows])
+    return out
+
+
 class ParametricCurve:
     """Immutable evaluatable curve ``u -> point`` on a closed interval.
 
     Parameters
     ----------
     dim : 3 or 4
-    evaluate : callable mapping a parameter grid ``(n,)`` to ``(n, 4)``
+    evaluate : callable mapping a parameter grid ``(n,)`` to ``(n, 4)``, or
+        ``None`` for a curve whose points are its jet's order 0 (the built-in
+        families).
     domain : (u_min, u_max)
     derivatives : jet callable ``(s, orders) -> (len(orders), n, 4)``, row
-        ``k`` of order ``orders[k]`` (0..``jet_order``, 0 being the points);
-        validated against ``evaluate`` and finite differences on construction
+        ``k`` of order ``orders[k]`` (0..``jet_order``, 0 being the points),
+        ``orders`` a tuple; validated against finite differences, and its
+        order 0 against ``evaluate`` when there is one, on construction
         unless ``validate`` is false.
     jet_order : highest order the jet provides (7 for the built-in families,
         4 for a Bertrand mate).
@@ -126,7 +158,7 @@ class ParametricCurve:
     def __init__(
         self,
         dim: int,
-        evaluate: Callable[[np.ndarray], np.ndarray],
+        evaluate: Optional[Callable[[np.ndarray], np.ndarray]],
         domain: tuple[float, float],
         derivatives: Callable[[np.ndarray, tuple[int, ...]], np.ndarray],
         name: str = "",
@@ -151,9 +183,7 @@ class ParametricCurve:
 
     def _check_domain(self, s) -> np.ndarray:
         """The grid ``s`` as a float array of shape ``(n,)`` inside the domain."""
-        s = np.asarray(s, dtype=float)
-        if s.ndim != 1:
-            raise ValueError(f"a parameter grid must have shape (n,), not {s.shape}")
+        s = _grid(s, "a parameter")
         lo, hi = self.domain
         slack = 1e-12 * max(1.0, abs(lo), abs(hi))
         if not len(s) or lo - slack <= s.min() and s.max() <= hi + slack:  # NaN fails both
@@ -162,15 +192,15 @@ class ParametricCurve:
         raise ValueError(f"parameter {float(s[outside][0])!r} outside domain [{lo}, {hi}]")
 
     def points(self, s) -> np.ndarray:
-        """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``;
-        ``evaluate`` receives blocks of at most ``ROW_BLOCK`` rows."""
+        """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``:
+        the curve's ``evaluate``, or its jet's order 0 when it has none, called on
+        blocks of at most ``ROW_BLOCK`` rows."""
         s = self._check_domain(s)
-        p = np.empty((len(s), 4))
-        for rows in row_blocks(len(s), 1):
-            block = np.asarray(self._eval(s[rows]), dtype=float)
-            if block.shape != (len(s[rows]), 4):
-                raise ValueError("curve evaluation must return 4 quaternion components")
-            p[rows] = block
+        if self._eval is None:
+            p = _in_blocks(lambda u: self._derivs(u, (0,)), s, 1, _JET_SHAPE)[0]
+        else:
+            p = _in_blocks(lambda u: np.asarray(self._eval(u), dtype=float)[None], s, 1,
+                           "curve evaluation must return 4 quaternion components")[0]
         _require_finite(p, s, "curve evaluation is not finite")
         return p
 
@@ -187,15 +217,11 @@ class ParametricCurve:
         grid ``s``, as ``(len(orders), n, 4)``, from one call of the curve's jet per
         block of ``ROW_BLOCK`` rows; row ``k`` is ``jet(s, (orders[k],))[0]`` bit for bit.
         """
+        orders = tuple(orders)
         if not all(0 <= order <= self.jet_order for order in orders):
             raise ValueError(f"derivative orders must be between 0 and {self.jet_order}")
         s = self._check_domain(s)
-        blocks = []
-        for rows in row_blocks(len(s), len(orders)):
-            blocks.append(np.asarray(self._derivs(s[rows], orders), dtype=float))
-            if blocks[-1].shape != (len(orders), len(s[rows]), 4):
-                raise ValueError("a derivative jet must return one (n, 4) array per order")
-        d = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        d = _in_blocks(lambda u: self._derivs(u, orders), s, len(orders), _JET_SHAPE)
         _require_finite(d, s, "derivative is not finite")
         return d
 
@@ -225,9 +251,9 @@ class ParametricCurve:
         return self.unit_speed_deviation <= UNIT_SPEED_TOL
 
     def _validate_derivatives(self):
-        """Check the jet's order 0 against ``evaluate`` and each order k + 1 against
-        the order-1 stencil of order k, from one jet call on 10 draws and their
-        shifts by +-h and +-h/2."""
+        """Check each order k + 1 of the jet against the order-1 stencil of its order k
+        and, for a curve with its own ``evaluate``, the order 0 against it, from one
+        jet call on 10 draws and their shifts by +-h and +-h/2."""
         lo, hi = self.domain
         # The reach of the order-2 stencil, 2 * 2 * DEFAULT_STEPS[2], and a little more.
         margin = 4.0 * DEFAULT_STEPS[2] + 1e-9 * (hi - lo)
@@ -238,16 +264,20 @@ class ParametricCurve:
         orders, h, ks = range(self.jet_order + 1), DEFAULT_STEPS[1], (0.0,) + _FD_SHIFTS[1]
         jet = self.jet((us + h * np.array(ks)[:, None]).ravel(), orders)
         at = dict(zip(ks, jet.reshape(len(orders), len(ks), len(us), 4).swapaxes(0, 1)))
-        # Row k: order k of the jet, what it should equal, and the rows that
-        # comparison differentiates (none for the points).
-        rows, source = at[0.0], np.concatenate([at[0.0][:1], at[0.0][:-1]])
-        approx = np.concatenate([self.points(us)[None], _richardson(at, 1, h)[:-1]])
+        # Row k: an order of the jet, what it should equal, and the rows that
+        # comparison differentiates (the points themselves for order 0).
+        rows, source = at[0.0][1:], at[0.0][:-1]
+        approx = _richardson({k: v[:-1] for k, v in at.items()}, 1, h)
+        if self._eval is not None:
+            rows, source = at[0.0], np.concatenate([at[0.0][:1], source])
+            approx = np.concatenate([self.points(us)[None], approx])
         # The stencils' round-off grows with the size of the rows they
         # differentiate, so the bound does too (1e-6 on rows of unit size).
         tol = 1e-6 * np.maximum(1.0, np.abs(source).max(axis=-1).max(axis=-1))
         off = np.abs(rows - approx).max(axis=-1) > tol[:, None]
         if off.any():
-            order, i = np.argwhere(off)[0]
+            k, i = np.argwhere(off)[0]
+            order = k + len(orders) - len(rows)
             what = ("analytic derivatives disagree with finite differences" if order
                     else "analytic jet disagrees with the curve's evaluation")
             raise ValueError(f"{what} (order {order} at u={us[i]:.6g})")
@@ -329,11 +359,13 @@ def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:
     return rule
 
 
-def _node_speeds(speed, a: np.ndarray, b: np.ndarray, nodes: np.ndarray):
-    """Half-widths of the intervals [a_i, b_i] and the speeds at their Gauss nodes."""
+def _node_speeds(speed, a: np.ndarray, b: np.ndarray, nodes: np.ndarray, at=()):
+    """Half-widths of the intervals [a_i, b_i], the speeds at their Gauss nodes and,
+    from the same call of ``speed``, the speeds at the parameters ``at``."""
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    values = speed((mid[:, None] + half[:, None] * nodes).ravel())
-    return half, values.reshape(len(a), len(nodes))
+    x = (mid[:, None] + half[:, None] * nodes).ravel()
+    values = speed(np.concatenate([x, at]) if len(at) else x)
+    return half, values[:len(x)].reshape(len(a), len(nodes)), values[len(x):]
 
 
 def _weighted_sum(weights: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -364,7 +396,7 @@ class ArcLengthTable:
         nodes, weights = _gauss_legendre(cls.GAUSS_DEGREE)
         speed = curve.speeds
         edges = np.linspace(u0, u1, panels + 1)
-        half, speeds = _node_speeds(speed, edges[:-1], edges[1:], nodes)
+        half, speeds, _ = _node_speeds(speed, edges[:-1], edges[1:], nodes)
         if np.any(speeds < SPEED_EPS):
             raise DegeneracyError("irregular curve: speed below threshold")
         lengths = np.concatenate([[0.0], np.cumsum(half * _weighted_sum(weights, speeds))])
@@ -376,36 +408,45 @@ class ArcLengthTable:
     def total(self) -> float:
         return float(self.lengths[-1])
 
-    def lengths_at(self, u) -> np.ndarray:
-        """Arc length from the table start to every parameter of ``u``."""
-        u = np.minimum(np.maximum(np.asarray(u, dtype=float), self.edges[0]), self.edges[-1])
+    def _lengths(self, u: np.ndarray, speeds_at: bool = False):
+        """Arc lengths at the parameters ``u`` (shape ``(n,)``) and, when ``speeds_at``,
+        the speeds at ``u``, all from one call of the speed."""
+        u = np.minimum(np.maximum(u, self.edges[0]), self.edges[-1])
         j = np.searchsorted(self.edges, u, side="right") - 1
         j = np.minimum(np.maximum(j, 0), len(self.edges) - 2)
         # On a panel edge the half-width is 0 and the tabulated length stays exact.
         nodes, weights = _gauss_legendre(self.GAUSS_DEGREE)
-        half, speeds = _node_speeds(self._speed, self.edges[j], u, nodes)
-        return self.lengths[j] + half * _weighted_sum(weights, speeds)
+        half, speeds, at_u = _node_speeds(self._speed, self.edges[j], u, nodes,
+                                          u if speeds_at else ())
+        return self.lengths[j] + half * _weighted_sum(weights, speeds), at_u
+
+    def lengths_at(self, u) -> np.ndarray:
+        """Arc length from the table start to every parameter of the grid ``u`` (shape ``(n,)``)."""
+        return self._lengths(_grid(u, "a parameter"))[0]
 
     def length_at(self, u: float) -> float:
         """Arc length from the table start to ``u``."""
         return float(self.lengths_at(np.array([u], dtype=float))[0])
 
     def parameters_at(self, targets) -> np.ndarray:
-        """Parameters ``u`` with ``length_at(u) == target`` for every target, Newton-refined.
+        """Parameters ``u`` with ``length_at(u) == target`` for every target of the grid
+        ``targets`` (shape ``(n,)``), Newton-refined.
 
         Targets are clamped to ``[0, total]``.  The first guess interpolates
-        the table linearly.  Each target stops at the first Newton step
-        whose residual is within ``1e-13 * max(1, total)``; one still
-        outside after ``NEWTON_STEPS`` steps raises :class:`DegeneracyError`
-        with the worst residual.
+        the table linearly.  Each Newton step reads the lengths at the guesses
+        and the speeds there from one call of the speed.  Each target stops at
+        the first step whose residual is within ``1e-13 * max(1, total)``; one
+        still outside after ``NEWTON_STEPS`` steps raises
+        :class:`DegeneracyError` with the worst residual.
         """
         lo, hi = self.edges[0], self.edges[-1]
-        goal = np.minimum(np.maximum(np.asarray(targets, dtype=float), 0.0), self.total)
+        goal = np.minimum(np.maximum(_grid(targets, "an arc-length"), 0.0), self.total)
         u = np.interp(goal, self.lengths, self.edges)
         tol = 1e-13 * max(1.0, self.total)
         active = np.arange(len(goal))
         for step in range(NEWTON_STEPS + 1):
-            err = self.lengths_at(u[active]) - goal[active]
+            lengths, speeds = self._lengths(u[active], speeds_at=True)
+            err = lengths - goal[active]
             moving = np.abs(err) > tol
             active, err = active[moving], err[moving]
             if not len(active):
@@ -415,7 +456,7 @@ class ArcLengthTable:
                     "arc-length inversion did not converge: residual "
                     f"{float(np.max(np.abs(err))):.3g} after {NEWTON_STEPS} Newton steps"
                 )
-            u[active] = np.minimum(np.maximum(u[active] - err / self._speed(u[active]), lo), hi)
+            u[active] = np.minimum(np.maximum(u[active] - err / speeds[moving], lo), hi)
         return u
 
     def invert(self, target: float) -> float:
@@ -426,11 +467,13 @@ class ArcLengthTable:
 # -- curve families -----------------------------------------------------------
 # d^n/du^n cos(wu) = w^n cos(wu + n*pi/2), the same shift for sin: one call on
 # the stacked shifted arguments serves every order, each row keeping the
-# arithmetic of its order alone.
+# arithmetic of its order alone.  A family's jet keeps the phase and scale
+# columns of each orders tuple it has seen, in a dict of its own curve, and
+# writes every component into one preallocated (len(orders), n, 4) array.
 
 def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
     """A curve whose points are the order-0 row of its ``jet``."""
-    return ParametricCurve(dim, lambda u: jet(u, (0,))[0], domain, jet, name=name)
+    return ParametricCurve(dim, None, domain, jet, name=name)
 
 
 def _phases(orders) -> np.ndarray:
@@ -449,13 +492,19 @@ def torus_curve(A: float, p: float, B: float, q: float,
     """
     if abs(A * A * p * p + B * B * q * q - 1.0) > 1e-12:
         raise ValueError("torus_curve parameters must satisfy A^2 p^2 + B^2 q^2 = 1")
+    columns = {}
 
     def jet(u, orders):
-        ph = _phases(orders)
+        if orders not in columns:
+            columns[orders] = _phases(orders), _scales(A, p, orders), _scales(B, q, orders)
+        ph, sa, sb = columns[orders]
         pu, qu = p * u + ph, q * u + ph
-        sa, sb = _scales(A, p, orders), _scales(B, q, orders)
-        return np.stack([sa * np.cos(pu), sa * np.sin(pu), sb * np.cos(qu), sb * np.sin(qu)],
-                        axis=-1)
+        out = np.empty((len(orders), len(u), 4))
+        np.multiply(sa, np.cos(pu), out=out[..., 0])
+        np.multiply(sa, np.sin(pu), out=out[..., 1])
+        np.multiply(sb, np.cos(qu), out=out[..., 2])
+        np.multiply(sb, np.sin(qu), out=out[..., 3])
+        return out
 
     return _family(4, jet, domain, "torus_curve")
 
@@ -474,11 +523,17 @@ def circle3(R: float, mode: str = "arclength",
     w = 1.0 / R if mode == "arclength" else 1.0
     if domain is None:
         domain = (0.0, _TWO_PI * R) if mode == "arclength" else (0.0, _TWO_PI)
+    columns = {}
 
     def jet(u, orders):
-        wu, scale = w * u + _phases(orders), _scales(R, w, orders)
-        zero = np.zeros_like(wu)
-        return np.stack([zero, scale * np.cos(wu), scale * np.sin(wu), zero], axis=-1)
+        if orders not in columns:
+            columns[orders] = _phases(orders), _scales(R, w, orders)
+        ph, scale = columns[orders]
+        wu = w * u + ph
+        out = np.zeros((len(orders), len(u), 4))
+        np.multiply(scale, np.cos(wu), out=out[..., 1])
+        np.multiply(scale, np.sin(wu), out=out[..., 2])
+        return out
 
     return _family(3, jet, domain, "circle3")
 
@@ -494,13 +549,20 @@ def helix3(a: float, h: float,
     c = math.sqrt(a * a + h * h)
     if domain is None:
         domain = (0.0, _TWO_PI * c)
+    columns = {}
 
     def jet(u, orders):
-        angle, scale = u / c + _phases(orders), _scales(a, c, [-n for n in orders])
-        rise = np.stack([h * u / c if n == 0 else np.full_like(u, h / c if n == 1 else 0.0)
-                         for n in orders])
-        return np.stack([np.zeros_like(angle), scale * np.cos(angle), scale * np.sin(angle),
-                         rise], axis=-1)
+        if orders not in columns:
+            columns[orders] = _phases(orders), _scales(a, c, [-n for n in orders])
+        ph, scale = columns[orders]
+        angle = u / c + ph
+        out = np.zeros((len(orders), len(u), 4))
+        np.multiply(scale, np.cos(angle), out=out[..., 1])
+        np.multiply(scale, np.sin(angle), out=out[..., 2])
+        for k, n in enumerate(orders):  # the rise; 0 from order 2 on
+            if n < 2:
+                out[k, :, 3] = h * u / c if n == 0 else h / c
+        return out
 
     return _family(3, jet, domain, "helix3")
 
@@ -528,21 +590,32 @@ def fourier_curve(
         raise ValueError("linear coefficients must match the coordinate count")
     dim = ncoords
     offset = 0 if dim == 4 else 1
+    # The nonzero terms (0 for cos or 1 for sin, harmonic, coefficient) of each
+    # coordinate, in coefficient order, cosines first; the drift comes last.
+    terms = [[(kind, m, c) for kind, coeffs in ((0, cos_c[i]), (1, sin_c[i]))
+              for m, c in enumerate(coeffs) if c] for i in range(ncoords)]
+    harmonics = sorted({m for row in terms for _, m, _ in row})
+    slot = {m: j for j, m in enumerate(harmonics)}
+    ms = np.array(harmonics, dtype=float)[:, None, None]
+    columns = {}
 
     def jet(u, orders):
-        ph = _phases(orders)
+        if orders not in columns:
+            columns[orders] = _phases(orders), [
+                [(kind, slot[m], _scales(c, float(m), orders)) for kind, m, c in row]
+                for row in terms]
+        ph, scaled = columns[orders]
+        angles = ms * u + ph  # each harmonic's (len(orders), n) angles, once
+        trig = (np.cos(angles), np.sin(angles))
         out = np.zeros((len(orders), len(u), 4))
-        for i in range(ncoords):
-            # Terms in coefficient order, the drift last, as order by order.
-            total = np.zeros((len(orders), len(u)))
-            for coeffs, trig in ((cos_c[i], np.cos), (sin_c[i], np.sin)):
-                for m, c in enumerate(coeffs):
-                    if c:
-                        total = total + _scales(c, float(m), orders) * trig(m * u + ph)
-            for j, n in enumerate(orders):
-                if lin[i] and n < 2:
-                    total[j] = total[j] + (lin[i] * u if n == 0 else lin[i])
-            out[:, :, offset + i] = total
+        for i, row in enumerate(scaled):
+            total = out[:, :, offset + i]
+            for kind, j, scale in row:
+                total += scale * trig[kind][j]
+            if lin[i]:
+                for k, n in enumerate(orders):
+                    if n < 2:
+                        total[k] += lin[i] * u if n == 0 else lin[i]
         return out
 
     return _family(dim, jet, domain, "fourier")

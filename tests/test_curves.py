@@ -22,6 +22,7 @@ from quatcurves.curves import (
 from quatcurves.bertrand import verify_mate
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import frame_ode_residual, frames4
+from test_cli import WOBBLE_DOC
 
 SQ2 = math.sqrt(0.5)
 
@@ -237,6 +238,19 @@ def test_analytic_derivative_validation_catches_mismatch():
         ParametricCurve(3, evaluate, (0.0, 6.0), wrong_derivs)
 
 
+def test_evaluation_that_disagrees_with_the_jet_rejected_at_order_0():
+    # A curve with its own evaluation has the jet's order 0 checked against it.
+    torus = torus_curve(0.6, 1.0, 0.4, 2.0)
+
+    def shifted(u):
+        return torus.points(u) + 1e-3
+
+    with pytest.raises(ValueError, match=re.escape(
+            "analytic jet disagrees with the curve's evaluation (order 0 at u=")):
+        ParametricCurve(4, shifted, torus.domain, torus.jet)
+    assert ParametricCurve(4, torus.points, torus.domain, torus.jet).jet_order == 7
+
+
 @pytest.mark.parametrize("domain", [(0.0, 0.005), (0.0, 0.003)])
 def test_domain_shorter_than_the_derivative_check_rejected(domain):
     # The check samples at least the order-2 stencil's reach from each end.
@@ -260,3 +274,13 @@ def test_grid_that_is_not_1d_rejected(torus, helix_assoc, torus_constants, grid)
     for name, call in calls.items():
         with pytest.raises(ValueError, match=message):
             call()
+
+
+@pytest.mark.parametrize("grid", [1.0, [[1.0, 2.0], [3.0, 4.0]]], ids=["0-d", "2-d"])
+def test_table_grid_that_is_not_1d_rejected(grid):
+    table = CurveSpec.from_dict(WOBBLE_DOC).build().arc_lengths
+    shape = re.escape(f"grid must have shape (n,), not {np.shape(grid)}")
+    with pytest.raises(ValueError, match="a parameter " + shape):
+        table.lengths_at(grid)
+    with pytest.raises(ValueError, match="an arc-length " + shape):
+        table.parameters_at(grid)

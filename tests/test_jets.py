@@ -3,8 +3,10 @@
 A jet returns the points and the derivatives of several orders from one
 call of the curve's family per block of rows (the built-in families, and
 the Bertrand mate of one through its Taylor series).  Its row for an order
-is the one-order jet bit for bit.  The counters below are machine independent:
-family calls per frame and per verify, and rows per block.
+is the one-order jet bit for bit, and a built-in family's points are its
+order 0.  The counters below are machine independent: family calls per
+curve load, per frame, per verify and per arc-length inversion, and rows
+per block.
 """
 
 import math
@@ -13,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import TORUS, associated_helix
+from quatcurves import curves
 from quatcurves.bertrand import construct_mate, verify_mate
 from quatcurves.curves import (
     ROW_BLOCK,
@@ -24,7 +27,7 @@ from quatcurves.curves import (
     torus_curve,
 )
 from quatcurves.frames import frames4
-from test_cli import FAST_TORUS_DOC
+from test_cli import FAST_TORUS_DOC, WOBBLE_DOC
 
 
 def jet_curves():
@@ -121,3 +124,44 @@ def test_mate_evaluations_stay_within_the_row_block(torus_constants):
     # The 8 orders of 5000 points are 40,000 rows: full blocks and a remainder.
     assert all(rows * len(orders) <= ROW_BLOCK for rows, orders in calls)
     assert [rows for rows, _ in calls] == [ROW_BLOCK // 8, 5000 - ROW_BLOCK // 8]
+
+
+@pytest.fixture
+def family_calls(monkeypatch):
+    """``(rows, orders)`` of every call of a built-in family's jet made from now on."""
+    calls = []
+    family = curves._family
+
+    def counted(dim, jet, domain, name):
+        def counted_jet(u, orders):
+            calls.append((len(u), tuple(orders)))
+            return jet(u, orders)
+
+        return family(dim, counted_jet, domain, name)
+
+    monkeypatch.setattr(curves, "_family", counted)
+    return calls
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "torus_curve", "params": TORUS},
+    {"family": "circle3", "params": {"R": 2.0}},
+    {"family": "helix3", "params": {"a": 3.0, "h": 4.0}},
+    WOBBLE_DOC,
+], ids=lambda doc: doc["family"])
+def test_loading_a_family_makes_one_family_call(family_calls, doc):
+    # The derivative check reads the points from the jet it checks: 10 draws
+    # and their 4 shifts, orders 0-7.
+    CurveSpec.from_dict(doc).build()
+    assert family_calls == [(50, tuple(range(8)))]
+
+
+def test_newton_makes_one_family_call_per_step(family_calls):
+    # Each step reads the lengths at its guesses (8 Gauss nodes each) and the
+    # speeds there from one call; the wobble's 41 targets take 3 steps.
+    table = CurveSpec.from_dict(WOBBLE_DOC).build().arc_lengths
+    family_calls.clear()
+    u = table.parameters_at(np.linspace(0.0, table.total, 41))
+    assert len(family_calls) == 3
+    assert family_calls[0] == (9 * 41, (1,))
+    assert np.max(np.abs(table.lengths_at(u) - np.linspace(0.0, table.total, 41))) <= 1e-12
