@@ -14,10 +14,13 @@ functions, and verifies the closed forms against curvatures read from the
 exact derivatives of the actual mate curve.  Those derivatives are the
 Taylor coefficients of ``alpha + a*N1 + b*N3`` that series arithmetic
 (:mod:`quatcurves.series`) gives from one jet of the base curve, of
-orders 0-7; no finite difference enters.  Curvatures are per arc length
-and frames pointwise, in the base curve's own parameter.  Every closed
-form works on whole grids: curvatures as floats or arrays of one shape,
-the mate frame as a :class:`~quatcurves.frames.Frames4` record.
+orders 0-7; no finite difference enters.  The mate is the curve whose jet
+is that series and whose points are ``alpha + a*N1 + b*N3`` from the frame
+rows: exact by construction, it is built without a derivative check.
+Curvatures are per arc length and frames pointwise, in the base curve's
+own parameter.  Every closed form works on whole grids: curvatures as
+floats or arrays of one shape, the mate frame as a
+:class:`~quatcurves.frames.Frames4` record.
 """
 
 from __future__ import annotations
@@ -421,17 +424,18 @@ def construct_mate(
     N1 and N3 come from the intrinsic frame of ``alpha4``, or from the
     pair-built frame when the associated spatial curve ``curve3`` is given.
     The result stays parameterized by the base parameter ``s`` and is NOT
-    unit speed.  Its points read one jet of ``alpha4`` per block: the points
-    and the derivatives the frame needs.  It carries the exact jet of orders
-    0-4 on the domain of ``alpha4``: order 0 its points, order k the k-th
-    Taylor coefficient of the series of :func:`_mate_series` times k!.
-    ``consts`` may be a plain ``(a, b)`` pair so that degenerate offsets
-    remain testable.
+    unit speed.  It carries the exact jet of orders 0-4 on the domain of
+    ``alpha4``: order k the k-th Taylor coefficient of the series of
+    :func:`_mate_series` times k!, and order 0 its points.  The points alone
+    (orders ``(0,)``) read one jet of ``alpha4`` of orders 0-3 (0-2 and the
+    spatial frames for a pair) and build no series.  The mate is exact by
+    construction, so building it evaluates nothing.  ``consts`` may be a plain
+    ``(a, b)`` pair so that degenerate offsets remain testable.
     """
     a, b = (consts.a, consts.b) if isinstance(consts, BertrandConstants) else map(float, consts)
     _require_r4(alpha4)
 
-    def evaluate(s: np.ndarray) -> np.ndarray:
+    def points(s: np.ndarray) -> np.ndarray:
         if curve3 is None:
             x, *derivs = alpha4.jet(s, (0, 1, 2, 3))
             _, n1, _, n3, _ = _intrinsic_basis(*derivs)
@@ -442,13 +446,14 @@ def construct_mate(
         return x + a * n1 + b * n3
 
     def jet(s: np.ndarray, orders) -> np.ndarray:
+        if orders == (0,):
+            return points(s)[None]
         x, base, pair = _read_jet(alpha4, s, curve3)
         coeffs = _mate_series(x, a, b, pair)
         return np.stack([x[0] + a * base.N1 + b * base.N3 if n == 0
                          else math.factorial(n) * coeffs[n] for n in orders])
 
-    # Exact by construction: building the mate evaluates nothing.
-    return ParametricCurve(dim=4, evaluate=evaluate, domain=alpha4.domain, derivatives=jet,
+    return ParametricCurve(dim=4, domain=alpha4.domain, derivatives=jet,
                            name=f"{alpha4.name or 'curve'}[mate]", jet_order=_DEGREE,
                            validate=False)
 

@@ -6,19 +6,20 @@ an ``(n, 4)`` array whose rows hold quaternion components
 quaternions).  Row ``i`` depends on parameter ``i`` alone, so ``point``
 and :func:`derivative` evaluate a length-1 grid and return its row.
 
-``curve.jet(s, orders)`` returns the points (order 0) and derivatives of
-all requested orders as one ``(len(orders), n, 4)`` array.  A built-in
-family is one jet function of orders 0-7, which evaluates each
-trigonometric term once for all orders, and its points are the jet's
-order 0; the Bertrand mate of such a curve carries the exact jet of
+A curve is its jet: ``curve.jet(s, orders)`` returns the points (order 0)
+and derivatives of all requested orders as one ``(len(orders), n, 4)``
+array, and ``points`` is its order 0.  A built-in family is one jet
+function of orders 0-7, which evaluates each trigonometric term once for
+all orders; the Bertrand mate of such a curve carries the exact jet of
 orders 0-4 that Taylor-series arithmetic gives (:mod:`quatcurves.series`).
-Every curve carries a jet: it is the only source of derivatives.
-``points`` and a jet evaluate in blocks of at most ``ROW_BLOCK`` rows
-(grid points times orders): that bounds the memory and, rows being
-independent, changes no bit.  A cumulative arc-length table, inverted by
-Newton steps of one speed call each, maps arc lengths to parameters.
-Central finite differences with one Richardson level only check a jet
-against its curve and measure how well frames follow their ODE.
+Both are exact by construction and built unchecked; a jet that a caller
+supplies is checked against finite differences on construction.  A jet
+evaluates in blocks of at most ``ROW_BLOCK`` rows (grid points times
+orders): that bounds the memory and, rows being independent, changes no
+bit.  A cumulative arc-length table, inverted by Newton steps of one speed
+call each, maps arc lengths to parameters.  One central first-order
+stencil of step ``FD_STEP`` with one Richardson level checks a supplied
+jet and measures how well frames follow their ODE.
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ __all__ = [
     "circle3",
     "helix3",
     "fourier_curve",
-    "DEFAULT_STEPS",
+    "FD_STEP",
     "SPEED_EPS",
     "NEWTON_STEPS",
     "TABLE_PANELS",
@@ -54,10 +55,10 @@ __all__ = [
     "row_blocks",
 ]
 
-# Finite-difference steps per derivative order; chosen to balance
+# Step of the first-order finite-difference stencil; chosen to balance
 # truncation against round-off for the downstream ~1e-6 frame tolerances
-# (Richardson halves the step once, so round-off grows fast below these).
-DEFAULT_STEPS = {1: 1e-4, 2: 1e-3, 3: 3e-3, 4: 1e-2}
+# (Richardson halves the step once, so round-off grows fast below it).
+FD_STEP = 1e-4
 
 # Speed below this is treated as an irregular (non-regular) curve.
 SPEED_EPS = 1e-9
@@ -74,9 +75,9 @@ NEWTON_STEPS = 8
 # Panels of the arc-length table a curve keeps for its whole domain.
 TABLE_PANELS = 256
 
-# Most rows (grid points times orders) one call of a curve's evaluation or
-# jet receives; the mate's Taylor series are built on blocks of as
-# many rows of the base curve's jet of orders 0-7.
+# Most rows (grid points times orders) one call of a curve's jet receives;
+# the mate's Taylor series are built on blocks of as many rows of the base
+# curve's jet of orders 0-7.
 ROW_BLOCK = 1 << 15
 
 _TWO_PI = 2.0 * math.pi
@@ -118,14 +119,14 @@ def _grid(values, what: str) -> np.ndarray:
     return s
 
 
-def _in_blocks(fn, s: np.ndarray, k: int, error: str) -> np.ndarray:
+def _in_blocks(fn, s: np.ndarray, k: int) -> np.ndarray:
     """``fn`` on the grid ``s`` as a ``(k, n, 4)`` array: one call on the whole grid
     when its ``n * k`` rows fit in ``ROW_BLOCK``, else one call per block of rows,
     each block written into the result as it arrives."""
     def call(u):
         block = np.asarray(fn(u), dtype=float)
         if block.shape != (k, len(u), 4):
-            raise ValueError(error)
+            raise ValueError(_JET_SHAPE)
         return block
 
     if len(s) * k <= ROW_BLOCK:
@@ -137,20 +138,17 @@ def _in_blocks(fn, s: np.ndarray, k: int, error: str) -> np.ndarray:
 
 
 class ParametricCurve:
-    """Immutable evaluatable curve ``u -> point`` on a closed interval.
+    """Immutable curve ``u -> point`` on a closed interval, defined by its jet.
 
     Parameters
     ----------
     dim : 3 or 4
-    evaluate : callable mapping a parameter grid ``(n,)`` to ``(n, 4)``, or
-        ``None`` for a curve whose points are its jet's order 0 (the built-in
-        families).
     domain : (u_min, u_max)
     derivatives : jet callable ``(s, orders) -> (len(orders), n, 4)``, row
         ``k`` of order ``orders[k]`` (0..``jet_order``, 0 being the points),
-        ``orders`` a tuple; validated against finite differences, and its
-        order 0 against ``evaluate`` when there is one, on construction
-        unless ``validate`` is false.
+        ``orders`` a tuple; checked against finite differences on
+        construction unless ``validate`` is false (the built-in families and
+        the Bertrand mate, exact by construction).
     jet_order : highest order the jet provides (7 for the built-in families,
         4 for a Bertrand mate).
     """
@@ -158,7 +156,6 @@ class ParametricCurve:
     def __init__(
         self,
         dim: int,
-        evaluate: Optional[Callable[[np.ndarray], np.ndarray]],
         domain: tuple[float, float],
         derivatives: Callable[[np.ndarray, tuple[int, ...]], np.ndarray],
         name: str = "",
@@ -172,7 +169,6 @@ class ParametricCurve:
             raise ValueError("domain must be a finite interval [u_min, u_max] with u_min < u_max")
         self.dim = dim
         self.domain = (lo, hi)
-        self._eval = evaluate
         self._derivs = derivatives
         self.jet_order = jet_order
         self.name = name
@@ -193,14 +189,9 @@ class ParametricCurve:
 
     def points(self, s) -> np.ndarray:
         """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``:
-        the curve's ``evaluate``, or its jet's order 0 when it has none, called on
-        blocks of at most ``ROW_BLOCK`` rows."""
+        the jet's order 0, called on blocks of at most ``ROW_BLOCK`` rows."""
         s = self._check_domain(s)
-        if self._eval is None:
-            p = _in_blocks(lambda u: self._derivs(u, (0,)), s, 1, _JET_SHAPE)[0]
-        else:
-            p = _in_blocks(lambda u: np.asarray(self._eval(u), dtype=float)[None], s, 1,
-                           "curve evaluation must return 4 quaternion components")[0]
+        p = _in_blocks(lambda u: self._derivs(u, (0,)), s, 1)[0]
         _require_finite(p, s, "curve evaluation is not finite")
         return p
 
@@ -221,7 +212,7 @@ class ParametricCurve:
         if not all(0 <= order <= self.jet_order for order in orders):
             raise ValueError(f"derivative orders must be between 0 and {self.jet_order}")
         s = self._check_domain(s)
-        d = _in_blocks(lambda u: self._derivs(u, orders), s, len(orders), _JET_SHAPE)
+        d = _in_blocks(lambda u: self._derivs(u, orders), s, len(orders))
         _require_finite(d, s, "derivative is not finite")
         return d
 
@@ -251,36 +242,28 @@ class ParametricCurve:
         return self.unit_speed_deviation <= UNIT_SPEED_TOL
 
     def _validate_derivatives(self):
-        """Check each order k + 1 of the jet against the order-1 stencil of its order k
-        and, for a curve with its own ``evaluate``, the order 0 against it, from one
-        jet call on 10 draws and their shifts by +-h and +-h/2."""
+        """Check each order k + 1 of the jet against the stencil of its order k, from
+        one jet call on 10 draws at least the stencil's reach ``h`` inside the domain
+        and their shifts by +-h and +-h/2."""
         lo, hi = self.domain
-        # The reach of the order-2 stencil, 2 * 2 * DEFAULT_STEPS[2], and a little more.
-        margin = 4.0 * DEFAULT_STEPS[2] + 1e-9 * (hi - lo)
-        if not lo + margin <= hi - margin:
+        h = FD_STEP
+        if not lo + h <= hi - h:
             raise ValueError(f"domain [{lo}, {hi}] is too short for the derivative check")
-        # The doubles of default_rng(20240831).uniform(lo + margin, hi - margin, 10).
-        us = (lo + margin) + ((hi - margin) - (lo + margin)) * _validation_draws()
-        orders, h, ks = range(self.jet_order + 1), DEFAULT_STEPS[1], (0.0,) + _FD_SHIFTS[1]
+        # The doubles of default_rng(20240831).uniform(lo + h, hi - h, 10).
+        us = (lo + h) + ((hi - h) - (lo + h)) * _validation_draws()
+        orders, ks = range(self.jet_order + 1), (0.0,) + _FD_SHIFTS
         jet = self.jet((us + h * np.array(ks)[:, None]).ravel(), orders)
         at = dict(zip(ks, jet.reshape(len(orders), len(ks), len(us), 4).swapaxes(0, 1)))
-        # Row k: an order of the jet, what it should equal, and the rows that
-        # comparison differentiates (the points themselves for order 0).
         rows, source = at[0.0][1:], at[0.0][:-1]
-        approx = _richardson({k: v[:-1] for k, v in at.items()}, 1, h)
-        if self._eval is not None:
-            rows, source = at[0.0], np.concatenate([at[0.0][:1], source])
-            approx = np.concatenate([self.points(us)[None], approx])
-        # The stencils' round-off grows with the size of the rows they
-        # differentiate, so the bound does too (1e-6 on rows of unit size).
+        approx = _richardson({k: v[:-1] for k, v in at.items()}, h)
+        # The stencil's round-off grows with the size of the rows it
+        # differentiates, so the bound does too (1e-6 on rows of unit size).
         tol = 1e-6 * np.maximum(1.0, np.abs(source).max(axis=-1).max(axis=-1))
         off = np.abs(rows - approx).max(axis=-1) > tol[:, None]
         if off.any():
             k, i = np.argwhere(off)[0]
-            order = k + len(orders) - len(rows)
-            what = ("analytic derivatives disagree with finite differences" if order
-                    else "analytic jet disagrees with the curve's evaluation")
-            raise ValueError(f"{what} (order {order} at u={us[i]:.6g})")
+            raise ValueError("analytic derivatives disagree with finite differences "
+                             f"(order {k + 1} at u={us[i]:.6g})")
 
 
 @cache
@@ -293,43 +276,26 @@ def _validation_draws() -> np.ndarray:
 
 # -- differentiation ---------------------------------------------------------
 
-# The Richardson pair of central stencils of each order samples u + k*h at
-# these k; the stencils at h and h/2 share u +- h, since 2 * (h/2) == h.
-_FD_SHIFTS = {
-    1: (-1.0, -0.5, 0.5, 1.0),
-    2: (-1.0, -0.5, 0.0, 0.5, 1.0),
-    3: (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0),
-    4: (-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0),
-}
+# The Richardson pair of central first-order stencils samples u + k*h at
+# these k; the stencils at h and h/2 reach u +- h and u +- h/2.
+_FD_SHIFTS = (-1.0, -0.5, 0.5, 1.0)
 
 
-def _central_stencil(v: Callable[[float], np.ndarray], order: int, h: float) -> np.ndarray:
-    """Central difference of ``order`` from ``v(k)``, the function at ``u + k*h``."""
-    if order == 1:
-        return (v(1) - v(-1)) / (2.0 * h)
-    if order == 2:
-        return (v(1) - 2.0 * v(0) + v(-1)) / (h * h)
-    if order == 3:
-        return (v(2) - 2.0 * v(1) + 2.0 * v(-1) - v(-2)) / (2.0 * h**3)
-    return (v(2) - 4.0 * v(1) + 6.0 * v(0) - 4.0 * v(-1) + v(-2)) / h**4
-
-
-def _richardson(at: dict, order: int, h: float) -> np.ndarray:
-    """Derivative of ``order`` from ``at[k]``, the function at ``u + k*h`` for the
-    shifts of ``_FD_SHIFTS[order]``: one Richardson level on the central stencils,
-    which are O(h^2), so (4 D(h/2) - D(h)) / 3 cancels the leading error term."""
-    d_h = _central_stencil(lambda k: at[k], order, h)
-    d_h2 = _central_stencil(lambda k: at[k / 2], order, h / 2.0)
+def _richardson(at: dict, h: float) -> np.ndarray:
+    """First derivative from ``at[k]``, the function at ``u + k*h`` for the shifts of
+    ``_FD_SHIFTS``: one Richardson level on the central stencils, which are O(h^2),
+    so (4 D(h/2) - D(h)) / 3 cancels the leading error term."""
+    d_h = (at[1.0] - at[-1.0]) / (2.0 * h)
+    d_h2 = (at[0.5] - at[-0.5]) / (2.0 * (h / 2.0))
     return (4.0 * d_h2 - d_h) / 3.0
 
 
-def _fd_derivative(f: Callable, u: np.ndarray, order: int, h: float) -> np.ndarray:
-    """Richardson-central derivative of ``f`` of ``order`` on the grid ``u``, base
-    step ``h``; ``f`` maps ``(m,)`` to ``(m, ...)`` and is called once, on the
-    shifted grids stacked."""
-    ks = _FD_SHIFTS[order]
-    values = np.split(f(np.concatenate([u + k * h for k in ks])), len(ks))
-    return _richardson(dict(zip(ks, values)), order, h)
+def _fd_derivative(f: Callable, u: np.ndarray, h: float) -> np.ndarray:
+    """Richardson-central first derivative of ``f`` on the grid ``u``, base step ``h``;
+    ``f`` maps ``(m,)`` to ``(m, ...)`` and is called once, on the shifted grids
+    stacked."""
+    values = np.split(f(np.concatenate([u + k * h for k in _FD_SHIFTS])), len(_FD_SHIFTS))
+    return _richardson(dict(zip(_FD_SHIFTS, values)), h)
 
 
 def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
@@ -467,21 +433,44 @@ class ArcLengthTable:
 # -- curve families -----------------------------------------------------------
 # d^n/du^n cos(wu) = w^n cos(wu + n*pi/2), the same shift for sin: one call on
 # the stacked shifted arguments serves every order, each row keeping the
-# arithmetic of its order alone.  A family's jet keeps the phase and scale
-# columns of each orders tuple it has seen, in a dict of its own curve, and
-# writes every component into one preallocated (len(orders), n, 4) array.
+# arithmetic of its order alone.  A family computes its scale columns for
+# orders 0-7 once, when it is built (a scale that overflows raises there),
+# keeps their rows for each orders tuple it has seen (a fancy index costs
+# more than a small grid's trigonometry), and writes every component into
+# one preallocated (len(orders), n, 4) array.
+
+_ORDERS = range(8)
+_PHASES = np.array([n * math.pi / 2.0 for n in _ORDERS])[:, None]
+
 
 def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
-    """A curve whose points are the order-0 row of its ``jet``."""
-    return ParametricCurve(dim, None, domain, jet, name=name)
+    """A curve whose points are the order-0 row of its ``jet``; the jet is exact by
+    construction, so it is not checked against finite differences."""
+    return ParametricCurve(dim, domain, jet, name=name, validate=False)
 
 
-def _phases(orders) -> np.ndarray:
-    return np.array([n * math.pi / 2.0 for n in orders])[:, None]
+def _rows_of(*columns):
+    """A function of an orders tuple giving the rows at those orders of the phase
+    column and of each of ``columns`` (columns over orders 0-7), selected once
+    per tuple."""
+    picked = {}
+
+    def rows(orders):
+        if orders not in picked:
+            index = list(orders)
+            picked[orders] = [_PHASES[index]] + [column[index] for column in columns]
+        return picked[orders]
+
+    return rows
 
 
-def _scales(c: float, w: float, powers) -> np.ndarray:
-    return np.array([c * w**n for n in powers])[:, None]
+def _scales(c: float, w: float, powers=_ORDERS) -> np.ndarray:
+    """The column ``c * w**n`` over ``powers``; an entry out of range raises
+    OverflowError, as ``w**n`` itself does."""
+    column = np.array([c * w**n for n in powers])[:, None]
+    if not np.isfinite(column).all():
+        raise OverflowError(f"derivative scale {c!r} * {w!r}**n out of range")
+    return column
 
 
 def torus_curve(A: float, p: float, B: float, q: float,
@@ -492,12 +481,10 @@ def torus_curve(A: float, p: float, B: float, q: float,
     """
     if abs(A * A * p * p + B * B * q * q - 1.0) > 1e-12:
         raise ValueError("torus_curve parameters must satisfy A^2 p^2 + B^2 q^2 = 1")
-    columns = {}
+    rows = _rows_of(_scales(A, p), _scales(B, q))
 
     def jet(u, orders):
-        if orders not in columns:
-            columns[orders] = _phases(orders), _scales(A, p, orders), _scales(B, q, orders)
-        ph, sa, sb = columns[orders]
+        ph, sa, sb = rows(orders)
         pu, qu = p * u + ph, q * u + ph
         out = np.empty((len(orders), len(u), 4))
         np.multiply(sa, np.cos(pu), out=out[..., 0])
@@ -523,12 +510,10 @@ def circle3(R: float, mode: str = "arclength",
     w = 1.0 / R if mode == "arclength" else 1.0
     if domain is None:
         domain = (0.0, _TWO_PI * R) if mode == "arclength" else (0.0, _TWO_PI)
-    columns = {}
+    rows = _rows_of(_scales(R, w))
 
     def jet(u, orders):
-        if orders not in columns:
-            columns[orders] = _phases(orders), _scales(R, w, orders)
-        ph, scale = columns[orders]
+        ph, scale = rows(orders)
         wu = w * u + ph
         out = np.zeros((len(orders), len(u), 4))
         np.multiply(scale, np.cos(wu), out=out[..., 1])
@@ -549,12 +534,10 @@ def helix3(a: float, h: float,
     c = math.sqrt(a * a + h * h)
     if domain is None:
         domain = (0.0, _TWO_PI * c)
-    columns = {}
+    rows = _rows_of(_scales(a, c, [-n for n in _ORDERS]))
 
     def jet(u, orders):
-        if orders not in columns:
-            columns[orders] = _phases(orders), _scales(a, c, [-n for n in orders])
-        ph, scale = columns[orders]
+        ph, scale = rows(orders)
         angle = u / c + ph
         out = np.zeros((len(orders), len(u), 4))
         np.multiply(scale, np.cos(angle), out=out[..., 1])
@@ -597,21 +580,19 @@ def fourier_curve(
     harmonics = sorted({m for row in terms for _, m, _ in row})
     slot = {m: j for j, m in enumerate(harmonics)}
     ms = np.array(harmonics, dtype=float)[:, None, None]
-    columns = {}
+    rows = _rows_of(*[_scales(c, float(m)) for row in terms for _, m, c in row])
+    places = [[(kind, slot[m]) for kind, m, _ in row] for row in terms]
 
     def jet(u, orders):
-        if orders not in columns:
-            columns[orders] = _phases(orders), [
-                [(kind, slot[m], _scales(c, float(m), orders)) for kind, m, c in row]
-                for row in terms]
-        ph, scaled = columns[orders]
+        ph, *scales = rows(orders)
         angles = ms * u + ph  # each harmonic's (len(orders), n) angles, once
         trig = (np.cos(angles), np.sin(angles))
         out = np.zeros((len(orders), len(u), 4))
-        for i, row in enumerate(scaled):
+        each = iter(scales)  # one per term, coordinate by coordinate
+        for i, row in enumerate(places):
             total = out[:, :, offset + i]
-            for kind, j, scale in row:
-                total += scale * trig[kind][j]
+            for kind, j in row:
+                total += next(each) * trig[kind][j]
             if lin[i]:
                 for k, n in enumerate(orders):
                     if n < 2:
@@ -693,6 +674,6 @@ class CurveSpec:
             return fourier_curve(**kwargs)
         except KeyError as exc:
             raise ValueError(f"curve spec for {self.family!r} is missing parameter {exc}") from exc
-        except (TypeError, OverflowError) as exc:
+        except (TypeError, OverflowError, ZeroDivisionError) as exc:
             raise ValueError(f"curve spec for {self.family!r} has a malformed parameter: "
                              f"{exc}") from exc

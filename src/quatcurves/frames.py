@@ -34,7 +34,7 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import DEFAULT_STEPS, SPEED_EPS, ParametricCurve, _fd_derivative
+from .curves import FD_STEP, SPEED_EPS, ParametricCurve, _fd_derivative
 from .errors import DegeneracyError
 from .quaternion import inner, mul, norm
 
@@ -393,7 +393,7 @@ def frame_ode_residual(
     ``provider`` maps a parameter grid to its :class:`Frames4`; by default
     ``frames4(curve4, s, curve3)``, pair-built when ``curve3`` is given.
     The four frame fields are differentiated centrally on the whole grid
-    with the order-1 step and one Richardson level, divided by the speed
+    with the step ``FD_STEP`` and one Richardson level, divided by the speed
     of ``curve4`` to take them per arc length, and compared to the skew
     system
 
@@ -405,8 +405,7 @@ def frame_ode_residual(
     provider = provider or (lambda s: frames4(curve4, s, curve3))
     grid = np.asarray(grid, dtype=float)
     speeds = curve4.speeds(grid)  # rejects a grid that is not 1-D before the stencil
-    deriv = _fd_derivative(lambda s: np.stack(provider(s).vectors(), axis=1), grid, 1,
-                           DEFAULT_STEPS[1])
+    deriv = _fd_derivative(lambda s: np.stack(provider(s).vectors(), axis=1), grid, FD_STEP)
     deriv = deriv / speeds[:, None, None]
     f = provider(grid)
     K, torsion, bitorsion = (v[:, None] for v in (f.K, f.torsion, f.bitorsion))

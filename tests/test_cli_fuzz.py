@@ -2,9 +2,10 @@
 
 Each example starts from a valid input (a unit-speed flat torus, a helix
 or a Fourier curve, with constants near the ones fitted to it) and
-changes one thing: a field's type, sign or size, a missing key, or a
-flag from a fixed menu.  Purely random documents almost never get past
-the spec loader, so they would exercise little beyond exit 2.
+changes one thing: a field's type, sign or size, a missing key, a flag
+from a fixed menu, or the scale of the whole curve (from 1e-300 to
+1e300).  Purely random documents almost never get past the spec loader,
+so they would exercise little beyond exit 2.
 Run with ``--hypothesis-show-statistics`` to see the exit codes reached.
 """
 
@@ -16,6 +17,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
@@ -55,6 +57,7 @@ MUTANTS = {
     "type": ["3", True, None, [1.0], {"x": 1.0}],
     "size": [0, 1e300, -1e300, 1e-300, 10**400, math.nan, math.inf],
 }
+SCALES = [1e-300, 1e-80, 1e-3, 1e3, 1e80, 1e300]
 
 
 @st.composite
@@ -111,6 +114,47 @@ def mutate(doc, path, kind, pick):
         parent[key] = choices[pick % len(choices)]
 
 
+def scale(doc, constants, lam):
+    """Scale the curve of ``doc`` by ``lam`` in space and, where its family allows,
+    in its parameter, so a unit-speed torus stays unit speed; the constants' a
+    and b, which are lengths, scale alike."""
+    params = doc["params"]
+    if doc["family"] == "torus_curve":
+        for name in ("A", "B"):
+            params[name] *= lam
+        for name in ("p", "q"):
+            params[name] /= lam
+        doc["domain"] = [lam * u for u in doc["domain"]]
+    elif doc["family"] == "helix3":
+        params["a"] *= lam
+        params["h"] *= lam
+    else:
+        coeffs = params["coeffs"]
+        for key in ("cos", "sin"):
+            coeffs[key] = [[lam * c for c in row] for row in coeffs[key]]
+        if "linear" in coeffs:
+            coeffs["linear"] = [lam * c for c in coeffs["linear"]]
+    constants["a"] *= lam
+    constants["b"] *= lam
+
+
+def run(argv, curve, constants):
+    """``main(argv)`` in a fresh directory holding the curve, the constants and a helix."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, doc in (("curve.json", curve), ("constants.json", constants),
+                          ("helix.json", {"family": "helix3", "params": {"a": 1.0, "h": 0.5}})):
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                return main(argv)
+        finally:
+            os.chdir(cwd)
+
+
 def fitted_constants(doc):
     """Constants fitted to the curve, nudged; fixed ones when no fit exists."""
     try:
@@ -128,7 +172,7 @@ def fitted_constants(doc):
     curve=st.one_of(torus(), helix(), fourier()),
     command=st.sampled_from(sorted(COMMANDS)),
     target=st.sampled_from(["curve", "constants", "flag"]),
-    kind=st.sampled_from(["type", "sign", "size", "missing"]),
+    kind=st.sampled_from(["type", "sign", "size", "missing", "scale"]),
     which=st.integers(0, 10**6),
     pick=st.integers(0, 10**6),
     samples=st.sampled_from(["5", "11", "21"]),
@@ -143,24 +187,28 @@ def test_cli_exit_codes_hold_under_mutation(curve, command, target, kind, which,
     curve = copy.deepcopy(curve)
     constants = fitted_constants(curve)
     argv = COMMANDS[command] + ["--curve", "curve.json", "--samples", samples]
-    if target == "flag":
+    if kind == "scale":
+        scale(curve, constants, SCALES[pick % len(SCALES)])
+    elif target == "flag":
         argv = argv + FLAGS[which % len(FLAGS)]
     else:
         doc = curve if target == "curve" else constants
         paths = leaves(doc)
         mutate(doc, paths[which % len(paths)], kind, pick)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, doc in (("curve.json", curve), ("constants.json", constants),
-                          ("helix.json", {"family": "helix3", "params": {"a": 1.0, "h": 0.5}})):
-            with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
-                json.dump(doc, fh)
-        cwd = os.getcwd()
-        os.chdir(tmp)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("error", RuntimeWarning)
-                code = main(argv)
-        finally:
-            os.chdir(cwd)
+    code = run(argv, curve, constants)
     event(f"exit {code}")
     assert code in (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("lam", SCALES)
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_cli_exit_codes_hold_at_extreme_scales(command, lam):
+    # Every family at every scale, alone and (the R^4 curves) with a helix.
+    for curve in (TORUS, TORUS_AS_FOURIER, {"family": "helix3", "params": {"a": 3.0, "h": 4.0}}):
+        curve = copy.deepcopy(curve)
+        constants = fitted_constants(curve)
+        scale(curve, constants, lam)
+        argv = COMMANDS[command] + ["--curve", "curve.json", "--samples", "11"]
+        for extra in ([], ["--spatial", "helix.json"]):
+            code = run(argv + extra, curve, constants)
+            assert code in (0, 1, 2, 3, 4), (curve, extra)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from quatcurves.curves import (
-    DEFAULT_STEPS,
+    FD_STEP,
     ArcLengthTable,
     CurveSpec,
     ParametricCurve,
@@ -46,7 +46,7 @@ class TestDerivative:
         want = np.array([0.0, SQ2, 0.0, SQ2])
         assert np.allclose(derivative(c, 0.0, 1), want, atol=1e-14)
         # finite-difference path must agree
-        fd = _fd_derivative(c.points, np.array([0.0]), 1, 1e-4)[0]
+        fd = _fd_derivative(c.points, np.array([0.0]), FD_STEP)[0]
         assert np.allclose(fd, want, atol=1e-9)
 
     def test_constant_curve_all_orders_zero(self):
@@ -61,17 +61,17 @@ class TestDerivative:
         assert math.isclose(np.linalg.norm(d2), 1.0 / R, rel_tol=1e-12)
 
     def test_fd_matches_analytic_all_families(self):
+        # Each order k + 1 of the jet against the stencil of its order k, to
+        # 1e-6 of the size of the rows the stencil differentiates.
         rng = np.random.default_rng(20240901)
         for name, c in builtin_families().items():
             lo, hi = c.domain
-            for u in rng.uniform(lo + 0.5, hi - 0.5, 8):
-                for order in (1, 2, 3):
-                    ex = derivative(c, float(u), order)
-                    fd = _fd_derivative(c.points, np.array([u]), order, DEFAULT_STEPS[order])[0]
-                    assert np.max(np.abs(ex - fd)) <= 1e-6, (name, order)
-                ex = derivative(c, float(u), 4)
-                fd = _fd_derivative(c.points, np.array([u]), 4, DEFAULT_STEPS[4])[0]
-                assert np.max(np.abs(ex - fd)) <= 1e-4, name
+            u = rng.uniform(lo + 0.5, hi - 0.5, 8)
+            jet = c.jet(u, range(8))
+            fd = _fd_derivative(lambda v: np.moveaxis(c.jet(v, range(7)), 0, 1), u, FD_STEP)
+            for k in range(7):
+                scale = max(1.0, float(np.max(np.abs(jet[k]))))
+                assert np.max(np.abs(jet[k + 1] - fd[:, k])) <= 1e-6 * scale, (name, k)
 
     def test_order_validation(self):
         c = circle3(1.0)
@@ -225,37 +225,67 @@ class TestCurveSpec:
         with pytest.raises(ValueError, match="A\\^2"):
             torus_curve(1.0, 1.0, 1.0, 1.0)
 
+    @pytest.mark.parametrize("bad, quoted", [
+        (True, "True"), ("1.5", "'1.5'"), (math.nan, "nan"), ([1.0], "[1.0]"),
+    ], ids=["bool", "string", "nan", "nested-list"])
+    @pytest.mark.parametrize("where", ["sin", "linear"])
+    def test_fourier_coefficient_that_is_not_a_number_quoted(self, bad, quoted, where):
+        # Each coefficient list is checked in one pass; the first entry that is
+        # not a finite number is quoted, by the name of its list.
+        coeffs = {"cos": [[0.0, 1.0], [0.0], [0.5]], "sin": [[0.0], [0.0, 1.0], [0.0]],
+                  "linear": [0.0, 0.0, 1.0]}
+        (coeffs["sin"][1] if where == "sin" else coeffs["linear"])[0] = bad
+        spec = CurveSpec.from_dict({"family": "fourier", "params": {"coeffs": coeffs}})
+        with pytest.raises(ValueError) as info:
+            spec.build()
+        assert str(info.value) == ("curve spec for 'fourier' has a malformed parameter: "
+                                   f"{where} must be a finite number, not {quoted}")
+
+    @pytest.mark.parametrize("doc, message", [
+        ({"family": "torus_curve", "params": {"A": 1e-80, "p": 1e80, "B": 0.0, "q": 1.0},
+          "domain": [0, 1]}, "(34, 'Numerical result out of range')"),
+        ({"family": "helix3", "params": {"a": 3e-300, "h": 4e-300}, "domain": [0, 1]},
+         "0.0 cannot be raised to a negative power"),
+        ({"family": "fourier", "params": {"coeffs": {"cos": [[0.0] * 15 + [1e305], [0.0], [0.0]],
+                                                     "sin": [[0.0], [0.0], [0.0]]}}},
+         "derivative scale 1e+305 * 15.0**n out of range"),
+    ], ids=["torus", "helix", "fourier"])
+    def test_scale_out_of_range_rejected_at_build(self, doc, message):
+        # A family computes the scales of its jet's orders 0-7 when it is built,
+        # so one out of range is malformed input there, not at a first evaluation.
+        with pytest.raises(ValueError) as info:
+            CurveSpec.from_dict(doc).build()
+        assert str(info.value) == (f"curve spec for {doc['family']!r} has a malformed "
+                                   f"parameter: {message}")
+
 
 def test_analytic_derivative_validation_catches_mismatch():
-    def evaluate(u):
-        return np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)
-
     def wrong_derivs(u, orders):
         row = np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)
         return np.stack([row] * len(orders))  # ignores the order
 
-    with pytest.raises(ValueError, match="disagree"):
-        ParametricCurve(3, evaluate, (0.0, 6.0), wrong_derivs)
-
-
-def test_evaluation_that_disagrees_with_the_jet_rejected_at_order_0():
-    # A curve with its own evaluation has the jet's order 0 checked against it.
-    torus = torus_curve(0.6, 1.0, 0.4, 2.0)
-
-    def shifted(u):
-        return torus.points(u) + 1e-3
-
     with pytest.raises(ValueError, match=re.escape(
-            "analytic jet disagrees with the curve's evaluation (order 0 at u=")):
-        ParametricCurve(4, shifted, torus.domain, torus.jet)
-    assert ParametricCurve(4, torus.points, torus.domain, torus.jet).jet_order == 7
+            "analytic derivatives disagree with finite differences (order 1 at u=")):
+        ParametricCurve(3, (0.0, 6.0), wrong_derivs)
 
 
 @pytest.mark.parametrize("domain", [(0.0, 0.005), (0.0, 0.003)])
-def test_domain_shorter_than_the_derivative_check_rejected(domain):
-    # The check samples at least the order-2 stencil's reach from each end.
+def test_short_domain_family_is_exact(domain):
+    # A built-in family is exact and built unchecked: its frames hold on a
+    # domain of any length, and a caller's copy of its jet passes the check
+    # on a domain longer than twice the stencil's reach FD_STEP.
+    torus = torus_curve(0.6, 1.0, 0.4, 2.0, domain=domain)
+    frames = frames4(torus, np.linspace(*domain, 5))
+    assert np.max(np.abs(frames.K - math.sqrt(2.92))) <= 1e-13
+    assert ParametricCurve(4, domain, torus.jet).jet_order == 7
+
+
+@pytest.mark.parametrize("domain", [(0.0, 1.5 * FD_STEP), (0.0, 0.5 * FD_STEP)])
+def test_domain_shorter_than_the_derivative_check_rejected(torus, domain):
+    # A caller's jet is checked at least the stencil's reach FD_STEP inside
+    # each end, so a domain shorter than twice that reach is refused.
     with pytest.raises(ValueError, match="too short for the derivative check"):
-        torus_curve(0.6, 1.0, 0.4, 2.0, domain=domain)
+        ParametricCurve(4, domain, torus.jet)
 
 
 @pytest.mark.parametrize("grid", [1.0, [[1.0, 2.0], [3.0, 4.0]]], ids=["0-d", "2-d"])

@@ -56,7 +56,7 @@ def warped(curve):
         d = series.compose(series.taylor(at, 0, 7), series.taylor(np.stack(steps), 0, 7))
         return np.stack([math.factorial(n) * d[n] for n in orders])
 
-    return ParametricCurve(curve.dim, lambda u: grid(u)[0], curve.domain, grid, name="warped")
+    return ParametricCurve(curve.dim, curve.domain, grid, name="warped")
 
 
 class TestFrame3:

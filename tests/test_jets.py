@@ -5,18 +5,20 @@ call of the curve's family per block of rows (the built-in families, and
 the Bertrand mate of one through its Taylor series).  Its row for an order
 is the one-order jet bit for bit, and a built-in family's points are its
 order 0.  The counters below are machine independent: family calls per
-curve load, per frame, per verify and per arc-length inversion, and rows
-per block.
+curve load, per frame, per verify, per mate CSV and per arc-length
+inversion, and rows per block.
 """
 
+import json
 import math
 
 import numpy as np
 import pytest
 
 from conftest import TORUS, associated_helix
-from quatcurves import curves
+from quatcurves import bertrand, curves
 from quatcurves.bertrand import construct_mate, verify_mate
+from quatcurves.cli import main
 from quatcurves.curves import (
     ROW_BLOCK,
     CurveSpec,
@@ -85,7 +87,7 @@ def counted_torus():
         calls.append((len(u), tuple(orders)))
         return torus.jet(u, orders)
 
-    curve = ParametricCurve(4, torus.points, torus.domain, jet, name="counted")
+    curve = ParametricCurve(4, torus.domain, jet, name="counted")
     calls.clear()  # the derivative check on construction
     return curve, calls
 
@@ -149,11 +151,23 @@ def family_calls(monkeypatch):
     {"family": "helix3", "params": {"a": 3.0, "h": 4.0}},
     WOBBLE_DOC,
 ], ids=lambda doc: doc["family"])
-def test_loading_a_family_makes_one_family_call(family_calls, doc):
-    # The derivative check reads the points from the jet it checks: 10 draws
-    # and their 4 shifts, orders 0-7.
+def test_building_a_family_makes_no_family_call(family_calls, doc):
+    # A family is exact by construction, so building it evaluates nothing.
     CurveSpec.from_dict(doc).build()
-    assert family_calls == [(50, tuple(range(8)))]
+    assert family_calls == []
+
+
+@pytest.mark.parametrize("doc", [
+    {"family": "torus_curve", "params": TORUS},
+    {"family": "circle3", "params": {"R": 2.0}},
+    {"family": "helix3", "params": {"a": 3.0, "h": 4.0}},
+    WOBBLE_DOC,
+], ids=lambda doc: doc["family"])
+def test_loading_a_family_makes_one_family_call(family_calls, doc):
+    # A command loads a curve by building it and running the unit-speed test
+    # that picks its grid; the test reads the speeds on 101 points in one call.
+    CurveSpec.from_dict(doc).build().is_unit_speed
+    assert family_calls == [(101, (1,))]
 
 
 def test_newton_makes_one_family_call_per_step(family_calls):
@@ -165,3 +179,25 @@ def test_newton_makes_one_family_call_per_step(family_calls):
     assert len(family_calls) == 3
     assert family_calls[0] == (9 * 41, (1,))
     assert np.max(np.abs(table.lengths_at(u) - np.linspace(0.0, table.total, 41))) <= 1e-12
+
+
+def test_mate_points_make_one_family_call_and_no_series(family_calls, monkeypatch, tmp_path):
+    # `bertrand mate` writes the mate's points, its jet's order 0: one call of
+    # orders 0-3 after the unit-speed test's, and no Taylor series.
+    series_built = []
+    mate_series = bertrand._mate_series
+
+    def counted(*args):
+        series_built.append(args[0].shape)
+        return mate_series(*args)
+
+    monkeypatch.setattr(bertrand, "_mate_series", counted)
+    curve = tmp_path / "torus.json"
+    curve.write_text(json.dumps({"family": "torus_curve", "params": TORUS}))
+    out = tmp_path / "mate.csv"
+    assert main(["bertrand", "mate", "--curve", str(curve), "--constants",
+                 json.dumps({"a": 0.3, "b": -0.2, "c": 0.0, "d": 1.0}), "--out", str(out),
+                 "--samples", "41"]) == 0
+    assert family_calls == [(101, (1,)), (41, (0, 1, 2, 3))]
+    assert series_built == []
+    assert len(out.read_text().splitlines()) == 42
