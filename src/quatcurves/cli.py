@@ -197,7 +197,7 @@ def _write(path: str, head: bytes, blocks: Iterable[bytes] = ()):
 
 def cmd_frame(args) -> int:
     curve, spatial, s, u = _load_inputs(args)
-    if curve.dim == 3:
+    if curve.dim == 3 and spatial is None:
         header, frames = FRAME3_CSV_HEADER, frames3(curve, u)
     else:
         header, frames = FRAME4_CSV_HEADER, frames4(curve, u, curve3=spatial)

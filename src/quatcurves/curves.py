@@ -8,10 +8,11 @@ and :func:`derivative` evaluate a length-1 grid and return its row.
 
 A curve is its jet: ``curve.jet(s, orders)`` returns the points (order 0)
 and derivatives of all requested orders as one ``(len(orders), n, 4)``
-array, and ``points`` is its order 0.  A built-in family is one jet
-function of orders 0-7, which evaluates each trigonometric term once for
-all orders; the Bertrand mate of such a curve carries the exact jet of
-orders 0-4 that Taylor-series arithmetic gives (:mod:`quatcurves.series`).
+array, and ``points`` is its order 0.  Every built-in family is a sum of
+trigonometric terms and a linear drift, and one kernel gives each its jet
+of orders 0-7, taking each distinct frequency's angles once for all
+orders; the Bertrand mate of such a curve carries the exact jet of orders
+0-4 that Taylor-series arithmetic gives (:mod:`quatcurves.series`).
 Both are exact by construction and built unchecked; a jet that a caller
 supplies is checked against finite differences on construction.  A jet
 evaluates in blocks of at most ``ROW_BLOCK`` rows (grid points times
@@ -431,13 +432,19 @@ class ArcLengthTable:
 
 
 # -- curve families -----------------------------------------------------------
-# d^n/du^n cos(wu) = w^n cos(wu + n*pi/2), the same shift for sin: one call on
-# the stacked shifted arguments serves every order, each row keeping the
-# arithmetic of its order alone.  A family computes its scale columns for
-# orders 0-7 once, when it is built (a scale that overflows raises there),
-# keeps their rows for each orders tuple it has seen (a fancy index costs
-# more than a small grid's trigonometry), and writes every component into
-# one preallocated (len(orders), n, 4) array.
+# Each family is a list of terms amp * cos(w u) or amp * sin(w u), one
+# coordinate each, plus a drift lin * u per coordinate, and _trig_curve gives
+# all four their jets of orders 0-7.  d^n/du^n cos(wu) = w^n cos(wu + n*pi/2),
+# the same shift for sin, so one angle array w*u + phase per distinct
+# frequency serves every order, each row keeping the arithmetic of its order
+# alone, and each term takes only its own cos or sin of it.  The scale columns
+# amp * w**n over orders 0-7 are computed once per distinct (amp, w) when the
+# curve is built (a scale that overflows raises there), and their rows are
+# taken once per orders tuple (selecting them costs more than a small grid's
+# trigonometry, and ndarray.take about a third of a fancy index).  A
+# coordinate's first term is written in place into one preallocated
+# (len(orders), n, 4) array; its other terms, in the order listed, then its
+# drift are added to it.
 
 _ORDERS = range(8)
 _PHASES = np.array([n * math.pi / 2.0 for n in _ORDERS])[:, None]
@@ -449,28 +456,59 @@ def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
     return ParametricCurve(dim, domain, jet, name=name, validate=False)
 
 
-def _rows_of(*columns):
-    """A function of an orders tuple giving the rows at those orders of the phase
-    column and of each of ``columns`` (columns over orders 0-7), selected once
-    per tuple."""
-    picked = {}
-
-    def rows(orders):
-        if orders not in picked:
-            index = list(orders)
-            picked[orders] = [_PHASES[index]] + [column[index] for column in columns]
-        return picked[orders]
-
-    return rows
-
-
 def _scales(c: float, w: float, powers=_ORDERS) -> np.ndarray:
     """The column ``c * w**n`` over ``powers``; an entry out of range raises
     OverflowError, as ``w**n`` itself does."""
-    column = np.array([c * w**n for n in powers])[:, None]
-    if not np.isfinite(column).all():
+    column = [c * w**n for n in powers]
+    if not all(map(math.isfinite, column)):
         raise OverflowError(f"derivative scale {c!r} * {w!r}**n out of range")
-    return column
+    return np.array(column)[:, None]
+
+
+def _trig_curve(dim: int, terms, domain, name: str, drift=(),
+                over: float = 1.0) -> ParametricCurve:
+    """The family curve whose coordinate ``i`` sums ``amp * fn(w * u / over)`` over
+    its ``terms`` ``(i, fn, w, amp)``, ``fn`` being ``np.cos`` or ``np.sin``, in the
+    order listed, then ``lin * u / over`` over its ``drift`` pairs ``(i, lin)``.
+
+    ``over`` is 1 but for the unit-speed helix, whose frequency ``1 / c`` is
+    the divisor ``c`` (its terms have ``w = 1``), so that each value rounds as
+    its closed form: the angle ``u / c``, the scale ``a * c**-n`` and the rise
+    ``h * u / c``.
+    """
+    # One angle array per distinct frequency, one scale column per distinct (amp, w).
+    freqs, slots, ops, seen = {}, {}, [], set()
+    for i, fn, w, amp in terms:
+        ops.append((i, slots.setdefault((amp, w), len(slots)), fn,
+                    freqs.setdefault(w, len(freqs)), i not in seen))
+        seen.add(i)
+    columns = [_scales(amp, w) for amp, w in slots]
+    if over != 1.0:
+        down = _scales(1.0, over, [-n for n in _ORDERS])
+        columns = [column * down for column in columns]
+    fill = np.empty if len(seen) == 4 else np.zeros  # a coordinate without terms is 0
+    picked = {}
+
+    def jet(u, orders):
+        if orders not in picked:
+            picked[orders] = _PHASES.take(orders, 0), [column.take(orders, 0) for column in columns]
+        ph, rows = picked[orders]
+        v = u if over == 1.0 else u / over
+        angles = [w * v + ph for w in freqs]
+        out = fill((len(orders), len(u), 4))
+        for i, s, fn, j, first in ops:
+            if first:
+                np.multiply(rows[s], fn(angles[j]), out=out[..., i])
+            else:
+                total = out[..., i]
+                total += rows[s] * fn(angles[j])
+        for i, lin in drift:
+            for k, n in enumerate(orders):  # the drift; 0 from order 2 on
+                if n < 2:
+                    out[k, :, i] += lin * u / over if n == 0 else lin / over
+        return out
+
+    return _family(dim, jet, domain, name)
 
 
 def torus_curve(A: float, p: float, B: float, q: float,
@@ -481,19 +519,8 @@ def torus_curve(A: float, p: float, B: float, q: float,
     """
     if abs(A * A * p * p + B * B * q * q - 1.0) > 1e-12:
         raise ValueError("torus_curve parameters must satisfy A^2 p^2 + B^2 q^2 = 1")
-    rows = _rows_of(_scales(A, p), _scales(B, q))
-
-    def jet(u, orders):
-        ph, sa, sb = rows(orders)
-        pu, qu = p * u + ph, q * u + ph
-        out = np.empty((len(orders), len(u), 4))
-        np.multiply(sa, np.cos(pu), out=out[..., 0])
-        np.multiply(sa, np.sin(pu), out=out[..., 1])
-        np.multiply(sb, np.cos(qu), out=out[..., 2])
-        np.multiply(sb, np.sin(qu), out=out[..., 3])
-        return out
-
-    return _family(4, jet, domain, "torus_curve")
+    terms = [(0, np.cos, p, A), (1, np.sin, p, A), (2, np.cos, q, B), (3, np.sin, q, B)]
+    return _trig_curve(4, terms, domain, "torus_curve")
 
 
 def circle3(R: float, mode: str = "arclength",
@@ -510,17 +537,7 @@ def circle3(R: float, mode: str = "arclength",
     w = 1.0 / R if mode == "arclength" else 1.0
     if domain is None:
         domain = (0.0, _TWO_PI * R) if mode == "arclength" else (0.0, _TWO_PI)
-    rows = _rows_of(_scales(R, w))
-
-    def jet(u, orders):
-        ph, scale = rows(orders)
-        wu = w * u + ph
-        out = np.zeros((len(orders), len(u), 4))
-        np.multiply(scale, np.cos(wu), out=out[..., 1])
-        np.multiply(scale, np.sin(wu), out=out[..., 2])
-        return out
-
-    return _family(3, jet, domain, "circle3")
+    return _trig_curve(3, [(1, np.cos, w, R), (2, np.sin, w, R)], domain, "circle3")
 
 
 def helix3(a: float, h: float,
@@ -534,20 +551,8 @@ def helix3(a: float, h: float,
     c = math.sqrt(a * a + h * h)
     if domain is None:
         domain = (0.0, _TWO_PI * c)
-    rows = _rows_of(_scales(a, c, [-n for n in _ORDERS]))
-
-    def jet(u, orders):
-        ph, scale = rows(orders)
-        angle = u / c + ph
-        out = np.zeros((len(orders), len(u), 4))
-        np.multiply(scale, np.cos(angle), out=out[..., 1])
-        np.multiply(scale, np.sin(angle), out=out[..., 2])
-        for k, n in enumerate(orders):  # the rise; 0 from order 2 on
-            if n < 2:
-                out[k, :, 3] = h * u / c if n == 0 else h / c
-        return out
-
-    return _family(3, jet, domain, "helix3")
+    return _trig_curve(3, [(1, np.cos, 1.0, a), (2, np.sin, 1.0, a)], domain, "helix3",
+                       drift=[(3, h)], over=c)
 
 
 def fourier_curve(
@@ -571,35 +576,13 @@ def fourier_curve(
     lin = [0.0] * ncoords if linear is None else list(map(float, linear))
     if len(lin) != ncoords:
         raise ValueError("linear coefficients must match the coordinate count")
-    dim = ncoords
-    offset = 0 if dim == 4 else 1
-    # The nonzero terms (0 for cos or 1 for sin, harmonic, coefficient) of each
-    # coordinate, in coefficient order, cosines first; the drift comes last.
-    terms = [[(kind, m, c) for kind, coeffs in ((0, cos_c[i]), (1, sin_c[i]))
-              for m, c in enumerate(coeffs) if c] for i in range(ncoords)]
-    harmonics = sorted({m for row in terms for _, m, _ in row})
-    slot = {m: j for j, m in enumerate(harmonics)}
-    ms = np.array(harmonics, dtype=float)[:, None, None]
-    rows = _rows_of(*[_scales(c, float(m)) for row in terms for _, m, c in row])
-    places = [[(kind, slot[m]) for kind, m, _ in row] for row in terms]
-
-    def jet(u, orders):
-        ph, *scales = rows(orders)
-        angles = ms * u + ph  # each harmonic's (len(orders), n) angles, once
-        trig = (np.cos(angles), np.sin(angles))
-        out = np.zeros((len(orders), len(u), 4))
-        each = iter(scales)  # one per term, coordinate by coordinate
-        for i, row in enumerate(places):
-            total = out[:, :, offset + i]
-            for kind, j in row:
-                total += next(each) * trig[kind][j]
-            if lin[i]:
-                for k, n in enumerate(orders):
-                    if n < 2:
-                        total[k] += lin[i] * u if n == 0 else lin[i]
-        return out
-
-    return _family(dim, jet, domain, "fourier")
+    offset = 4 - ncoords
+    # The nonzero terms of each coordinate, in coefficient order, cosines first.
+    terms = [(offset + i, fn, float(m), c) for i in range(ncoords)
+             for fn, coeffs in ((np.cos, cos_c[i]), (np.sin, sin_c[i]))
+             for m, c in enumerate(coeffs) if c]
+    drift = [(offset + i, x) for i, x in enumerate(lin) if x]
+    return _trig_curve(ncoords, terms, domain, "fourier", drift)
 
 
 # -- curve specifications ------------------------------------------------------

@@ -223,7 +223,9 @@ class TestFrameCommand:
         (["bertrand", "mate", "--curve", "circle.json", "--constants",
           json.dumps(TORUS_CONSTANTS), "--out", "x.csv"],
          "the R^4 curve must have dimension 4, not 3"),
-    ], ids=["4d-spatial", "3d-curve", "3d-mate"])
+        (["frame", "--curve", "circle.json", "--spatial", "torus.json", "--out", "x.csv"],
+         "the R^4 curve must have dimension 4, not 3"),
+    ], ids=["4d-spatial", "3d-curve", "3d-mate", "3d-frame"])
     def test_wrong_dimension_names_the_curve_exit2(self, tmp_path, monkeypatch, capsys,
                                                    command, message):
         monkeypatch.chdir(tmp_path)

@@ -3,10 +3,12 @@
 A family is built without a finite-difference check, so the proof of its
 closed-form jet lives here: each order k + 1 against the first-order
 stencil of order k, with the step scaled to the curve's highest
-frequency, over drawn parameters of every family.  Frames, curvatures and
-the Bertrand verdict are geometric: a torus scaled by mu, alone or with its
-associated helix scaled alike, has curvatures scaled by 1/mu and keeps its
-verdict, for mu from 1e-3 to 1e3.
+frequency, over drawn parameters of every family.  The one kernel that
+evaluates all four families gives the same doubles as the per-family jets
+it replaced, kept here as references.  Frames, curvatures and the Bertrand
+verdict are geometric: a torus scaled by mu, alone or with its associated
+helix scaled alike, has curvatures scaled by 1/mu and keeps its verdict,
+for mu from 1e-3 to 1e3.
 """
 
 import math
@@ -20,6 +22,7 @@ from conftest import TORUS, TORUS_K, associated_helix
 from quatcurves.bertrand import fit_constants, verify_mate
 from quatcurves.curves import (
     FD_STEP,
+    ROW_BLOCK,
     ParametricCurve,
     _fd_derivative,
     circle3,
@@ -76,6 +79,147 @@ def test_family_jets_agree_with_the_stencil(drawn):
     for k in range(7):
         scale = max(float(np.max(np.abs(jet[k]))) * w, float(np.max(np.abs(jet[k + 1]))))
         assert np.max(np.abs(fd[:, k] - jet[k + 1])) <= 1e-9 * scale, k
+
+
+# -- the kernel against the per-family jets it replaced --------------------------
+# Each reference keeps the arithmetic of one family's former jet as written:
+# the scale columns c * w**n, the angles w*u + n*pi/2 (u / c for the helix),
+# the torus written in place, the fourier terms added to zeros coordinate by
+# coordinate, cosines first, then the drift.
+
+PHASES = np.array([n * math.pi / 2.0 for n in range(8)])[:, None]
+
+
+def columns(c, w, powers=range(8)):
+    return np.array([c * w**n for n in powers])[:, None]
+
+
+def torus_reference(A, p, B, q):
+    sa, sb = columns(A, p), columns(B, q)
+
+    def jet(u, orders):
+        ph, ra, rb = PHASES[list(orders)], sa[list(orders)], sb[list(orders)]
+        pu, qu = p * u + ph, q * u + ph
+        out = np.empty((len(orders), len(u), 4))
+        np.multiply(ra, np.cos(pu), out=out[..., 0])
+        np.multiply(ra, np.sin(pu), out=out[..., 1])
+        np.multiply(rb, np.cos(qu), out=out[..., 2])
+        np.multiply(rb, np.sin(qu), out=out[..., 3])
+        return out
+
+    return jet
+
+
+def circle_reference(R, mode):
+    w = 1.0 / R if mode == "arclength" else 1.0
+    scales = columns(R, w)
+
+    def jet(u, orders):
+        ph, scale = PHASES[list(orders)], scales[list(orders)]
+        wu = w * u + ph
+        out = np.zeros((len(orders), len(u), 4))
+        np.multiply(scale, np.cos(wu), out=out[..., 1])
+        np.multiply(scale, np.sin(wu), out=out[..., 2])
+        return out
+
+    return jet
+
+
+def helix_reference(a, h):
+    c = math.sqrt(a * a + h * h)
+    scales = columns(a, c, [-n for n in range(8)])
+
+    def jet(u, orders):
+        ph, scale = PHASES[list(orders)], scales[list(orders)]
+        angle = u / c + ph
+        out = np.zeros((len(orders), len(u), 4))
+        np.multiply(scale, np.cos(angle), out=out[..., 1])
+        np.multiply(scale, np.sin(angle), out=out[..., 2])
+        for k, n in enumerate(orders):
+            if n < 2:
+                out[k, :, 3] = h * u / c if n == 0 else h / c
+        return out
+
+    return jet
+
+
+def fourier_reference(cos, sin, linear):
+    offset = 4 - len(cos)
+    lin = [0.0] * len(cos) if linear is None else linear
+    terms = [[(kind, m, c) for kind, coeffs in ((0, cos[i]), (1, sin[i]))
+              for m, c in enumerate(coeffs) if c] for i in range(len(cos))]
+    harmonics = sorted({m for row in terms for _, m, _ in row})
+    ms = np.array(harmonics, dtype=float)[:, None, None]
+    scales = [[columns(c, float(m)) for _, m, c in row] for row in terms]
+
+    def jet(u, orders):
+        ph = PHASES[list(orders)]
+        angles = ms * u + ph
+        trig = (np.cos(angles), np.sin(angles))
+        out = np.zeros((len(orders), len(u), 4))
+        for i, row in enumerate(terms):
+            total = out[:, :, offset + i]
+            for (kind, m, _), scale in zip(row, scales[i]):
+                total += scale[list(orders)] * trig[kind][harmonics.index(m)]
+            if lin[i]:
+                for k, n in enumerate(orders):
+                    if n < 2:
+                        total[k] += lin[i] * u if n == 0 else lin[i]
+        return out
+
+    return jet
+
+
+sign = st.sampled_from([-1.0, 1.0])
+amplitude = st.sampled_from([0.0]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def torus_pairs(draw):
+    p, q = draw(sign) * draw(st.floats(0.1, 50.0)), draw(sign) * draw(st.floats(0.1, 50.0))
+    ap = draw(unit)
+    A, B = draw(sign) * ap / abs(p), draw(sign) * math.sqrt(1.0 - ap * ap) / abs(q)
+    return torus_curve(A, p, B, q), torus_reference(A, p, B, q)
+
+
+@st.composite
+def circle_pairs(draw):
+    R, mode = draw(st.floats(0.01, 100.0)), draw(st.sampled_from(["arclength", "angle"]))
+    return circle3(R, mode), circle_reference(R, mode)
+
+
+@st.composite
+def helix_pairs(draw):
+    a, h = draw(st.floats(0.01, 100.0)), draw(st.floats(-100.0, 100.0))
+    return helix3(a, h), helix_reference(a, h)
+
+
+@st.composite
+def fourier_pairs(draw):
+    n = draw(st.sampled_from([3, 4]))
+    rows = st.lists(st.lists(amplitude, min_size=1, max_size=8), min_size=n, max_size=n)
+    cos, sin = draw(rows), draw(rows)
+    linear = draw(st.none() | st.lists(amplitude, min_size=n, max_size=n))
+    return fourier_curve(cos, sin, linear), fourier_reference(cos, sin, linear)
+
+
+ORDERS = [(0,), (1,), (1, 2), (1, 2, 3, 4), (0, 1, 2, 3), tuple(range(8)), (2, 0, 5)]
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(drawn=st.one_of(torus_pairs(), circle_pairs(), helix_pairs(), fourier_pairs()))
+def test_family_kernel_gives_the_former_jets_doubles(drawn):
+    # np.array_equal holds 0.0 and -0.0 equal: a first term written in place
+    # keeps a sign of zero that adding it to 0.0 dropped, and no output reads it.
+    curve, reference = drawn
+    former = ParametricCurve(curve.dim, curve.domain, reference, validate=False)
+    for n in (1, 41, 2001):
+        u = np.linspace(*curve.domain, n)
+        for orders in ORDERS:
+            assert np.array_equal(curve.jet(u, orders), former.jet(u, orders)), (n, orders)
+    # Past ROW_BLOCK // 8 points the 8 orders arrive in blocks of rows.
+    u = np.linspace(*curve.domain, ROW_BLOCK // 8 + 1)
+    assert np.array_equal(curve.jet(u, range(8)), former.jet(u, range(8)))
 
 
 def scaled(curve, mu):
