@@ -594,7 +594,6 @@ def verify_mate(
     and the later stages hold to ``VERIFY_TOLERANCES``.  Stage failures are
     recorded in the report, not thrown.
     """
-    grid = np.asarray(grid, dtype=float)
     # The base frames are those the mate is built from: pointwise, from
     # the same source as the profile (pair frames can orient N3
     # oppositely to intrinsic ones).

@@ -8,19 +8,20 @@ and :func:`derivative` evaluate a length-1 grid and return its row.
 
 A curve is its jet: ``curve.jet(s, orders)`` returns the points (order 0)
 and derivatives of all requested orders as one ``(len(orders), n, 4)``
-array, and ``points`` is its order 0.  Every built-in family is a sum of
-trigonometric terms and a linear drift, and one kernel gives each its jet
-of orders 0-7, taking each distinct frequency's angles once for all
-orders; the Bertrand mate of such a curve carries the exact jet of orders
-0-4 that Taylor-series arithmetic gives (:mod:`quatcurves.series`).
-Both are exact by construction and built unchecked; a jet that a caller
-supplies is checked against finite differences on construction.  A jet
-evaluates in blocks of at most ``ROW_BLOCK`` rows (grid points times
-orders): that bounds the memory and, rows being independent, changes no
-bit.  A cumulative arc-length table, inverted by Newton steps of one speed
-call each, maps arc lengths to parameters.  One central first-order
-stencil of step ``FD_STEP`` with one Richardson level checks a supplied
-jet and measures how well frames follow their ODE.
+array, and ``points``, ``derivatives`` and ``speeds`` read it.  ``jet``
+alone calls the curve's function, on blocks of at most ``ROW_BLOCK`` rows
+(grid points times orders; rows being independent, blocks change no bit),
+and refuses a non-finite value by its parameter.  Every built-in family
+is a sum of trigonometric terms and a linear drift, and one kernel gives
+each its jet of orders 0-7, taking each distinct frequency's angles once
+for all orders; the Bertrand mate of such a curve carries the exact jet
+of orders 0-4 that Taylor-series arithmetic gives
+(:mod:`quatcurves.series`).  Both are exact by construction and built
+unchecked; a jet that a caller supplies is checked on construction
+against the one central first-order stencil of step ``FD_STEP`` with one
+Richardson level, which also measures how well frames follow their ODE.
+A cumulative arc-length table, inverted by Newton steps of one speed
+call each, maps arc lengths to parameters.
 """
 
 from __future__ import annotations
@@ -104,12 +105,11 @@ def row_blocks(n: int, orders: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _require_finite(values: np.ndarray, s: np.ndarray, what: str):
-    if np.isfinite(values).all():
-        return
-    bad = ~np.all(np.isfinite(values), axis=(0, -1) if values.ndim == 3 else -1)  # jet: any order
-    if np.any(bad):
-        raise ValueError(f"{what} at u={float(s[bad][0])!r}")
+def _require_finite(jet: np.ndarray, s: np.ndarray):
+    """Refuse a ``(k, n, 4)`` jet with a non-finite entry, naming its first parameter."""
+    if not np.isfinite(jet).all():
+        bad = ~np.isfinite(jet).all(axis=(0, -1))
+        raise ValueError(f"curve jet is not finite at u={float(s[bad][0])!r}")
 
 
 def _grid(values, what: str) -> np.ndarray:
@@ -118,24 +118,6 @@ def _grid(values, what: str) -> np.ndarray:
     if s.ndim != 1:
         raise ValueError(f"{what} grid must have shape (n,), not {s.shape}")
     return s
-
-
-def _in_blocks(fn, s: np.ndarray, k: int) -> np.ndarray:
-    """``fn`` on the grid ``s`` as a ``(k, n, 4)`` array: one call on the whole grid
-    when its ``n * k`` rows fit in ``ROW_BLOCK``, else one call per block of rows,
-    each block written into the result as it arrives."""
-    def call(u):
-        block = np.asarray(fn(u), dtype=float)
-        if block.shape != (k, len(u), 4):
-            raise ValueError(_JET_SHAPE)
-        return block
-
-    if len(s) * k <= ROW_BLOCK:
-        return call(s)
-    out = np.empty((k, len(s), 4))
-    for rows in row_blocks(len(s), k):
-        out[:, rows] = call(s[rows])
-    return out
 
 
 class ParametricCurve:
@@ -190,11 +172,8 @@ class ParametricCurve:
 
     def points(self, s) -> np.ndarray:
         """Points at every parameter of the grid ``s`` (shape ``(n,)``), as ``(n, 4)``:
-        the jet's order 0, called on blocks of at most ``ROW_BLOCK`` rows."""
-        s = self._check_domain(s)
-        p = _in_blocks(lambda u: self._derivs(u, (0,)), s, 1)[0]
-        _require_finite(p, s, "curve evaluation is not finite")
-        return p
+        the jet's order 0."""
+        return self.jet(s, (0,))[0]
 
     def point(self, u: float) -> np.ndarray:
         return self.points(np.array([u], dtype=float))[0]
@@ -206,15 +185,28 @@ class ParametricCurve:
 
     def jet(self, s, orders) -> np.ndarray:
         """Points (order 0) and derivatives of the ``orders`` (0..``jet_order``) on the
-        grid ``s``, as ``(len(orders), n, 4)``, from one call of the curve's jet per
-        block of ``ROW_BLOCK`` rows; row ``k`` is ``jet(s, (orders[k],))[0]`` bit for bit.
-        """
+        grid ``s``, as ``(len(orders), n, 4)``, from the curve's jet, called on the whole
+        grid or per block of ``ROW_BLOCK`` rows; row ``k`` is ``jet(s, (orders[k],))[0]``
+        bit for bit."""
         orders = tuple(orders)
         if not all(0 <= order <= self.jet_order for order in orders):
             raise ValueError(f"derivative orders must be between 0 and {self.jet_order}")
         s = self._check_domain(s)
-        d = _in_blocks(lambda u: self._derivs(u, orders), s, len(orders))
-        _require_finite(d, s, "derivative is not finite")
+        k = len(orders)
+
+        def call(u):
+            block = np.asarray(self._derivs(u, orders), dtype=float)
+            if block.shape != (k, len(u), 4):
+                raise ValueError(_JET_SHAPE)
+            return block
+
+        if len(s) * k <= ROW_BLOCK:
+            d = call(s)
+        else:
+            d = np.empty((k, len(s), 4))
+            for rows in row_blocks(len(s), k):
+                d[:, rows] = call(s[rows])
+        _require_finite(d, s)
         return d
 
     def derivatives(self, s, order: int) -> np.ndarray:
@@ -243,36 +235,26 @@ class ParametricCurve:
         return self.unit_speed_deviation <= UNIT_SPEED_TOL
 
     def _validate_derivatives(self):
-        """Check each order k + 1 of the jet against the stencil of its order k, from
-        one jet call on 10 draws at least the stencil's reach ``h`` inside the domain
-        and their shifts by +-h and +-h/2."""
+        """Check each order k + 1 of the jet against the stencil of its order k on 10
+        draws at least the stencil's reach ``h`` inside the domain."""
         lo, hi = self.domain
         h = FD_STEP
         if not lo + h <= hi - h:
             raise ValueError(f"domain [{lo}, {hi}] is too short for the derivative check")
         # The doubles of default_rng(20240831).uniform(lo + h, hi - h, 10).
-        us = (lo + h) + ((hi - h) - (lo + h)) * _validation_draws()
-        orders, ks = range(self.jet_order + 1), (0.0,) + _FD_SHIFTS
-        jet = self.jet((us + h * np.array(ks)[:, None]).ravel(), orders)
-        at = dict(zip(ks, jet.reshape(len(orders), len(ks), len(us), 4).swapaxes(0, 1)))
-        rows, source = at[0.0][1:], at[0.0][:-1]
-        approx = _richardson({k: v[:-1] for k, v in at.items()}, h)
+        us = (lo + h) + ((hi - h) - (lo + h)) * np.random.default_rng(20240831).random(10)
+        orders = range(self.jet_order + 1)
+        jet = self.jet(us, orders)
+        approx = _fd_derivative(lambda v: self.jet(v, orders[:-1]).swapaxes(0, 1), us, h)
+        rows, source = jet[1:], jet[:-1]
         # The stencil's round-off grows with the size of the rows it
         # differentiates, so the bound does too (1e-6 on rows of unit size).
         tol = 1e-6 * np.maximum(1.0, np.abs(source).max(axis=-1).max(axis=-1))
-        off = np.abs(rows - approx).max(axis=-1) > tol[:, None]
+        off = np.abs(rows - approx.swapaxes(0, 1)).max(axis=-1) > tol[:, None]
         if off.any():
             k, i = np.argwhere(off)[0]
             raise ValueError("analytic derivatives disagree with finite differences "
                              f"(order {k + 1} at u={us[i]:.6g})")
-
-
-@cache
-def _validation_draws() -> np.ndarray:
-    """Uniforms placing the derivative check's points; drawn once, shared read-only."""
-    draws = np.random.default_rng(20240831).random(10)
-    draws.flags.writeable = False
-    return draws
 
 
 # -- differentiation ---------------------------------------------------------
@@ -282,21 +264,16 @@ def _validation_draws() -> np.ndarray:
 _FD_SHIFTS = (-1.0, -0.5, 0.5, 1.0)
 
 
-def _richardson(at: dict, h: float) -> np.ndarray:
-    """First derivative from ``at[k]``, the function at ``u + k*h`` for the shifts of
-    ``_FD_SHIFTS``: one Richardson level on the central stencils, which are O(h^2),
-    so (4 D(h/2) - D(h)) / 3 cancels the leading error term."""
-    d_h = (at[1.0] - at[-1.0]) / (2.0 * h)
-    d_h2 = (at[0.5] - at[-0.5]) / (2.0 * (h / 2.0))
-    return (4.0 * d_h2 - d_h) / 3.0
-
-
 def _fd_derivative(f: Callable, u: np.ndarray, h: float) -> np.ndarray:
     """Richardson-central first derivative of ``f`` on the grid ``u``, base step ``h``;
     ``f`` maps ``(m,)`` to ``(m, ...)`` and is called once, on the shifted grids
-    stacked."""
-    values = np.split(f(np.concatenate([u + k * h for k in _FD_SHIFTS])), len(_FD_SHIFTS))
-    return _richardson(dict(zip(_FD_SHIFTS, values)), h)
+    stacked.  The central stencils at ``h`` and ``h/2`` are O(h^2), so one
+    Richardson level, (4 D(h/2) - D(h)) / 3, cancels the leading error term."""
+    values = f(np.concatenate([u + k * h for k in _FD_SHIFTS]))
+    left, left_half, right_half, right = np.split(values, len(_FD_SHIFTS))
+    d_h = (right - left) / (2.0 * h)
+    d_h2 = (right_half - left_half) / (2.0 * (h / 2.0))
+    return (4.0 * d_h2 - d_h) / 3.0
 
 
 def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:

@@ -206,15 +206,23 @@ def _derivative_frame(derivs: Sequence[np.ndarray]):
     normalized; ``rho_j`` is the norm it had.  In any regular parameter the
     curvatures per arc length are ``rho_j / (rho_0 rho_(j-1))`` for j >= 1
     (``rho_1 / rho_0^2`` is the curvature).  Raises
-    :class:`DegeneracyError` where the speed falls below ``SPEED_EPS`` or a
-    curvature below ``DEGENERACY_EPS``, before anything divides by it.
+    :class:`DegeneracyError` where the speed falls below ``SPEED_EPS``, where
+    ``rho_1`` is at most ``DEGENERACY_EPS`` times the grid's largest ``|d2|``
+    (an inflection's ``d2`` is round-off of terms that size) or where a
+    higher curvature is at most ``DEGENERACY_EPS`` times the curvature; these
+    floors compare rows, so scaling the curve does not move them.
     """
     units, rhos = [], []
     for j, d in enumerate(derivs):
         v = _orthogonalize(d, units)
         rho = norm(v)
-        floor = SPEED_EPS if j == 0 else DEGENERACY_EPS * rhos[0] * rhos[-1]
-        if np.any(rho < floor):
+        if j == 0:
+            vanishes = rho < SPEED_EPS
+        elif j == 1:
+            vanishes = rho <= DEGENERACY_EPS * norm(d).max(initial=0.0)
+        else:
+            vanishes = rho * rhos[0] <= DEGENERACY_EPS * rhos[1] * rhos[-1]
+        if np.any(vanishes):
             raise DegeneracyError(_VANISHING[j])
         units.append(v / rho[:, None])
         rhos.append(rho)
@@ -364,7 +372,6 @@ def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None
     _require_r4(curve4)
     if curve3 is None:
         return _intrinsic_frames(*curve4.jet(s, (1, 2, 3, 4)))
-    s = np.asarray(s, dtype=float)
     d1, d2 = curve4.jet(s, (1, 2))
     return _pair_frames(d1, d2, frames3(curve3, _spatial_parameters(curve4, curve3, s)))
 
@@ -443,5 +450,4 @@ def curvature_profile(
     curve3: Optional[ParametricCurve] = None,
 ) -> CurvatureProfile:
     """Curvature functions on the grid; ``k`` is recovered as K - bitorsion."""
-    grid = np.asarray(grid, dtype=float)
     return _profile(grid, frames4(curve4, grid, curve3), curve3)

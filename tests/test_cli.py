@@ -161,6 +161,18 @@ class TestFrameCommand:
         assert code == 3
         assert "zero curvature" in capsys.readouterr().err
 
+    def test_inflection_degenerates_exit3(self, tmp_path, capsys):
+        # (u, sin u, sin 2u, sin 3u): the grid starts at the inflection u = 0,
+        # where the computed second derivative is round-off.
+        zeros = [[0.0]] * 4
+        sin = [[0.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
+        doc = {"family": "fourier", "params": {"coeffs": {
+            "cos": zeros, "sin": sin, "linear": [1.0, 0.0, 0.0, 0.0]}}}
+        spec = write_json(tmp_path, "inflection.json", doc)
+        out = tmp_path / "frame.csv"
+        assert main(["frame", "--curve", spec, "--out", str(out), "--samples", "21"]) == 3
+        assert "zero curvature" in capsys.readouterr().err
+
     def test_malformed_json_exit2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json at all")
@@ -261,6 +273,19 @@ class TestFrameCommand:
         out = tmp_path / "x.csv"
         assert main(["frame", "--curve", spec, "--out", str(out), "--samples", "21"]) == 0
         assert "max orthonormality residual" in capsys.readouterr().out
+
+    def test_scaled_torus_frame_exit0(self, tmp_path, capsys):
+        # The canonical torus scaled by 1e10 has curvature 1.7e-10 per unit
+        # length; its frames are exact, and the degeneracy floors are ratios
+        # of its derivative rows, so they do not read it as a straight line.
+        mu = 1e10
+        doc = torus_doc(TORUS["A"] * mu, TORUS["p"] / mu, TORUS["B"] * mu, TORUS["q"] / mu)
+        doc["domain"] = [0.0, 2.0 * math.pi * mu]
+        spec = write_json(tmp_path, "scaled.json", doc)
+        out = tmp_path / "x.csv"
+        assert main(["frame", "--curve", spec, "--out", str(out), "--samples", "21"]) == 0
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert np.max(np.abs(mu * rows[:, 17] / TORUS_K - 1.0)) <= 1e-12
 
     def test_spatial_shorter_than_curve_exit2(self, tmp_path, capsys):
         fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)

@@ -259,7 +259,7 @@ class TestCurveSpec:
                                    f"parameter: {message}")
 
 
-def test_analytic_derivative_validation_catches_mismatch():
+def test_analytic_derivative_validation_catches_mismatch(torus):
     def wrong_derivs(u, orders):
         row = np.stack([0.0 * u, np.cos(u), np.sin(u), 0.0 * u], axis=-1)
         return np.stack([row] * len(orders))  # ignores the order
@@ -267,6 +267,34 @@ def test_analytic_derivative_validation_catches_mismatch():
     with pytest.raises(ValueError, match=re.escape(
             "analytic derivatives disagree with finite differences (order 1 at u=")):
         ParametricCurve(3, (0.0, 6.0), wrong_derivs)
+
+    # Order k of a correct jet off by 1e-3 of its size fails the comparison
+    # of order k with the stencil of order k - 1, the first it enters.
+    for k in range(1, 8):
+        def wrong_order(u, orders, k=k):
+            scale = np.array([1.0 + 1e-3 if n == k else 1.0 for n in orders])
+            return scale[:, None, None] * torus.jet(u, orders)
+
+        with pytest.raises(ValueError, match=re.escape(f"(order {k} at u=")):
+            ParametricCurve(4, torus.domain, wrong_order)
+
+
+def test_non_finite_jet_names_its_parameter(torus):
+    # A caller's jet that is NaN at one parameter is refused by every read,
+    # with the one message naming that parameter.
+    bad_u = 1.25
+
+    def nan_at(u, orders):
+        d = torus.jet(u, orders)
+        d[:, u == bad_u] = np.nan
+        return d
+
+    curve = ParametricCurve(4, torus.domain, nan_at, validate=False)
+    grid = np.array([0.5, bad_u, 2.0])
+    message = re.escape(f"curve jet is not finite at u={bad_u!r}")
+    for read in (curve.points, lambda s: curve.jet(s, (1, 2)), curve.speeds):
+        with pytest.raises(ValueError, match=message):
+            read(grid)
 
 
 @pytest.mark.parametrize("domain", [(0.0, 0.005), (0.0, 0.003)])

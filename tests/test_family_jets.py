@@ -8,7 +8,7 @@ evaluates all four families gives the same doubles as the per-family jets
 it replaced, kept here as references.  Frames, curvatures and the Bertrand
 verdict are geometric: a torus scaled by mu, alone or with its associated
 helix scaled alike, has curvatures scaled by 1/mu and keeps its verdict,
-for mu from 1e-3 to 1e3.
+for mu from 1e-3 to 1e3; its frames alone hold up to mu = 1e12.
 """
 
 import math
@@ -242,20 +242,39 @@ def scaled_torus(mu):
 MUS = [1e-3, 1.0 / 200.0, 0.03, 1.0, 40.0, 1e3]
 
 
-@pytest.mark.parametrize("pair", [False, True], ids=["intrinsic", "pair"])
-@pytest.mark.parametrize("mu", MUS)
-def test_scaled_torus_has_scaled_curvatures_and_its_verdict(mu, pair):
-    grid = np.linspace(0.05, 2.0 * math.pi - 0.05, 41)
+GRID = np.linspace(0.05, 2.0 * math.pi - 0.05, 41)
+
+
+def scaled_frames(mu, pair):
+    """The torus scaled by ``mu``, its helix scaled alike for a ``pair`` (else None)
+    and their frames on ``mu * GRID``, checked to have the curvatures of the
+    unscaled frames on ``GRID`` times 1/mu."""
     helix = associated_helix() if pair else None
-    want = frames4(torus_curve(**TORUS), grid, helix)
-    torus = scaled_torus(mu)
-    helix = scaled(helix, mu) if pair else None
-    got = frames4(torus, mu * grid, helix)
+    want = frames4(torus_curve(**TORUS), GRID, helix)
+    torus, helix = scaled_torus(mu), (scaled(helix, mu) if pair else None)
+    got = frames4(torus, mu * GRID, helix)
     for name in ("K", "torsion", "bitorsion"):
         ratio = mu * getattr(got, name) / getattr(want, name)
         assert np.max(np.abs(ratio - 1.0)) <= 1e-12, name
+    return torus, helix, got
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["intrinsic", "pair"])
+@pytest.mark.parametrize("mu", MUS)
+def test_scaled_torus_has_scaled_curvatures_and_its_verdict(mu, pair):
+    torus, helix, got = scaled_frames(mu, pair)
     assert abs(mu * float(np.mean(got.K)) / TORUS_K - 1.0) <= 1e-12
-    consts = fit_constants(curvature_profile(torus, mu * grid, helix))
-    report = verify_mate(torus, consts, mu * grid, alpha3=helix)
+    consts = fit_constants(curvature_profile(torus, mu * GRID, helix))
+    report = verify_mate(torus, consts, mu * GRID, alpha3=helix)
     assert report.verdict, report.to_json_dict()
     assert report.curvature_deviation * mu <= 1e-12
+
+
+@pytest.mark.parametrize("pair", [False, True], ids=["intrinsic", "pair"])
+@pytest.mark.parametrize("mu", [1e6, 1e9, 1e10, 1e12])
+def test_large_scaled_torus_frames_are_scale_free(mu, pair):
+    # The degeneracy floors compare the derivative rows with each other, so a
+    # torus with curvature 1.7e-12 per unit length still has frames; the fit
+    # is left out, as fit_constants holds its nonzero conditions to an
+    # absolute floor.
+    scaled_frames(mu, pair)

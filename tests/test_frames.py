@@ -130,6 +130,17 @@ class TestFrame4Intrinsic:
         with pytest.raises(DegeneracyError, match="zero curvature"):
             frame4_intrinsic(straight_line4(), 3.0)
 
+    @pytest.mark.parametrize("u", [0.0, math.pi])
+    def test_zero_curvature_at_inflection(self, u):
+        # (u, sin u, sin 2u, sin 3u) has d2 = 0 at multiples of pi, but the
+        # computed d2 there is round-off (sin(pi) is 1.2e-16), about 20 degrees
+        # off d1: the floor must read it against the grid's d2, not its own.
+        zeros = [[0.0]] * 4
+        curve = fourier_curve(zeros, [[0.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]],
+                              linear=[1.0, 0.0, 0.0, 0.0])
+        with pytest.raises(DegeneracyError, match="zero curvature"):
+            frames4(curve, [u, 1.0, 2.0])
+
 
 @pytest.mark.parametrize("curve", [torus_curve(0.6, 1.0, 0.4, 2.0), helix3(3.0, 4.0)],
                          ids=["torus", "helix"])
