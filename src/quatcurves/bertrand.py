@@ -26,13 +26,13 @@ floats or arrays of one shape, the mate frame as a
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from . import series
-from .curves import ParametricCurve, _number, row_blocks
+from .curves import ParametricCurve, _number
 from .errors import DegeneracyError, FitError
 # frame4_intrinsic and curvature_profile are not called here: they stay
 # bound as lookup sites that perfbench/tracing.py patches.
@@ -58,6 +58,7 @@ __all__ = [
     "ConditionResult",
     "BertrandReport",
     "VERIFY_TOLERANCES",
+    "VERIFY_MEASURES",
     "check_conditions",
     "fit_constants",
     "construct_mate",
@@ -106,14 +107,7 @@ class BertrandConstants:
         return cls(a=a, b=b, c=c, d=d, epsilon=int(signs[0]), delta=int(signs[1]))
 
     def to_json_dict(self) -> dict:
-        return {
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-            "d": self.d,
-            "epsilon": self.epsilon,
-            "delta": self.delta,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -134,6 +128,14 @@ VERIFY_TOLERANCES = {
     "curvature": 1e-4,
 }
 
+# verify_mate's measurements: tolerance name -> report field, in report order.
+VERIFY_MEASURES = {
+    "distance": "distance_deviation",
+    "speed": "speed_deviation",
+    "curvature": "curvature_deviation",
+    "span": "span_residual",
+}
+
 
 @dataclass
 class BertrandReport:
@@ -151,6 +153,13 @@ class BertrandReport:
     def conditions_pass(self) -> bool:
         return all(c.passed for c in self.conditions.values())
 
+    def measures_pass(self) -> bool:
+        """Whether every measurement was taken and is within its tolerance."""
+        return all(
+            (value := getattr(self, name)) is not None and value <= VERIFY_TOLERANCES[tol]
+            for tol, name in VERIFY_MEASURES.items()
+        )
+
     def to_json_dict(self) -> dict:
         out: dict = {
             "conditions": {
@@ -163,10 +172,8 @@ class BertrandReport:
                 for name, res in self.conditions.items()
             }
         }
-        out["distance_deviation"] = self.distance_deviation
-        out["speed_deviation"] = self.speed_deviation
-        out["curvature_deviation"] = self.curvature_deviation
-        out["span_residual"] = self.span_residual
+        for name in VERIFY_MEASURES.values():
+            out[name] = getattr(self, name)
         if self.stage_errors:
             out["stage_errors"] = list(self.stage_errors)
         out["tolerances"] = dict(self.tolerances)
@@ -175,6 +182,16 @@ class BertrandReport:
 
 
 # -- condition checking -----------------------------------------------------------
+
+def _r1(a, b, r, m):
+    """The (R1) term ``a*r + b*(K-k)``: the constants, then the curvatures, ``m = K - k``."""
+    return a * r + b * m
+
+
+def _r4(c, K, r, m):
+    """The (R4) term ``(1-c^2)*K*r + c*(K^2 - r^2 - m^2)``, laid out as :func:`_r1`."""
+    return (1.0 - c * c) * K * r + c * (K * K - r * r - m * m)
+
 
 def check_conditions(
     profile: CurvatureProfile,
@@ -192,11 +209,11 @@ def check_conditions(
         raise ValueError("profile must be nonempty")
     a, b, c, d = consts.a, consts.b, consts.c, consts.d
     K, r, m = profile.K, profile.r, profile.bitorsion
-    combo = a * r + b * m
+    combo = _r1(a, b, r, m)
     eq2 = np.abs(a * K - c * combo - 1.0)
     eq3 = np.abs(c * K + r - d * m)
     eq1_abs = np.abs(combo)
-    eq4_abs = np.abs((1.0 - c * c) * K * r + c * (K * K - r * r - m * m))
+    eq4_abs = np.abs(_r4(c, K, r, m))
 
     eps_ok = bool(np.all(np.sign(combo) == consts.epsilon))
     delta_ok = bool(np.all(np.sign(m) == consts.delta))
@@ -299,12 +316,12 @@ def fit_constants(
     if d_dev > 1e-6:
         raise FitError(f"non-constant d: max deviation {d_dev:.3g} exceeds 1e-06")
 
-    combo = a * r + b * m
+    combo = _r1(a, b, r, m)
     if np.min(np.abs(combo)) < DEGENERACY_EPS:
         raise FitError("a*r + b*(K-k) vanishes on the grid")
     if np.sign(combo.min()) != np.sign(combo.max()):
         raise FitError("sign flip of a*r + b*(K-k) across the grid")
-    eq4 = (1.0 - c * c) * K * r + c * (K * K - r * r - m * m)
+    eq4 = _r4(c, K, r, m)
     if np.min(np.abs(eq4)) < DEGENERACY_EPS:
         raise FitError("mate torsion degenerates: nonzero condition violated")
 
@@ -321,6 +338,10 @@ def fit_constants(
 # -- mate construction ----------------------------------------------------------------
 
 ConstantsLike = Union[BertrandConstants, tuple[float, float]]
+
+# Most rows (grid points times orders) of the base curve's jet that one block of
+# the mate's Taylor series reads; on a whole 100,000-point grid they need ~360 MB.
+ROW_BLOCK = 1 << 15
 
 # The mate's Taylor series have degree 4, the oracle's highest order.  N3
 # follows from the third derivative of the base curve, so its series of
@@ -408,7 +429,8 @@ def _mate_series(jet: np.ndarray, a: float, b: float, pair=None) -> np.ndarray:
     shape ``(5, n, 4)``, from the rows of :func:`_read_jet`; built on blocks of at most
     ``ROW_BLOCK`` rows of the jet."""
     out = np.empty((_DEGREE + 1,) + jet.shape[1:])
-    for rows in row_blocks(jet.shape[1], len(jet)):
+    step = max(1, ROW_BLOCK // len(jet))
+    for rows in (slice(i, i + step) for i in range(0, jet.shape[1], step)):
         block_pair = None if pair is None else (pair[0][:, rows], pair[1])
         out[:, rows] = _mate_block(jet[:, rows], a, b, block_pair)
     return out
@@ -473,8 +495,9 @@ def phi_prime(K, r, k, consts: BertrandConstants):
     :func:`mate_curvatures_closed_form` and :func:`mate_frame_closed_form`
     the fields of ``consts`` may be arrays of that shape too.
     """
-    combo = consts.a * r + consts.b * (K - k)
-    if np.any(np.abs(combo) < 1e-14 * _scale(K, r, K - k)):
+    m = K - k
+    combo = _r1(consts.a, consts.b, r, m)
+    if np.any(np.abs(combo) < 1e-14 * _scale(K, r, m)):
         raise ValueError("mate regularity violated: a*r + b*(K-k) = 0")
     return consts.epsilon * np.sqrt(1.0 + consts.c * consts.c) * combo
 
@@ -497,7 +520,7 @@ def mate_curvatures_closed_form(K, r, k, consts: BertrandConstants):
         raise ValueError("degenerate denominator: (c*K+r)^2 + (K-k)^2 = 0")
     sq = np.sqrt(1.0 + c * c)
     kbar = root / (pp * sq)
-    torsion_bar = np.abs((1.0 - c * c) * K * r + c * (K * K - r * r - m * m)) / (pp * sq * root)
+    torsion_bar = np.abs(_r4(c, K, r, m)) / (pp * sq * root)
     bitorsion_bar = m * K * sq / (pp * root)
     return kbar, torsion_bar, bitorsion_bar
 
@@ -641,13 +664,6 @@ def verify_mate(
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"oracle frame: {exc}")
 
-    _finalize(report)
+    report.verdict = (report.conditions_pass() and not report.stage_errors
+                      and report.measures_pass())
     return report
-
-
-def _finalize(report: BertrandReport):
-    measured = {"distance": report.distance_deviation, "speed": report.speed_deviation,
-                "curvature": report.curvature_deviation, "span": report.span_residual}
-    report.verdict = report.conditions_pass() and not report.stage_errors and all(
-        value is not None and value <= VERIFY_TOLERANCES[name] for name, value in measured.items()
-    )

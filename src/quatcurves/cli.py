@@ -20,6 +20,7 @@ import numpy as np
 
 from ._fmt import canonical_json, fnum, ftable_blocks
 from .bertrand import (
+    VERIFY_MEASURES,
     BertrandConstants,
     check_conditions,
     construct_mate,
@@ -44,12 +45,15 @@ EXIT_DEGENERACY = 3
 EXIT_FIT = 4
 
 # Largest --samples.  At this size verify, the heaviest command, peaks near
-# 140 MB on a curve and 160 MB with its spatial curve (about 1.6 kB per
-# grid point; the jets and the mate's Taylor series are built in blocks of
-# curves.ROW_BLOCK rows); frame peaks near 80 MB and bertrand mate near
-# 55 MB, as their CSV text is written one block at a time.  CI fails any of
-# the four above 300 MB, so no size it admits fails to allocate on an
-# ordinary machine.
+# 135 MB on a curve and 155 MB with its spatial curve (about 1.3 kB per
+# grid point; each jet is one call on the whole grid, whose angle arrays
+# stay within 8 MB however many harmonics a curve has, and only the mate's
+# Taylor series are built in blocks of bertrand.ROW_BLOCK jet rows); frame
+# peaks near 80 MB and bertrand mate near 75 MB, as their CSV text is
+# written one block at a time, and both near 115 MB on a curve that is not
+# unit speed, whose first Newton step reads 900,000 speeds at once (130 MB
+# with 64 harmonics).  CI fails any of them above 300 MB, so no size it
+# admits fails to allocate on an ordinary machine.
 MAX_SAMPLES = 100_000
 
 
@@ -135,7 +139,7 @@ def _load_curve(path: str) -> ParametricCurve:
         with _json_depth():
             spec = CurveSpec.from_file(path)
         return spec.build()
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load curve spec {path!r}: {exc}") from exc
 
 
@@ -148,7 +152,7 @@ def _load_constants(text: str) -> BertrandConstants:
                 with open(text, "r", encoding="utf-8") as fh:
                     data = json.load(fh)
         return BertrandConstants.from_json_dict(data)
-    except (OSError, ValueError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:
         raise ValueError(f"cannot load constants: {exc}") from exc
 
 
@@ -259,8 +263,7 @@ def cmd_verify(args) -> int:
     report = verify_mate(curve, consts, u, alpha3=spatial, tol=args.tol)
     _write(args.report, canonical_json(report.to_json_dict()).encode())
     _print_conditions(report)
-    for label in ("distance_deviation", "speed_deviation", "curvature_deviation",
-                  "span_residual"):
+    for label in VERIFY_MEASURES.values():
         value = getattr(report, label)
         print(f"{label}: {'n/a' if value is None else fnum(value)}")
     for err in report.stage_errors:
@@ -295,10 +298,7 @@ def main(argv=None) -> int:
     except FitError as exc:
         print(f"fit failure: {exc}", file=sys.stderr)
         return EXIT_FIT
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -9,13 +9,12 @@ and :func:`derivative` evaluate a length-1 grid and return its row.
 A curve is its jet: ``curve.jet(s, orders)`` returns the points (order 0)
 and derivatives of all requested orders as one ``(len(orders), n, 4)``
 array, and ``points``, ``derivatives`` and ``speeds`` read it.  ``jet``
-alone calls the curve's function, on blocks of at most ``ROW_BLOCK`` rows
-(grid points times orders; rows being independent, blocks change no bit),
-and refuses a non-finite value by its parameter.  Every built-in family
+alone calls the curve's function, once on the whole grid, and refuses a
+non-finite value by its parameter.  Every built-in family
 is a sum of trigonometric terms and a linear drift, and one kernel gives
-each its jet of orders 0-7, taking each distinct frequency's angles once
-for all orders; the Bertrand mate of such a curve carries the exact jet
-of orders 0-4 that Taylor-series arithmetic gives
+each its jet of orders 0-7, one angle array per distinct frequency serving
+all orders, within a fixed memory budget; the Bertrand mate of such a curve
+carries the exact jet of orders 0-4 that Taylor-series arithmetic gives
 (:mod:`quatcurves.series`).  Both are exact by construction and built
 unchecked; a jet that a caller supplies is checked on construction
 against the one central first-order stencil of step ``FD_STEP`` with one
@@ -53,8 +52,6 @@ __all__ = [
     "NEWTON_STEPS",
     "TABLE_PANELS",
     "UNIT_SPEED_TOL",
-    "ROW_BLOCK",
-    "row_blocks",
 ]
 
 # Step of the first-order finite-difference stencil; chosen to balance
@@ -77,14 +74,7 @@ NEWTON_STEPS = 8
 # Panels of the arc-length table a curve keeps for its whole domain.
 TABLE_PANELS = 256
 
-# Most rows (grid points times orders) one call of a curve's jet receives;
-# the mate's Taylor series are built on blocks of as many rows of the base
-# curve's jet of orders 0-7.
-ROW_BLOCK = 1 << 15
-
 _TWO_PI = 2.0 * math.pi
-
-_JET_SHAPE = "a derivative jet must return one (n, 4) array per order"
 
 
 def _quote(value) -> str:
@@ -97,19 +87,6 @@ def _number(value, name: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
         raise TypeError(f"{name} must be a finite number, not {_quote(value)}")
     return float(value)
-
-
-def row_blocks(n: int, orders: int) -> list[slice]:
-    """Slices of ``range(n)`` of at most ``ROW_BLOCK // orders`` grid points each."""
-    step = max(1, ROW_BLOCK // orders)
-    return [slice(i, i + step) for i in range(0, n, step)]
-
-
-def _require_finite(jet: np.ndarray, s: np.ndarray):
-    """Refuse a ``(k, n, 4)`` jet with a non-finite entry, naming its first parameter."""
-    if not np.isfinite(jet).all():
-        bad = ~np.isfinite(jet).all(axis=(0, -1))
-        raise ValueError(f"curve jet is not finite at u={float(s[bad][0])!r}")
 
 
 def _grid(values, what: str) -> np.ndarray:
@@ -185,28 +162,18 @@ class ParametricCurve:
 
     def jet(self, s, orders) -> np.ndarray:
         """Points (order 0) and derivatives of the ``orders`` (0..``jet_order``) on the
-        grid ``s``, as ``(len(orders), n, 4)``, from the curve's jet, called on the whole
-        grid or per block of ``ROW_BLOCK`` rows; row ``k`` is ``jet(s, (orders[k],))[0]``
-        bit for bit."""
+        grid ``s``, as ``(len(orders), n, 4)``, from one call of the curve's jet on the
+        whole grid; row ``k`` is ``jet(s, (orders[k],))[0]`` bit for bit."""
         orders = tuple(orders)
         if not all(0 <= order <= self.jet_order for order in orders):
             raise ValueError(f"derivative orders must be between 0 and {self.jet_order}")
         s = self._check_domain(s)
-        k = len(orders)
-
-        def call(u):
-            block = np.asarray(self._derivs(u, orders), dtype=float)
-            if block.shape != (k, len(u), 4):
-                raise ValueError(_JET_SHAPE)
-            return block
-
-        if len(s) * k <= ROW_BLOCK:
-            d = call(s)
-        else:
-            d = np.empty((k, len(s), 4))
-            for rows in row_blocks(len(s), k):
-                d[:, rows] = call(s[rows])
-        _require_finite(d, s)
+        d = np.asarray(self._derivs(s, orders), dtype=float)
+        if d.shape != (len(orders), len(s), 4):
+            raise ValueError("a derivative jet must return one (n, 4) array per order")
+        if not np.isfinite(d).all():
+            bad = ~np.isfinite(d).all(axis=(0, -1))
+            raise ValueError(f"curve jet is not finite at u={float(s[bad][0])!r}")
         return d
 
     def derivatives(self, s, order: int) -> np.ndarray:
@@ -414,7 +381,12 @@ class ArcLengthTable:
 # all four their jets of orders 0-7.  d^n/du^n cos(wu) = w^n cos(wu + n*pi/2),
 # the same shift for sin, so one angle array w*u + phase per distinct
 # frequency serves every order, each row keeping the arithmetic of its order
-# alone, and each term takes only its own cos or sin of it.  The scale columns
+# alone, and each term takes only its own cos or sin of it.  A jet call keeps
+# an angle array until its frequency's last term while the arrays kept hold
+# at most _ANGLE_BUDGET doubles (8 MB): within it each angle is taken once,
+# and past it (many harmonics on a large grid) an angle that found no room
+# is taken again, to the same bits, for each of its terms, so the call's
+# memory does not grow with the harmonic count.  The scale columns
 # amp * w**n over orders 0-7 are computed once per distinct (amp, w) when the
 # curve is built (a scale that overflows raises there), and their rows are
 # taken once per orders tuple (selecting them costs more than a small grid's
@@ -425,6 +397,7 @@ class ArcLengthTable:
 
 _ORDERS = range(8)
 _PHASES = np.array([n * math.pi / 2.0 for n in _ORDERS])[:, None]
+_ANGLE_BUDGET = 1 << 20
 
 
 def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
@@ -453,11 +426,13 @@ def _trig_curve(dim: int, terms, domain, name: str, drift=(),
     its closed form: the angle ``u / c``, the scale ``a * c**-n`` and the rise
     ``h * u / c``.
     """
-    # One angle array per distinct frequency, one scale column per distinct (amp, w).
-    freqs, slots, ops, seen = {}, {}, [], set()
-    for i, fn, w, amp in terms:
-        ops.append((i, slots.setdefault((amp, w), len(slots)), fn,
-                    freqs.setdefault(w, len(freqs)), i not in seen))
+    # One scale column per distinct (amp, w); an angle is kept past a term only
+    # while its frequency has terms left.
+    last = {w: k for k, (_, _, w, _) in enumerate(terms)}
+    slots, ops, seen = {}, [], set()
+    for k, (i, fn, w, amp) in enumerate(terms):
+        ops.append((i, slots.setdefault((amp, w), len(slots)), fn, w, i not in seen,
+                    k != last[w]))
         seen.add(i)
     columns = [_scales(amp, w) for amp, w in slots]
     if over != 1.0:
@@ -471,14 +446,19 @@ def _trig_curve(dim: int, terms, domain, name: str, drift=(),
             picked[orders] = _PHASES.take(orders, 0), [column.take(orders, 0) for column in columns]
         ph, rows = picked[orders]
         v = u if over == 1.0 else u / over
-        angles = [w * v + ph for w in freqs]
+        angles = {}
         out = fill((len(orders), len(u), 4))
-        for i, s, fn, j, first in ops:
+        for i, s, fn, w, first, again in ops:
+            angle = angles.pop(w, None)
+            if angle is None:
+                angle = w * v + ph
+            if again and (len(angles) + 1) * angle.size <= _ANGLE_BUDGET:
+                angles[w] = angle
             if first:
-                np.multiply(rows[s], fn(angles[j]), out=out[..., i])
+                np.multiply(rows[s], fn(angle), out=out[..., i])
             else:
                 total = out[..., i]
-                total += rows[s] * fn(angles[j])
+                total += rows[s] * fn(angle)
         for i, lin in drift:
             for k, n in enumerate(orders):  # the drift; 0 from order 2 on
                 if n < 2:
@@ -489,13 +469,15 @@ def _trig_curve(dim: int, terms, domain, name: str, drift=(),
 
 
 def torus_curve(A: float, p: float, B: float, q: float,
-                domain: tuple[float, float] = (0.0, _TWO_PI)) -> ParametricCurve:
+                domain: Optional[tuple[float, float]] = None) -> ParametricCurve:
     """Flat-torus curve ``(A cos pu, A sin pu, B cos qu, B sin qu)`` in R^4.
 
     Requires ``A^2 p^2 + B^2 q^2 == 1`` (unit speed) within 1e-12.
     """
     if abs(A * A * p * p + B * B * q * q - 1.0) > 1e-12:
         raise ValueError("torus_curve parameters must satisfy A^2 p^2 + B^2 q^2 = 1")
+    if domain is None:
+        domain = (0.0, _TWO_PI)
     terms = [(0, np.cos, p, A), (1, np.sin, p, A), (2, np.cos, q, B), (3, np.sin, q, B)]
     return _trig_curve(4, terms, domain, "torus_curve")
 
@@ -536,7 +518,7 @@ def fourier_curve(
     cos_coeffs,
     sin_coeffs,
     linear=None,
-    domain: tuple[float, float] = (0.0, _TWO_PI),
+    domain: Optional[tuple[float, float]] = None,
 ) -> ParametricCurve:
     """Trigonometric-polynomial curve plus an optional linear drift.
 
@@ -559,6 +541,8 @@ def fourier_curve(
              for fn, coeffs in ((np.cos, cos_c[i]), (np.sin, sin_c[i]))
              for m, c in enumerate(coeffs) if c]
     drift = [(offset + i, x) for i, x in enumerate(lin) if x]
+    if domain is None:
+        domain = (0.0, _TWO_PI)
     return _trig_curve(ncoords, terms, domain, "fourier", drift)
 
 
@@ -614,24 +598,18 @@ class CurveSpec:
         try:
             if self.family == "torus_curve":
                 kwargs = {name: _number(p[name], name) for name in ("A", "p", "B", "q")}
-                return torus_curve(**kwargs) if self.domain is None else torus_curve(
-                    **kwargs, domain=self.domain
-                )
+                return torus_curve(**kwargs, domain=self.domain)
             if self.family == "circle3":
                 return circle3(_number(p["R"], "R"), p.get("mode", "arclength"), self.domain)
             if self.family == "helix3":
                 return helix3(_number(p["a"], "a"), _number(p["h"], "h"), self.domain)
             coeffs = p["coeffs"]
-            kwargs = dict(
-                cos_coeffs=[numbers(row, "cos") for row in coeffs["cos"]],
-                sin_coeffs=[numbers(row, "sin") for row in coeffs["sin"]],
-                linear=coeffs.get("linear"),
-            )
-            if kwargs["linear"] is not None:
-                kwargs["linear"] = numbers(kwargs["linear"], "linear")
-            if self.domain is not None:
-                kwargs["domain"] = self.domain
-            return fourier_curve(**kwargs)
+            # The coefficient lists first: a coeffs that is not an object fails here.
+            cos_coeffs = [numbers(row, "cos") for row in coeffs["cos"]]
+            sin_coeffs = [numbers(row, "sin") for row in coeffs["sin"]]
+            linear = coeffs.get("linear")
+            linear = None if linear is None else numbers(linear, "linear")
+            return fourier_curve(cos_coeffs, sin_coeffs, linear, self.domain)
         except KeyError as exc:
             raise ValueError(f"curve spec for {self.family!r} is missing parameter {exc}") from exc
         except (TypeError, OverflowError, ZeroDivisionError) as exc:

@@ -8,7 +8,10 @@ import pytest
 
 from quatcurves import bertrand
 from quatcurves.bertrand import (
+    VERIFY_MEASURES,
+    VERIFY_TOLERANCES,
     BertrandConstants,
+    BertrandReport,
     check_conditions,
     construct_mate,
     fit_constants,
@@ -409,6 +412,29 @@ class TestVerifyMate:
                     "span_residual", "verdict", "tolerances"):
             assert key in doc
         assert doc["verdict"] is True
+
+    def test_report_keys_in_table_order(self, torus_report):
+        measures = ["distance_deviation", "speed_deviation", "curvature_deviation",
+                    "span_residual"]
+        assert list(VERIFY_MEASURES.values()) == measures
+        assert list(torus_report.to_json_dict()) == [
+            "conditions", *measures, "tolerances", "verdict"]
+        failed = dataclasses.replace(torus_report, stage_errors=["oracle frame: x"])
+        assert list(failed.to_json_dict()) == [
+            "conditions", *measures, "stage_errors", "tolerances", "verdict"]
+
+    @pytest.mark.parametrize("name", list(VERIFY_MEASURES))
+    def test_each_measure_holds_to_its_tolerance(self, name):
+        # Every other measure at 0; this one missing, just over or at its tolerance.
+        def passes(value):
+            report = BertrandReport(conditions={}, **dict.fromkeys(VERIFY_MEASURES.values(), 0.0))
+            setattr(report, VERIFY_MEASURES[name], value)
+            return report.measures_pass()
+
+        tol = VERIFY_TOLERANCES[name]
+        assert not passes(None)
+        assert not passes(tol * (1.0 + 1e-12))
+        assert passes(tol)
 
 
 def test_mate_frame_curvatures_match_oracle_on_torus(torus, torus_constants, torus_report):

@@ -209,6 +209,27 @@ class TestCurveSpec:
         assert curve.dim == 3
         assert np.allclose(curve.point(0.0), [0.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("doc", [
+        {"family": "torus_curve", "params": {"A": 0.6, "p": 1.0, "B": 0.4, "q": 2.0}},
+        {"family": "fourier", "params": {"coeffs": {
+            "cos": [[0.0, 0.3], [0.0, 0.0, 0.2], [0.1]],
+            "sin": [[0.0, 0.0], [0.0, 0.4], [0.0, 0.0, 0.0, 0.05]],
+            "linear": [0.0, 0.5, 0.0]}}},
+    ], ids=["torus", "fourier"])
+    def test_family_without_domain_takes_its_own(self, doc):
+        # A spec without a "domain" builds the family on its natural [0, 2*pi].
+        implicit = CurveSpec.from_dict(doc).build()
+        explicit = CurveSpec.from_dict({**doc, "domain": [0.0, 2.0 * math.pi]}).build()
+        assert implicit.domain == explicit.domain == (0.0, 2.0 * math.pi)
+        u = np.linspace(0.0, 2.0 * math.pi, 41)
+        assert np.array_equal(implicit.jet(u, range(8)), explicit.jet(u, range(8)))
+
+    def test_domain_none_is_the_natural_domain(self):
+        curves = [torus_curve(0.6, 1.0, 0.4, 2.0, domain=None),
+                  fourier_curve([[0.0, 1.0], [0.0], [0.0]], [[0.0], [0.0, 1.0], [0.0]],
+                                domain=None)]
+        assert [c.domain for c in curves] == [(0.0, 2.0 * math.pi)] * 2
+
     def test_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             CurveSpec.from_json('{"family": "lemniscate", "params": {}}')

@@ -5,13 +5,15 @@ closed-form jet lives here: each order k + 1 against the first-order
 stencil of order k, with the step scaled to the curve's highest
 frequency, over drawn parameters of every family.  The one kernel that
 evaluates all four families gives the same doubles as the per-family jets
-it replaced, kept here as references.  Frames, curvatures and the Bertrand
+it replaced, kept here as references, and keeps its angle arrays within a
+fixed budget however many harmonics a curve has.  Frames, curvatures and the Bertrand
 verdict are geometric: a torus scaled by mu, alone or with its associated
 helix scaled alike, has curvatures scaled by 1/mu and keeps its verdict,
 for mu from 1e-3 to 1e3; its frames alone hold up to mu = 1e12.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,10 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import TORUS, TORUS_K, associated_helix
+from quatcurves import curves
 from quatcurves.bertrand import fit_constants, verify_mate
 from quatcurves.curves import (
     FD_STEP,
-    ROW_BLOCK,
     ParametricCurve,
     _fd_derivative,
     circle3,
@@ -217,9 +219,27 @@ def test_family_kernel_gives_the_former_jets_doubles(drawn):
         u = np.linspace(*curve.domain, n)
         for orders in ORDERS:
             assert np.array_equal(curve.jet(u, orders), former.jet(u, orders)), (n, orders)
-    # Past ROW_BLOCK // 8 points the 8 orders arrive in blocks of rows.
-    u = np.linspace(*curve.domain, ROW_BLOCK // 8 + 1)
+    # One whole-grid call past 32,768 rows (8 orders of 4,097 points) gives them too.
+    u = np.linspace(*curve.domain, 4097)
     assert np.array_equal(curve.jet(u, range(8)), former.jet(u, range(8)))
+
+
+def test_kernel_memory_does_not_grow_with_the_harmonic_count():
+    # 64 harmonics on every coordinate: the kernel keeps angle arrays within
+    # its budget, not one per harmonic (each a quarter of the (8, n, 4)
+    # result, 16 MB in all), and gives the former jet's doubles.
+    cos = [[0.0] + [1e-3] * 64 for _ in range(4)]
+    sin = [[0.0] + [1e-3] * 64 for _ in range(4)]
+    curve, former = fourier_curve(cos, sin), fourier_reference(cos, sin, None)
+    u = np.linspace(*curve.domain, 4096)
+    tracemalloc.start()
+    try:
+        jet = curve.jet(u, range(8))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * jet.nbytes + 8 * curves._ANGLE_BUDGET
+    assert np.array_equal(jet, former(u, range(8)))
 
 
 def scaled(curve, mu):

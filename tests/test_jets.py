@@ -1,12 +1,12 @@
 """Derivative jets: the rows of one call, and the work a frame and a verify do.
 
 A jet returns the points and the derivatives of several orders from one
-call of the curve's family per block of rows (the built-in families, and
+call of the curve's family on the whole grid (the built-in families, and
 the Bertrand mate of one through its Taylor series).  Its row for an order
 is the one-order jet bit for bit, and a built-in family's points are its
 order 0.  The counters below are machine independent: family calls per
 curve load, per frame, per verify, per mate CSV and per arc-length
-inversion, and rows per block.
+inversion, and grid points per block of the mate's series.
 """
 
 import json
@@ -17,10 +17,9 @@ import pytest
 
 from conftest import TORUS, associated_helix
 from quatcurves import bertrand, curves
-from quatcurves.bertrand import construct_mate, verify_mate
+from quatcurves.bertrand import ROW_BLOCK, construct_mate, verify_mate
 from quatcurves.cli import main
 from quatcurves.curves import (
-    ROW_BLOCK,
     CurveSpec,
     ParametricCurve,
     circle3,
@@ -119,13 +118,22 @@ def test_verify_makes_one_family_call(monkeypatch, torus_constants):
     assert evaluations == []
 
 
-def test_mate_evaluations_stay_within_the_row_block(torus_constants):
+def test_mate_evaluations_stay_within_the_row_block(monkeypatch, torus_constants):
     curve, calls = counted_torus()
+    blocks = []
+    mate_block = bertrand._mate_block
+
+    def counted(x, a, b, pair):
+        blocks.append(x.shape[1])
+        return mate_block(x, a, b, pair)
+
+    monkeypatch.setattr(bertrand, "_mate_block", counted)
     report = verify_mate(curve, torus_constants, np.linspace(0.0, 2.0 * math.pi, 5000))
     assert report.verdict
-    # The 8 orders of 5000 points are 40,000 rows: full blocks and a remainder.
-    assert all(rows * len(orders) <= ROW_BLOCK for rows, orders in calls)
-    assert [rows for rows, _ in calls] == [ROW_BLOCK // 8, 5000 - ROW_BLOCK // 8]
+    # The 8 orders of 5000 points are 40,000 rows: the family is called once on
+    # the whole grid, and the mate's series is built on a full block and a remainder.
+    assert calls == [(5000, tuple(range(8)))]
+    assert blocks == [ROW_BLOCK // 8, 5000 - ROW_BLOCK // 8]
 
 
 @pytest.fixture
