@@ -118,8 +118,9 @@ class ConditionResult:
     min_abs: Optional[float] = None
 
 
-# Fixed tolerances of verify_mate's stages after its algebraic ``tol``: nonzero
-# conditions, constant distance, mate speed, span check and oracle curvatures.
+# Dimensionless tolerances of verify_mate's stages after its algebraic ``tol``, each
+# held times the scale of its quantity: nonzero conditions, constant distance, mate
+# speed, span check and oracle curvatures.
 VERIFY_TOLERANCES = {
     "nonzero": DEGENERACY_EPS,
     "distance": 1e-10,
@@ -147,7 +148,7 @@ class BertrandReport:
     curvature_deviation: Optional[float] = None
     span_residual: Optional[float] = None
     stage_errors: list[str] = field(default_factory=list)
-    tolerances: dict[str, float] = field(default_factory=dict)
+    tolerances: dict[str, Optional[float]] = field(default_factory=VERIFY_TOLERANCES.copy)
     verdict: bool = False
 
     def conditions_pass(self) -> bool:
@@ -156,7 +157,7 @@ class BertrandReport:
     def measures_pass(self) -> bool:
         """Whether every measurement was taken and is within its tolerance."""
         return all(
-            (value := getattr(self, name)) is not None and value <= VERIFY_TOLERANCES[tol]
+            (value := getattr(self, name)) is not None and value <= self.tolerances[tol]
             for tol, name in VERIFY_MEASURES.items()
         )
 
@@ -183,6 +184,18 @@ class BertrandReport:
 
 # -- condition checking -----------------------------------------------------------
 
+def _curvature_scale(*curvatures) -> float:
+    """``kappa``, the largest ``|value|`` over ``curvatures`` (floats or arrays).
+
+    A curve's size cannot decide whether it has a mate, so every floor on a
+    quantity with units is a dimensionless constant times its power of the
+    profile's ``kappa = max|K|``: lengths (a, b, c*a) times 1/kappa, curvatures
+    (K - k, K - c*r, the (R3) residual) times kappa, the (R4) term times
+    kappa**2.  (R1), (R2), c, d and 1 - a*K are dimensionless.
+    """
+    return float(max(np.max(np.abs(v)) for v in curvatures))
+
+
 def _r1(a, b, r, m):
     """The (R1) term ``a*r + b*(K-k)``: the constants, then the curvatures, ``m = K - k``."""
     return a * r + b * m
@@ -200,39 +213,35 @@ def check_conditions(
 ) -> BertrandReport:
     """Evaluate the four Bertrand conditions over a curvature profile.
 
-    The two equalities are scored by their max residual against ``tol``;
-    the two nonzero conditions by their min absolute value against
-    ``DEGENERACY_EPS``.  The stored epsilon and delta signs must match the
-    profile everywhere.
+    The two equalities are scored by their max residual against ``tol``,
+    times ``kappa`` for (R3); the two nonzero conditions by their min
+    absolute value, which must exceed ``DEGENERACY_EPS``, times ``kappa**2``
+    for (R4) (``kappa = max|K|``, :func:`_curvature_scale`).  The stored
+    epsilon and delta signs must match the profile everywhere.
     """
     if len(profile) == 0:
         raise ValueError("profile must be nonempty")
     a, b, c, d = consts.a, consts.b, consts.c, consts.d
     K, r, m = profile.K, profile.r, profile.bitorsion
     combo = _r1(a, b, r, m)
-    eq2 = np.abs(a * K - c * combo - 1.0)
-    eq3 = np.abs(c * K + r - d * m)
-    eq1_abs = np.abs(combo)
-    eq4_abs = np.abs(_r4(c, K, r, m))
+    kappa = _curvature_scale(K)
 
     eps_ok = bool(np.all(np.sign(combo) == consts.epsilon))
     delta_ok = bool(np.all(np.sign(m) == consts.delta))
 
-    def nonzero_result(values: np.ndarray) -> ConditionResult:
-        min_abs = float(np.min(values))
-        shortfall = max(0.0, DEGENERACY_EPS - min_abs)
-        return ConditionResult(
-            max_residual=shortfall,
-            tolerance=DEGENERACY_EPS,
-            passed=min_abs >= DEGENERACY_EPS,
-            min_abs=min_abs,
-        )
+    def equality(term: np.ndarray, tolerance: float) -> ConditionResult:
+        worst = float(np.max(np.abs(term)))
+        return ConditionResult(worst, tolerance, worst <= tolerance)
+
+    def nonzero(term: np.ndarray, floor: float) -> ConditionResult:
+        min_abs = float(np.min(np.abs(term)))  # max_residual: the shortfall below the floor
+        return ConditionResult(max(0.0, floor - min_abs), floor, min_abs > floor, min_abs)
 
     conditions = {
-        "mate_regularity": nonzero_result(eq1_abs),
-        "curvature_relation": ConditionResult(float(eq2.max()), tol, bool(eq2.max() <= tol)),
-        "torsion_relation": ConditionResult(float(eq3.max()), tol, bool(eq3.max() <= tol)),
-        "mate_torsion_nonzero": nonzero_result(eq4_abs),
+        "mate_regularity": nonzero(combo, DEGENERACY_EPS),
+        "curvature_relation": equality(a * K - c * combo - 1.0, tol),
+        "torsion_relation": equality(c * K + r - d * m, tol * kappa),
+        "mate_torsion_nonzero": nonzero(_r4(c, K, r, m), DEGENERACY_EPS * kappa * kappa),
         "epsilon_sign": ConditionResult(0.0 if eps_ok else 1.0, 0.0, eps_ok),
         "delta_sign": ConditionResult(0.0 if delta_ok else 1.0, 0.0, delta_ok),
     }
@@ -258,31 +267,31 @@ def fit_constants(
     solved by least squares over the grid.  Constant profiles leave the
     system underdetermined; the fitter then minimizes |c| (taking c = 0,
     a = 1/K) unless ``c_override`` forces a value, and picks the first
-    nonzero-b candidate that keeps the regularity condition alive.  The
-    nonzero conditions are held to ``DEGENERACY_EPS``.  Raises
-    :class:`FitError` with the reason on failure.
+    nonzero-b candidate that keeps the regularity condition alive.  Every
+    floor is that of :func:`check_conditions` or in the units of its quantity
+    (:func:`_curvature_scale`).  Raises :class:`FitError` on failure.
     """
     if len(profile) < 3:
         raise FitError("profile too small: need at least 3 grid points")
     K, r, m = profile.K, profile.r, profile.bitorsion
-    scale = max(1.0, float(np.max(np.abs(K))))
-    if np.min(np.abs(m)) < 1e-9 * scale:
+    kappa = _curvature_scale(K)
+    if np.min(np.abs(m)) < 1e-9 * kappa:
         raise FitError("bitorsion K-k vanishes on the grid")
     if np.sign(m.min()) != np.sign(m.max()):
         raise FitError("sign flip of K-k across the grid")
 
     spread = max(float(np.ptp(K)), float(np.ptp(r)), float(np.ptp(m)))
-    constant_profile = spread <= 1e-8 * scale
+    constant_profile = spread <= 1e-8 * kappa
 
     if constant_profile:
         K0, r0, m0 = float(K.mean()), float(r.mean()), float(m.mean())
         c = 0.0 if c_override is None else float(c_override)
-        if abs(K0 - c * r0) < 1e-12:
+        if abs(K0 - c * r0) <= 1e-12 * kappa:
             raise FitError("rank-deficient system: K - c*r vanishes")
         b = None
         for cand in _B_CANDIDATES:
             a_try = (1.0 + c * cand * m0) / (K0 - c * r0)
-            if abs(a_try) <= 1e-12:
+            if abs(a_try) * kappa <= 1e-12:
                 continue
             if abs(a_try * r0 + cand * m0) > 1e-6:
                 a, b = a_try, cand
@@ -296,18 +305,18 @@ def fit_constants(
         rhs = np.ones(len(profile))
         solution, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
         u, v, w = (float(x) for x in solution)
-        if abs(u) <= 1e-12:
+        if abs(u) * kappa <= 1e-12:
             raise FitError("a or b indistinguishable from zero")
-        if abs(v) > 1e-10:
+        if abs(v) * kappa > 1e-10:
             c = v / u
             a = u
             b = w * u / v
         else:
-            if float(np.ptp(K)) > 1e-8 * scale:
+            if float(np.ptp(K)) > 1e-8 * kappa:
                 raise FitError("rank-deficient system: c = 0 requires constant K")
             c, a, b = 0.0, 1.0 / float(K.mean()), 1.0
 
-    if abs(a) <= 1e-12 or abs(b) <= 1e-12:
+    if abs(a) * kappa <= 1e-12 or abs(b) * kappa <= 1e-12:
         raise FitError("a or b indistinguishable from zero")
 
     d_values = (c * K + r) / m
@@ -317,12 +326,12 @@ def fit_constants(
         raise FitError(f"non-constant d: max deviation {d_dev:.3g} exceeds 1e-06")
 
     combo = _r1(a, b, r, m)
-    if np.min(np.abs(combo)) < DEGENERACY_EPS:
+    if np.min(np.abs(combo)) <= DEGENERACY_EPS:
         raise FitError("a*r + b*(K-k) vanishes on the grid")
     if np.sign(combo.min()) != np.sign(combo.max()):
         raise FitError("sign flip of a*r + b*(K-k) across the grid")
     eq4 = _r4(c, K, r, m)
-    if np.min(np.abs(eq4)) < DEGENERACY_EPS:
+    if np.min(np.abs(eq4)) <= DEGENERACY_EPS * kappa * kappa:
         raise FitError("mate torsion degenerates: nonzero condition violated")
 
     return BertrandConstants(
@@ -480,11 +489,6 @@ def construct_mate(
                            validate=False)
 
 
-def _scale(*values):
-    """``max(1, |v|, ...)`` element by element, for floats or arrays of one shape."""
-    return np.maximum(1.0, np.max(np.abs(values), axis=0))
-
-
 def phi_prime(K, r, k, consts: BertrandConstants):
     """Derivative of the parameter correspondence s -> sbar.
 
@@ -497,7 +501,7 @@ def phi_prime(K, r, k, consts: BertrandConstants):
     """
     m = K - k
     combo = _r1(consts.a, consts.b, r, m)
-    if np.any(np.abs(combo) < 1e-14 * _scale(K, r, m)):
+    if np.any(np.abs(combo) < 1e-14):
         raise ValueError("mate regularity violated: a*r + b*(K-k) = 0")
     return consts.epsilon * np.sqrt(1.0 + consts.c * consts.c) * combo
 
@@ -516,7 +520,7 @@ def mate_curvatures_closed_form(K, r, k, consts: BertrandConstants):
     # scalars through ``pow``, which can differ in the last bit.
     w = c * K + r
     root = np.sqrt(w * w + m * m)
-    if np.any(root < 1e-14 * _scale(K, r, m)):
+    if np.any(root < 1e-14 * _curvature_scale(K)):
         raise ValueError("degenerate denominator: (c*K+r)^2 + (K-k)^2 = 0")
     sq = np.sqrt(1.0 + c * c)
     kbar = root / (pp * sq)
@@ -535,7 +539,7 @@ def _Kk_terms(K, k, consts: BertrandConstants):
     if c == 0.0:
         raise ValueError("Kk-form indeterminate, use closed_form")
     denom = 1.0 - a * K
-    if np.any(np.abs(denom) < 1e-14 * _scale(a * K)):
+    if np.any(np.abs(denom) < 1e-14):
         raise ValueError("Kk-form indeterminate, use closed_form")
     return K - k, 1.0 + c * c, math.sqrt(1.0 + d * d), denom
 
@@ -561,7 +565,7 @@ def mate_spatial_curvatures(K, k, consts: BertrandConstants):
     rbar_spatial = -c * np.abs(c * (1.0 + d * d) * m - sq_c * d * K) / (eps * sq_c * sq_d * denom)
     # Consistency with the Kk-form: kbar equals Kbar - (Kbar - kbar).
     kbar4, _, bit4 = mate_curvatures_Kk_form(K, k, consts)
-    if np.any(np.abs(kbar_spatial - (kbar4 - bit4)) > 1e-12 * _scale(kbar_spatial)):
+    if np.any(np.abs(kbar_spatial - (kbar4 - bit4)) > 1e-12 * _curvature_scale(kbar4, bit4)):
         raise RuntimeError("spatial mate curvature inconsistent with the Kk-form")
     return kbar_spatial, rbar_spatial
 
@@ -614,8 +618,10 @@ def verify_mate(
     arc-length parameter); (v) curvature comparison in absolute value; (vi)
     span check that the oracle N1bar/N3bar (units 1 and 3) stay in
     span{N1, N3}.  The base frames are those of ``frames4``, row for row,
-    and the later stages hold to ``VERIFY_TOLERANCES``.  Stage failures are
-    recorded in the report, not thrown.
+    and the later stages hold to ``VERIFY_TOLERANCES`` times their scales
+    (the offset ``sqrt(a^2 + b^2)``, max ``phi' * |alpha'|``, the closed-form
+    max ``|Kbar|``), which the report's ``tolerances`` carry (None if a stage
+    failed).  Stage failures are recorded in the report, not thrown.
     """
     # The base frames are those the mate is built from: pointwise, from
     # the same source as the profile (pair frames can orient N3
@@ -623,14 +629,18 @@ def verify_mate(
     jet, base, pair = _read_jet(alpha4, grid, alpha3)
     profile = _profile(grid, base, alpha3)
     report = check_conditions(profile, consts, tol=tol)
-    report.tolerances = {"algebraic": tol, **VERIFY_TOLERANCES}
+    report.tolerances = {"algebraic": tol, **VERIFY_TOLERANCES, **dict.fromkeys(VERIFY_MEASURES)}
     a, b = consts.a, consts.b
     offset = math.sqrt(a * a + b * b)
+
+    def measured(name, value, scale=1.0):
+        setattr(report, VERIFY_MEASURES[name], float(value))
+        report.tolerances[name] = VERIFY_TOLERANCES[name] * float(scale)
 
     try:
         # The mate's points as construct_mate computes them, less alpha's.
         distances = norm(jet[0] + a * base.N1 + b * base.N3 - jet[0])
-        report.distance_deviation = float(np.max(np.abs(distances - offset)))
+        measured("distance", np.max(np.abs(distances - offset)), offset)
         coeffs = _mate_series(jet, a, b, pair)
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"mate construction: {exc}")
@@ -638,8 +648,8 @@ def verify_mate(
         return report
 
     try:
-        pp = phi_prime(profile.K, profile.r, profile.k, consts)
-        report.speed_deviation = float(np.max(np.abs(norm(coeffs[1]) - pp * norm(jet[1]))))
+        speed = phi_prime(profile.K, profile.r, profile.k, consts) * norm(jet[1])
+        measured("speed", np.max(np.abs(norm(coeffs[1]) - speed)), np.max(np.abs(speed)))
     except (DegeneracyError, ValueError) as exc:
         report.stage_errors.append(f"mate speed: {exc}")
 
@@ -650,17 +660,17 @@ def verify_mate(
         )
         units, rho = _derivative_frame([math.factorial(k) * coeffs[k]
                                         for k in range(1, _DEGREE + 1)])
-        report.curvature_deviation = float(max(
+        measured("curvature", max(
             np.max(np.abs(rho[1] / rho[0] ** 2 - kbar)),
             np.max(np.abs(rho[2] / (rho[0] * rho[1]) - np.abs(torsion_bar))),
             np.max(np.abs(rho[3] / (rho[0] * rho[2]) - np.abs(bitorsion_bar))),
-        ))
+        ), _curvature_scale(kbar))
         n1, n3 = base.N1, base.N3
         span_res = 0.0
         for v in (units[1], units[3]):
             off_span = v - inner(v, n1)[:, None] * n1 - inner(v, n3)[:, None] * n3
             span_res = max(span_res, float(np.max(norm(off_span))))
-        report.span_residual = span_res
+        measured("span", span_res)
     except (DegeneracyError, ValueError, RuntimeError) as exc:
         report.stage_errors.append(f"oracle frame: {exc}")
 

@@ -46,8 +46,8 @@ EXIT_FIT = 4
 
 # Largest --samples.  At this size verify, the heaviest command, peaks near
 # 135 MB on a curve and 155 MB with its spatial curve (about 1.3 kB per
-# grid point; each jet is one call on the whole grid, whose angle arrays
-# stay within 8 MB however many harmonics a curve has, and only the mate's
+# grid point; each jet is one call on the whole grid, which holds one angle
+# array at a time however many harmonics a curve has, and only the mate's
 # Taylor series are built in blocks of bertrand.ROW_BLOCK jet rows); frame
 # peaks near 80 MB and bertrand mate near 75 MB, as their CSV text is
 # written one block at a time, and both near 115 MB on a curve that is not

@@ -379,14 +379,10 @@ class ArcLengthTable:
 # Each family is a list of terms amp * cos(w u) or amp * sin(w u), one
 # coordinate each, plus a drift lin * u per coordinate, and _trig_curve gives
 # all four their jets of orders 0-7.  d^n/du^n cos(wu) = w^n cos(wu + n*pi/2),
-# the same shift for sin, so one angle array w*u + phase per distinct
-# frequency serves every order, each row keeping the arithmetic of its order
-# alone, and each term takes only its own cos or sin of it.  A jet call keeps
-# an angle array until its frequency's last term while the arrays kept hold
-# at most _ANGLE_BUDGET doubles (8 MB): within it each angle is taken once,
-# and past it (many harmonics on a large grid) an angle that found no room
-# is taken again, to the same bits, for each of its terms, so the call's
-# memory does not grow with the harmonic count.  The scale columns
+# the same shift for sin, so each term's angle array w*u + phase serves every
+# order, each row keeping the arithmetic of its order alone, and the term takes
+# only its own cos or sin of it.  A jet call holds one angle array at a time,
+# so its memory does not grow with the harmonic count.  The scale columns
 # amp * w**n over orders 0-7 are computed once per distinct (amp, w) when the
 # curve is built (a scale that overflows raises there), and their rows are
 # taken once per orders tuple (selecting them costs more than a small grid's
@@ -397,7 +393,6 @@ class ArcLengthTable:
 
 _ORDERS = range(8)
 _PHASES = np.array([n * math.pi / 2.0 for n in _ORDERS])[:, None]
-_ANGLE_BUDGET = 1 << 20
 
 
 def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
@@ -426,13 +421,10 @@ def _trig_curve(dim: int, terms, domain, name: str, drift=(),
     its closed form: the angle ``u / c``, the scale ``a * c**-n`` and the rise
     ``h * u / c``.
     """
-    # One scale column per distinct (amp, w); an angle is kept past a term only
-    # while its frequency has terms left.
-    last = {w: k for k, (_, _, w, _) in enumerate(terms)}
+    # One scale column per distinct (amp, w).
     slots, ops, seen = {}, [], set()
-    for k, (i, fn, w, amp) in enumerate(terms):
-        ops.append((i, slots.setdefault((amp, w), len(slots)), fn, w, i not in seen,
-                    k != last[w]))
+    for i, fn, w, amp in terms:
+        ops.append((i, slots.setdefault((amp, w), len(slots)), fn, w, i not in seen))
         seen.add(i)
     columns = [_scales(amp, w) for amp, w in slots]
     if over != 1.0:
@@ -446,14 +438,9 @@ def _trig_curve(dim: int, terms, domain, name: str, drift=(),
             picked[orders] = _PHASES.take(orders, 0), [column.take(orders, 0) for column in columns]
         ph, rows = picked[orders]
         v = u if over == 1.0 else u / over
-        angles = {}
         out = fill((len(orders), len(u), 4))
-        for i, s, fn, w, first, again in ops:
-            angle = angles.pop(w, None)
-            if angle is None:
-                angle = w * v + ph
-            if again and (len(angles) + 1) * angle.size <= _ANGLE_BUDGET:
-                angles[w] = angle
+        for i, s, fn, w, first in ops:
+            angle = w * v + ph
             if first:
                 np.multiply(rows[s], fn(angle), out=out[..., i])
             else:

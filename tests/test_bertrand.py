@@ -128,6 +128,29 @@ class TestCheckConditions:
         for name in ("curvature_relation", "torsion_relation"):
             assert report.conditions[name].max_residual < 1e-8
 
+    @pytest.mark.parametrize("mu", [1e-12, 1e-3, 1e3, 1e12])
+    def test_scaled_profile_keeps_its_verdicts(self, mu):
+        # Curvatures scale by 1/mu and the offsets a, b by mu: each verdict
+        # stays, and each tolerance scales by the power of mu of its units.
+        def scaled(K, r, k, consts, mu):
+            return (constant_profile(K / mu, r / mu, k / mu),
+                    dataclasses.replace(consts, a=consts.a * mu, b=consts.b * mu))
+
+        worked = worked_constants()
+        powers = {"mate_regularity": 0, "curvature_relation": 0, "torsion_relation": -1,
+                  "mate_torsion_nonzero": -2, "epsilon_sign": 0, "delta_sign": 0}
+        for K, r, k, consts in [(1.0, 1.0, 0.0, worked),
+                                (1.0, 1.0, 0.0, dataclasses.replace(worked, a=2.0)),  # (R2)
+                                (1.0, 1.0, 0.0, dataclasses.replace(worked, d=2.0)),  # (R3)
+                                (1.0, 0.0, 0.0, dataclasses.replace(worked, d=0.0))]:  # (R4)
+            want = check_conditions(constant_profile(K, r, k), consts)
+            got = check_conditions(*scaled(K, r, k, consts, mu))
+            assert got.verdict == want.verdict
+            for name, power in powers.items():
+                assert got.conditions[name].passed == want.conditions[name].passed, name
+                assert got.conditions[name].tolerance == pytest.approx(
+                    want.conditions[name].tolerance * mu ** power, rel=1e-15), name
+
     def test_empty_profile_rejected(self, torus_constants):
         empty = CurvatureProfile(s=np.array([]), K=np.array([]), r=np.array([]),
                                  k=np.array([]), source="intrinsic")

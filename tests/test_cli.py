@@ -287,6 +287,19 @@ class TestFrameCommand:
         rows = np.loadtxt(out, delimiter=",", skiprows=1)
         assert np.max(np.abs(mu * rows[:, 17] / TORUS_K - 1.0)) <= 1e-12
 
+    @pytest.mark.parametrize("mu", [1e-12, 1e12])
+    def test_scaled_torus_frame_fit_and_verify_exit0(self, tmp_path, mu):
+        # The fit's floors and verify's tolerances are written in the units of
+        # their quantities, so the torus has its mate at any size.
+        doc = torus_doc(TORUS["A"] * mu, TORUS["p"] / mu, TORUS["B"] * mu, TORUS["q"] / mu)
+        doc["domain"] = [0.0, 2.0 * math.pi * mu]
+        spec = write_json(tmp_path, "scaled.json", doc)
+        consts, grid = str(tmp_path / "c.json"), ["--samples", "21"]
+        assert main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv"), *grid]) == 0
+        assert main(["bertrand", "fit", "--curve", spec, "--out", consts, *grid]) == 0
+        assert main(["verify", "--curve", spec, "--constants", consts,
+                     "--report", str(tmp_path / "r.json"), *grid]) == 0
+
     def test_spatial_shorter_than_curve_exit2(self, tmp_path, capsys):
         fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
         short = write_json(tmp_path, "short.json", {**HELIX_DOC, "domain": [0.0, 5.0]})
