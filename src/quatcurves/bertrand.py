@@ -363,6 +363,11 @@ _SPATIAL_DEGREE = _DEGREE + 2
 _SPATIAL_ORDERS = tuple(range(_SPATIAL_DEGREE + 1))
 
 
+def _mate_point(x: np.ndarray, n1: np.ndarray, n3: np.ndarray, a: float, b: float):
+    """The mate ``x + a*n1 + b*n3`` from the base curve and its N1, N3: rows or series."""
+    return x + a * n1 + b * n3
+
+
 def _read_jet(alpha4: ParametricCurve, s: np.ndarray, alpha3: Optional[ParametricCurve]):
     """The jet of ``alpha4`` of orders 0-7 on ``s``, its frames from the rows and
     arithmetic of :func:`~quatcurves.frames.frames4`, and for a pair the jet of
@@ -430,7 +435,7 @@ def _mate_block(x: np.ndarray, a: float, b: float, pair) -> np.ndarray:
         T = series.unit(d1)
         N1 = series.qproduct(series.qproduct(t, n), T)
         N3 = series.qproduct(t, T)
-    return series.taylor(x, 0, _DEGREE) + a * N1 + b * N3
+    return _mate_point(series.taylor(x, 0, _DEGREE), N1, N3, a, b)
 
 
 def _mate_series(jet: np.ndarray, a: float, b: float, pair=None) -> np.ndarray:
@@ -470,19 +475,18 @@ def construct_mate(
         if curve3 is None:
             x, *derivs = alpha4.jet(s, (0, 1, 2, 3))
             _, n1, _, n3, _ = _intrinsic_basis(*derivs)
-        else:
-            x, d1, d2 = alpha4.jet(s, (0, 1, 2))
-            f = _pair_frames(d1, d2, frames3(curve3, _spatial_parameters(alpha4, curve3, s)))
-            n1, n3 = f.N1, f.N3
-        return x + a * n1 + b * n3
+            return _mate_point(x, n1, n3, a, b)
+        x, d1, d2 = alpha4.jet(s, (0, 1, 2))
+        f = _pair_frames(d1, d2, frames3(curve3, _spatial_parameters(alpha4, curve3, s)))
+        return _mate_point(x, f.N1, f.N3, a, b)
 
     def jet(s: np.ndarray, orders) -> np.ndarray:
         if orders == (0,):
             return points(s)[None]
         x, base, pair = _read_jet(alpha4, s, curve3)
-        coeffs = _mate_series(x, a, b, pair)
-        return np.stack([x[0] + a * base.N1 + b * base.N3 if n == 0
-                         else math.factorial(n) * coeffs[n] for n in orders])
+        rows = series.jet(_mate_series(x, a, b, pair))
+        rows[0] = _mate_point(x[0], base.N1, base.N3, a, b)
+        return rows.take(orders, axis=0)
 
     return ParametricCurve(dim=4, domain=alpha4.domain, derivatives=jet,
                            name=f"{alpha4.name or 'curve'}[mate]", jet_order=_DEGREE,
@@ -639,7 +643,7 @@ def verify_mate(
 
     try:
         # The mate's points as construct_mate computes them, less alpha's.
-        distances = norm(jet[0] + a * base.N1 + b * base.N3 - jet[0])
+        distances = norm(_mate_point(jet[0], base.N1, base.N3, a, b) - jet[0])
         measured("distance", np.max(np.abs(distances - offset)), offset)
         coeffs = _mate_series(jet, a, b, pair)
     except (DegeneracyError, ValueError, RuntimeError) as exc:
@@ -658,8 +662,7 @@ def verify_mate(
         kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(
             K, -torsion, K - bitorsion, consts
         )
-        units, rho = _derivative_frame([math.factorial(k) * coeffs[k]
-                                        for k in range(1, _DEGREE + 1)])
+        units, rho = _derivative_frame(series.jet(coeffs)[1:])
         measured("curvature", max(
             np.max(np.abs(rho[1] / rho[0] ** 2 - kbar)),
             np.max(np.abs(rho[2] / (rho[0] * rho[1]) - np.abs(torsion_bar))),

@@ -27,7 +27,7 @@ from .bertrand import (
     fit_constants,
     verify_mate,
 )
-from .curves import CurveSpec, ParametricCurve
+from .curves import CurveSpec, ParametricCurve, _end_slack
 from .errors import DegeneracyError, FitError
 from .frames import (
     FRAME3_CSV_HEADER,
@@ -170,7 +170,7 @@ def _grid(curve: ParametricCurve, s0: Optional[float], s1: Optional[float],
     start, end = curve.domain if unit_speed else (0.0, curve.arc_lengths.total)
     lo = start if s0 is None else s0
     hi = end if s1 is None else s1
-    slack = 1e-12 * max(1.0, abs(start), abs(end))
+    slack = _end_slack(start, end)
     if not (math.isfinite(lo) and math.isfinite(hi) and start - slack <= lo < hi <= end + slack):
         raise ValueError(f"need finite s0 < s1 inside [{start!r}, {end!r}]")
     s = np.linspace(lo, hi, samples)

@@ -89,6 +89,11 @@ def _number(value, name: str) -> float:
     return float(value)
 
 
+def _end_slack(lo: float, hi: float) -> float:
+    """Round-off a parameter or arc length may pass ``[lo, hi]`` by: 1e-12 of its size."""
+    return 1e-12 * max(abs(lo), abs(hi))
+
+
 def _grid(values, what: str) -> np.ndarray:
     """``values`` as a float array of shape ``(n,)``; any other shape is refused by name."""
     s = np.asarray(values, dtype=float)
@@ -141,7 +146,7 @@ class ParametricCurve:
         """The grid ``s`` as a float array of shape ``(n,)`` inside the domain."""
         s = _grid(s, "a parameter")
         lo, hi = self.domain
-        slack = 1e-12 * max(1.0, abs(lo), abs(hi))
+        slack = _end_slack(lo, hi)
         if not len(s) or lo - slack <= s.min() and s.max() <= hi + slack:  # NaN fails both
             return s
         outside = ~((lo - slack <= s) & (s <= hi + slack))

@@ -34,7 +34,8 @@ from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .curves import FD_STEP, SPEED_EPS, ParametricCurve, _fd_derivative
+from . import series
+from .curves import FD_STEP, SPEED_EPS, ParametricCurve, _end_slack, _fd_derivative
 from .errors import DegeneracyError
 from .quaternion import inner, mul, norm
 
@@ -165,29 +166,9 @@ def _orthogonalize(vec: np.ndarray, against: Sequence[np.ndarray]) -> np.ndarray
 
 
 def _oriented_complement(u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.ndarray:
-    """Unit rows orthogonal to u1, u2, u3 making det[u1 u2 u3 x] = +1.
-
-    The 4-D ternary cross product: component i is the cofactor of row i
-    in the last column of [u1 u2 u3 x], built from the 2x2 minors of u2, u3.
-    """
-    a = [u1[:, i] for i in range(4)]
-    b = [u2[:, i] for i in range(4)]
-    c = [u3[:, i] for i in range(4)]
-
-    def minor(j, k):
-        return b[j] * c[k] - b[k] * c[j]
-
-    p01, p02, p03, p12, p13, p23 = (minor(j, k) for j, k in
-                                    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
-    x = np.stack(
-        [
-            -(a[1] * p23 - a[2] * p13 + a[3] * p12),
-            a[0] * p23 - a[2] * p03 + a[3] * p02,
-            -(a[0] * p13 - a[1] * p03 + a[3] * p01),
-            a[0] * p12 - a[1] * p02 + a[2] * p01,
-        ],
-        axis=-1,
-    )
+    """Unit rows orthogonal to u1, u2, u3 making det[u1 u2 u3 x] = +1: the 4-D
+    ternary cross product of the rows (:func:`~quatcurves.series.cross`), normalized."""
+    x = series.cross(u1, u2, u3, np.multiply)
     nx = norm(x)
     if np.any(nx < DEGENERACY_EPS):
         raise DegeneracyError("orientation failure: frame completion is degenerate")
@@ -318,7 +299,7 @@ def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
     if curve4.is_unit_speed and curve3.is_unit_speed:
         return s
     lengths, table = curve4.arc_lengths.lengths_at(s), curve3.arc_lengths
-    if np.any(lengths > table.total + 1e-12 * max(1.0, table.total)):
+    if np.any(lengths > table.total + _end_slack(0.0, table.total)):
         raise ValueError(f"arc length {float(np.max(lengths))!r} is beyond the end of the "
                          f"spatial curve at {table.total!r}")
     return table.parameters_at(lengths)

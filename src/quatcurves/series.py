@@ -18,7 +18,7 @@ import numpy as np
 from .quaternion import mul
 
 __all__ = ["taylor", "product", "qproduct", "inner", "rsqrt", "unit", "compose", "cross",
-           "derivative"]
+           "jet", "derivative"]
 
 
 # k! for the degrees a jet of orders 0-7 gives.
@@ -83,21 +83,28 @@ def compose(c: np.ndarray, delta: np.ndarray) -> np.ndarray:
     return out
 
 
-# The 4-D ternary cross product x of rows a, b, c: component i is
-# sum_t sign[i, t] * a[row[i, t]] * p[minor[i, t]], with p the 2x2 minors
-# b_j c_k - b_k c_j for (j, k) = (0,1) (0,2) (0,3) (1,2) (1,3) (2,3).
-_MINOR_J = np.array([0, 0, 0, 1, 1, 2])
-_MINOR_K = np.array([1, 2, 3, 2, 3, 3])
+# The 4-D ternary cross product x of a, b, c by cofactor expansion along the last
+# column of [a b c x]: with the 2x2 minors p = b_j c_k - b_k c_j for (j, k) = (0,1)
+# (0,2) (0,3) (1,2) (1,3) (2,3) and the products t_m = a[row[i, m]] * p[minor[i, m]],
+# component i is sign[i] * (t_0 - t_1 + t_2).
+_MINOR_J, _MINOR_K = np.array([[0, 0, 0, 1, 1, 2], [1, 2, 3, 2, 3, 3]])
 _ROW = np.array([[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]])
 _MINOR = np.array([[5, 4, 3], [5, 2, 1], [4, 2, 0], [3, 1, 0]])
-_SIGN = np.array([[-1.0, 1.0, -1.0], [1.0, -1.0, 1.0], [-1.0, 1.0, -1.0], [1.0, -1.0, 1.0]])
+_OUTER_SIGN = np.array([-1.0, 1.0, -1.0, 1.0])
 
 
-def cross(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Series of the vector orthogonal to a, b, c with det[a b c x] = |x|^2: the cofactor
-    expansion of ``frames._oriented_complement`` before it normalizes."""
-    p = product(b[..., _MINOR_J], c[..., _MINOR_K]) - product(b[..., _MINOR_K], c[..., _MINOR_J])
-    return (product(a[..., _ROW], p[..., _MINOR]) * _SIGN).sum(axis=-1)
+def cross(a: np.ndarray, b: np.ndarray, c: np.ndarray, multiply=product) -> np.ndarray:
+    """The vector orthogonal to a, b, c with det[a b c x] = |x|^2 by the expansion above:
+    ``multiply`` is :func:`product` on series, ``np.multiply`` on rows.  Each component
+    adds its terms in column order, as ``sum`` could flip a zero's sign, which CSVs write."""
+    p = multiply(b[..., _MINOR_J], c[..., _MINOR_K]) - multiply(b[..., _MINOR_K], c[..., _MINOR_J])
+    t = multiply(a[..., _ROW], p[..., _MINOR])
+    return (t[..., 0] - t[..., 1] + t[..., 2]) * _OUTER_SIGN
+
+
+def jet(x: np.ndarray) -> np.ndarray:
+    """The jet rows of a series, the inverse of ``taylor(jet, 0, degree)``: row k is k! x_k."""
+    return x * _FACTORIALS[:len(x)].reshape((-1,) + (1,) * (x.ndim - 1))
 
 
 def derivative(x: np.ndarray) -> np.ndarray:

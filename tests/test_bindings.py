@@ -2,8 +2,9 @@
 
 A deletion in ``src/`` can leave a stale name in an ``__all__`` list or in
 the package's imports, unbind a function that ``perfbench/tracing.py``
-patches at its lookup site, or leave behind a private helper that nothing
-calls any more; these tests fail on each.
+patches at its lookup site or an attribute its wrappers read, or leave
+behind a private helper that nothing calls any more; these tests fail on
+each.
 """
 
 import ast
@@ -13,6 +14,7 @@ import pkgutil
 from collections import defaultdict
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import quatcurves
@@ -44,10 +46,13 @@ def test_package_exports_are_public_names_of_their_modules():
                 assert public is None or alias.name in public, (node.module, alias.name)
 
 
-def test_tracer_patches_and_restores_every_site(monkeypatch):
+def new_tracer(monkeypatch):
     monkeypatch.syspath_prepend(str(PERFBENCH))
-    tracing = importlib.import_module("tracing")
-    tracer = tracing.Tracer()
+    return importlib.import_module("tracing").Tracer()
+
+
+def test_tracer_patches_and_restores_every_site(monkeypatch):
+    tracer = new_tracer(monkeypatch)
     owners = [_fmt, bertrand, cli, curves, frames, quaternion, ArcLengthTable, ParametricCurve,
               Quaternion]
     before = [dict(vars(owner)) for owner in owners]
@@ -59,6 +64,50 @@ def test_tracer_patches_and_restores_every_site(monkeypatch):
     for owner, old, new in zip(owners, before, after):
         assert old.keys() == new.keys(), owner
         assert [name for name in old if old[name] is not new[name]] == [], owner
+
+
+def test_every_traced_site_runs_under_the_tracer(tmp_path, monkeypatch, torus, helix_assoc,
+                                                torus_constants):
+    # Each patched name called where it is looked up runs its wrapper and the
+    # wrapper's role function, which reads the curve (its name, or
+    # ParametricCurve.has_analytic_derivatives), so an attribute the tracer
+    # needs and no workload calls still fails here when it is deleted.
+    tracer = new_tracer(monkeypatch)
+    grid = np.linspace(0.5, 1.5, 5)
+    profile = frames.curvature_profile(torus, grid)
+    rows = np.ones((2, 4))
+    sites = {
+        (quaternion, "mul"): lambda: quaternion.mul(rows, rows),
+        (frames, "mul"): lambda: frames.mul(rows, rows),
+        (Quaternion, "from_vec4"): lambda: Quaternion.from_vec4(rows[0]),
+        (ParametricCurve, "point"): lambda: torus.point(0.5),
+        (curves, "derivative"): lambda: curves.derivative(torus, 0.5, 1),
+        (ArcLengthTable, "build"): lambda: ArcLengthTable.build(torus, 0.0, 1.0, 4),
+        (ArcLengthTable, "invert"): lambda: torus.arc_lengths.invert(0.5),
+        (ArcLengthTable, "length_at"): lambda: torus.arc_lengths.length_at(0.5),
+        (frames, "frame3_at"): lambda: frames.frame3_at(helix_assoc, 0.5),
+        (frames, "frame4_intrinsic"): lambda: frames.frame4_intrinsic(torus, 0.5),
+        (bertrand, "frame4_intrinsic"): lambda: bertrand.frame4_intrinsic(torus, 0.5),
+        (frames, "frame4_from_pair"): lambda: frames.frame4_from_pair(torus, helix_assoc, 0.5),
+        (frames, "curvature_profile"): lambda: frames.curvature_profile(torus, grid),
+        (bertrand, "curvature_profile"): lambda: bertrand.curvature_profile(torus, grid),
+        (cli, "curvature_profile"): lambda: cli.curvature_profile(torus, grid),
+        (cli, "verify_mate"): lambda: cli.verify_mate(torus, torus_constants, grid),
+        (cli, "fit_constants"): lambda: cli.fit_constants(profile),
+        (cli, "check_conditions"): lambda: cli.check_conditions(profile, torus_constants),
+        (bertrand, "check_conditions"): lambda: bertrand.check_conditions(profile,
+                                                                          torus_constants),
+        (_fmt, "fnum"): lambda: _fmt.fnum(1.0),
+        (cli, "fnum"): lambda: cli.fnum(1.0),
+        (cli, "_write"): lambda: cli._write(str(tmp_path / "out"), b"x"),
+    }
+    assert {(id(owner), name) for owner, name in sites} == {
+        (id(owner), name) for owner, name, _ in tracer._patches()}
+    with tracer.installed():
+        for (owner, name), call in sites.items():
+            before = sum(tracer.calls.values())
+            call()
+            assert sum(tracer.calls.values()) > before, (owner, name)
 
 
 def private_definitions(tree):

@@ -300,6 +300,20 @@ class TestFrameCommand:
         assert main(["verify", "--curve", spec, "--constants", consts,
                      "--report", str(tmp_path / "r.json"), *grid]) == 0
 
+    @pytest.mark.parametrize("mu, past", [(1e-12, 0.11), (1e-12, 2e-12), (1e12, 2e-12),
+                                          (1e-12, 5e-13), (1e12, 5e-13)])
+    def test_scaled_torus_grid_end_slack(self, tmp_path, capsys, mu, past):
+        # A grid may end past the domain by round-off, 1e-12 of the end's
+        # magnitude, whatever the curve's size; beyond that it is input error.
+        end = 2.0 * math.pi * mu
+        doc = torus_doc(TORUS["A"] * mu, TORUS["p"] / mu, TORUS["B"] * mu, TORUS["q"] / mu)
+        doc["domain"] = [0.0, end]
+        spec = write_json(tmp_path, "scaled.json", doc)
+        code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv"),
+                     "--samples", "21", "--s1", repr(end * (1.0 + past))])
+        assert code == (2 if past > 1e-12 else 0)
+        assert ("need finite s0 < s1 inside" in capsys.readouterr().err) == (code == 2)
+
     def test_spatial_shorter_than_curve_exit2(self, tmp_path, capsys):
         fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
         short = write_json(tmp_path, "short.json", {**HELIX_DOC, "domain": [0.0, 5.0]})

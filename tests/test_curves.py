@@ -329,6 +329,19 @@ def test_short_domain_family_is_exact(domain):
     assert ParametricCurve(4, domain, torus.jet).jet_order == 7
 
 
+@pytest.mark.parametrize("mu", [1e-12, 1.0, 1e12])
+def test_domain_end_slack_scales_with_the_domain(mu):
+    # A parameter may pass a domain's end by round-off, 1e-12 of the end's
+    # magnitude, at any size of the curve; an absolute 1e-12 would let the
+    # torus scaled by 1e-12 be read 15% past its end.
+    end = 2.0 * math.pi * mu
+    torus = torus_curve(0.6 * mu, 1.0 / mu, 0.4 * mu, 2.0 / mu, domain=(0.0, end))
+    assert torus.points([end * (1.0 + 5e-13)]).shape == (1, 4)
+    for past in (end * (1.0 + 2e-12), 1.15 * end):
+        with pytest.raises(ValueError, match="outside domain"):
+            torus.points([past])
+
+
 @pytest.mark.parametrize("domain", [(0.0, 1.5 * FD_STEP), (0.0, 0.5 * FD_STEP)])
 def test_domain_shorter_than_the_derivative_check_rejected(torus, domain):
     # A caller's jet is checked at least the stencil's reach FD_STEP inside

@@ -5,21 +5,29 @@ curve: derivatives from ``curves.derivative``, Gram-Schmidt with ``@``,
 N3 from five determinants, and the unit-speed chain-rule formulas for
 N1', N2' and the curvatures.  The kernel reads the same frame from the
 norms of its Gram-Schmidt pass, sums its inner products in another order
-and builds N3 from closed-form minors, so the two agree to the last bits
-(1e-13 absolute on vectors and mate points, 1e-13 relative on K, torsion
-and bitorsion).
+and builds N3 by the cofactor expansion of ``series.cross``, so the two
+agree to the last bits (1e-13 absolute on vectors and mate points, 1e-13
+relative on K, torsion and bitorsion).  That one expansion serves rows and
+Taylor series alike; the explicit six-minor expansion it replaced in the
+frames stays here as a reference it must equal bit for bit, signed zeros
+included, as the CSV writes a zero's sign.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from conftest import TORUS, TORUS2, associated_helix
-from test_cli import FAST_TORUS_DOC
+from test_cli import FAST_TORUS_DOC, write_json
+from quatcurves import cli, series
+from quatcurves._fmt import ftable_blocks
 from quatcurves.bertrand import construct_mate
 from quatcurves.curves import ArcLengthTable, CurveSpec, derivative, torus_curve
 from quatcurves.frames import (
+    FRAME4_CSV_HEADER,
+    _oriented_complement,
     curvature_profile,
     frame3_at,
     frame4_from_pair,
@@ -27,7 +35,7 @@ from quatcurves.frames import (
     frames3,
     frames4,
 )
-from quatcurves.quaternion import Quaternion, mul
+from quatcurves.quaternion import Quaternion, mul, norm
 
 TOL = 1e-13
 OFFSETS = (0.3, -0.7)
@@ -226,3 +234,86 @@ def test_quaternion_product_is_batch_row():
         got = mul(Quaternion.from_vec4(p[i]), Quaternion.from_vec4(q[i]))
         assert np.array_equal(got.as_vec4(), rows[i])
         assert np.array_equal(qmul(p[i], q[i]), rows[i])
+
+
+# -- the cofactor expansion against its explicit form -------------------------------------
+
+def ref_cross(u1, u2, u3):
+    """The 4-D ternary cross product of rows as six explicit minors of u2, u3 and
+    each cofactor written out: the frames' form before ``series.cross``."""
+    a = [u1[:, i] for i in range(4)]
+    b = [u2[:, i] for i in range(4)]
+    c = [u3[:, i] for i in range(4)]
+
+    def minor(j, k):
+        return b[j] * c[k] - b[k] * c[j]
+
+    p01, p02, p03, p12, p13, p23 = (minor(j, k) for j, k in
+                                    ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)))
+    return np.stack(
+        [
+            -(a[1] * p23 - a[2] * p13 + a[3] * p12),
+            a[0] * p23 - a[2] * p03 + a[3] * p02,
+            -(a[0] * p13 - a[1] * p03 + a[3] * p01),
+            a[0] * p12 - a[1] * p02 + a[2] * p01,
+        ],
+        axis=-1,
+    )
+
+
+def expansion_cases():
+    """Three row arrays each: random rows, and rows built from 0, -0, +-1 and 0.5,
+    either coordinate-aligned (one nonzero entry, signed zeros elsewhere) or mixed."""
+    rng = np.random.default_rng(11)
+    cases = {f"random-{n}": rng.normal(size=(3, n, 4)) for n in (1, 2, 21, 1000)}
+    zeros = np.array([0.0, -0.0])[rng.integers(2, size=(3, 2000, 4))]
+    axis = rng.integers(4, size=(3, 2000))
+    np.put_along_axis(zeros, axis[..., None],
+                      np.array([1.0, -1.0, 0.5])[rng.integers(3, size=(3, 2000, 1))], axis=-1)
+    cases["aligned"] = zeros
+    cases["mixed"] = np.array([0.0, -0.0, 1.0, -1.0, 0.5])[rng.integers(5, size=(3, 2000, 4))]
+    return cases
+
+
+EXPANSION_CASES = expansion_cases()
+
+
+@pytest.mark.parametrize("name", list(EXPANSION_CASES))
+def test_cross_is_the_explicit_expansion_bit_for_bit(name):
+    u1, u2, u3 = EXPANSION_CASES[name]
+    expected = ref_cross(u1, u2, u3)
+    rows = series.cross(u1, u2, u3, np.multiply)
+    degree0 = series.cross(u1[None], u2[None], u3[None])[0]
+    assert np.array_equal(rows.view(np.int64), expected.view(np.int64))
+    assert np.array_equal(degree0.view(np.int64), expected.view(np.int64))
+    if name.startswith("random"):
+        unit = expected / norm(expected)[:, None]
+        assert np.array_equal(_oriented_complement(u1, u2, u3).view(np.int64), unit.view(np.int64))
+    else:  # both signs of zero occur in the expansion
+        assert np.any(np.signbit(expected) & (expected == 0.0))
+        assert np.any(~np.signbit(expected) & (expected == 0.0))
+
+
+# The helix (0.6 cos u, 0.6 sin u, 0.8 u, 0) lies in the hyperplane x3 = 0, so its
+# N3 is (0, 0, 0, -1): on 21 samples its frame CSV has 71 cells written as -0.
+HYPERPLANE_HELIX_DOC = {"family": "fourier", "params": {"coeffs": {
+    "cos": [[0.0, 0.6], [0.0], [0.0], [0.0]],
+    "sin": [[0.0], [0.0, 0.6], [0.0], [0.0]],
+    "linear": [0.0, 0.0, 0.8, 0.0],
+}}}
+
+
+def test_hyperplane_helix_frame_csv_is_the_explicit_expansion(tmp_path):
+    # np.array_equal cannot tell -0 from 0, but the CSV writes a zero's sign:
+    # the file must be, byte for byte, the frames with N3 from the reference.
+    spec, out = write_json(tmp_path, "helix.json", HYPERPLANE_HELIX_DOC), tmp_path / "f.csv"
+    assert cli.main(["frame", "--curve", spec, "--out", str(out), "--samples", "21"]) == 0
+    curve = CurveSpec.from_dict(HYPERPLANE_HELIX_DOC).build()
+    s, u = cli._grid(curve, None, None, 21)
+    got = frames4(curve, u)
+    n3 = ref_cross(got.T, got.N1, got.N2)
+    expected = dataclasses.replace(got, N3=n3 / norm(n3)[:, None])
+    written = out.read_bytes()
+    assert written == b"".join([f"{FRAME4_CSV_HEADER}\n".encode(),
+                                *ftable_blocks(expected.table(s))])
+    assert written.count(b"-0.0000000000000000e+00") == 71
