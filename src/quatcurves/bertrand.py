@@ -266,8 +266,9 @@ def fit_constants(
     The curvature relation is linear in (u, v, w) = (a, c*a, c*b) and is
     solved by least squares over the grid.  Constant profiles leave the
     system underdetermined; the fitter then minimizes |c| (taking c = 0,
-    a = 1/K) unless ``c_override`` forces a value, and picks the first
-    nonzero-b candidate that keeps the regularity condition alive.  Every
+    a = 1/K) unless ``c_override`` forces a value, and picks the first b
+    among +-1, +-2, then the same times ``2**-floor(log2 kappa)``, that is a
+    length over its floor and keeps the regularity condition alive.  Every
     floor is that of :func:`check_conditions` or in the units of its quantity
     (:func:`_curvature_scale`).  Raises :class:`FitError` on failure.
     """
@@ -289,9 +290,11 @@ def fit_constants(
         if abs(K0 - c * r0) <= 1e-12 * kappa:
             raise FitError("rank-deficient system: K - c*r vanishes")
         b = None
-        for cand in _B_CANDIDATES:
+        # 2**-floor(log2 kappa), exactly: unit * kappa is in [1, 2).
+        unit = math.ldexp(1.0, 1 - math.frexp(kappa)[1])
+        for cand in _B_CANDIDATES + tuple(unit * x for x in _B_CANDIDATES):
             a_try = (1.0 + c * cand * m0) / (K0 - c * r0)
-            if abs(a_try) * kappa <= 1e-12:
+            if min(abs(a_try), abs(cand)) * kappa <= 1e-12:
                 continue
             if abs(a_try * r0 + cand * m0) > 1e-6:
                 a, b = a_try, cand
@@ -566,12 +569,8 @@ def mate_spatial_curvatures(K, k, consts: BertrandConstants):
     c, d, eps, delta = consts.c, consts.d, consts.epsilon, consts.delta
     m, sq_c, sq_d, denom = _Kk_terms(K, k, consts)
     kbar_spatial = c * ((1.0 + d * d) * m - sq_c * K) / (eps * delta * sq_c * sq_d * denom)
-    rbar_spatial = -c * np.abs(c * (1.0 + d * d) * m - sq_c * d * K) / (eps * sq_c * sq_d * denom)
-    # Consistency with the Kk-form: kbar equals Kbar - (Kbar - kbar).
-    kbar4, _, bit4 = mate_curvatures_Kk_form(K, k, consts)
-    if np.any(np.abs(kbar_spatial - (kbar4 - bit4)) > 1e-12 * _curvature_scale(kbar4, bit4)):
-        raise RuntimeError("spatial mate curvature inconsistent with the Kk-form")
-    return kbar_spatial, rbar_spatial
+    # The torsion is minus the Kk-form's torsion entry.
+    return kbar_spatial, -mate_curvatures_Kk_form(K, k, consts)[1]
 
 
 def mate_frame_closed_form(frames: Frames4, consts: BertrandConstants) -> Frames4:
@@ -641,20 +640,15 @@ def verify_mate(
         setattr(report, VERIFY_MEASURES[name], float(value))
         report.tolerances[name] = VERIFY_TOLERANCES[name] * float(scale)
 
-    try:
-        # The mate's points as construct_mate computes them, less alpha's.
-        distances = norm(_mate_point(jet[0], base.N1, base.N3, a, b) - jet[0])
-        measured("distance", np.max(np.abs(distances - offset)), offset)
-        coeffs = _mate_series(jet, a, b, pair)
-    except (DegeneracyError, ValueError, RuntimeError) as exc:
-        report.stage_errors.append(f"mate construction: {exc}")
-        report.verdict = False
-        return report
+    # The mate's points as construct_mate computes them, less alpha's.
+    distances = norm(_mate_point(jet[0], base.N1, base.N3, a, b) - jet[0])
+    measured("distance", np.max(np.abs(distances - offset)), offset)
+    coeffs = _mate_series(jet, a, b, pair)
 
     try:
         speed = phi_prime(profile.K, profile.r, profile.k, consts) * norm(jet[1])
         measured("speed", np.max(np.abs(norm(coeffs[1]) - speed)), np.max(np.abs(speed)))
-    except (DegeneracyError, ValueError) as exc:
+    except ValueError as exc:
         report.stage_errors.append(f"mate speed: {exc}")
 
     try:
@@ -674,7 +668,7 @@ def verify_mate(
             off_span = v - inner(v, n1)[:, None] * n1 - inner(v, n3)[:, None] * n3
             span_res = max(span_res, float(np.max(norm(off_span))))
         measured("span", span_res)
-    except (DegeneracyError, ValueError, RuntimeError) as exc:
+    except (DegeneracyError, ValueError) as exc:
         report.stage_errors.append(f"oracle frame: {exc}")
 
     report.verdict = (report.conditions_pass() and not report.stage_errors

@@ -45,15 +45,15 @@ EXIT_DEGENERACY = 3
 EXIT_FIT = 4
 
 # Largest --samples.  At this size verify, the heaviest command, peaks near
-# 135 MB on a curve and 155 MB with its spatial curve (about 1.3 kB per
+# 135 MB on a curve and 160 MB with its spatial curve (about 1.3 kB per
 # grid point; each jet is one call on the whole grid, which holds one angle
 # array at a time however many harmonics a curve has, and only the mate's
 # Taylor series are built in blocks of bertrand.ROW_BLOCK jet rows); frame
-# peaks near 80 MB and bertrand mate near 75 MB, as their CSV text is
-# written one block at a time, and both near 115 MB on a curve that is not
-# unit speed, whose first Newton step reads 900,000 speeds at once (130 MB
-# with 64 harmonics).  CI fails any of them above 300 MB, so no size it
-# admits fails to allocate on an ordinary machine.
+# and bertrand mate peak near 92 MB, as their CSV text is written one block
+# at a time, and near 115 MB on a curve that is not unit speed, whose first
+# Newton step reads 900,000 speeds at once (the same with 64 harmonics).
+# CI fails any of them above 300 MB, so no size it admits fails to allocate
+# on an ordinary machine.
 MAX_SAMPLES = 100_000
 
 

@@ -12,8 +12,8 @@ array, and ``points``, ``derivatives`` and ``speeds`` read it.  ``jet``
 alone calls the curve's function, once on the whole grid, and refuses a
 non-finite value by its parameter.  Every built-in family
 is a sum of trigonometric terms and a linear drift, and one kernel gives
-each its jet of orders 0-7, one angle array per distinct frequency serving
-all orders, within a fixed memory budget; the Bertrand mate of such a curve
+each its jet of orders 0-7, each term's one angle array serving all orders,
+one term at a time; the Bertrand mate of such a curve
 carries the exact jet of orders 0-4 that Taylor-series arithmetic gives
 (:mod:`quatcurves.series`).  Both are exact by construction and built
 unchecked; a jet that a caller supplies is checked on construction

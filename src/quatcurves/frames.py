@@ -60,8 +60,8 @@ __all__ = [
 ]
 
 DEGENERACY_EPS = 1e-9
-# Largest orthonormality residual of a pair-built frame before the spatial
-# curve is rejected as not associated with the R^4 curve.
+# Largest distance between the R^4 curve's principal normal and b*T, both unit
+# vectors, before the spatial curve is rejected as not associated with it.
 PAIR_TOL = 1e-6
 
 FRAME4_CSV_HEADER = (
@@ -169,10 +169,7 @@ def _oriented_complement(u1: np.ndarray, u2: np.ndarray, u3: np.ndarray) -> np.n
     """Unit rows orthogonal to u1, u2, u3 making det[u1 u2 u3 x] = +1: the 4-D
     ternary cross product of the rows (:func:`~quatcurves.series.cross`), normalized."""
     x = series.cross(u1, u2, u3, np.multiply)
-    nx = norm(x)
-    if np.any(nx < DEGENERACY_EPS):
-        raise DegeneracyError("orientation failure: frame completion is degenerate")
-    return x / nx[:, None]
+    return x / norm(x)[:, None]
 
 
 # What vanishes when derivative j has no component off the ones before it.
@@ -311,7 +308,11 @@ def _pair_frames(d1: np.ndarray, d2: np.ndarray, f3: Frames3) -> Frames4:
     ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with T the unit tangent of the
     derivative rows d1, d2 of the R^4 curve and (t, n, b) the spatial
     frames ``f3`` at the same arc lengths (the same parameter when both
-    curves are unit speed).  Torsion and bitorsion are read from the
+    curves are unit speed).  The spatial curve is associated when ``b*T`` is
+    the principal normal ``n1`` of the R^4 curve, so that ``T' = K N1``;
+    :class:`DegeneracyError` where ``|n1 - b*T|`` exceeds ``PAIR_TOL``.  (The
+    four products are orthonormal for any spatial curve: right multiplication
+    by the unit T is an isometry.)  Torsion and bitorsion are read from the
     frame-ODE projections h(N1', N2) and h(N2', N3) per arc length.
     """
     (T, n1), (rho0, rho1) = _derivative_frame([d1, d2])
@@ -319,11 +320,11 @@ def _pair_frames(d1: np.ndarray, d2: np.ndarray, f3: Frames3) -> Frames4:
     N1 = mul(f3.b, T)
     N2 = mul(f3.n, T)
     N3 = mul(f3.t, T)
-    residual = orthonormality_residual((T, N1, N2, N3))
-    if residual > PAIR_TOL:
+    departure = float(np.max(norm(n1 - N1), initial=0.0))
+    if departure > PAIR_TOL:
         raise DegeneracyError(
-            f"pair frame orthonormality residual {residual:.3g} exceeds {PAIR_TOL:.3g}; "
-            "the spatial curve is not associated with the R^4 curve"
+            f"pair frame: the principal normal departs from b*T by {departure:.3g}, "
+            f"over {PAIR_TOL:.3g}; the spatial curve is not associated with the R^4 curve"
         )
     # Frame derivatives per arc length via the spatial Frenet system and the chain rule.
     t_prime = K[:, None] * n1

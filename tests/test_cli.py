@@ -322,6 +322,28 @@ class TestFrameCommand:
         assert code == 2
         assert "beyond the end of the spatial curve" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("spatial", [{"family": "helix3", "params": {"a": 1.0, "h": 0.5}},
+                                         {"family": "circle3", "params": {"R": 2.0}}],
+                             ids=["helix", "circle"])
+    @pytest.mark.parametrize("command", [
+        ["frame", "--out", "out"],
+        ["bertrand", "fit", "--out", "out"],
+        ["bertrand", "check", "--constants", json.dumps(PAIR_CONSTANTS), "--report", "out"],
+        ["bertrand", "mate", "--constants", json.dumps(PAIR_CONSTANTS), "--out", "out"],
+        ["verify", "--constants", json.dumps(PAIR_CONSTANTS), "--report", "out"],
+    ], ids=["frame", "fit", "check", "mate", "verify"])
+    def test_unassociated_spatial_exit3(self, tmp_path, monkeypatch, capsys, torus_spec,
+                                        command, spatial):
+        # Its b*T is not the torus's principal normal, so no pair frame exists.
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "spatial.json", spatial)
+        code = main(command + ["--curve", torus_spec, "--spatial", "spatial.json",
+                               "--samples", "21"])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("degeneracy: pair frame:") and "not associated" in err
+        assert not (tmp_path / "out").exists()
+
     def test_samples_beyond_bound_exit2(self, tmp_path, torus_spec, capsys):
         # Rejected before any grid array is allocated.
         out = tmp_path / "frame.csv"

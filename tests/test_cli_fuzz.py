@@ -1,10 +1,11 @@
 """The exit-code contract under fuzzing: ``cli.main`` returns 0-4 and raises nothing.
 
 Each example starts from a valid input (a unit-speed flat torus, a helix
-or a Fourier curve, with constants near the ones fitted to it) and
-changes one thing: a field's type, sign or size, a missing key, a flag
-from a fixed menu, or the scale of the whole curve (from 1e-300 to
-1e300).  Purely random documents almost never get past the spec loader,
+or a Fourier curve, with constants near the ones fitted to it; or the
+canonical torus with its associated helix, with the constants fitted to
+the pair) and changes one thing: a field's type, sign or size, a missing
+key, a flag from a fixed menu, or the scale of the whole input (from
+1e-300 to 1e300).  Purely random documents almost never get past the spec loader,
 so they would exercise little beyond exit 2.
 Run with ``--hypothesis-show-statistics`` to see the exit codes reached.
 """
@@ -26,6 +27,8 @@ from quatcurves.cli import main
 from quatcurves.curves import CurveSpec
 from quatcurves.errors import DegeneracyError, FitError
 from quatcurves.frames import curvature_profile
+
+from test_cli import HELIX_DOC
 
 COMMANDS = {
     "frame": ["frame", "--out", "out.csv"],
@@ -58,6 +61,9 @@ MUTANTS = {
     "size": [0, 1e300, -1e300, 1e-300, 10**400, math.nan, math.inf],
 }
 SCALES = [1e-300, 1e-80, 1e-3, 1e3, 1e80, 1e300]
+
+# A spatial curve associated with none of the R^4 curves here.
+UNRELATED_HELIX = {"family": "helix3", "params": {"a": 1.0, "h": 0.5}}
 
 
 @st.composite
@@ -114,10 +120,9 @@ def mutate(doc, path, kind, pick):
         parent[key] = choices[pick % len(choices)]
 
 
-def scale(doc, constants, lam):
+def scale_curve(doc, lam):
     """Scale the curve of ``doc`` by ``lam`` in space and, where its family allows,
-    in its parameter, so a unit-speed torus stays unit speed; the constants' a
-    and b, which are lengths, scale alike."""
+    in its parameter, so a unit-speed torus stays unit speed."""
     params = doc["params"]
     if doc["family"] == "torus_curve":
         for name in ("A", "B"):
@@ -134,15 +139,23 @@ def scale(doc, constants, lam):
             coeffs[key] = [[lam * c for c in row] for row in coeffs[key]]
         if "linear" in coeffs:
             coeffs["linear"] = [lam * c for c in coeffs["linear"]]
+
+
+def scale(lam, constants, *docs):
+    """Scale the curves of ``docs`` by ``lam``, and the constants' a and b, which are
+    lengths, alike."""
+    for doc in docs:
+        scale_curve(doc, lam)
     constants["a"] *= lam
     constants["b"] *= lam
 
 
-def run(argv, curve, constants):
-    """``main(argv)`` in a fresh directory holding the curve, the constants and a helix."""
+def run(argv, curve, constants, spatial=UNRELATED_HELIX):
+    """``main(argv)`` in a fresh directory holding the curve, the constants and the
+    spatial curve ``helix.json``."""
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in (("curve.json", curve), ("constants.json", constants),
-                          ("helix.json", {"family": "helix3", "params": {"a": 1.0, "h": 0.5}})):
+                          ("helix.json", spatial)):
             with open(os.path.join(tmp, name), "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
         cwd = os.getcwd()
@@ -155,12 +168,15 @@ def run(argv, curve, constants):
             os.chdir(cwd)
 
 
-def fitted_constants(doc):
-    """Constants fitted to the curve, nudged; fixed ones when no fit exists."""
+def fitted_constants(doc, spatial=None):
+    """Constants fitted to the curve (with its spatial curve), nudged; fixed ones when
+    no fit exists."""
     try:
         curve = CurveSpec.from_dict(doc).build()
+        curve3 = None if spatial is None else CurveSpec.from_dict(spatial).build()
         lo, hi = curve.domain
-        consts = fit_constants(curvature_profile(curve, np.linspace(lo, hi, 21))).to_json_dict()
+        profile = curvature_profile(curve, np.linspace(lo, hi, 21), curve3)
+        consts = fit_constants(profile).to_json_dict()
     except (ValueError, DegeneracyError, FitError):
         return {"a": 1.0, "b": 1.0, "c": 0.0, "d": 0.5, "epsilon": 1, "delta": 1}
     consts["a"] *= 1.0 + 1e-9
@@ -188,7 +204,7 @@ def test_cli_exit_codes_hold_under_mutation(curve, command, target, kind, which,
     constants = fitted_constants(curve)
     argv = COMMANDS[command] + ["--curve", "curve.json", "--samples", samples]
     if kind == "scale":
-        scale(curve, constants, SCALES[pick % len(SCALES)])
+        scale(SCALES[pick % len(SCALES)], constants, curve)
     elif target == "flag":
         argv = argv + FLAGS[which % len(FLAGS)]
     else:
@@ -200,15 +216,70 @@ def test_cli_exit_codes_hold_under_mutation(curve, command, target, kind, which,
     assert code in (0, 1, 2, 3, 4)
 
 
+@settings(derandomize=True, deadline=None, max_examples=100, database=None)
+@given(
+    command=st.sampled_from(sorted(COMMANDS)),
+    target=st.sampled_from(["curve", "spatial", "constants", "flag"]),
+    kind=st.sampled_from(["type", "sign", "size", "missing", "scale"]),
+    which=st.integers(0, 10**6),
+    pick=st.integers(0, 10**6),
+    samples=st.sampled_from(["5", "11", "21"]),
+)
+def test_pair_exit_codes_hold_under_mutation(command, target, kind, which, pick, samples):
+    # The torus with its associated helix gets past the pair frame's
+    # association check, so the Bertrand layer is fuzzed on a pair too.
+    curve, spatial = copy.deepcopy(TORUS), copy.deepcopy(HELIX_DOC)
+    constants = fitted_constants(curve, spatial)
+    argv = COMMANDS[command] + ["--curve", "curve.json", "--spatial", "helix.json",
+                                "--samples", samples]
+    if kind == "scale":
+        scale(SCALES[pick % len(SCALES)], constants, curve, spatial)
+    elif target == "flag":
+        argv = argv + FLAGS[which % len(FLAGS)]
+    else:
+        doc = {"curve": curve, "spatial": spatial, "constants": constants}[target]
+        paths = leaves(doc)
+        mutate(doc, paths[which % len(paths)], kind, pick)
+    code = run(argv, curve, constants, spatial)
+    event(f"exit {code}")
+    assert code in (0, 1, 2, 3, 4)
+
+
 @pytest.mark.parametrize("lam", SCALES)
 @pytest.mark.parametrize("command", sorted(COMMANDS))
 def test_cli_exit_codes_hold_at_extreme_scales(command, lam):
-    # Every family at every scale, alone and (the R^4 curves) with a helix.
+    # Every family at every scale, alone and (the R^4 curves) with a helix
+    # associated with none of them, which is a degeneracy (exit 3) where the
+    # input loads.
+    argv = COMMANDS[command] + ["--curve", "curve.json", "--samples", "11"]
     for curve in (TORUS, TORUS_AS_FOURIER, {"family": "helix3", "params": {"a": 3.0, "h": 4.0}}):
         curve = copy.deepcopy(curve)
         constants = fitted_constants(curve)
-        scale(curve, constants, lam)
-        argv = COMMANDS[command] + ["--curve", "curve.json", "--samples", "11"]
+        scale(lam, constants, curve)
         for extra in ([], ["--spatial", "helix.json"]):
             code = run(argv + extra, curve, constants)
             assert code in (0, 1, 2, 3, 4), (curve, extra)
+    # The torus with its associated helix, scaled alike.
+    curve, spatial = copy.deepcopy(TORUS), copy.deepcopy(HELIX_DOC)
+    constants = fitted_constants(curve, spatial)
+    scale(lam, constants, curve, spatial)
+    code = run(argv + ["--spatial", "helix.json"], curve, constants, spatial)
+    assert code in (0, 1, 2, 3, 4)
+
+
+@pytest.mark.parametrize("spatial", [None, HELIX_DOC], ids=["alone", "pair"])
+@pytest.mark.parametrize("curve", [TORUS, TORUS_AS_FOURIER], ids=["torus", "fourier"])
+@pytest.mark.parametrize("command", ["fit", "verify"])
+def test_torus_scaled_by_1e20_fits_and_verifies(command, curve, spatial):
+    # Past 1.7e12 the fit's b = 1 is under its length floor, 1e-12 / kappa;
+    # a b near 1 / kappa is over it.  verify takes the constants fitted there.
+    curve, spatial = copy.deepcopy(curve), copy.deepcopy(spatial)
+    for doc in (curve, spatial) if spatial else (curve,):
+        scale_curve(doc, 1e20)
+    constants = fitted_constants(curve, spatial)
+    argv = COMMANDS[command] + ["--curve", "curve.json", "--samples", "11"]
+    if spatial:
+        code = run(argv + ["--spatial", "helix.json"], curve, constants, spatial)
+    else:
+        code = run(argv, curve, constants)
+    assert code == 0

@@ -279,15 +279,24 @@ def scaled_frames(mu, pair):
     return torus, helix, got
 
 
+# Past mu = 1.7e12 the length b = 1 is under the fit's floor, 1e-12 / kappa.
+LARGE_MUS = [1e13, 1e20, 1e30]
+
+
 @pytest.mark.parametrize("pair", [False, True], ids=["intrinsic", "pair"])
-@pytest.mark.parametrize("mu", MUS)
+@pytest.mark.parametrize("mu", MUS + LARGE_MUS)
 def test_scaled_torus_has_scaled_curvatures_and_its_verdict(mu, pair):
     torus, helix, got = scaled_frames(mu, pair)
     assert abs(mu * float(np.mean(got.K)) / TORUS_K - 1.0) <= 1e-12
     # Every floor of the fit and every tolerance of verify is written in
-    # the units of its quantity, so no size reads as degenerate.
+    # the units of its quantity, so no size reads as degenerate; b = 1 where
+    # it is a length over the floor, else 2**-floor(log2 kappa).
     consts = fit_constants(curvature_profile(torus, mu * GRID, helix))
-    assert (consts.b, consts.c) == (1.0, 0.0)
+    assert consts.c == 0.0
+    if mu in LARGE_MUS:
+        assert 1.0 <= consts.b * float(np.max(np.abs(got.K))) < 2.0
+    else:
+        assert consts.b == 1.0
     report = verify_mate(torus, consts, mu * GRID, alpha3=helix)
     assert report.verdict, report.to_json_dict()
     assert report.curvature_deviation * mu <= 1e-12

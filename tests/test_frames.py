@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quatcurves.curves import (
     ParametricCurve,
@@ -202,17 +204,26 @@ class TestFrame4Pair:
         f = frame4_from_pair(torus, helix_assoc, 1.0)
         assert abs(frame_determinant(f) + 1.0) <= 1e-8
 
-    def test_unrelated_pair_still_orthonormal(self, torus):
-        # Right multiplication by the unit tangent is an isometry, so the
-        # orthonormality check cannot distinguish a wrong spatial curve; the
-        # ODE residual does.
-        wrong = helix3(3.0, 4.0, domain=torus.domain)
-        f = frame4_from_pair(torus, wrong, 1.0)
-        assert orthonormality_residual(f.vectors()) <= 1e-8
-        report = frame_ode_residual(
-            torus, np.linspace(0.5, 5.5, 7), provider=lambda s: frames4(torus, s, wrong)
-        )
-        assert report.max_residual > 0.1
+    @settings(derandomize=True, deadline=None, max_examples=200, database=None)
+    @given(vectors=st.lists(st.floats(-1.0, 1.0), min_size=10, max_size=10))
+    def test_products_are_orthonormal_for_any_spatial_frame(self, vectors):
+        # Right multiplication by a unit T is an isometry, so {T, b*T, n*T,
+        # t*T} is orthonormal whichever spatial frame (t, n, b = t*n) it
+        # takes: orthonormality cannot tell an associated curve from another.
+        T = np.array(vectors[:4])
+        t, n = np.array([0.0, *vectors[4:7]]), np.array([0.0, *vectors[7:]])
+        assume(np.linalg.norm(T) > 0.1 and np.linalg.norm(t) > 0.1)
+        T, t = T / np.linalg.norm(T), t / np.linalg.norm(t)
+        n = n - inner(n, t) * t
+        assume(np.linalg.norm(n) > 0.1)
+        n = n / np.linalg.norm(n)
+        b = mul(t, n)
+        assert orthonormality_residual([T, mul(b, T), mul(n, T), mul(t, T)]) <= 1e-14
+
+    def test_unrelated_pair_is_not_associated(self, torus):
+        # b*T of the helix's frames is not the torus's principal normal.
+        with pytest.raises(DegeneracyError, match="not associated"):
+            frames4(torus, np.linspace(0.5, 5.5, 7), helix3(3.0, 4.0))
 
 
 class TestOdeResidual:
