@@ -425,8 +425,12 @@ def _mate_block(x: np.ndarray, a: float, b: float, pair) -> np.ndarray:
         # N3 is orthogonal to d1, d2, d3, and det[d1 d2 d3 N3] has the sign of
         # det[T N1 -N2 N3] = -1 (the Gram-Schmidt pass is triangular with a
         # positive diagonal), so it is minus their normalized cross product.
+        # Each series is first scaled per row by 2**-e, e the binary exponent of its
+        # largest degree-0 component: exactly, and the trilinear cross stays in range.
         T, N1 = _gram_schmidt([d1, d2])
-        N3 = -series.unit(series.cross(d1, d2, series.taylor(x, 3, _DEGREE)))
+        N3 = -series.unit(series.cross(*(
+            np.ldexp(d, -np.frexp(np.abs(d[0]).max(axis=-1))[1][..., None])
+            for d in (d1, d2, series.taylor(x, 3, _DEGREE)))))
     else:
         # The spatial curve along the base parameter, gamma(sigma(s + t)),
         # gives t and n; then N1 = b*T and N3 = t*T with b = t*n.
@@ -652,10 +656,8 @@ def verify_mate(
         report.stage_errors.append(f"mate speed: {exc}")
 
     try:
-        K, torsion, bitorsion = base.K, base.torsion, base.bitorsion
         kbar, torsion_bar, bitorsion_bar = mate_curvatures_closed_form(
-            K, -torsion, K - bitorsion, consts
-        )
+            profile.K, profile.r, profile.k, consts)
         units, rho = _derivative_frame(series.jet(coeffs)[1:])
         measured("curvature", max(
             np.max(np.abs(rho[1] / rho[0] ** 2 - kbar)),

@@ -48,7 +48,7 @@ __all__ = [
     "helix3",
     "fourier_curve",
     "FD_STEP",
-    "SPEED_EPS",
+    "DEGENERACY_EPS",
     "NEWTON_STEPS",
     "TABLE_PANELS",
     "UNIT_SPEED_TOL",
@@ -59,8 +59,8 @@ __all__ = [
 # (Richardson halves the step once, so round-off grows fast below it).
 FD_STEP = 1e-4
 
-# Speed below this is treated as an irregular (non-regular) curve.
-SPEED_EPS = 1e-9
+# A speed or curvature row this small against the grid's largest is read as 0.
+DEGENERACY_EPS = 1e-9
 
 # A curve whose speed stays this close to 1 is read as parameterized by
 # arc length: the CLI keeps its parameter as the grid, and a pair of such
@@ -313,11 +313,11 @@ class ArcLengthTable:
         speed = curve.speeds
         edges = np.linspace(u0, u1, panels + 1)
         half, speeds, _ = _node_speeds(speed, edges[:-1], edges[1:], nodes)
-        if np.any(speeds < SPEED_EPS):
+        # Above the floor every panel is at least DEGENERACY_EPS / panels of the
+        # total, far over 2**-53, so the cumulative lengths strictly increase.
+        if np.any(speeds <= DEGENERACY_EPS * speeds.max()):
             raise DegeneracyError("irregular curve: speed below threshold")
         lengths = np.concatenate([[0.0], np.cumsum(half * _weighted_sum(weights, speeds))])
-        if np.any(np.diff(lengths) <= 0):
-            raise DegeneracyError("irregular curve: arc length not strictly increasing")
         return cls(edges, lengths, speed)
 
     @property
@@ -351,14 +351,14 @@ class ArcLengthTable:
         Targets are clamped to ``[0, total]``.  The first guess interpolates
         the table linearly.  Each Newton step reads the lengths at the guesses
         and the speeds there from one call of the speed.  Each target stops at
-        the first step whose residual is within ``1e-13 * max(1, total)``; one
+        the first step whose residual is within ``1e-13 * total``; one
         still outside after ``NEWTON_STEPS`` steps raises
         :class:`DegeneracyError` with the worst residual.
         """
         lo, hi = self.edges[0], self.edges[-1]
         goal = np.minimum(np.maximum(_grid(targets, "an arc-length"), 0.0), self.total)
         u = np.interp(goal, self.lengths, self.edges)
-        tol = 1e-13 * max(1.0, self.total)
+        tol = 1e-13 * self.total
         active = np.arange(len(goal))
         for step in range(NEWTON_STEPS + 1):
             lengths, speeds = self._lengths(u[active], speeds_at=True)

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import series
-from .curves import FD_STEP, SPEED_EPS, ParametricCurve, _end_slack, _fd_derivative
+from .curves import DEGENERACY_EPS, FD_STEP, ParametricCurve, _end_slack, _fd_derivative
 from .errors import DegeneracyError
 from .quaternion import inner, mul, norm
 
@@ -59,7 +59,6 @@ __all__ = [
     "PAIR_TOL",
 ]
 
-DEGENERACY_EPS = 1e-9
 # Largest distance between the R^4 curve's principal normal and b*T, both unit
 # vectors, before the spatial curve is rejected as not associated with it.
 PAIR_TOL = 1e-6
@@ -184,19 +183,17 @@ def _derivative_frame(derivs: Sequence[np.ndarray]):
     normalized; ``rho_j`` is the norm it had.  In any regular parameter the
     curvatures per arc length are ``rho_j / (rho_0 rho_(j-1))`` for j >= 1
     (``rho_1 / rho_0^2`` is the curvature).  Raises
-    :class:`DegeneracyError` where the speed falls below ``SPEED_EPS``, where
-    ``rho_1`` is at most ``DEGENERACY_EPS`` times the grid's largest ``|d2|``
-    (an inflection's ``d2`` is round-off of terms that size) or where a
-    higher curvature is at most ``DEGENERACY_EPS`` times the curvature; these
-    floors compare rows, so scaling the curve does not move them.
+    :class:`DegeneracyError` where ``rho_0`` or ``rho_1`` is at most
+    ``DEGENERACY_EPS`` times the grid's largest ``|d1|`` or ``|d2|`` (a cusp's
+    ``d1`` and an inflection's ``d2`` are round-off of terms that size) or where
+    a higher curvature is at most ``DEGENERACY_EPS`` times the curvature; these
+    floors compare rows, so scaling the curve or its parameter does not move them.
     """
     units, rhos = [], []
     for j, d in enumerate(derivs):
         v = _orthogonalize(d, units)
         rho = norm(v)
-        if j == 0:
-            vanishes = rho < SPEED_EPS
-        elif j == 1:
+        if j < 2:
             vanishes = rho <= DEGENERACY_EPS * norm(d).max(initial=0.0)
         else:
             vanishes = rho * rhos[0] <= DEGENERACY_EPS * rhos[1] * rhos[-1]

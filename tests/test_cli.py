@@ -92,6 +92,30 @@ HELIX_DOC = {
     },
 }
 
+# A cycloid x = u - sin u, y = 1 - cos u with cos 2u and cos 3u terms in R^4: its
+# speed is 0 at u = 0, a cusp.
+CUSP_DOC = {
+    "family": "fourier",
+    "params": {
+        "coeffs": {
+            "cos": [[0.0], [1.0, -1.0, 0.1], [0.0, 0.0, 0.0, 0.05], [0.0]],
+            "sin": [[0.0, -1.0], [0.0], [0.0], [0.0]],
+            "linear": [1.0, 0.0, 0.0, 0.0],
+        }
+    },
+}
+
+
+def scaled_amplitudes(doc, mu):
+    """The ``fourier`` spec ``doc`` with every amplitude and drift times ``mu``, on
+    its own domain."""
+    coeffs = doc["params"]["coeffs"]
+    scaled = {key: [[mu * c for c in row] for row in coeffs[key]] for key in ("cos", "sin")}
+    if "linear" in coeffs:
+        scaled["linear"] = [mu * c for c in coeffs["linear"]]
+    return {**doc, "params": {"coeffs": scaled}}
+
+
 # Constants of the torus fitted from its intrinsic frames.
 TORUS_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": 0.72,
                    "epsilon": 1, "delta": 1}
@@ -299,6 +323,42 @@ class TestFrameCommand:
         assert main(["bertrand", "fit", "--curve", spec, "--out", consts, *grid]) == 0
         assert main(["verify", "--curve", spec, "--constants", consts,
                      "--report", str(tmp_path / "r.json"), *grid]) == 0
+
+    @pytest.mark.parametrize("mu", [1e-150, 1e-100, 1e-40, 1e-12, 1e-10, 1e12, 1e40, 1e100,
+                                    1e150])
+    def test_scaled_fast_torus_frame_fit_and_verify_exit0(self, tmp_path, mu):
+        # The 2x-speed torus with its amplitudes scaled by mu on its fixed
+        # domain: the speed floor, like the curvature floors, is a ratio of
+        # derivative rows, so no size reads as a cusp, and the arc-length
+        # inversion stops at a residual relative to the curve's length.
+        spec = write_json(tmp_path, "fast.json", scaled_amplitudes(FAST_TORUS_DOC, mu))
+        frame, consts, grid = tmp_path / "x.csv", str(tmp_path / "c.json"), ["--samples", "21"]
+        assert main(["frame", "--curve", spec, "--out", str(frame), *grid]) == 0
+        assert main(["bertrand", "fit", "--curve", spec, "--out", consts, *grid]) == 0
+        assert main(["verify", "--curve", spec, "--constants", consts,
+                     "--report", str(tmp_path / "r.json"), *grid]) == 0
+        K = np.loadtxt(frame, delimiter=",", skiprows=1)[:, 17]
+        assert np.max(np.abs(mu * K / TORUS_K - 1.0)) <= 1e-12
+        # b = 1 while it is a length over the fit's floor, 1e-12 / kappa.
+        b = json.loads(Path(consts).read_text())["b"]
+        assert b == 1.0 if mu <= 1e12 else 1.0 <= b * np.max(K) < 2.0
+
+    @pytest.mark.parametrize("mu", [1e-20, 1.0, 1e20])
+    @pytest.mark.parametrize("command", [
+        ["frame", "--out", "out"],
+        ["bertrand", "fit", "--out", "out"],
+        ["verify", "--constants", "constants.json", "--report", "out"],
+    ], ids=["frame", "fit", "verify"])
+    def test_cusp_is_irregular_at_any_size(self, tmp_path, monkeypatch, capsys, command, mu):
+        # At u = 0 the speed is 0, computed as round-off of terms of the
+        # curve's size (about 5e-17 times mu; cos(pi/2) is 6e-17), so it is read
+        # against the grid's largest speed, not against an absolute floor.
+        monkeypatch.chdir(tmp_path)
+        write_json(tmp_path, "cusp.json", scaled_amplitudes(CUSP_DOC, mu))
+        write_json(tmp_path, "constants.json", TORUS_CONSTANTS)
+        assert main(command + ["--curve", "cusp.json", "--samples", "21"]) == 3
+        assert "degeneracy: irregular curve" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("mu, past", [(1e-12, 0.11), (1e-12, 2e-12), (1e12, 2e-12),
                                           (1e-12, 5e-13), (1e12, 5e-13)])

@@ -5,8 +5,10 @@ or a Fourier curve, with constants near the ones fitted to it; or the
 canonical torus with its associated helix, with the constants fitted to
 the pair) and changes one thing: a field's type, sign or size, a missing
 key, a flag from a fixed menu, or the scale of the whole input (from
-1e-300 to 1e300).  Purely random documents almost never get past the spec loader,
-so they would exercise little beyond exit 2.
+1e-300 to 1e300; a Fourier spec's amplitudes on its fixed domain, whose frame
+and fit exit as the unscaled spec's from 1e-150 to 1e150).  Purely random
+documents almost never get past the spec loader, so they would exercise
+little beyond exit 2.
 Run with ``--hypothesis-show-statistics`` to see the exit codes reached.
 """
 
@@ -28,7 +30,7 @@ from quatcurves.curves import CurveSpec
 from quatcurves.errors import DegeneracyError, FitError
 from quatcurves.frames import curvature_profile
 
-from test_cli import HELIX_DOC
+from test_cli import HELIX_DOC, scaled_amplitudes
 
 COMMANDS = {
     "frame": ["frame", "--out", "out.csv"],
@@ -61,6 +63,9 @@ MUTANTS = {
     "size": [0, 1e300, -1e300, 1e-300, 10**400, math.nan, math.inf],
 }
 SCALES = [1e-300, 1e-80, 1e-3, 1e3, 1e80, 1e300]
+# Amplitude scales of a Fourier spec on its fixed domain at which a frame's and
+# a fit's exit codes must not change: squared rows stay in the float range.
+AMPLITUDE_SCALES = [1e-150, 1e-100, 1e-40, 1e-12, 1e-10, 1e12, 1e40, 1e100, 1e150]
 
 # A spatial curve associated with none of the R^4 curves here.
 UNRELATED_HELIX = {"family": "helix3", "params": {"a": 1.0, "h": 0.5}}
@@ -134,11 +139,7 @@ def scale_curve(doc, lam):
         params["a"] *= lam
         params["h"] *= lam
     else:
-        coeffs = params["coeffs"]
-        for key in ("cos", "sin"):
-            coeffs[key] = [[lam * c for c in row] for row in coeffs[key]]
-        if "linear" in coeffs:
-            coeffs["linear"] = [lam * c for c in coeffs["linear"]]
+        params["coeffs"] = scaled_amplitudes(doc, lam)["params"]["coeffs"]
 
 
 def scale(lam, constants, *docs):
@@ -243,6 +244,22 @@ def test_pair_exit_codes_hold_under_mutation(command, target, kind, which, pick,
     code = run(argv, curve, constants, spatial)
     event(f"exit {code}")
     assert code in (0, 1, 2, 3, 4)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(curve=fourier(), command=st.sampled_from(["frame", "fit"]),
+       lam=st.sampled_from(AMPLITUDE_SCALES))
+def test_fourier_amplitude_scale_keeps_exit_codes(curve, command, lam):
+    # The "scale" kind on a Fourier spec scales its amplitudes on its fixed
+    # domain; every floor of the frames and the fit, the speed's among them,
+    # is a ratio, so the scaled curve exits as the curve does.
+    constants = fitted_constants(curve)
+    argv = COMMANDS[command] + ["--curve", "curve.json", "--samples", "11"]
+    code = run(argv, curve, constants)
+    event(f"exit {code}")
+    curve = copy.deepcopy(curve)
+    scale(lam, constants, curve)
+    assert run(argv, curve, constants) == code
 
 
 @pytest.mark.parametrize("lam", SCALES)

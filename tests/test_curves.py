@@ -5,9 +5,12 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quatcurves.curves import (
     FD_STEP,
+    TABLE_PANELS,
     ArcLengthTable,
     CurveSpec,
     ParametricCurve,
@@ -22,7 +25,7 @@ from quatcurves.curves import (
 from quatcurves.bertrand import verify_mate
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import frame_ode_residual, frames4
-from test_cli import WOBBLE_DOC
+from test_cli import FAST_TORUS_DOC, WOBBLE_DOC, scaled_amplitudes
 
 SQ2 = math.sqrt(0.5)
 
@@ -112,6 +115,28 @@ class TestArcLength:
             u = table.invert(target)
             assert abs(table.length_at(u) - target) <= 1e-11
 
+    @settings(derandomize=True, deadline=None, max_examples=60, database=None)
+    @given(exponent=st.floats(-150.0, 150.0),
+           coeffs=st.lists(st.floats(-1.0, 1.0), min_size=28, max_size=28))
+    def test_table_lengths_strictly_increase_at_any_scale(self, exponent, coeffs):
+        # The table refuses a speed at most DEGENERACY_EPS times its largest,
+        # so each panel holds at least DEGENERACY_EPS / TABLE_PANELS of the
+        # total and the cumulative lengths strictly increase at any size: the
+        # 2x-speed torus, of length 2*pi*mu, and a drawn Fourier curve with a
+        # drift, scaled by mu on their fixed domains.
+        mu = 10.0 ** exponent
+        fast = CurveSpec.from_dict(scaled_amplitudes(FAST_TORUS_DOC, mu)).build()
+        table = ArcLengthTable.build(fast, *fast.domain, TABLE_PANELS)
+        assert np.all(np.diff(table.lengths) > 0)
+        assert abs(table.total / (2.0 * math.pi * mu) - 1.0) <= 1e-12
+        rows = [[mu * c for c in coeffs[i:i + 3]] for i in range(0, 24, 3)]
+        drawn = fourier_curve(rows[:4], rows[4:], [mu * c for c in coeffs[24:]])
+        try:
+            table = ArcLengthTable.build(drawn, *drawn.domain, TABLE_PANELS)
+        except DegeneracyError as exc:
+            assert "irregular curve" in str(exc)
+        else:
+            assert np.all(np.diff(table.lengths) > 0)
 
     def test_inversion_reports_non_convergence(self):
         # With the speed halved after the table is built, the length inside a
