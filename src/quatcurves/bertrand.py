@@ -184,8 +184,8 @@ class BertrandReport:
 
 # -- condition checking -----------------------------------------------------------
 
-def _curvature_scale(*curvatures) -> float:
-    """``kappa``, the largest ``|value|`` over ``curvatures`` (floats or arrays).
+def _curvature_scale(K) -> float:
+    """``kappa``, the largest ``|K|`` over the curvature ``K`` (a float or an array).
 
     A curve's size cannot decide whether it has a mate, so every floor on a
     quantity with units is a dimensionless constant times its power of the
@@ -193,7 +193,7 @@ def _curvature_scale(*curvatures) -> float:
     (K - k, K - c*r, the (R3) residual) times kappa, the (R4) term times
     kappa**2.  (R1), (R2), c, d and 1 - a*K are dimensionless.
     """
-    return float(max(np.max(np.abs(v)) for v in curvatures))
+    return float(np.max(np.abs(K)))
 
 
 def _r1(a, b, r, m):
@@ -276,7 +276,7 @@ def fit_constants(
         raise FitError("profile too small: need at least 3 grid points")
     K, r, m = profile.K, profile.r, profile.bitorsion
     kappa = _curvature_scale(K)
-    if np.min(np.abs(m)) < 1e-9 * kappa:
+    if np.min(np.abs(m)) <= DEGENERACY_EPS * kappa:
         raise FitError("bitorsion K-k vanishes on the grid")
     if np.sign(m.min()) != np.sign(m.max()):
         raise FitError("sign flip of K-k across the grid")
@@ -512,7 +512,7 @@ def phi_prime(K, r, k, consts: BertrandConstants):
     """
     m = K - k
     combo = _r1(consts.a, consts.b, r, m)
-    if np.any(np.abs(combo) < 1e-14):
+    if np.any(np.abs(combo) <= DEGENERACY_EPS):
         raise ValueError("mate regularity violated: a*r + b*(K-k) = 0")
     return consts.epsilon * np.sqrt(1.0 + consts.c * consts.c) * combo
 
@@ -531,7 +531,7 @@ def mate_curvatures_closed_form(K, r, k, consts: BertrandConstants):
     # scalars through ``pow``, which can differ in the last bit.
     w = c * K + r
     root = np.sqrt(w * w + m * m)
-    if np.any(root < 1e-14 * _curvature_scale(K)):
+    if np.any(root <= DEGENERACY_EPS * _curvature_scale(K)):
         raise ValueError("degenerate denominator: (c*K+r)^2 + (K-k)^2 = 0")
     sq = np.sqrt(1.0 + c * c)
     kbar = root / (pp * sq)

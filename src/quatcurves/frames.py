@@ -183,21 +183,18 @@ def _derivative_frame(derivs: Sequence[np.ndarray]):
     normalized; ``rho_j`` is the norm it had.  In any regular parameter the
     curvatures per arc length are ``rho_j / (rho_0 rho_(j-1))`` for j >= 1
     (``rho_1 / rho_0^2`` is the curvature).  Raises
-    :class:`DegeneracyError` where ``rho_0`` or ``rho_1`` is at most
-    ``DEGENERACY_EPS`` times the grid's largest ``|d1|`` or ``|d2|`` (a cusp's
-    ``d1`` and an inflection's ``d2`` are round-off of terms that size) or where
-    a higher curvature is at most ``DEGENERACY_EPS`` times the curvature; these
-    floors compare rows, so scaling the curve or its parameter does not move them.
+    :class:`DegeneracyError` where any ``rho_j`` is at most ``DEGENERACY_EPS``
+    times the grid's largest ``|d_(j+1)|``, one rule for speed, curvature,
+    torsion and bitorsion: where a curvature vanishes the computed ``rho_j``
+    is round-off of terms that size (a cusp's ``d1``, an inflection's ``d2``),
+    so no row can be read against its own.  The floor compares rows, so
+    scaling the curve or its parameter does not move it.
     """
     units, rhos = [], []
     for j, d in enumerate(derivs):
         v = _orthogonalize(d, units)
         rho = norm(v)
-        if j < 2:
-            vanishes = rho <= DEGENERACY_EPS * norm(d).max(initial=0.0)
-        else:
-            vanishes = rho * rhos[0] <= DEGENERACY_EPS * rhos[1] * rhos[-1]
-        if np.any(vanishes):
+        if np.any(rho <= DEGENERACY_EPS * norm(d).max(initial=0.0)):
             raise DegeneracyError(_VANISHING[j])
         units.append(v / rho[:, None])
         rhos.append(rho)

@@ -33,7 +33,7 @@ from quatcurves.frames import (
 )
 from quatcurves.quaternion import inner, mul
 
-from conftest import TORUS_K
+from conftest import TORUS_K, TORUS_M, TORUS_R
 
 SQ2 = math.sqrt(2.0)
 
@@ -233,6 +233,16 @@ class TestPhiPrime:
         with pytest.raises(ValueError, match="regularity"):
             phi_prime(1.0, 1.0, 0.0, consts)
 
+    def test_reads_the_regularity_floor_of_check_conditions(self):
+        # At K = r = 1, k = 0, a = 1: a*r + b*(K-k) = 1 + b, 5e-10 under
+        # DEGENERACY_EPS and 2e-9 over it.
+        def consts(combo):
+            return BertrandConstants(a=1.0, b=combo - 1.0, c=0.0, d=1.0, epsilon=1, delta=1)
+
+        with pytest.raises(ValueError, match="regularity"):
+            phi_prime(1.0, 1.0, 0.0, consts(5e-10))
+        assert phi_prime(1.0, 1.0, 0.0, consts(2e-9)) == pytest.approx(2e-9, rel=1e-6, abs=0.0)
+
 
 class TestClosedFormCurvatures:
     def test_worked_values(self):
@@ -251,6 +261,14 @@ class TestClosedFormCurvatures:
             kk = mate_curvatures_Kk_form(K, k, consts)
             for x, y in zip(closed, kk):
                 assert abs(abs(x) - abs(y)) <= 1e-10 * max(1.0, abs(x), abs(y))
+
+    def test_degenerate_root_reads_the_curvature_scale(self):
+        # sqrt((c*K + r)^2 + (K-k)^2) = 5e-10 * K, under DEGENERACY_EPS * K at any
+        # size K, while a*r + b*(K-k) = 2.3e-9 keeps phi' over its floor.
+        for K in (1e-6, 1.0, 1e6):
+            consts = BertrandConstants(a=1.0 / K, b=5.0 / K, c=0.0, d=1.0, epsilon=1, delta=1)
+            with pytest.raises(ValueError, match="degenerate denominator"):
+                mate_curvatures_closed_form(K, 3e-10 * K, K - 4e-10 * K, consts)
 
     def test_kk_form_guards(self):
         with pytest.raises(ValueError, match="indeterminate"):
@@ -416,6 +434,21 @@ class TestVerifyMate:
         report = verify_mate(torus, torus_constants, grid101[:: 5])
         assert not report.verdict
         assert report.curvature_deviation > 1e-4
+
+    def test_regularity_under_the_floor_stops_speed_and_oracle(self, torus, torus_constants):
+        # Constants with min|a*r + b*(K-k)| = 5e-10 on the torus: under
+        # DEGENERACY_EPS, so check_conditions fails them and phi' refuses them.
+        grid = np.linspace(0.0, 2.0 * math.pi, 21)
+        consts = dataclasses.replace(torus_constants, a=(5e-10 - TORUS_M) / TORUS_R)
+        profile = curvature_profile(torus, grid)
+        assert np.min(np.abs(consts.a * profile.r + profile.bitorsion)) == pytest.approx(5e-10)
+        assert not check_conditions(profile, consts).conditions["mate_regularity"].passed
+        with pytest.raises(ValueError, match="regularity"):
+            phi_prime(profile.K, profile.r, profile.k, consts)
+        report = verify_mate(torus, consts, grid)
+        assert not report.verdict
+        assert [e.split(":")[0] for e in report.stage_errors] == ["mate speed", "oracle frame"]
+        assert all("mate regularity violated" in e for e in report.stage_errors)
 
     def test_grid_as_list_tuple_or_array(self, torus, torus_constants):
         grid = np.linspace(0.1, 6.0, 9)

@@ -15,6 +15,7 @@ from quatcurves._fmt import BLOCK, fnum, ftable, ftable_blocks
 from quatcurves.bertrand import BertrandConstants, construct_mate
 from quatcurves.cli import MAX_SAMPLES, main
 from quatcurves.curves import CurveSpec, torus_curve
+from quatcurves.errors import DegeneracyError
 from quatcurves.frames import FRAME4_CSV_HEADER, frames4
 
 TORUS_DOC = {
@@ -359,6 +360,28 @@ class TestFrameCommand:
         assert main(command + ["--curve", "cusp.json", "--samples", "21"]) == 3
         assert "degeneracy: irregular curve" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("mu", [1e-12, 1e-6, 1.0, 1e6, 1e12])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_equal_frequency_torus_has_zero_torsion_at_any_size(self, tmp_path, capsys, m, mu):
+        # A = B = 1/sqrt(2), p = q = 1 (at m times unit speed, a fourier spec):
+        # N1' = -K T, so the torsion is 0 and its rho_2 is round-off of terms the
+        # size of d3, read against the grid's largest |d3| as the curvature is
+        # against |d2|, whatever the size of the curve.
+        A = math.sqrt(0.5)
+        if m == 1:
+            doc = torus_doc(A * mu, 1.0 / mu, A * mu, 1.0 / mu)
+            doc["domain"] = [0.0, 2.0 * math.pi * mu]
+        else:
+            doc = scaled_amplitudes(torus_doc(A, 1, A, 1, m), mu)
+        spec = write_json(tmp_path, "equal.json", doc)
+        curve = CurveSpec.from_dict(doc).build()
+        with pytest.raises(DegeneracyError, match="zero torsion"):
+            frames4(curve, np.linspace(*curve.domain, 21))
+        out = tmp_path / "x.csv"
+        assert main(["frame", "--curve", spec, "--out", str(out), "--samples", "21"]) == 3
+        assert "degeneracy: zero torsion" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("mu, past", [(1e-12, 0.11), (1e-12, 2e-12), (1e12, 2e-12),
                                           (1e-12, 5e-13), (1e12, 5e-13)])

@@ -128,6 +128,27 @@ class TestFrame4Intrinsic:
             with pytest.raises(DegeneracyError, match="zero torsion"):
                 frame4_intrinsic(curve, 1.0)
 
+    # Two curves 1e-9 to 1e-8 out of the plane of (cos u - cos 2u / 2, sin u + b sin 2u).
+    # Torsion vanishes where rho_2 is at most DEGENERACY_EPS times the grid's largest
+    # |d3|, as the curvature does against |d2|, whatever the torsion-to-curvature
+    # ratio: the first keeps that ratio above 3e-9 while its rho_2 falls to 3e-10
+    # of max |d3|; the second has rho_2 above 3.7e-9 of max |d3| while the ratio
+    # falls to 4e-10 where it bends hardest.
+    @pytest.mark.parametrize("b, z, w, eps, degenerate", [
+        (0.5, [0.0, 0.0, 1.0], [0.0, 1.0], 1e-9, True),
+        (2.0, [0.0, 0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0], 5e-9, False),
+    ])
+    def test_near_planar_torsion_reads_against_the_grid(self, b, z, w, eps, degenerate):
+        curve = fourier_curve([[0.0, 1.0, -0.5], [0.0], [eps * x for x in z], [0.0]],
+                              [[0.0], [0.0, 1.0, b], [0.0], [eps * x for x in w]],
+                              domain=(0.0, 6.0))
+        grid = np.linspace(0.0, 6.0, 21)
+        if degenerate:
+            with pytest.raises(DegeneracyError, match="zero torsion"):
+                frames4(curve, grid)
+        else:
+            assert np.min(-frames4(curve, grid).torsion) > 0.0
+
     def test_zero_curvature_line(self):
         with pytest.raises(DegeneracyError, match="zero curvature"):
             frame4_intrinsic(straight_line4(), 3.0)
