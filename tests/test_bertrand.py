@@ -184,7 +184,7 @@ class TestFitConstants:
         s = np.linspace(0.0, 1.0, n)
         profile = CurvatureProfile(s=s, K=np.full(n, 1.0), r=s.copy(),
                                    k=np.full(n, 0.25), source="intrinsic")
-        with pytest.raises(FitError, match="non-constant d"):
+        with pytest.raises(FitError, match="torsion_relation"):
             fit_constants(profile)
 
     def test_short_profile_rejected(self):
@@ -196,6 +196,52 @@ class TestFitConstants:
         profile = constant_profile(1.0, 1.0, 1.0)
         with pytest.raises(FitError, match="K-k"):
             fit_constants(profile)
+
+    # The fit only solves; check_conditions judges its constants, and the
+    # FitError names each condition they fail.  Each profile below fails the
+    # condition its test names, a decade or more past its tolerance.
+
+    @pytest.mark.parametrize("signs, fits", [((1.0, 1.0), True), ((1.0, -1.0), False)],
+                             ids=["one-sign", "sign-flip"])
+    def test_bitorsion_sign_is_judged_by_delta_sign(self, signs, fits):
+        # K = 1, r = m - 1 and c = 1 satisfy (R2) to 1.5*|m| and (R3) exactly;
+        # |K - k| = 3e-9 is over its floor (1e-9) and spreads at most 6e-9, so
+        # the profile is constant to the fitter even when K - k changes sign.
+        m = 3e-9 * np.resize(signs, 9)
+        profile = CurvatureProfile(s=np.linspace(0.0, 1.0, 9), K=np.ones(9), r=m - 1.0,
+                                   k=1.0 - m, source="intrinsic")
+        if fits:
+            assert check_conditions(profile, fit_constants(profile, c_override=1.0)).verdict
+        else:
+            with pytest.raises(FitError, match=r"fail delta_sign \(residual 1, tol 0\)$"):
+                fit_constants(profile, c_override=1.0)
+
+    def test_varying_K_with_c_zero_fails_curvature_relation(self):
+        # r = 0 leaves the least-squares fit no c, so it takes c = 0 and
+        # a = 1/mean(K); (R2) then misses by a*K - 1 = 0.2 at the ends (and
+        # the (R4) term, K*r, vanishes).
+        s = np.linspace(0.0, 1.0, 21)
+        profile = CurvatureProfile(s=s, K=1.0 + 0.5 * s, r=np.zeros(21), k=0.5 * s - s * s,
+                                   source="intrinsic")
+        with pytest.raises(FitError, match=r"curvature_relation \(residual 0\.2, tol 1e-08\)"):
+            fit_constants(profile)
+
+    @pytest.mark.parametrize("wiggle, fits", [(4e-11, True), (4e-9, False)],
+                             ids=["decade-inside", "decade-outside"])
+    def test_torsion_relation_read_at_the_check_tolerance(self, wiggle, fits):
+        # K = 1, r = 5 and K - k = 0.2 -+ wiggle: a constant profile with
+        # c = 0 and d = 25, whose d varies by 25*wiggle/0.2 (at most 5e-7)
+        # and whose (R3) residual 25*wiggle is 1e-9 or 1e-7, against the
+        # check's 1e-8*kappa.
+        m = 0.2 + wiggle * np.resize([1.0, -1.0], 9)
+        profile = CurvatureProfile(s=np.linspace(0.0, 1.0, 9), K=np.ones(9),
+                                   r=np.full(9, 5.0), k=1.0 - m, source="intrinsic")
+        if fits:
+            consts = fit_constants(profile)
+            assert (consts.c, consts.d) == (0.0, pytest.approx(25.0, abs=1e-6))
+        else:
+            with pytest.raises(FitError, match=r"fail torsion_relation \(residual 1\.1\de-07"):
+                fit_constants(profile)
 
 
 class TestConstructMate:
