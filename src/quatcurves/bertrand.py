@@ -51,7 +51,7 @@ from .frames import (  # noqa: F401
     frame4_intrinsic,
     frames3,
 )
-from .quaternion import inner, norm
+from .quaternion import inner, mul, norm
 
 __all__ = [
     "BertrandConstants",
@@ -425,8 +425,8 @@ def _mate_block(x: np.ndarray, a: float, b: float, pair) -> np.ndarray:
         velocity = series.derivative(gamma)
         t, n = _gram_schmidt([velocity[:_DEGREE + 1], series.derivative(velocity)])
         T = series.unit(d1)
-        N1 = series.qproduct(series.qproduct(t, n), T)
-        N3 = series.qproduct(t, T)
+        N1 = series.product(series.product(t, n, mul), T, mul)
+        N3 = series.product(t, T, mul)
     return _mate_point(series.taylor(x, 0, _DEGREE), N1, N3, a, b)
 
 

@@ -13,7 +13,9 @@ The spatial frame (t, n, b) uses the quaternion product for the binormal,
   that the torsion reading ``h(N1', N2)`` is nonpositive and N3
   completing a determinant +1 orthonormal basis;
 * from a pair (R^4 curve, associated spatial curve) via the products
-  ``N1 = b * T``, ``N2 = n * T``, ``N3 = t * T``.
+  ``N1 = b * T``, ``N2 = n * T``, ``N3 = t * T``: the paper's Type 2
+  frame, whose torsion and bitorsion are the spatial curve's ``-r`` and
+  ``K - k``.
 
 Both satisfy the same skew frame ODE in arc length with coefficients K
 (curvature), torsion and bitorsion; ``frame_ode_residual`` measures how
@@ -297,38 +299,29 @@ def _spatial_parameters(curve4: ParametricCurve, curve3: ParametricCurve,
 
 
 def _pair_frames(d1: np.ndarray, d2: np.ndarray, f3: Frames3) -> Frames4:
-    """R^4 frames built from the spatial frames of an associated curve.
-
-    ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with T the unit tangent of the
-    derivative rows d1, d2 of the R^4 curve and (t, n, b) the spatial
-    frames ``f3`` at the same arc lengths (the same parameter when both
-    curves are unit speed).  The spatial curve is associated when ``b*T`` is
-    the principal normal ``n1`` of the R^4 curve, so that ``T' = K N1``;
-    :class:`DegeneracyError` where ``|n1 - b*T|`` exceeds ``PAIR_TOL``.  (The
-    four products are orthonormal for any spatial curve: right multiplication
-    by the unit T is an isometry.)  Torsion and bitorsion are read from the
-    frame-ODE projections h(N1', N2) and h(N2', N3) per arc length.
+    """The paper's Type 2 frame: ``N1 = b*T``, ``N2 = n*T``, ``N3 = t*T`` with T
+    the unit tangent of the derivative rows d1, d2 of the R^4 curve and (t, n,
+    b) the spatial frames ``f3`` at the same arc lengths (the same parameter
+    when both curves are unit speed).  The four products are orthonormal for
+    any spatial curve (right multiplication by the unit T is an isometry); the
+    curve is associated when ``b*T`` is the principal normal ``n1``, so that
+    ``T' = K N1``, and :class:`DegeneracyError` where ``|n1 - b*T|`` exceeds
+    ``PAIR_TOL``.  Then the spatial Frenet system gives ``N1' = -K T - r N2``
+    and ``N2' = r N1 + (K - k) N3`` (``b*b = -1``, ``n*b = t``): the torsion is
+    ``-r`` and the bitorsion ``K - k``, k the spatial curvature: exact on an
+    associated pair, else within ``K |n1 - b*T|`` of h(N1', N2) and h(N2', N3).
     """
     (T, n1), (rho0, rho1) = _derivative_frame([d1, d2])
     K = rho1 / rho0**2
     N1 = mul(f3.b, T)
-    N2 = mul(f3.n, T)
-    N3 = mul(f3.t, T)
     departure = float(np.max(norm(n1 - N1), initial=0.0))
     if departure > PAIR_TOL:
         raise DegeneracyError(
             f"pair frame: the principal normal departs from b*T by {departure:.3g}, "
             f"over {PAIR_TOL:.3g}; the spatial curve is not associated with the R^4 curve"
         )
-    # Frame derivatives per arc length via the spatial Frenet system and the chain rule.
-    t_prime = K[:, None] * n1
-    k, r = f3.k[:, None], f3.r[:, None]
-    b_prime = -r * f3.n
-    n_prime = -k * f3.t + r * f3.b
-    N1_prime = mul(b_prime, T) + mul(f3.b, t_prime)
-    N2_prime = mul(n_prime, T) + mul(f3.n, t_prime)
-    return Frames4(T=T, N1=N1, N2=N2, N3=N3, K=K, torsion=inner(N1_prime, N2),
-                   bitorsion=inner(N2_prime, N3))
+    return Frames4(T=T, N1=N1, N2=mul(f3.n, T), N3=mul(f3.t, T), K=K, torsion=-f3.r,
+                   bitorsion=K - f3.k)
 
 
 def frame4_from_pair(curve4: ParametricCurve, curve3: ParametricCurve, s: float) -> Frames4:

@@ -15,9 +15,7 @@ import math
 
 import numpy as np
 
-from .quaternion import mul
-
-__all__ = ["taylor", "product", "qproduct", "inner", "rsqrt", "unit", "compose", "cross",
+__all__ = ["taylor", "product", "inner", "rsqrt", "unit", "compose", "cross",
            "jet", "derivative"]
 
 
@@ -34,20 +32,13 @@ def taylor(jet: np.ndarray, order: int, degree: int) -> np.ndarray:
     return rows / _FACTORIALS[:degree + 1].reshape((-1,) + (1,) * (rows.ndim - 1))
 
 
-def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Cauchy product ``c_k = sum_i a_i b_(k-i)`` of two series of one degree; trailing
-    axes broadcast."""
-    c = a[0] * b
+def product(a: np.ndarray, b: np.ndarray, multiply=np.multiply) -> np.ndarray:
+    """Cauchy product ``c_k = sum_i a_i b_(k-i)`` of two series of one degree, each term
+    ``multiply(a_i, b_(k-i))``: ``np.multiply`` (trailing axes broadcast) or
+    :func:`~quatcurves.quaternion.mul` for quaternion series."""
+    c = multiply(a[0], b)
     for i in range(1, len(a)):
-        c[i:] += a[i] * b[:-i]
-    return c
-
-
-def qproduct(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Cauchy product of two quaternion series, with the quaternion product."""
-    c = mul(x[0], y)
-    for i in range(1, len(x)):
-        c[i:] += mul(x[i], y[:-i])
+        c[i:] += multiply(a[i], b[:-i])
     return c
 
 

@@ -44,6 +44,11 @@ def constant_profile(K, r, k, n=9):
                             source="intrinsic")
 
 
+def varying_profile(K, r, m):
+    return CurvatureProfile(s=np.linspace(0.0, 1.0, len(K)), K=K, r=r, k=K - m,
+                            source="intrinsic")
+
+
 def worked_constants():
     # For the profile K=1, r=1, k=0 the constants (1, 2, 0, 1) satisfy all
     # four conditions directly.
@@ -242,6 +247,70 @@ class TestFitConstants:
         else:
             with pytest.raises(FitError, match=r"fail torsion_relation \(residual 1\.1\de-07"):
                 fit_constants(profile)
+
+    # The fit's own guards, each tripped and then missed by a decade; a profile
+    # that passes a guard goes on to the check, whose FitError names a condition.
+
+    @pytest.mark.parametrize("m, message", [
+        (1e-7, "no admissible b"),
+        (1e-5, r"fail mate_torsion_nonzero \(min_abs 0, tol 1e-09\)$"),
+    ], ids=["trips", "decade-over"])
+    def test_no_admissible_b(self, m, message):
+        # K = 1, r = 0, c = 0 give a = 1 and |a*r + b*(K-k)| = |b|*m for every
+        # candidate b (kappa = 1 leaves them unscaled): at most 2e-7 under the
+        # 1e-6 floor, or 1e-5 over it; (R4), (1-c^2)*K*r, is then 0.
+        with pytest.raises(FitError, match=message):
+            fit_constants(constant_profile(1.0, 0.0, 1.0 - m))
+
+    @pytest.mark.parametrize("wiggle, fits", [(5e-8, False), (5e-10, True)],
+                             ids=["trips", "decade-under"])
+    def test_c_override_needs_a_constant_profile(self, wiggle, fits):
+        # K = 1 -+ wiggle spreads 2*wiggle: 1e-7 is a varying profile, 1e-9 a
+        # constant one against the 1e-8*kappa spread.
+        profile = CurvatureProfile(s=np.linspace(0.0, 1.0, 9),
+                                   K=1.0 + wiggle * np.resize([1.0, -1.0], 9),
+                                   r=np.ones(9), k=np.zeros(9), source="intrinsic")
+        if fits:
+            consts = fit_constants(profile, c_override=0.5)
+            assert consts.c == 0.5 and check_conditions(profile, consts).verdict
+        else:
+            with pytest.raises(FitError, match="c_override is only supported"):
+                fit_constants(profile, c_override=0.5)
+
+    @pytest.mark.parametrize("case, message", [
+        ("r-constant", "a or b indistinguishable from zero"),
+        ("bitorsion-constant", "a or b indistinguishable from zero"),
+        ("decade-over", r"fail curvature_relation \(residual 0\.2"),
+    ])
+    def test_least_squares_u_floor(self, case, message):
+        # The solve u*K - v*r - w*(K-k) = 1 has an exact solution (u, v, w):
+        # (0, 1, 0) with r = -1, (0, 0, -1) with K - k = 1, and (u0, 0, -1) with
+        # K - k = 1 - u0*K, u0*kappa = 1e-11 over the 1e-12 floor.  Past the
+        # floor, v = 0 takes c = 0, a = 1/mean(K), b = 1, which miss (R2) by 0.2;
+        # so K - k = 1 trips this guard alone, where r = -1 would trip the a/b
+        # floor too.  The guard also keeps v / u from dividing by zero.
+        s = np.linspace(0.0, 1.0, 9)
+        K = 1.0 + 0.5 * s
+        if case == "r-constant":
+            profile = varying_profile(K, -np.ones(9), 0.5 + 0.3 * s * s)
+        else:
+            u0 = 0.0 if case == "bitorsion-constant" else 1e-11 / 1.5
+            profile = varying_profile(K, 0.3 * s * s, 1.0 - u0 * K)
+        with pytest.raises(FitError, match=message):
+            fit_constants(profile)
+
+    @pytest.mark.parametrize("w0, message", [
+        (0.0, "a or b indistinguishable from zero"),
+        (1e-11 / 0.15, r"fail torsion_relation \(residual 1\.25"),
+    ], ids=["trips", "decade-over"])
+    def test_fitted_b_floor(self, w0, message):
+        # r = 0.1*K - w0*(K-k) - 1 solves with (u, v, w) = (0.1, 1, w0): b = w*u/v
+        # is 0, or 1e-11 over the 1e-12 / kappa floor (kappa = 1.5); such a b
+        # leaves d = (c*K + r)/(K-k) far from constant.
+        s = np.linspace(0.0, 1.0, 9)
+        K, m = 1.0 + 0.5 * s, 0.5 + 0.3 * s * s
+        with pytest.raises(FitError, match=message):
+            fit_constants(varying_profile(K, 0.1 * K - w0 * m - 1.0, m))
 
 
 class TestConstructMate:

@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quatcurves.curves import (
+    CurveSpec,
     ParametricCurve,
     circle3,
     derivative,
@@ -17,6 +18,8 @@ from quatcurves.curves import (
 from quatcurves import series
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import (
+    PAIR_TOL,
+    _spatial_parameters,
     curvature_profile,
     frame3_at,
     frame4_from_pair,
@@ -30,6 +33,7 @@ from quatcurves.frames import (
 from quatcurves.quaternion import inner, mul
 
 from conftest import TORUS_K, TORUS_M, TORUS_R
+from test_cli import FAST_TORUS_DOC
 
 SQ2 = math.sqrt(0.5)
 
@@ -240,6 +244,35 @@ class TestFrame4Pair:
         n = n / np.linalg.norm(n)
         b = mul(t, n)
         assert orthonormality_residual([T, mul(b, T), mul(n, T), mul(t, T)]) <= 1e-14
+
+    @pytest.mark.parametrize("speed", [1, 2], ids=["torus", "fast-torus"])
+    def test_type2_torsion_and_bitorsion_are_the_spatial_curvatures(self, torus, helix_assoc,
+                                                                     speed):
+        # The Type 2 frame's Frenet equations: torsion -r and bitorsion K - k
+        # of the spatial curve at the matched parameters sigma, bit for bit.
+        curve = torus if speed == 1 else CurveSpec.from_dict(FAST_TORUS_DOC).build()
+        s = np.linspace(0.05, curve.domain[1] - 0.05, 31)
+        f3 = frames3(helix_assoc, _spatial_parameters(curve, helix_assoc, s))
+        f = frames4(curve, s, helix_assoc)
+        assert np.array_equal(f.torsion, -f3.r)
+        assert np.array_equal(f.bitorsion, f.K - f3.k)
+
+    def test_nearly_associated_pair_still_frames(self, torus):
+        # The associated helix with its drift nudged by 1e-6 of itself: b*T
+        # departs from the principal normal by about 3e-7, inside PAIR_TOL.
+        # Its frame keeps -r and K - k, which no longer see that departure,
+        # and still satisfies the frame ODE.
+        amp, zeros = -1.64 / (3.0 * TORUS_K), [0.0] * 4
+        nudged = fourier_curve([zeros, [0.0, 0.0, 0.0, amp], zeros],
+                               [zeros, zeros, [0.0, 0.0, 0.0, amp]],
+                               linear=[-0.48 / TORUS_K * (1.0 + 1e-6), 0.0, 0.0])
+        grid = np.linspace(0.3, 5.8, 23)
+        T, n1 = frames4(torus, grid).vectors()[:2]
+        f3, f = frames3(nudged, grid), frames4(torus, grid, nudged)
+        departure = np.max(np.linalg.norm(n1 - mul(f3.b, T), axis=1))
+        assert 1e-8 < departure < PAIR_TOL
+        assert np.array_equal(f.torsion, -f3.r) and np.array_equal(f.bitorsion, f.K - f3.k)
+        assert frame_ode_residual(torus, grid, nudged).max_residual < 1e-4
 
     def test_unrelated_pair_is_not_associated(self, torus):
         # b*T of the helix's frames is not the torus's principal normal.
