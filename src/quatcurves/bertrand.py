@@ -308,7 +308,7 @@ def fit_constants(
         solution, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
         u, v, w = (float(x) for x in solution)
         if abs(u) * kappa <= 1e-12:
-            raise FitError("a or b indistinguishable from zero")
+            raise FitError("least-squares fit: a indistinguishable from zero")
         if abs(v) * kappa > 1e-10:
             c = v / u
             a = u
@@ -343,12 +343,11 @@ ROW_BLOCK = 1 << 15
 # The mate's Taylor series have degree 4, the oracle's highest order.  N3
 # follows from the third derivative of the base curve, so its series of
 # degree 4 reads the base curve's jet up to order 7.  The spatial curve of a
-# pair enters through its first two derivatives along the base parameter,
-# so through its series of degree 6.
+# pair enters only through its unit tangent t in N3 = t*T, so through the
+# series of degree 4 of its velocity: its jet of orders 1-5.
 _DEGREE = 4
 _JET_ORDERS = tuple(range(_DEGREE + 4))
-_SPATIAL_DEGREE = _DEGREE + 2
-_SPATIAL_ORDERS = tuple(range(_SPATIAL_DEGREE + 1))
+_SPATIAL_ORDERS = tuple(range(1, _DEGREE + 2))
 
 
 def _mate_point(x: np.ndarray, n1: np.ndarray, n3: np.ndarray, a: float, b: float):
@@ -359,15 +358,16 @@ def _mate_point(x: np.ndarray, n1: np.ndarray, n3: np.ndarray, a: float, b: floa
 def _read_jet(alpha4: ParametricCurve, s: np.ndarray, alpha3: Optional[ParametricCurve]):
     """The jet of ``alpha4`` of orders 0-7 on ``s``, its frames from the rows and
     arithmetic of :func:`~quatcurves.frames.frames4`, and for a pair the jet of
-    ``alpha3`` of orders 0-6 at the matching parameters and whether the two
-    curves share their parameter (None without a pair)."""
+    ``alpha3`` of orders 1-5 at the matching parameters (its first three rows
+    give the spatial frames) and whether the two curves share their parameter
+    (None without a pair)."""
     _require_r4(alpha4)
     jet = alpha4.jet(s, _JET_ORDERS)
     if alpha3 is None:
         return jet, _intrinsic_frames(*jet[1:5]), None
     sigma = _spatial_parameters(alpha4, alpha3, s)
     spatial = alpha3.jet(sigma, _SPATIAL_ORDERS)
-    f3 = frames3(alpha3, sigma, spatial[1:4])
+    f3 = frames3(alpha3, sigma, spatial[:3])
     shared = alpha4.is_unit_speed and alpha3.is_unit_speed
     return jet, _pair_frames(jet[1], jet[2], f3), (spatial, shared)
 
@@ -383,50 +383,42 @@ def _gram_schmidt(derivs):
     return units
 
 
-def _spatial_offsets(x: np.ndarray, g: np.ndarray, shared: bool) -> np.ndarray:
-    """Series of ``sigma(s + t) - sigma(s)`` for the parameter ``sigma`` of the spatial
-    curve (jet ``g`` at ``sigma(s)``) that matches arc lengths with the base curve (jet
-    ``x``).  A shared parameter gives ``t``; otherwise
-    ``sigma' = |alpha'(s)| / |gamma'(sigma)|`` is solved coefficient by coefficient
-    (the Taylor-series ODE method)."""
-    delta = np.zeros((_SPATIAL_DEGREE + 1,) + x.shape[1:-1])
+def _spatial_velocity(x: np.ndarray, g: np.ndarray, shared: bool) -> np.ndarray:
+    """Series of ``gamma'(sigma(s + t))`` from the jet ``g`` of orders 1-5 of the
+    spatial curve at ``sigma(s)``, for the parameter ``sigma`` that matches arc
+    lengths with the base curve (jet ``x``).  A shared parameter gives
+    ``sigma(s + t) = s + t``; otherwise ``sigma' = |alpha'(s)| / |gamma'(sigma)|`` is
+    solved coefficient by coefficient (the Taylor-series ODE method)."""
+    tangent = series.taylor(g, 0, _DEGREE)
     if shared:
-        delta[1] = 1.0
-        return delta
-    speed2 = series.inner(*(2 * [series.taylor(x, 1, _SPATIAL_DEGREE - 1)]))
+        return tangent
+    speed2 = series.inner(*(2 * [series.taylor(x, 1, _DEGREE - 1)]))
     speed = series.product(speed2, series.rsqrt(speed2))
-    tangent = series.taylor(g, 1, _SPATIAL_DEGREE - 1)
-    for k in range(_SPATIAL_DEGREE):
+    delta = np.zeros((_DEGREE + 1,) + x.shape[1:-1])
+    for k in range(_DEGREE):
         v = series.compose(tangent[:k + 1], delta[:k + 1])
         rate = series.product(speed[:k + 1], series.rsqrt(series.inner(v, v)))
         delta[k + 1] = rate[k] / (k + 1)
-    return delta
+    return series.compose(tangent, delta)
 
 
 def _mate_block(x: np.ndarray, a: float, b: float, pair) -> np.ndarray:
     """Taylor coefficients 0-4 of ``alpha + a*N1 + b*N3`` from the jet rows ``x``."""
     d1, d2 = series.taylor(x, 1, _DEGREE), series.taylor(x, 2, _DEGREE)
+    T, N1 = _gram_schmidt([d1, d2])
     if pair is None:
         # N3 is orthogonal to d1, d2, d3, and det[d1 d2 d3 N3] has the sign of
         # det[T N1 -N2 N3] = -1 (the Gram-Schmidt pass is triangular with a
         # positive diagonal), so it is minus their normalized cross product.
         # Each series is first scaled per row by 2**-e, e the binary exponent of its
         # largest degree-0 component: exactly, and the trilinear cross stays in range.
-        T, N1 = _gram_schmidt([d1, d2])
         N3 = -series.unit(series.cross(*(
             np.ldexp(d, -np.frexp(np.abs(d[0]).max(axis=-1))[1][..., None])
             for d in (d1, d2, series.taylor(x, 3, _DEGREE)))))
     else:
-        # The spatial curve along the base parameter, gamma(sigma(s + t)),
-        # gives t and n; then N1 = b*T and N3 = t*T with b = t*n.
-        g, shared = pair
-        gamma = series.compose(series.taylor(g, 0, _SPATIAL_DEGREE),
-                               _spatial_offsets(x, g, shared))
-        velocity = series.derivative(gamma)
-        t, n = _gram_schmidt([velocity[:_DEGREE + 1], series.derivative(velocity)])
-        T = series.unit(d1)
-        N1 = series.product(series.product(t, n, mul), T, mul)
-        N3 = series.product(t, T, mul)
+        # The Type 2 frame's N3 = t*T, t the spatial unit tangent along the base
+        # parameter; on an associated pair its N1 = b*T is the principal normal.
+        N3 = series.product(series.unit(_spatial_velocity(x, *pair)), T, mul)
     return _mate_point(series.taylor(x, 0, _DEGREE), N1, N3, a, b)
 
 

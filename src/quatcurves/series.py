@@ -15,8 +15,7 @@ import math
 
 import numpy as np
 
-__all__ = ["taylor", "product", "inner", "rsqrt", "unit", "compose", "cross",
-           "jet", "derivative"]
+__all__ = ["taylor", "product", "inner", "rsqrt", "unit", "compose", "cross", "jet"]
 
 
 # k! for the degrees a jet of orders 0-7 gives.
@@ -96,8 +95,3 @@ def cross(a: np.ndarray, b: np.ndarray, c: np.ndarray, multiply=product) -> np.n
 def jet(x: np.ndarray) -> np.ndarray:
     """The jet rows of a series, the inverse of ``taylor(jet, 0, degree)``: row k is k! x_k."""
     return x * _FACTORIALS[:len(x)].reshape((-1,) + (1,) * (x.ndim - 1))
-
-
-def derivative(x: np.ndarray) -> np.ndarray:
-    """Series of the derivative, one degree lower: coefficient k is ``(k + 1) x_(k+1)``."""
-    return x[1:] * np.arange(1, len(x)).reshape((-1,) + (1,) * (x.ndim - 1))

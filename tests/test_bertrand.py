@@ -278,8 +278,8 @@ class TestFitConstants:
                 fit_constants(profile, c_override=0.5)
 
     @pytest.mark.parametrize("case, message", [
-        ("r-constant", "a or b indistinguishable from zero"),
-        ("bitorsion-constant", "a or b indistinguishable from zero"),
+        ("r-constant", "least-squares fit: a indistinguishable from zero"),
+        ("bitorsion-constant", "least-squares fit: a indistinguishable from zero"),
         ("decade-over", r"fail curvature_relation \(residual 0\.2"),
     ])
     def test_least_squares_u_floor(self, case, message):

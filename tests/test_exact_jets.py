@@ -7,6 +7,8 @@ tests below hold the paper's statements to 1e-10 and finer: a mate along
 N1 alone is never a Bertrand mate of a curve with nonzero torsion and
 bitorsion, and every admissible flat torus has its (1,3) mate, in any
 speed of its parameter and for every member of its admissible family.
+The planar pair, whose zero torsion only the Type 2 frame reads, has its
+mates too, and there the K/k-only closed forms meet a curve.
 """
 
 import math
@@ -18,10 +20,11 @@ from hypothesis import strategies as st
 
 from conftest import TORUS_K
 from quatcurves import bertrand
-from quatcurves.bertrand import construct_mate, fit_constants, verify_mate
-from quatcurves.curves import FD_STEP, CurveSpec, _fd_derivative, torus_curve
-from quatcurves.errors import FitError
-from quatcurves.frames import curvature_profile, frames4
+from quatcurves.bertrand import BertrandConstants, construct_mate, fit_constants, verify_mate
+from quatcurves.curves import (FD_STEP, CurveSpec, _fd_derivative, circle3, fourier_curve,
+                               torus_curve)
+from quatcurves.errors import DegeneracyError, FitError
+from quatcurves.frames import _derivative_frame, curvature_profile, frames4
 from quatcurves.quaternion import inner, norm
 from test_cli import FAST_TORUS_DOC, TORUS_DOC
 
@@ -214,3 +217,75 @@ def test_admissible_family_members_have_exact_mates(torus, helix_assoc, name, b,
     report = verify_mate(curve, consts, grid, alpha3=curve3)
     assert report.verdict, report.to_json_dict()
     assert report.curvature_deviation <= 1e-10 and report.span_residual <= 1e-10
+
+
+# -- the planar pair, which only the Type 2 frame reaches ---------------------------
+
+# The unit circle in the e1-e2 plane of R^4 with the circle of radius 2 in the
+# same plane: K = 1, torsion -r = 0 and bitorsion K - k = 1/2.  The intrinsic
+# frame has no torsion to read, so only the pair path frames and verifies it.
+PLANAR = fourier_curve([[0.0], [0.0, 1.0], [0.0], [0.0]], [[0.0], [0.0], [0.0, 1.0], [0.0]])
+PLANAR_SPATIAL = {"arclength": circle3(2.0), "angle": circle3(2.0, "angle")}
+# Members with c != 0: a*K - c*b*(K - k) = 1 and c*K = d*(K - k).
+PLANAR_CONSTANTS = [(1.5, 1.0, 1.0, 2.0), (1.5, 2.0, 0.5, 1.0), (0.5, 1.0, -1.0, -2.0)]
+
+
+@pytest.mark.parametrize("mode", PLANAR_SPATIAL)
+def test_planar_pair_frames_where_the_intrinsic_frame_cannot(mode):
+    grid = np.linspace(*PLANAR.domain, 41)
+    with pytest.raises(DegeneracyError, match="zero torsion"):
+        frames4(PLANAR, grid)
+    f = frames4(PLANAR, grid, PLANAR_SPATIAL[mode])
+    assert np.allclose(f.K, 1.0, rtol=0.0, atol=1e-14)
+    assert np.max(np.abs(f.torsion)) <= 1e-14
+    assert np.allclose(f.bitorsion, 0.5, rtol=0.0, atol=1e-14)
+    # c = 0 gives (R4) = K*r = 0: no fitted member is a mate.
+    with pytest.raises(FitError, match="mate_torsion_nonzero"):
+        fit_constants(curvature_profile(PLANAR, grid, curve3=PLANAR_SPATIAL[mode]))
+
+
+@pytest.mark.parametrize("n", [21, 41, 501])
+@pytest.mark.parametrize("mode", PLANAR_SPATIAL)
+@pytest.mark.parametrize("consts", PLANAR_CONSTANTS)
+def test_planar_pair_has_exact_mates(mode, n, consts):
+    grid = np.linspace(*PLANAR.domain, n)
+    report = verify_mate(PLANAR, BertrandConstants(*consts), grid,
+                         alpha3=PLANAR_SPATIAL[mode])
+    assert report.verdict, report.to_json_dict()
+    assert report.curvature_deviation <= 1e-10
+
+
+@pytest.mark.parametrize("mode", PLANAR_SPATIAL)
+@pytest.mark.parametrize("consts", PLANAR_CONSTANTS)
+def test_kk_forms_match_the_oracle_on_the_planar_pair(mode, consts):
+    # The K/k-only forms need c != 0, which no torus fit gives: here they meet
+    # the curvatures read from the mate's exact jet.
+    consts = BertrandConstants(*consts)
+    grid = np.linspace(*PLANAR.domain, 41)
+    curve3 = PLANAR_SPATIAL[mode]
+    profile = curvature_profile(PLANAR, grid, curve3=curve3)
+    _, rho = _derivative_frame(construct_mate(PLANAR, consts, curve3).jet(grid, (1, 2, 3, 4)))
+    oracle = np.array([rho[1] / rho[0] ** 2, rho[2] / (rho[0] * rho[1]),
+                       rho[3] / (rho[0] * rho[2])])
+    for forms in (bertrand.mate_curvatures_Kk_form(profile.K, profile.k, consts),
+                  bertrand.mate_curvatures_closed_form(profile.K, profile.r, profile.k, consts)):
+        assert np.max(np.abs(np.abs(forms) - oracle)) <= 1e-12
+    # The mate's spatial curvature kbar, from its bitorsion Kbar - kbar.
+    kbar_spatial = bertrand.mate_spatial_curvatures(profile.K, profile.k, consts)[0]
+    assert np.max(np.abs(np.abs(kbar_spatial) - np.abs(oracle[0] - oracle[2]))) <= 1e-12
+
+
+# -- the two N3 series where both exist ------------------------------------------------
+
+@pytest.mark.parametrize("spatial", ["shared", "harmonic-1", "harmonic-6"])
+@pytest.mark.parametrize("ab", [(0.3, -0.2), (1.0 / TORUS_K, 1.0)], ids=["small", "unit-b"])
+def test_pair_and_intrinsic_mate_jets_agree(torus, helix_assoc, spatial, ab):
+    # On the torus with its associated helix the Type 2 N3 = t*T is the
+    # intrinsic N3 (only N2 flips), so both mates carry one jet.
+    helix = helix_assoc if spatial == "shared" else helix_at(int(spatial[-1]))
+    lo, hi = torus.domain
+    grid = np.linspace(lo + 0.05, hi - 0.05, 41)
+    pair = construct_mate(torus, ab, helix).jet(grid, (0, 1, 2, 3, 4))
+    intrinsic = construct_mate(torus, ab).jet(grid, (0, 1, 2, 3, 4))
+    for k in range(5):
+        assert np.max(np.abs(pair[k] - intrinsic[k])) <= 1e-12 * np.max(np.abs(intrinsic[k])), k
