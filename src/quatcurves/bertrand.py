@@ -255,23 +255,23 @@ def check_conditions(
 
 # -- constant fitting ----------------------------------------------------------------
 
-_B_CANDIDATES = (1.0, -1.0, 2.0, -2.0)
-
-
 def fit_constants(
     profile: CurvatureProfile, c_override: Optional[float] = None
 ) -> BertrandConstants:
     """Fit the Bertrand constants (a, b, c, d) from curvature data.
 
     The curvature relation is linear in (u, v, w) = (a, c*a, c*b) and is
-    solved by least squares over the grid.  Constant profiles leave the
-    system underdetermined; the fitter then minimizes |c| (taking c = 0,
-    a = 1/K) unless ``c_override`` forces a value, and picks the first b
-    among +-1, +-2, then the same times ``2**-floor(log2 kappa)``, that is a
-    length over its floor and keeps the regularity condition alive.  The
-    fit's floors guard only the solve; :func:`check_conditions` at its
-    default ``tol`` judges the constants, and one :class:`FitError` names
-    every condition they fail, with its residual and tolerance.
+    solved by least squares over the grid.  A constant profile leaves it
+    underdetermined, and closed forms keep the nonzero conditions alive:
+    c = 0 where ``|K*r|`` clears the (R4) floor ``DEGENERACY_EPS * kappa**2``,
+    else c = +-1 with the sign of K - k (unless ``c_override`` forces c);
+    b = 1 (``2**-floor(log2 kappa)`` where ``kappa <= 1e-12``), negated where
+    c = 0 and r*(K-k) < 0; a = (1 + c*b*(K-k)) / (K - c*r).  So (R1) =
+    (r + b*K*(K-k)) / (K - c*r) cannot cancel: its terms share a sign where
+    c = 0, and r is under its floor where c = +-1.  The fit's floors guard
+    only the solve; :func:`check_conditions` at its default ``tol`` judges
+    the constants, and one :class:`FitError` names every condition they
+    fail, with its residual and tolerance.
     """
     if len(profile) < 3:
         raise FitError("profile too small: need at least 3 grid points")
@@ -285,21 +285,17 @@ def fit_constants(
 
     if constant_profile:
         K0, r0, m0 = float(K.mean()), float(r.mean()), float(m.mean())
-        c = 0.0 if c_override is None else float(c_override)
+        if c_override is None:
+            c = 0.0 if abs(K0 * r0) > DEGENERACY_EPS * kappa * kappa else math.copysign(1.0, m0)
+        else:
+            c = float(c_override)
         if abs(K0 - c * r0) <= 1e-12 * kappa:
             raise FitError("rank-deficient system: K - c*r vanishes")
-        b = None
-        # 2**-floor(log2 kappa), exactly: unit * kappa is in [1, 2).
-        unit = math.ldexp(1.0, 1 - math.frexp(kappa)[1])
-        for cand in _B_CANDIDATES + tuple(unit * x for x in _B_CANDIDATES):
-            a_try = (1.0 + c * cand * m0) / (K0 - c * r0)
-            if min(abs(a_try), abs(cand)) * kappa <= 1e-12:
-                continue
-            if abs(a_try * r0 + cand * m0) > 1e-6:
-                a, b = a_try, cand
-                break
-        if b is None:
-            raise FitError("sign flip of a*r + b*(K-k): no admissible b found")
+        # 2**-floor(log2 kappa), exactly: b * kappa is in [1, 2).
+        b = 1.0 if kappa > 1e-12 else math.ldexp(1.0, 1 - math.frexp(kappa)[1])
+        if c == 0.0 and r0 * m0 < 0.0:
+            b = -b
+        a = (1.0 + c * b * m0) / (K0 - c * r0)
     else:
         if c_override is not None:
             raise FitError("c_override is only supported for constant profiles")

@@ -517,15 +517,16 @@ def fourier_curve(
     ``cos_coeffs`` and ``sin_coeffs`` hold one coefficient list per
     coordinate (3 lists for a spatial curve, 4 for a curve in R^4); entry
     ``m`` of a list multiplies ``cos(m*u)`` / ``sin(m*u)``.  ``linear``
-    optionally adds ``linear[i] * u`` per coordinate.
+    optionally adds ``linear[i] * u`` per coordinate.  Each coefficient must
+    be a finite number (:func:`_number`; a ``TypeError`` names the list).
     """
-    cos_c = [list(map(float, row)) for row in cos_coeffs]
-    sin_c = [list(map(float, row)) for row in sin_coeffs]
+    cos_c = [[_number(x, "cos") for x in row] for row in cos_coeffs]
+    sin_c = [[_number(x, "sin") for x in row] for row in sin_coeffs]
+    lin = [] if linear is None else [_number(x, "linear") for x in linear]
     ncoords = len(cos_c)
     if ncoords != len(sin_c) or ncoords not in (3, 4):
         raise ValueError("fourier coefficients need 3 or 4 per-coordinate lists for cos and sin")
-    lin = [0.0] * ncoords if linear is None else list(map(float, linear))
-    if len(lin) != ncoords:
+    if linear is not None and len(lin) != ncoords:
         raise ValueError("linear coefficients must match the coordinate count")
     offset = 4 - ncoords
     # The nonzero terms of each coordinate, in coefficient order, cosines first.
@@ -583,10 +584,6 @@ class CurveSpec:
 
     def build(self) -> ParametricCurve:
         p = self.params
-
-        def numbers(values, name):
-            return [_number(x, name) for x in values]
-
         try:
             if self.family == "torus_curve":
                 kwargs = {name: _number(p[name], name) for name in ("A", "p", "B", "q")}
@@ -596,12 +593,8 @@ class CurveSpec:
             if self.family == "helix3":
                 return helix3(_number(p["a"], "a"), _number(p["h"], "h"), self.domain)
             coeffs = p["coeffs"]
-            # The coefficient lists first: a coeffs that is not an object fails here.
-            cos_coeffs = [numbers(row, "cos") for row in coeffs["cos"]]
-            sin_coeffs = [numbers(row, "sin") for row in coeffs["sin"]]
-            linear = coeffs.get("linear")
-            linear = None if linear is None else numbers(linear, "linear")
-            return fourier_curve(cos_coeffs, sin_coeffs, linear, self.domain)
+            # A coeffs that is not an object fails at coeffs["cos"].
+            return fourier_curve(coeffs["cos"], coeffs["sin"], coeffs.get("linear"), self.domain)
         except KeyError as exc:
             raise ValueError(f"curve spec for {self.family!r} is missing parameter {exc}") from exc
         except (TypeError, OverflowError, ZeroDivisionError) as exc:

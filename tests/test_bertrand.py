@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quatcurves import bertrand
 from quatcurves.bertrand import (
@@ -25,6 +27,7 @@ from quatcurves.bertrand import (
 from quatcurves.curves import ParametricCurve
 from quatcurves.errors import FitError
 from quatcurves.frames import (
+    DEGENERACY_EPS,
     CurvatureProfile,
     Frames4,
     curvature_profile,
@@ -251,16 +254,45 @@ class TestFitConstants:
     # The fit's own guards, each tripped and then missed by a decade; a profile
     # that passes a guard goes on to the check, whose FitError names a condition.
 
-    @pytest.mark.parametrize("m, message", [
-        (1e-7, "no admissible b"),
-        (1e-5, r"fail mate_torsion_nonzero \(min_abs 0, tol 1e-09\)$"),
-    ], ids=["trips", "decade-over"])
-    def test_no_admissible_b(self, m, message):
-        # K = 1, r = 0, c = 0 give a = 1 and |a*r + b*(K-k)| = |b|*m for every
-        # candidate b (kappa = 1 leaves them unscaled): at most 2e-7 under the
-        # 1e-6 floor, or 1e-5 over it; (R4), (1-c^2)*K*r, is then 0.
-        with pytest.raises(FitError, match=message):
-            fit_constants(constant_profile(1.0, 0.0, 1.0 - m))
+    @pytest.mark.parametrize("m", [1e-7, 1e-5])
+    def test_vanishing_torsion_fits_c_one(self, m):
+        # K = 1, r = 0: c = 0 would make (R4) = K*r vanish, so the fit takes c
+        # = +1, the sign of K - k, and (R4) = K^2 - m^2.  (R1) = b*K*m / K = m is
+        # then a decade and more over its 1e-9 floor, with a = 1 + m.
+        profile = constant_profile(1.0, 0.0, 1.0 - m)
+        consts = fit_constants(profile)
+        assert (consts.c, consts.b, consts.a) == (1.0, 1.0, 1.0 + profile.bitorsion[0])
+        assert check_conditions(profile, consts).verdict
+
+    @pytest.mark.parametrize("r, m, c, b", [
+        (1e-10, 0.5, 1.0, 1.0), (-1e-10, -0.5, -1.0, 1.0),
+        (1e-8, 0.5, 0.0, 1.0), (-1e-8, 0.5, 0.0, -1.0),
+    ], ids=["under-plus", "under-minus", "decade-over", "decade-over-mirrored"])
+    def test_c_reads_the_r4_floor(self, r, m, c, b):
+        # K = 1: |K*r| = 1e-10 is under the (R4) floor 1e-9, so c = +-1 with the
+        # sign of K - k; a decade over it, c = 0 and b takes the sign of r*(K-k).
+        profile = constant_profile(1.0, r, 1.0 - m)
+        consts = fit_constants(profile)
+        assert (consts.c, consts.b) == (c, b)
+        assert check_conditions(profile, consts).verdict
+
+    @settings(derandomize=True, deadline=None, max_examples=300, database=None)
+    @given(K=st.floats(0.1, 10.0),
+           r=st.one_of(st.just(0.0), st.floats(-5.0, 5.0)),
+           ratio=st.floats(1e-6, 5.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_closed_form_keeps_regularity(self, K, r, ratio, sign):
+        # (R1) = (r + b*K*(K-k)) / (K - c*r): with c = 0 the sign of b makes both
+        # terms share a sign, and c = +-1 is taken only where r = 0 here, so
+        # (R1) never falls under |b*(K-k)|*K / |K - c*r| by cancellation.
+        assume(r == 0.0 or abs(K * r) > DEGENERACY_EPS * K * K)
+        assume(r != 0.0 or abs(1.0 - ratio) > 1e-8)  # (R4) = +-(K^2 - (K-k)^2)
+        profile = constant_profile(K, r, K - sign * ratio * K)
+        consts = fit_constants(profile)
+        m = float(profile.bitorsion[0])
+        bound = abs(consts.b * m) * K / abs(K - consts.c * r)
+        assert abs(consts.a * r + consts.b * m) >= bound * (1.0 - 1e-12)
+        assert check_conditions(profile, consts).verdict
 
     @pytest.mark.parametrize("wiggle, fits", [(5e-8, False), (5e-10, True)],
                              ids=["trips", "decade-under"])

@@ -287,6 +287,12 @@ class TestCurveSpec:
         assert str(info.value) == ("curve spec for 'fourier' has a malformed parameter: "
                                    f"{where} must be a finite number, not {quoted}")
 
+    @pytest.mark.parametrize("bad", [True, "1.5", math.inf], ids=["bool", "string", "inf"])
+    def test_fourier_curve_takes_only_finite_numbers(self, bad):
+        # The Python entry checks each coefficient as a spec file's are, once.
+        with pytest.raises(TypeError, match="cos must be a finite number"):
+            fourier_curve([[0.0, bad], [0.0], [0.5]], [[0.0], [0.0, 1.0], [0.0]])
+
     @pytest.mark.parametrize("doc, message", [
         ({"family": "torus_curve", "params": {"A": 1e-80, "p": 1e80, "B": 0.0, "q": 1.0},
           "domain": [0, 1]}, "(34, 'Numerical result out of range')"),

@@ -11,6 +11,7 @@ The planar pair, whose zero torsion only the Type 2 frame reads, has its
 mates too, and there the K/k-only closed forms meet a curve.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -20,10 +21,11 @@ from hypothesis import strategies as st
 
 from conftest import TORUS_K
 from quatcurves import bertrand
-from quatcurves.bertrand import BertrandConstants, construct_mate, fit_constants, verify_mate
+from quatcurves.bertrand import (BertrandConstants, check_conditions, construct_mate,
+                                 fit_constants, verify_mate)
 from quatcurves.curves import (FD_STEP, CurveSpec, _fd_derivative, circle3, fourier_curve,
                                torus_curve)
-from quatcurves.errors import DegeneracyError, FitError
+from quatcurves.errors import DegeneracyError
 from quatcurves.frames import _derivative_frame, curvature_profile, frames4
 from quatcurves.quaternion import inner, norm
 from test_cli import FAST_TORUS_DOC, TORUS_DOC
@@ -199,24 +201,47 @@ def test_pairs_with_a_non_unit_speed_helix(torus_speed, harmonic):
 
 @settings(derandomize=True, deadline=None, max_examples=80, database=None)
 @given(name=st.sampled_from(["intrinsic", "pair"]),
-       b=st.sampled_from(bertrand._B_CANDIDATES),
+       b=st.sampled_from([1.0, -1.0, 2.0, -2.0]),
        c=st.floats(-10.0, 10.0, allow_nan=False))
 def test_admissible_family_members_have_exact_mates(torus, helix_assoc, name, b, c):
     # A constant profile admits a mate for every c and nonzero b that keep the
-    # nonzero conditions; the fitter returns c = 0 and the first b.  Here
-    # c_override picks c, and b is the only candidate the fitter may take.
+    # nonzero conditions: (R2) gives a, (R3) gives d, and epsilon and delta are
+    # the signs of (R1) and K - k.  The fitter returns one member; here each
+    # (b, c) drawn builds its own.
     curve, curve3, grid, _ = case(name, torus, helix_assoc)
     profile = curvature_profile(curve, grid, curve3=curve3)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(bertrand, "_B_CANDIDATES", (b,))
-        try:
-            consts = fit_constants(profile, c_override=c)
-        except FitError:
-            assume(False)  # c sits on a singular member: a = 0, or a nonzero condition fails
-    assert (consts.b, consts.c) == (b, c)
+    K, r, m = (float(x.mean()) for x in (profile.K, profile.r, profile.bitorsion))
+    assume(K - c * r != 0.0)
+    a = (1.0 + c * b * m) / (K - c * r)
+    assume(a != 0.0)
+    consts = BertrandConstants(a, b, c, (c * K + r) / m, 1 if a * r + b * m >= 0.0 else -1,
+                               1 if m > 0.0 else -1)
+    assume(check_conditions(profile, consts).verdict)  # c sits on a singular member
     report = verify_mate(curve, consts, grid, alpha3=curve3)
     assert report.verdict, report.to_json_dict()
     assert report.curvature_deviation <= 1e-10 and report.span_residual <= 1e-10
+
+
+@pytest.mark.parametrize("n", [21, 41, 501])
+@pytest.mark.parametrize("pq, ap", [((1, 2), 0.6), ((2, 3), 0.8), ((1, 3), 0.8), ((3, 2), 0.5)],
+                         ids=["1-2", "2-3", "1-3", "3-2"])
+def test_mirror_image_fits_the_mirrored_constants(pq, ap, n):
+    # x4 -> -x4 keeps K and r and flips K - k: the fit's b follows the sign of
+    # r*(K - k), so the mirror fits (a, -b, c, -d) with epsilon kept and delta
+    # flipped, and its mate is the mirror of the mate.
+    (p, q), flip = pq, np.array([1.0, 1.0, 1.0, -1.0])
+    A, B = ap / p, math.sqrt(1.0 - ap * ap) / q
+    grid = np.linspace(0.0, 2.0 * math.pi, n)
+    fits = [(curve, fit_constants(curvature_profile(curve, grid)))
+            for curve in (torus_curve(A, p, B, q), torus_curve(A, p, B, -q))]
+    (torus, consts), (mirror, mirrored) = fits
+    assert (mirrored.b, mirrored.c, mirrored.epsilon, mirrored.delta) == (
+        -consts.b, consts.c, consts.epsilon, -consts.delta)
+    assert mirrored.a == pytest.approx(consts.a, rel=1e-15, abs=0.0)
+    assert mirrored.d == pytest.approx(-consts.d, rel=1e-15, abs=0.0)
+    mate_points = construct_mate(torus, consts).points(grid)
+    assert np.max(np.abs(construct_mate(mirror, mirrored).points(grid) - flip * mate_points)
+                  ) <= 1e-13
 
 
 # -- the planar pair, which only the Type 2 frame reaches ---------------------------
@@ -230,18 +255,34 @@ PLANAR_SPATIAL = {"arclength": circle3(2.0), "angle": circle3(2.0, "angle")}
 PLANAR_CONSTANTS = [(1.5, 1.0, 1.0, 2.0), (1.5, 2.0, 0.5, 1.0), (0.5, 1.0, -1.0, -2.0)]
 
 
-@pytest.mark.parametrize("mode", PLANAR_SPATIAL)
+# The fit of each planar pair: the spatial circle, the end of the grid (the
+# circle of radius 2/3 is shorter than the unit circle), and the fitted
+# (a, b, c, d, epsilon, delta).  With r = 0 the fit takes c = +-1, the sign of
+# K - k: 1/2 with radius 2, -1/2 with radius 2/3.
+PLANAR_FITS = {
+    "arclength": (circle3(2.0), 2.0 * math.pi, (1.5, 1.0, 1.0, 2.0, 1, 1)),
+    "angle": (circle3(2.0, "angle"), 2.0 * math.pi, (1.5, 1.0, 1.0, 2.0, 1, 1)),
+    "radius-2/3": (circle3(2.0 / 3.0), 0.99 * 2.0 * math.pi * 2.0 / 3.0,
+                   (1.5, 1.0, -1.0, 2.0, -1, -1)),
+}
+
+
+@pytest.mark.parametrize("mode", PLANAR_FITS)
 def test_planar_pair_frames_where_the_intrinsic_frame_cannot(mode):
-    grid = np.linspace(*PLANAR.domain, 41)
+    curve3, end, fitted = PLANAR_FITS[mode]
+    grid = np.linspace(0.0, end, 41)
     with pytest.raises(DegeneracyError, match="zero torsion"):
         frames4(PLANAR, grid)
-    f = frames4(PLANAR, grid, PLANAR_SPATIAL[mode])
+    f = frames4(PLANAR, grid, curve3)
     assert np.allclose(f.K, 1.0, rtol=0.0, atol=1e-14)
     assert np.max(np.abs(f.torsion)) <= 1e-14
-    assert np.allclose(f.bitorsion, 0.5, rtol=0.0, atol=1e-14)
-    # c = 0 gives (R4) = K*r = 0: no fitted member is a mate.
-    with pytest.raises(FitError, match="mate_torsion_nonzero"):
-        fit_constants(curvature_profile(PLANAR, grid, curve3=PLANAR_SPATIAL[mode]))
+    assert np.allclose(f.bitorsion, 0.5 * fitted[5], rtol=0.0, atol=1e-14)
+    # c = 0 would give (R4) = K*r = 0; c = +-1 gives (R4) = c*(K^2 - (K - k)^2).
+    consts = fit_constants(curvature_profile(PLANAR, grid, curve3=curve3))
+    assert dataclasses.astuple(consts) == pytest.approx(fitted, rel=0.0, abs=1e-13)
+    report = verify_mate(PLANAR, consts, grid, alpha3=curve3)
+    assert report.verdict, report.to_json_dict()
+    assert report.curvature_deviation <= 1e-10
 
 
 @pytest.mark.parametrize("n", [21, 41, 501])

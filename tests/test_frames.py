@@ -257,22 +257,30 @@ class TestFrame4Pair:
         assert np.array_equal(f.torsion, -f3.r)
         assert np.array_equal(f.bitorsion, f.K - f3.k)
 
-    def test_nearly_associated_pair_still_frames(self, torus):
+    @pytest.mark.parametrize("nudge", [1e-6, 1e-5])
+    def test_nearly_associated_pair_still_frames(self, torus, nudge):
         # The associated helix with its drift nudged by 1e-6 of itself: b*T
-        # departs from the principal normal by about 3e-7, inside PAIR_TOL.
+        # departs from the principal normal by about 2.7e-7, inside PAIR_TOL.
         # Its frame keeps -r and K - k, which no longer see that departure,
-        # and still satisfies the frame ODE.
+        # and still satisfies the frame ODE.  Nudged by 1e-5, it departs by
+        # about 2.7e-6, a decade past the first and over PAIR_TOL.
         amp, zeros = -1.64 / (3.0 * TORUS_K), [0.0] * 4
         nudged = fourier_curve([zeros, [0.0, 0.0, 0.0, amp], zeros],
                                [zeros, zeros, [0.0, 0.0, 0.0, amp]],
-                               linear=[-0.48 / TORUS_K * (1.0 + 1e-6), 0.0, 0.0])
+                               linear=[-0.48 / TORUS_K * (1.0 + nudge), 0.0, 0.0])
         grid = np.linspace(0.3, 5.8, 23)
         T, n1 = frames4(torus, grid).vectors()[:2]
-        f3, f = frames3(nudged, grid), frames4(torus, grid, nudged)
+        f3 = frames3(nudged, grid)
         departure = np.max(np.linalg.norm(n1 - mul(f3.b, T), axis=1))
-        assert 1e-8 < departure < PAIR_TOL
-        assert np.array_equal(f.torsion, -f3.r) and np.array_equal(f.bitorsion, f.K - f3.k)
-        assert frame_ode_residual(torus, grid, nudged).max_residual < 1e-4
+        if nudge > 1e-6:
+            assert PAIR_TOL < departure < 1e2 * PAIR_TOL
+            with pytest.raises(DegeneracyError, match="not associated"):
+                frames4(torus, grid, nudged)
+        else:
+            assert 1e-8 < departure < PAIR_TOL
+            f = frames4(torus, grid, nudged)
+            assert np.array_equal(f.torsion, -f3.r) and np.array_equal(f.bitorsion, f.K - f3.k)
+            assert frame_ode_residual(torus, grid, nudged).max_residual < 1e-4
 
     def test_unrelated_pair_is_not_associated(self, torus):
         # b*T of the helix's frames is not the torus's principal normal.
