@@ -255,23 +255,23 @@ def check_conditions(
 
 # -- constant fitting ----------------------------------------------------------------
 
-def fit_constants(
-    profile: CurvatureProfile, c_override: Optional[float] = None
-) -> BertrandConstants:
+def fit_constants(profile: CurvatureProfile) -> BertrandConstants:
     """Fit the Bertrand constants (a, b, c, d) from curvature data.
 
-    The curvature relation is linear in (u, v, w) = (a, c*a, c*b) and is
-    solved by least squares over the grid.  A constant profile leaves it
-    underdetermined, and closed forms keep the nonzero conditions alive:
-    c = 0 where ``|K*r|`` clears the (R4) floor ``DEGENERACY_EPS * kappa**2``,
-    else c = +-1 with the sign of K - k (unless ``c_override`` forces c);
-    b = 1 (``2**-floor(log2 kappa)`` where ``kappa <= 1e-12``), negated where
-    c = 0 and r*(K-k) < 0; a = (1 + c*b*(K-k)) / (K - c*r).  So (R1) =
+    (R2) and (R3) are affine in (K, r, K-k), so a Bertrand curve's triples
+    lie on a line.  A varying profile needs three triples ``1e-8 * kappa``
+    apart, as two fit any constants: (R3), ``[-K, K-k] . (c, d) = r``, gives
+    c by least squares and, where ``|c| > 1e-10``, (R2),
+    ``[K - c*r, -(K-k)] . (a, c*b) = 1`` gives a and b; else c = 0.  A
+    constant profile takes c = 0 where ``|K*r|`` clears the (R4) floor
+    ``DEGENERACY_EPS * kappa**2``, else c = +-1 with the sign of K - k.
+    Closed forms on the means then keep the nonzero conditions alive: b = 1
+    (``2**-floor(log2 kappa)`` where ``kappa <= 1e-12``), negated where c = 0
+    and r*(K-k) < 0; a = (1 + c*b*(K-k)) / (K - c*r).  So (R1) =
     (r + b*K*(K-k)) / (K - c*r) cannot cancel: its terms share a sign where
     c = 0, and r is under its floor where c = +-1.  The fit's floors guard
-    only the solve; :func:`check_conditions` at its default ``tol`` judges
-    the constants, and one :class:`FitError` names every condition they
-    fail, with its residual and tolerance.
+    only the solve; :func:`check_conditions` judges the constants, and one
+    :class:`FitError` names every condition they fail.
     """
     if len(profile) < 3:
         raise FitError("profile too small: need at least 3 grid points")
@@ -280,15 +280,24 @@ def fit_constants(
     if np.min(np.abs(m)) <= DEGENERACY_EPS * kappa:
         raise FitError("bitorsion K-k vanishes on the grid")
 
-    spread = max(float(np.ptp(K)), float(np.ptp(r)), float(np.ptp(m)))
-    constant_profile = spread <= 1e-8 * kappa
+    triples, spread = np.column_stack([K, r, m]), 1e-8 * kappa
+    varying = float(np.max(np.ptp(triples, axis=0))) > spread
+    K0, r0, m0 = float(K.mean()), float(r.mean()), float(m.mean())
+    if varying:
+        # A triple past the spread from triple 0 and from the first triple past it.
+        far = np.max(np.abs(triples - triples[0]), axis=1) > spread
+        if not np.any(far & (np.max(np.abs(triples - triples[np.argmax(far)]), axis=1) > spread)):
+            raise FitError("varying profile holds fewer than three distinct (K, r, K-k) triples")
+        c = float(np.linalg.lstsq(np.column_stack([-K, m]), r, rcond=None)[0][0])
+        c = c if abs(c) > 1e-10 else 0.0
+    else:
+        c = 0.0 if abs(K0 * r0) > DEGENERACY_EPS * kappa * kappa else math.copysign(1.0, m0)
 
-    if constant_profile:
-        K0, r0, m0 = float(K.mean()), float(r.mean()), float(m.mean())
-        if c_override is None:
-            c = 0.0 if abs(K0 * r0) > DEGENERACY_EPS * kappa * kappa else math.copysign(1.0, m0)
-        else:
-            c = float(c_override)
+    if varying and c != 0.0:
+        design = np.column_stack([K - c * r, -m])
+        a, cb = (float(x) for x in np.linalg.lstsq(design, np.ones(len(profile)), rcond=None)[0])
+        b = cb / c
+    else:
         if abs(K0 - c * r0) <= 1e-12 * kappa:
             raise FitError("rank-deficient system: K - c*r vanishes")
         # 2**-floor(log2 kappa), exactly: b * kappa is in [1, 2).
@@ -296,21 +305,6 @@ def fit_constants(
         if c == 0.0 and r0 * m0 < 0.0:
             b = -b
         a = (1.0 + c * b * m0) / (K0 - c * r0)
-    else:
-        if c_override is not None:
-            raise FitError("c_override is only supported for constant profiles")
-        design = np.column_stack([K, -r, -m])
-        rhs = np.ones(len(profile))
-        solution, _, _, _ = np.linalg.lstsq(design, rhs, rcond=None)
-        u, v, w = (float(x) for x in solution)
-        if abs(u) * kappa <= 1e-12:
-            raise FitError("least-squares fit: a indistinguishable from zero")
-        if abs(v) * kappa > 1e-10:
-            c = v / u
-            a = u
-            b = w * u / v
-        else:
-            c, a, b = 0.0, 1.0 / float(K.mean()), 1.0
 
     if abs(a) * kappa <= 1e-12 or abs(b) * kappa <= 1e-12:
         raise FitError("a or b indistinguishable from zero")

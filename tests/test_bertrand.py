@@ -36,7 +36,7 @@ from quatcurves.frames import (
 )
 from quatcurves.quaternion import inner, mul
 
-from conftest import TORUS_K, TORUS_M, TORUS_R
+from conftest import TORUS_K, TORUS_M, TORUS_R, VARYING, bertrand_curvatures
 
 SQ2 = math.sqrt(2.0)
 
@@ -50,6 +50,13 @@ def constant_profile(K, r, k, n=9):
 def varying_profile(K, r, m):
     return CurvatureProfile(s=np.linspace(0.0, 1.0, len(K)), K=K, r=r, k=K - m,
                             source="intrinsic")
+
+
+def bertrand_profile(m, **consts):
+    """The profile on the line of the fixture's constants (or those given) with
+    bitorsion ``m = K - k``."""
+    K, r = bertrand_curvatures(m=m, **{**VARYING, **consts})
+    return varying_profile(K, r, m)
 
 
 def worked_constants():
@@ -174,25 +181,24 @@ class TestFitConstants:
         assert torus_constants.a == pytest.approx(1.0 / TORUS_K, rel=1e-12)
         assert torus_constants.d == pytest.approx(0.72, abs=1e-12)
 
-    def test_constant_profile_c_override(self):
-        profile = constant_profile(1.0, 1.0, 0.0)
-        consts = fit_constants(profile, c_override=0.5)
-        report = check_conditions(profile, consts, tol=1e-12)
-        assert report.verdict
-        assert consts.c == 0.5
-
-    def test_degenerate_c_override_rejected(self):
-        # c = 1 makes K - c*r vanish on this profile; the offset a is then
-        # unconstrained by the curvature relation.
-        with pytest.raises(FitError, match="K - c\\*r"):
-            fit_constants(constant_profile(1.0, 1.0, 0.0), c_override=1.0)
+    def test_varying_profile_is_fit_exactly(self):
+        # The triples of a varying profile lie on the line of its constants:
+        # (R3) gives c and (R2) a and c*b.
+        s = np.linspace(0.0, 1.0, 41)
+        for m in (1.0 + 0.4 * s, 1.0 + 0.3 * np.sin(3.0 * s)):
+            consts = fit_constants(bertrand_profile(m))
+            got = [consts.a, consts.b, consts.c, consts.d]
+            assert got == pytest.approx([VARYING[name] for name in "abcd"], rel=0.0, abs=1e-13)
 
     def test_non_constant_d_rejected(self):
+        # K = 1, K - k = 0.75 and r = s: no d is constant.  (R3) reads the
+        # least-squares c = -0.32, and (R2), a*(1 + 0.32*s) - 0.75*c*b = 1,
+        # then has the exact solution a = 0, under the length floor.
         n = 21
         s = np.linspace(0.0, 1.0, n)
         profile = CurvatureProfile(s=s, K=np.full(n, 1.0), r=s.copy(),
                                    k=np.full(n, 0.25), source="intrinsic")
-        with pytest.raises(FitError, match="torsion_relation"):
+        with pytest.raises(FitError, match="a or b indistinguishable from zero"):
             fit_constants(profile)
 
     def test_short_profile_rejected(self):
@@ -212,21 +218,20 @@ class TestFitConstants:
     @pytest.mark.parametrize("signs, fits", [((1.0, 1.0), True), ((1.0, -1.0), False)],
                              ids=["one-sign", "sign-flip"])
     def test_bitorsion_sign_is_judged_by_delta_sign(self, signs, fits):
-        # K = 1, r = m - 1 and c = 1 satisfy (R2) to 1.5*|m| and (R3) exactly;
-        # |K - k| = 3e-9 is over its floor (1e-9) and spreads at most 6e-9, so
-        # the profile is constant to the fitter even when K - k changes sign.
-        m = 3e-9 * np.resize(signs, 9)
-        profile = CurvatureProfile(s=np.linspace(0.0, 1.0, 9), K=np.ones(9), r=m - 1.0,
-                                   k=1.0 - m, source="intrinsic")
+        # The line of (a, b, c, d) = (0.8, 0.2, 0.5, 0.5) with |K - k| = 0.2 to
+        # 0.3: K = 1 + 0.3*m and r = 0.35*m - 0.5 keep (R2) and (R3) for either
+        # sign of m = K - k, and (R1) = 0.48*m - 0.4 stays negative.
+        m = (0.2 + 0.1 * np.linspace(0.0, 1.0, 10)) * np.resize(signs, 10)
+        profile = bertrand_profile(m, a=0.8, b=0.2, c=0.5, d=0.5)
         if fits:
-            assert check_conditions(profile, fit_constants(profile, c_override=1.0)).verdict
+            assert check_conditions(profile, fit_constants(profile)).verdict
         else:
             with pytest.raises(FitError, match=r"fail delta_sign \(residual 1, tol 0\)$"):
-                fit_constants(profile, c_override=1.0)
+                fit_constants(profile)
 
     def test_varying_K_with_c_zero_fails_curvature_relation(self):
-        # r = 0 leaves the least-squares fit no c, so it takes c = 0 and
-        # a = 1/mean(K); (R2) then misses by a*K - 1 = 0.2 at the ends (and
+        # r = 0 with K and K - k not proportional: (R3) reads c = 0, so the fit
+        # takes a = 1/mean(K); (R2) then misses by a*K - 1 = 0.2 at the ends (and
         # the (R4) term, K*r, vanishes).
         s = np.linspace(0.0, 1.0, 21)
         profile = CurvatureProfile(s=s, K=1.0 + 0.5 * s, r=np.zeros(21), k=0.5 * s - s * s,
@@ -296,53 +301,60 @@ class TestFitConstants:
 
     @pytest.mark.parametrize("wiggle, fits", [(5e-8, False), (5e-10, True)],
                              ids=["trips", "decade-under"])
-    def test_c_override_needs_a_constant_profile(self, wiggle, fits):
-        # K = 1 -+ wiggle spreads 2*wiggle: 1e-7 is a varying profile, 1e-9 a
-        # constant one against the 1e-8*kappa spread.
-        profile = CurvatureProfile(s=np.linspace(0.0, 1.0, 9),
-                                   K=1.0 + wiggle * np.resize([1.0, -1.0], 9),
-                                   r=np.ones(9), k=np.zeros(9), source="intrinsic")
+    def test_spread_threshold(self, wiggle, fits):
+        # K = 1 -+ wiggle, r = 1 and K - k = 1 spread 2*wiggle: 1e-9 is a
+        # constant profile against the 1e-8*kappa spread, fit with c = 0 and
+        # b = 1; 1e-7 is a varying one, whose two distinct triples any
+        # constants would fit.
+        profile = varying_profile(1.0 + wiggle * np.resize([1.0, -1.0], 9), np.ones(9), np.ones(9))
         if fits:
-            consts = fit_constants(profile, c_override=0.5)
-            assert consts.c == 0.5 and check_conditions(profile, consts).verdict
+            consts = fit_constants(profile)
+            assert (consts.c, consts.b) == (0.0, 1.0)
+            assert check_conditions(profile, consts).verdict
         else:
-            with pytest.raises(FitError, match="c_override is only supported"):
-                fit_constants(profile, c_override=0.5)
+            with pytest.raises(FitError, match="fewer than three distinct"):
+                fit_constants(profile)
 
-    @pytest.mark.parametrize("case, message", [
-        ("r-constant", "least-squares fit: a indistinguishable from zero"),
-        ("bitorsion-constant", "least-squares fit: a indistinguishable from zero"),
-        ("decade-over", r"fail curvature_relation \(residual 0\.2"),
-    ])
-    def test_least_squares_u_floor(self, case, message):
-        # The solve u*K - v*r - w*(K-k) = 1 has an exact solution (u, v, w):
-        # (0, 1, 0) with r = -1, (0, 0, -1) with K - k = 1, and (u0, 0, -1) with
-        # K - k = 1 - u0*K, u0*kappa = 1e-11 over the 1e-12 floor.  Past the
-        # floor, v = 0 takes c = 0, a = 1/mean(K), b = 1, which miss (R2) by 0.2;
-        # so K - k = 1 trips this guard alone, where r = -1 would trip the a/b
-        # floor too.  The guard also keeps v / u from dividing by zero.
-        s = np.linspace(0.0, 1.0, 9)
-        K = 1.0 + 0.5 * s
-        if case == "r-constant":
-            profile = varying_profile(K, -np.ones(9), 0.5 + 0.3 * s * s)
+    @pytest.mark.parametrize("c, fitted_c, fitted_b", [(1e-11, 0.0, 1.0), (1e-9, 1e-9, 0.5)],
+                             ids=["decade-under", "decade-over"])
+    def test_c_reads_its_zero_floor(self, c, fitted_c, fitted_b):
+        # (R3) reads c; at |c| <= 1e-10 the fit takes c = 0 and the constant
+        # branch's b, as b = (c*b) / c would carry the solve's round-off over c.
+        profile = bertrand_profile(1.0 + 0.4 * np.linspace(0.0, 1.0, 9), b=0.5, c=c)
+        consts = fit_constants(profile)
+        assert (consts.c, consts.b) == (pytest.approx(fitted_c, rel=1e-5, abs=0.0),
+                                        pytest.approx(fitted_b, rel=1e-5))
+        assert check_conditions(profile, consts).verdict
+
+    def test_varying_profile_with_c_zero(self):
+        # K = 1 and r = -(K - k): (R3) reads c = 0 and d = -1.  b takes the
+        # sign of d, as b = +1 would make (R1) = a*r + b*(K - k) vanish.
+        m = 0.5 + 0.3 * np.linspace(0.0, 1.0, 9)
+        profile = varying_profile(np.ones(9), -m, m)
+        consts = fit_constants(profile)
+        assert (consts.a, consts.b, consts.c, consts.d) == (1.0, -1.0, 0.0, pytest.approx(-1.0))
+        assert check_conditions(profile, consts).verdict
+
+    @pytest.mark.parametrize("m", [np.ones(9), 1.0 + np.linspace(0.0, 1.0, 9)],
+                             ids=["constant", "varying"])
+    def test_vanishing_curvature_and_torsion_rejected(self, m):
+        # K = r = 0 leaves (R2) nothing to divide by: with c = +-1 on the
+        # constant profile, with c = 0 (no c fits (R3)) on the varying one.
+        with pytest.raises(FitError, match="K - c\\*r vanishes"):
+            fit_constants(varying_profile(np.zeros(9), np.zeros(9), m))
+
+    @pytest.mark.parametrize("b, fits", [(0.0, False), (1e-11 / 1.84, True)],
+                             ids=["trips", "decade-over"])
+    def test_fitted_b_floor(self, b, fits):
+        # On the line of (0.8, b, 0.5, 1.5) (R2) gives c*b exactly: b = 0, or
+        # 1e-11 over the 1e-12 / kappa floor (kappa = 1.84), as b = (c*b) / c.
+        profile = bertrand_profile(1.0 + 0.4 * np.linspace(0.0, 1.0, 9), b=b)
+        assert bertrand._curvature_scale(profile.K) == pytest.approx(1.84)
+        if fits:
+            assert fit_constants(profile).b == pytest.approx(b, rel=1e-4)
         else:
-            u0 = 0.0 if case == "bitorsion-constant" else 1e-11 / 1.5
-            profile = varying_profile(K, 0.3 * s * s, 1.0 - u0 * K)
-        with pytest.raises(FitError, match=message):
-            fit_constants(profile)
-
-    @pytest.mark.parametrize("w0, message", [
-        (0.0, "a or b indistinguishable from zero"),
-        (1e-11 / 0.15, r"fail torsion_relation \(residual 1\.25"),
-    ], ids=["trips", "decade-over"])
-    def test_fitted_b_floor(self, w0, message):
-        # r = 0.1*K - w0*(K-k) - 1 solves with (u, v, w) = (0.1, 1, w0): b = w*u/v
-        # is 0, or 1e-11 over the 1e-12 / kappa floor (kappa = 1.5); such a b
-        # leaves d = (c*K + r)/(K-k) far from constant.
-        s = np.linspace(0.0, 1.0, 9)
-        K, m = 1.0 + 0.5 * s, 0.5 + 0.3 * s * s
-        with pytest.raises(FitError, match=message):
-            fit_constants(varying_profile(K, 0.1 * K - w0 * m - 1.0, m))
+            with pytest.raises(FitError, match="a or b indistinguishable from zero"):
+                fit_constants(profile)
 
 
 class TestConstructMate:

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import quatcurves
-from conftest import TORUS, TORUS_K, TORUS_M, TORUS_R, associated_helix
+from conftest import TORUS, TORUS_K, TORUS_M, TORUS_R, VARYING, associated_helix
 from quatcurves import cli
 from quatcurves._fmt import BLOCK, fnum, ftable, ftable_blocks
 from quatcurves.bertrand import BertrandConstants, construct_mate
@@ -487,12 +487,30 @@ class TestBertrandCommands:
         assert doc["conditions"]["torsion_relation"]["max_residual"] <= 1e-12
 
     def test_fit_wobble_exit4(self, tmp_path, capsys):
+        # 7 samples hold two distinct (K, r, K - k) triples, which any constants
+        # fit, so the fit refuses them; 11 hold more, and no constant d fits them.
         spec = write_json(tmp_path, "wobble.json", WOBBLE_DOC)
         out = tmp_path / "c.json"
-        code = main(["bertrand", "fit", "--curve", spec, "--out", str(out), "--samples", "7"])
-        assert code == 4
-        assert "torsion_relation" in capsys.readouterr().err
-        assert not out.exists()
+        for samples, message in (("7", "fewer than three distinct"), ("11", "torsion_relation")):
+            code = main(["bertrand", "fit", "--curve", spec, "--out", str(out),
+                         "--samples", samples])
+            assert code == 4
+            assert message in capsys.readouterr().err
+            assert not out.exists()
+
+    def test_fit_and_verify_a_varying_curve(self, tmp_path, capsys, monkeypatch, varying_curve):
+        # No family has varying curvatures, so the fixture's curve stands in for
+        # the loaded spec.
+        monkeypatch.setattr(cli, "_load_curve", lambda path: varying_curve)
+        consts = tmp_path / "c.json"
+        grid = ["--curve", "varying.json", "--samples", "41"]
+        assert main(["bertrand", "fit", *grid, "--out", str(consts)]) == 0
+        fitted = json.loads(consts.read_text())
+        assert [fitted[name] for name in "abcd"] == pytest.approx(
+            [VARYING[name] for name in "abcd"], rel=0.0, abs=1e-10)
+        report = tmp_path / "r.json"
+        assert main(["verify", *grid, "--constants", str(consts), "--report", str(report)]) == 0
+        assert json.loads(report.read_text())["verdict"] is True
 
     def test_mate_csv(self, tmp_path, torus_spec):
         consts = write_json(

@@ -8,18 +8,22 @@ N1 alone is never a Bertrand mate of a curve with nonzero torsion and
 bitorsion, and every admissible flat torus has its (1,3) mate, in any
 speed of its parameter and for every member of its admissible family.
 The planar pair, whose zero torsion only the Type 2 frame reads, has its
-mates too, and there the K/k-only closed forms meet a curve.
+mates too, and there the K/k-only closed forms meet a curve.  Curves whose
+curvatures vary (``taylor_curve`` in ``tests/conftest.py``) are fit and
+verified as well, and on them the span check fails off the fitted offset,
+which no flat torus can show.
 """
 
 import dataclasses
 import math
 
 import numpy as np
+import numpy.polynomial.polynomial as P
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import TORUS_K
+from conftest import TORUS_K, reflected, taylor_curve
 from quatcurves import bertrand
 from quatcurves.bertrand import (BertrandConstants, check_conditions, construct_mate,
                                  fit_constants, verify_mate)
@@ -330,3 +334,83 @@ def test_pair_and_intrinsic_mate_jets_agree(torus, helix_assoc, spatial, ab):
     intrinsic = construct_mate(torus, ab).jet(grid, (0, 1, 2, 3, 4))
     for k in range(5):
         assert np.max(np.abs(pair[k] - intrinsic[k])) <= 1e-12 * np.max(np.abs(intrinsic[k])), k
+
+
+# -- curves whose curvatures vary -------------------------------------------------------
+
+VARYING_GRID = np.linspace(0.0, 1.0, 41)
+
+
+def bitorsion_series(m_lo, span, sign, w, phase, degree):
+    """Taylor coefficients at 0 of ``sign * (m_lo + span * g)``, g = s on [0, 1] where
+    ``w`` is 0, else ``(1 + sin(w*s + phase)) / 2``; with g, its values on the grid."""
+    if w == 0.0:
+        g = [0.0, 1.0]
+    else:
+        g = [0.5 * (k == 0) + 0.5 * w ** k / math.factorial(k) * math.sin(phase + k * math.pi / 2)
+             for k in range(degree + 1)]
+    return sign * (np.eye(1, len(g))[0] * m_lo + span * np.array(g)), P.polyval(VARYING_GRID, g)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(ends=st.lists(st.floats(0.3, 2.5), min_size=4, max_size=4),
+       m_lo=st.floats(0.3, 1.5), ratio=st.floats(1.3, 2.5), sign=st.sampled_from([1.0, -1.0]),
+       w=st.one_of(st.just(0.0), st.floats(1.0, 2.5)), phase=st.floats(0.0, 2.0 * math.pi))
+def test_varying_bertrand_curves_fit_and_verify(ends, m_lo, ratio, sign, w, phase):
+    # On a Bertrand curve the triples (K, r, m = K - k) lie on a line; each
+    # example draws K and r at the two ends of m's range, affine in s or
+    # trigonometric, and reads (a, b, c, d) off that line.  The fit recovers
+    # them, and the mirror image x4 -> -x4 (K and r kept, m flipped) the
+    # constants (a, -b, c, -d), both verified with the oracle at round-off.
+    # A trigonometric m slows the frame's Taylor series: degree 100 reads it.
+    (K_lo, K_hi, r_lo, r_hi), span = ends, (ratio - 1.0) * m_lo
+    m_series, g = bitorsion_series(m_lo, span, sign, w, phase, degree=100)
+    # K = alpha + beta*m and r = -c*alpha + (d - c*beta)*m.
+    beta, alpha = sign * (K_hi - K_lo) / span, K_lo - (K_hi - K_lo) * m_lo / span
+    assume(abs(alpha) >= 1e-3)
+    c = -(r_lo - (r_hi - r_lo) * m_lo / span) / alpha
+    d = sign * (r_hi - r_lo) / span + c * beta
+    a = 1.0 / (alpha * (1.0 + c * c))
+    assume(abs(c) >= 0.1)  # b = (c*b) / c
+    b = beta / (c * alpha) - a * d
+    assume(min(abs(a), abs(b)) >= 0.1 and max(abs(a), abs(b), abs(d)) <= 10.0)
+    K, r, m = K_lo + (K_hi - K_lo) * g, r_lo + (r_hi - r_lo) * g, sign * (m_lo + span * g)
+    assume(np.min(np.abs(a * r + b * m)) >= 0.2)
+    # The oracle divides by the mate's torsion.
+    torsion_bar = bertrand.mate_curvatures_closed_form(K, r, K - m, BertrandConstants(a, b, c, d))[1]
+    assume(np.min(np.abs(torsion_bar)) >= 0.2)
+    curve = taylor_curve(m_series, a, b, c, d, degree=100)
+    for alpha4, flip in ((curve, 1.0), (reflected(curve), -1.0)):
+        consts = fit_constants(curvature_profile(alpha4, VARYING_GRID))
+        got = np.array([consts.a, consts.b, consts.c, consts.d])
+        assert np.max(np.abs(got - [a, flip * b, c, flip * d])) <= 1e-10, got
+        report = verify_mate(alpha4, consts, VARYING_GRID)
+        assert report.verdict, report.to_json_dict()
+        assert report.curvature_deviation <= 1e-10
+
+
+@pytest.mark.parametrize("name, fails, passes", [("a", 1e-4, 1e-6), ("b", 1e-3, 1e-5)])
+def test_span_stage_fails_off_the_bertrand_offset(varying_curve, name, fails, passes):
+    # The paper's claim needs a curve on which it can fail: on a flat torus
+    # every offset a*N1 + b*N3 keeps N1bar, N3bar in span{N1, N3}.  On the
+    # varying fixture only the fitted one does: a scaled by 1 + delta moves
+    # the span residual by about 0.60*delta, b by about 0.088*delta.
+    fitted = fit_constants(curvature_profile(varying_curve, VARYING_GRID))
+    for delta, over in ((fails, True), (passes, False)):
+        moved = dataclasses.replace(fitted, **{name: getattr(fitted, name) * (1.0 + delta)})
+        report = verify_mate(varying_curve, moved, VARYING_GRID)
+        assert (report.span_residual > report.tolerances["span"]) is over, report.span_residual
+    assert verify_mate(varying_curve, fitted, VARYING_GRID).span_residual <= 1e-12
+
+
+def test_mate_of_the_mate_is_the_curve(varying_curve):
+    # span{N1, N3} = span{N1bar, N3bar} is symmetric: the mate beta is a
+    # varying Bertrand curve whose fitted mate, at the same distance, is alpha.
+    fitted = fit_constants(curvature_profile(varying_curve, VARYING_GRID))
+    beta = construct_mate(varying_curve, fitted)
+    back = fit_constants(curvature_profile(beta, VARYING_GRID))
+    assert back.a ** 2 + back.b ** 2 == pytest.approx(fitted.a ** 2 + fitted.b ** 2,
+                                                      rel=0.0, abs=1e-10)
+    alpha = varying_curve.points(VARYING_GRID)
+    again = construct_mate(beta, (back.a, back.b)).points(VARYING_GRID)
+    assert np.max(np.abs(again - alpha)) <= 1e-12 * np.max(np.abs(alpha))
