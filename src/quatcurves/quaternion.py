@@ -1,14 +1,16 @@
-"""Real quaternion algebra on immutable values and on arrays.
+"""Real quaternion algebra on ``(..., 4)`` rows, and values that are one row.
 
 A quaternion is a scalar part plus a three component vector part over the
 unit vectors e1, e2, e3 with e1^2 = e2^2 = e3^2 = e1*e2*e3 = -1.  Values
 are never renormalized implicitly; frame construction normalizes
 explicitly where it needs unit vectors.
 
-``mul``, ``inner`` and ``norm`` also take ``(..., 4)`` arrays of components
-``(s, v0, v1, v2)`` and work row by row; on :class:`Quaternion` values they
-compute the same row.  Row results never depend on the other rows, so a
-grid computed at once and one point computed alone agree bit for bit.
+``mul``, ``inner`` and ``norm`` take ``(..., 4)`` arrays of components
+``(s, v0, v1, v2)`` and work row by row.  A :class:`Quaternion` value is one
+such row: every operation on values converts them with ``as_vec4``, runs the
+array code the frames run and converts back with ``from_vec4``.  Row results
+never depend on the other rows, so a grid computed at once and one point
+computed alone agree bit for bit.
 """
 
 from __future__ import annotations
@@ -63,59 +65,20 @@ class Quaternion:
     def as_vec4(self) -> np.ndarray:
         return np.array([self.s, *self.v], dtype=float)
 
-    @property
-    def components(self) -> tuple[float, float, float, float]:
-        return (self.s, *self.v)
-
-    def conjugate(self) -> "Quaternion":
-        return Quaternion(self.s, (-self.v[0], -self.v[1], -self.v[2]))
-
-    def norm_squared(self) -> float:
-        return self.s * self.s + self.v[0] ** 2 + self.v[1] ** 2 + self.v[2] ** 2
-
     def norm(self) -> float:
-        return math.sqrt(self.norm_squared())
-
-    def dot(self, other: "Quaternion") -> float:
-        """Euclidean inner product of the two 4-component vectors."""
-        return (
-            self.s * other.s
-            + self.v[0] * other.v[0]
-            + self.v[1] * other.v[1]
-            + self.v[2] * other.v[2]
-        )
+        return norm(self)
 
     def is_spatial(self, atol: float = 1e-12) -> bool:
         return abs(self.s) <= atol
 
     def approx_eq(self, other: "Quaternion", atol: float = 1e-12) -> bool:
-        return all(
-            abs(a - b) <= atol for a, b in zip(self.components, other.components)
-        )
-
-    def __add__(self, other: "Quaternion") -> "Quaternion":
-        return Quaternion(
-            self.s + other.s,
-            (
-                self.v[0] + other.v[0],
-                self.v[1] + other.v[1],
-                self.v[2] + other.v[2],
-            ),
-        )
-
-    def __sub__(self, other: "Quaternion") -> "Quaternion":
-        return self + (-other)
+        return bool(np.all(np.abs(self.as_vec4() - other.as_vec4()) <= atol))
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self.s, (-self.v[0], -self.v[1], -self.v[2]))
+        return scale(-1.0, self)
 
-    def __mul__(self, other):
-        if isinstance(other, Quaternion):
-            return mul(self, other)
-        return scale(float(other), self)
-
-    def __rmul__(self, other):
-        return scale(float(other), self)
+    def __rmul__(self, c) -> "Quaternion":
+        return scale(float(c), self)
 
 
 ZERO = Quaternion(0.0, (0.0, 0.0, 0.0))
@@ -124,20 +87,22 @@ E1 = Quaternion(0.0, (1.0, 0.0, 0.0))
 E2 = Quaternion(0.0, (0.0, 1.0, 0.0))
 E3 = Quaternion(0.0, (0.0, 0.0, 1.0))
 
+_CONJUGATE = np.array([1.0, -1.0, -1.0, -1.0])
+
 
 def add(p: Quaternion, q: Quaternion) -> Quaternion:
     """Componentwise sum."""
-    return p + q
+    return Quaternion.from_vec4(p.as_vec4() + q.as_vec4())
 
 
 def scale(c: float, q: Quaternion) -> Quaternion:
     """Multiply every component by the real scalar ``c``."""
-    return Quaternion(c * q.s, (c * q.v[0], c * q.v[1], c * q.v[2]))
+    return Quaternion.from_vec4(c * q.as_vec4())
 
 
 def conjugate(q: Quaternion) -> Quaternion:
     """Scalar part unchanged, vector part negated."""
-    return q.conjugate()
+    return Quaternion.from_vec4(q.as_vec4() * _CONJUGATE)
 
 
 def mul(p, q):
@@ -169,10 +134,11 @@ def _product(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 def inner(p, q):
     """Symmetric bilinear inner product; equals the 4D Euclidean dot product.
 
-    On ``(..., 4)`` arrays, the row-wise products summed in component order.
+    On ``(..., 4)`` arrays, the row-wise products summed in component order;
+    on two Quaternions, the ``float`` of their rows' inner product.
     """
     if isinstance(p, Quaternion):
-        return p.dot(q)
+        return float(inner(p.as_vec4(), q.as_vec4()))
     products = p * q
     return products[..., 0] + products[..., 1] + products[..., 2] + products[..., 3]
 
@@ -180,7 +146,7 @@ def inner(p, q):
 def norm(q):
     """Nonnegative; ``norm(q)**2 == inner(q, q)``.  Row-wise on ``(..., 4)`` arrays."""
     if isinstance(q, Quaternion):
-        return q.norm()
+        return float(norm(q.as_vec4()))
     return np.sqrt(inner(q, q))
 
 
@@ -195,7 +161,5 @@ def spatial_cross_check(p: Quaternion, q: Quaternion, atol: float = 1e-9) -> flo
         raise ValueError("spatial_cross_check requires spatial quaternions")
     if abs(inner(p, q)) > atol * max(1.0, p.norm() * q.norm()):
         raise ValueError("spatial_cross_check requires orthogonal inputs")
-    prod = mul(p, q)
-    cx = np.cross(np.array(p.v), np.array(q.v))
-    gap = Quaternion(prod.s, (prod.v[0] - cx[0], prod.v[1] - cx[1], prod.v[2] - cx[2]))
-    return max(abs(c) for c in gap.components)
+    gap = mul(p, q).as_vec4() - np.array([0.0, *np.cross(p.v, q.v)])
+    return float(np.max(np.abs(gap)))

@@ -232,8 +232,15 @@ class TestFrameCommand:
         {**LINE_DOC, "params": {"coeffs": {"cos": [["0"], ["0"], ["0"]],
                                            "sin": [["0"], ["0"], ["0"]],
                                            "linear": ["1", "0", "0"]}}},
+        [],
+        {"family": "circle3", "params": {"R": -1.0}},
+        {"family": "circle3", "params": {"R": 1.0, "mode": "degrees"}},
+        {"family": "helix3", "params": {"a": 0.0, "h": 1.0}},
+        {**LINE_DOC, "params": {"coeffs": {**LINE_DOC["params"]["coeffs"],
+                                           "linear": [1.0, 0.0]}}},
     ], ids=["null-param", "scalar-domain", "list-coeffs", "huge-int-param", "bool-param",
-            "string-param", "bool-domain", "string-domain", "string-coeffs"])
+            "string-param", "bool-domain", "string-domain", "string-coeffs", "list-spec",
+            "negative-radius", "unknown-mode", "zero-helix-radius", "short-linear"])
     def test_mistyped_spec_exit2(self, tmp_path, capsys, doc):
         spec = write_json(tmp_path, "typed.json", doc)
         code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv")])
@@ -742,7 +749,7 @@ def test_usage_error_exit2(capsys):
     assert main(["no-such-command"]) == 2
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
 @pytest.mark.parametrize("command", [
     ["frame", "--out", "out.csv"],
     ["bertrand", "fit", "--out", "out.json"],
@@ -791,6 +798,19 @@ def run_fresh_cli(cwd, commands):
                           cwd=cwd, env={**os.environ, "PYTHONPATH": str(src)},
                           capture_output=True, text=True, timeout=120, check=True)
     return json.loads(proc.stdout)
+
+
+def test_module_entry_point_exits_with_main_code(tmp_path):
+    # ``python -m quatcurves`` runs __main__.py, whose exit status is main's code.
+    src = Path(quatcurves.__file__).resolve().parents[1]
+    proc = subprocess.run([sys.executable, "-m", "quatcurves", "frame", "--curve", "missing.json",
+                           "--out", "x.csv"],
+                          cwd=tmp_path, env={**os.environ, "PYTHONPATH": str(src)},
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "cannot load curve spec" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_analytic_commands_start_without_scipy(tmp_path):

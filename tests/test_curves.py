@@ -22,9 +22,10 @@ from quatcurves.curves import (
     torus_curve,
     _fd_derivative,
 )
-from quatcurves.bertrand import verify_mate
+from quatcurves.bertrand import BertrandConstants, verify_mate
 from quatcurves.errors import DegeneracyError
-from quatcurves.frames import frame_ode_residual, frames4
+from quatcurves.frames import CurvatureProfile, frame_ode_residual, frames4
+from quatcurves.quaternion import Quaternion
 from test_cli import FAST_TORUS_DOC, WOBBLE_DOC, scaled_amplitudes
 
 SQ2 = math.sqrt(0.5)
@@ -407,3 +408,30 @@ def test_table_grid_that_is_not_1d_rejected(grid):
         table.lengths_at(grid)
     with pytest.raises(ValueError, match="an arc-length " + shape):
         table.parameters_at(grid)
+
+
+def _jet_in_r3(s, orders):
+    # Rows of three components where a jet owes four.
+    return np.zeros((len(orders), len(s), 3))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: ParametricCurve(5, (0.0, 1.0), _jet_in_r3), "curve dimension must be 3 or 4"),
+    (lambda: ParametricCurve(3, (0.0, 1.0), _jet_in_r3, validate=False).points([0.5]),
+     re.escape("a derivative jet must return one (n, 4) array per order")),
+    (lambda: arc_length(circle3(1.0), 1.0, 0.5), "need u0 <= u1 inside the curve domain"),
+    (lambda: ArcLengthTable.build(circle3(1.0), 0.0, 1.0, 1), "need at least 2 panels"),
+    (lambda: CurvatureProfile([0.0, 1.0], [1.0], [1.0, 1.0], [0.0, 0.0], "test"),
+     "profile arrays must share a length"),
+    (lambda: CurvatureProfile([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], "test"),
+     "profile grid must be strictly increasing"),
+    (lambda: CurvatureProfile([0.0, 1.0], [math.nan, 1.0], [1.0, 1.0], [0.0, 0.0], "test"),
+     "profile values must be finite"),
+    (lambda: BertrandConstants(a=math.inf, b=1.0, c=0.0, d=1.0), "constant a must be finite"),
+    (lambda: Quaternion(0.0, (1.0, 2.0)), "vector part must have exactly three components"),
+], ids=["dimension", "jet-shape", "arc-length-order", "one-panel", "profile-lengths",
+        "profile-grid", "profile-nan", "constant-inf", "short-vector"])
+def test_python_caller_guards(build, message):
+    # Inputs no CLI command can produce, refused where a Python caller passes them.
+    with pytest.raises(ValueError, match=message):
+        build()

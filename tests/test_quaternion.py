@@ -178,3 +178,30 @@ def test_vec4_round_trip():
     q = Quaternion(0.5, (1.0, -2.0, 4.0))
     assert Quaternion.from_vec4(q.as_vec4()) == q
     assert math.isclose(np.linalg.norm(q.as_vec4()), q.norm())
+
+
+def view_values():
+    rng = np.random.default_rng(17)
+    return [ZERO, E1, E2, E3, *(random_quaternion(rng) for _ in range(50))]
+
+
+def test_values_read_the_row_kernel():
+    # A value is one row: its inner product and norm are the row functions' numbers.
+    values = view_values()
+    for p in values:
+        row = p.as_vec4()
+        assert norm(p) == norm(row) and p.norm() == norm(row)
+        for q in values:
+            assert inner(p, q) == inner(row, q.as_vec4())
+
+
+def test_value_operations_are_row_operations():
+    values = view_values()
+    for p, q in zip(values, values[1:] + values[:1]):
+        row, other = p.as_vec4(), q.as_vec4()
+        assert np.array_equal(add(p, q).as_vec4(), row + other)
+        assert np.array_equal(scale(2.5, p).as_vec4(), 2.5 * row)
+        assert np.array_equal((2.5 * p).as_vec4(), 2.5 * row)
+        assert np.array_equal((-p).as_vec4(), -1.0 * row)
+        assert np.array_equal(conjugate(p).as_vec4(), row * np.array([1.0, -1.0, -1.0, -1.0]))
+        assert np.array_equal(mul(p, q).as_vec4(), mul(row, other))
