@@ -17,8 +17,8 @@ one term at a time; the Bertrand mate of such a curve
 carries the exact jet of orders 0-4 that Taylor-series arithmetic gives
 (:mod:`quatcurves.series`).  Both are exact by construction and built
 unchecked; a jet that a caller supplies is checked on construction
-against the one central first-order stencil of step ``FD_STEP`` with one
-Richardson level, which also measures how well frames follow their ODE.
+against the one Richardson-central stencil of step ``FD_STEP`` of the
+domain's length, which also measures how well frames follow their ODE.
 A cumulative arc-length table, inverted by Newton steps of one speed
 call each, maps arc lengths to parameters.
 """
@@ -54,9 +54,9 @@ __all__ = [
     "UNIT_SPEED_TOL",
 ]
 
-# Step of the first-order finite-difference stencil; chosen to balance
-# truncation against round-off for the downstream ~1e-6 frame tolerances
-# (Richardson halves the step once, so round-off grows fast below it).
+# Step of the first-order finite-difference stencil as a fraction of the
+# domain's length (``ParametricCurve.fd_step``): it balances truncation
+# against round-off, and a curve and its scaled copies read alike.
 FD_STEP = 1e-4
 
 # A speed or curvature row this small against the grid's largest is read as 0.
@@ -134,6 +134,7 @@ class ParametricCurve:
             raise ValueError("domain must be a finite interval [u_min, u_max] with u_min < u_max")
         self.dim = dim
         self.domain = (lo, hi)
+        self.fd_step = FD_STEP * (hi - lo)  # the one finite-difference step on this curve
         self._derivs = derivatives
         self.jet_order = jet_order
         self.name = name
@@ -208,21 +209,17 @@ class ParametricCurve:
 
     def _validate_derivatives(self):
         """Check each order k + 1 of the jet against the stencil of its order k on 10
-        draws at least the stencil's reach ``h`` inside the domain."""
+        draws ``fd_step`` inside the domain, to 1e-6 * max(|order k+1|, |order k| / (hi - lo))."""
         lo, hi = self.domain
-        h = FD_STEP
-        if not lo + h <= hi - h:
-            raise ValueError(f"domain [{lo}, {hi}] is too short for the derivative check")
+        h = self.fd_step
         # The doubles of default_rng(20240831).uniform(lo + h, hi - h, 10).
         us = (lo + h) + ((hi - h) - (lo + h)) * np.random.default_rng(20240831).random(10)
         orders = range(self.jet_order + 1)
         jet = self.jet(us, orders)
         approx = _fd_derivative(lambda v: self.jet(v, orders[:-1]).swapaxes(0, 1), us, h)
-        rows, source = jet[1:], jet[:-1]
-        # The stencil's round-off grows with the size of the rows it
-        # differentiates, so the bound does too (1e-6 on rows of unit size).
-        tol = 1e-6 * np.maximum(1.0, np.abs(source).max(axis=-1).max(axis=-1))
-        off = np.abs(rows - approx.swapaxes(0, 1)).max(axis=-1) > tol[:, None]
+        size = np.abs(jet).max(axis=(1, 2))
+        tol = 1e-6 * np.maximum(size[1:], size[:-1] / (hi - lo))
+        off = np.abs(jet[1:] - approx.swapaxes(0, 1)).max(axis=-1) > tol[:, None]
         if off.any():
             k, i = np.argwhere(off)[0]
             raise ValueError("analytic derivatives disagree with finite differences "

@@ -37,7 +37,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from . import series
-from .curves import DEGENERACY_EPS, FD_STEP, ParametricCurve, _end_slack, _fd_derivative
+from .curves import DEGENERACY_EPS, ParametricCurve, _end_slack, _fd_derivative
 from .errors import DegeneracyError
 from .quaternion import inner, mul, norm
 
@@ -369,9 +369,9 @@ def frame_ode_residual(
     ``provider`` maps a parameter grid to its :class:`Frames4`; by default
     ``frames4(curve4, s, curve3)``, pair-built when ``curve3`` is given.
     The four frame fields are differentiated centrally on the whole grid
-    with the step ``FD_STEP`` and one Richardson level, divided by the speed
-    of ``curve4`` to take them per arc length, and compared to the skew
-    system
+    with the step ``curve4.fd_step`` (``FD_STEP`` of its domain's length)
+    and one Richardson level, divided by the speed of ``curve4`` to take
+    them per arc length, and compared to the skew system
 
         T'  =  K N1
         N1' = -K T + torsion * N2
@@ -381,7 +381,7 @@ def frame_ode_residual(
     provider = provider or (lambda s: frames4(curve4, s, curve3))
     grid = np.asarray(grid, dtype=float)
     speeds = curve4.speeds(grid)  # rejects a grid that is not 1-D before the stencil
-    deriv = _fd_derivative(lambda s: np.stack(provider(s).vectors(), axis=1), grid, FD_STEP)
+    deriv = _fd_derivative(lambda s: np.stack(provider(s).vectors(), axis=1), grid, curve4.fd_step)
     deriv = deriv / speeds[:, None, None]
     f = provider(grid)
     K, torsion, bitorsion = (v[:, None] for v in (f.K, f.torsion, f.bitorsion))

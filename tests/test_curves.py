@@ -353,8 +353,7 @@ def test_non_finite_jet_names_its_parameter(torus):
 @pytest.mark.parametrize("domain", [(0.0, 0.005), (0.0, 0.003)])
 def test_short_domain_family_is_exact(domain):
     # A built-in family is exact and built unchecked: its frames hold on a
-    # domain of any length, and a caller's copy of its jet passes the check
-    # on a domain longer than twice the stencil's reach FD_STEP.
+    # domain of any length, and so does the check of a caller's copy of its jet.
     torus = torus_curve(0.6, 1.0, 0.4, 2.0, domain=domain)
     frames = frames4(torus, np.linspace(*domain, 5))
     assert np.max(np.abs(frames.K - math.sqrt(2.92))) <= 1e-13
@@ -374,12 +373,57 @@ def test_domain_end_slack_scales_with_the_domain(mu):
             torus.points([past])
 
 
+def scaled_jet(curve, mu, lam, order=None, factor=1.0):
+    """The domain and jet of ``curve`` scaled by ``mu`` in space and traced at
+    ``lam`` times its speed, with its jet's ``order`` (if given) times ``factor``."""
+    def jet(u, orders):
+        scales = mu * lam ** np.array(orders, dtype=float)
+        rows = curve.jet(lam * u, orders) * scales[:, None, None]
+        if order in orders:
+            rows[list(orders).index(order)] *= factor
+        return rows
+
+    lo, hi = curve.domain
+    return (lo / lam, hi / lam), jet
+
+
 @pytest.mark.parametrize("domain", [(0.0, 1.5 * FD_STEP), (0.0, 0.5 * FD_STEP)])
-def test_domain_shorter_than_the_derivative_check_rejected(torus, domain):
-    # A caller's jet is checked at least the stencil's reach FD_STEP inside
-    # each end, so a domain shorter than twice that reach is refused.
-    with pytest.raises(ValueError, match="too short for the derivative check"):
-        ParametricCurve(4, domain, torus.jet)
+def test_short_domain_caller_jet_is_checked(torus, domain):
+    # The check steps FD_STEP of the domain's length and draws its points that
+    # step inside each end, so it holds on a domain of any length: the torus's
+    # jet passes, and the same jet with order 2 doubled fails.
+    assert ParametricCurve(4, domain, torus.jet).jet_order == 7
+    _, doubled = scaled_jet(torus, 1.0, 1.0, order=2, factor=2.0)
+    with pytest.raises(ValueError, match=re.escape("(order 2 at u=")):
+        ParametricCurve(4, domain, doubled)
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1e-3, 1.0, 1e3, 1e12])
+@pytest.mark.parametrize("mu", [1e-12, 1e-8, 1e-4, 1.0, 1e4, 1e8, 1e12])
+@pytest.mark.parametrize("name", ["torus", "fast-torus"])
+def test_caller_jet_check_is_scale_free(torus, name, mu, lam):
+    # The step and the inset are FD_STEP of the domain's length, and order
+    # k + 1 is held to 1e-6 * max(|order k + 1|, |order k| / (hi - lo)), so
+    # the torus and its 2x-speed fourier form read alike scaled by mu in
+    # space and by lam in speed: the jet passes, and each order off by 1e-5
+    # (a decade over the bound) fails while 1e-7 (a decade under) passes.
+    curve = torus if name == "torus" else CurveSpec.from_dict(FAST_TORUS_DOC).build()
+    ParametricCurve(4, *scaled_jet(curve, mu, lam))
+    for k in range(1, 8):
+        with pytest.raises(ValueError, match=re.escape(f"(order {k} at u=")):
+            ParametricCurve(4, *scaled_jet(curve, mu, lam, order=k, factor=1.0 + 1e-5))
+        ParametricCurve(4, *scaled_jet(curve, mu, lam, order=k, factor=1.0 + 1e-7))
+
+
+@pytest.mark.parametrize("eps", [1e-12, 1e-8])
+def test_nearly_straight_caller_jet_is_accepted(eps):
+    # x = u + eps*sin(u): order 2 is eps in size, while the stencil's round-off
+    # on order 1 is about 1e-16 / FD_STEP of its size 1.  The bound's second
+    # term, |order 1| / (hi - lo), keeps the correct jet; 1e-6 of |order 2|
+    # alone would refuse it.
+    line = fourier_curve([[0.0], [0.0, eps], [0.0], [0.0]], [[0.0, eps], [0.0], [0.0], [0.0]],
+                         [1.0, 0.0, 0.0, 0.0])
+    assert ParametricCurve(4, line.domain, line.jet).jet_order == 7
 
 
 @pytest.mark.parametrize("grid", [1.0, [[1.0, 2.0], [3.0, 4.0]]], ids=["0-d", "2-d"])

@@ -8,12 +8,15 @@ N1 alone is never a Bertrand mate of a curve with nonzero torsion and
 bitorsion, and every admissible flat torus has its (1,3) mate, in any
 speed of its parameter and for every member of its admissible family.
 The planar pair, whose zero torsion only the Type 2 frame reads, has its
-mates too, and there the K/k-only closed forms meet a curve.  Curves whose
-curvatures vary (``taylor_curve`` in ``tests/conftest.py``) are fit and
-verified as well, and on them the span check fails off the fitted offset,
-which no flat torus can show.
+mates too, and there the K/k-only closed forms meet a curve.  On a flat
+torus every offset a*N1 + b*N3 is a mate, so the span check cannot fail
+there; it fails on a wobbled torus.  Curves whose curvatures vary
+(``taylor_curve`` in ``tests/conftest.py``) are fit and verified as well,
+the K/k-only forms meet their mates, and on them the span check fails off
+the fitted offset.  The mate of the mate is the curve, on both.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -32,7 +35,7 @@ from quatcurves.curves import (FD_STEP, CurveSpec, _fd_derivative, circle3, four
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import _derivative_frame, curvature_profile, frames4
 from quatcurves.quaternion import inner, norm
-from test_cli import FAST_TORUS_DOC, TORUS_DOC
+from test_cli import FAST_TORUS_DOC, TORUS_DOC, WOBBLE_DOC
 
 # (curve, spatial curve) cases: the intrinsic frame, a unit-speed pair
 # sharing its parameter, and a 2x-speed torus whose helix parameter is
@@ -122,6 +125,91 @@ def test_fitted_mate_normals_stay_in_span(torus, torus_constants, grid101):
     for v in (bar.N1, bar.N3):
         off = v - inner(v, base.N1)[:, None] * base.N1 - inner(v, base.N3)[:, None] * base.N3
         assert np.max(norm(off)) <= 1e-12
+
+
+# -- what the flat tori can and cannot show ------------------------------------------
+
+# Unit-speed flat tori (A*p = 0.8, B*q = 0.6): K, r and K - k are constant.
+FLAT_TORI = {f"{p}-{q}": torus_curve(0.8 / p, float(p), 0.6 / q, float(q))
+             for p, q in [(1, 2), (2, 3), (1, 3)]}
+TORUS_GRID = np.linspace(0.0, 2.0 * math.pi, 41)
+
+
+def offset_constants(profile, a, b):
+    """The constants of the offset (a, b) on a profile's mean (K, r, K - k): c from
+    (R2), d from (R3), epsilon the sign of a*r + b*(K - k), delta that of K - k."""
+    K, r, m = (float(np.mean(x)) for x in (profile.K, profile.r, profile.bitorsion))
+    c = (a * K - 1.0) / (a * r + b * m)
+    return BertrandConstants(a, b, c, (c * K + r) / m, 1 if a * r + b * m > 0.0 else -1,
+                             1 if m > 0.0 else -1)
+
+
+@pytest.mark.parametrize("name", FLAT_TORI)
+def test_every_offset_of_a_flat_torus_is_a_mate(name):
+    """On a flat torus every constant offset a*N1 + b*N3 is a (1,3)-Bertrand mate.
+
+    With c and d solved from (R2) and (R3), 20 drawn (a, b) in [-2, 2]^2 all
+    verify, the span residual at round-off.  So on the tori the span stage
+    cannot fail: only the conditions and the curvature comparison judge an
+    offset there, and the span stage needs a curve whose curvatures vary.
+    """
+    torus = FLAT_TORI[name]
+    profile = curvature_profile(torus, TORUS_GRID)
+    for a, b in np.random.default_rng(11).uniform(-2.0, 2.0, (20, 2)):
+        report = verify_mate(torus, offset_constants(profile, a, b), TORUS_GRID)
+        assert report.verdict, (a, b, report.to_json_dict())
+        assert report.span_residual <= 1e-11
+
+
+@pytest.mark.parametrize("amplitude", [1e-5, 1e-4])
+def test_span_stage_fails_on_a_wobbled_torus(amplitude):
+    # The torus with a third-harmonic wobble of this amplitude (WOBBLE_DOC's
+    # cos[0][3]) is no flat torus: no offset with |a|, |b| in [0.5, 2] keeps
+    # N1bar and N3bar in span{N1, N3}, and the span residual clears its
+    # tolerance on every draw (by 24x and 240x at the least).
+    doc = copy.deepcopy(WOBBLE_DOC)
+    doc["params"]["coeffs"]["cos"][0][3] = amplitude
+    wobble = CurveSpec.from_dict(doc).build()
+    profile = curvature_profile(wobble, TORUS_GRID)
+    rng = np.random.default_rng(11)
+    for a, b in rng.uniform(0.5, 2.0, (20, 2)) * rng.choice([-1.0, 1.0], (20, 2)):
+        report = verify_mate(wobble, offset_constants(profile, a, b), TORUS_GRID)
+        assert report.span_residual > report.tolerances["span"], (a, b, report.span_residual)
+        assert not report.verdict
+
+
+@pytest.mark.parametrize("name", [*FLAT_TORI, "varying"])
+def test_n1_only_offset_turns_n1bar_off_n1(varying_curve, name):
+    # The paper's first theorem: a mate along N1 alone with N1bar = +-N1
+    # forces torsion or bitorsion to vanish.  Neither vanishes on the tori or
+    # on the varying fixture, so for every a N1bar leaves +-N1: its part
+    # orthogonal to N1 passes 1e-2 somewhere (0.028 at the least).
+    curve, grid = ((varying_curve, VARYING_GRID) if name == "varying"
+                   else (FLAT_TORI[name], TORUS_GRID))
+    base = frames4(curve, grid)
+    for a in np.geomspace(0.05, 3.0, 40):
+        bar = frames4(construct_mate(curve, (a, 0.0)), grid)
+        off = bar.N1 - inner(bar.N1, base.N1)[:, None] * base.N1
+        assert np.max(norm(off)) > 1e-2, a
+
+
+@pytest.mark.parametrize("fitted", [True, False], ids=["fitted", "0.7,-0.4"])
+@pytest.mark.parametrize("name", FLAT_TORI)
+def test_mate_of_the_mate_on_flat_tori(name, fitted):
+    # span{N1, N3} = span{N1bar, N3bar} is symmetric: alpha - beta has constant
+    # coordinates (abar, bbar) on the mate's N1bar and N3bar, at the same
+    # distance, and the mate of beta at (abar, bbar) is alpha.
+    torus = FLAT_TORI[name]
+    a, b = (dataclasses.astuple(fit_constants(curvature_profile(torus, TORUS_GRID)))[:2]
+            if fitted else (0.7, -0.4))
+    beta = construct_mate(torus, (a, b))
+    bar = frames4(beta, TORUS_GRID)
+    alpha = torus.points(TORUS_GRID)
+    abar, bbar = (inner(alpha - beta.points(TORUS_GRID), v) for v in (bar.N1, bar.N3))
+    assert max(np.ptp(abar), np.ptp(bbar)) <= 1e-12
+    assert abar[0] ** 2 + bbar[0] ** 2 == pytest.approx(a * a + b * b, rel=0.0, abs=1e-12)
+    again = construct_mate(beta, (float(abar.mean()), float(bbar.mean()))).points(TORUS_GRID)
+    assert np.max(np.abs(again - alpha)) <= 1e-12 * np.max(np.abs(alpha))
 
 
 coprime_pairs = st.tuples(st.integers(1, 5), st.integers(1, 5)).filter(
@@ -352,17 +440,17 @@ def bitorsion_series(m_lo, span, sign, w, phase, degree):
     return sign * (np.eye(1, len(g))[0] * m_lo + span * np.array(g)), P.polyval(VARYING_GRID, g)
 
 
-@settings(derandomize=True, deadline=None, max_examples=80, database=None)
-@given(ends=st.lists(st.floats(0.3, 2.5), min_size=4, max_size=4),
-       m_lo=st.floats(0.3, 1.5), ratio=st.floats(1.3, 2.5), sign=st.sampled_from([1.0, -1.0]),
-       w=st.one_of(st.just(0.0), st.floats(1.0, 2.5)), phase=st.floats(0.0, 2.0 * math.pi))
-def test_varying_bertrand_curves_fit_and_verify(ends, m_lo, ratio, sign, w, phase):
-    # On a Bertrand curve the triples (K, r, m = K - k) lie on a line; each
-    # example draws K and r at the two ends of m's range, affine in s or
-    # trigonometric, and reads (a, b, c, d) off that line.  The fit recovers
-    # them, and the mirror image x4 -> -x4 (K and r kept, m flipped) the
-    # constants (a, -b, c, -d), both verified with the oracle at round-off.
-    # A trigonometric m slows the frame's Taylor series: degree 100 reads it.
+# One draw of the sweep: K and r at the two ends of the bitorsion m's range.
+VARYING_DRAWS = dict(
+    ends=st.lists(st.floats(0.3, 2.5), min_size=4, max_size=4), m_lo=st.floats(0.3, 1.5),
+    ratio=st.floats(1.3, 2.5), sign=st.sampled_from([1.0, -1.0]),
+    w=st.one_of(st.just(0.0), st.floats(1.0, 2.5)), phase=st.floats(0.0, 2.0 * math.pi))
+
+
+def drawn_bertrand_curve(ends, m_lo, ratio, sign, w, phase):
+    """The ``taylor_curve`` of one draw of ``VARYING_DRAWS`` and its constants
+    (a, b, c, d), read off the line of its triples; ``assume`` drops a draw whose
+    constants, (R1) or mate torsion come near zero."""
     (K_lo, K_hi, r_lo, r_hi), span = ends, (ratio - 1.0) * m_lo
     m_series, g = bitorsion_series(m_lo, span, sign, w, phase, degree=100)
     # K = alpha + beta*m and r = -c*alpha + (d - c*beta)*m.
@@ -379,7 +467,19 @@ def test_varying_bertrand_curves_fit_and_verify(ends, m_lo, ratio, sign, w, phas
     # The oracle divides by the mate's torsion.
     torsion_bar = bertrand.mate_curvatures_closed_form(K, r, K - m, BertrandConstants(a, b, c, d))[1]
     assume(np.min(np.abs(torsion_bar)) >= 0.2)
-    curve = taylor_curve(m_series, a, b, c, d, degree=100)
+    return taylor_curve(m_series, a, b, c, d, degree=100), (a, b, c, d)
+
+
+@settings(derandomize=True, deadline=None, max_examples=80, database=None)
+@given(**VARYING_DRAWS)
+def test_varying_bertrand_curves_fit_and_verify(ends, m_lo, ratio, sign, w, phase):
+    # On a Bertrand curve the triples (K, r, m = K - k) lie on a line; each
+    # example draws K and r at the two ends of m's range, affine in s or
+    # trigonometric, and reads (a, b, c, d) off that line.  The fit recovers
+    # them, and the mirror image x4 -> -x4 (K and r kept, m flipped) the
+    # constants (a, -b, c, -d), both verified with the oracle at round-off.
+    # A trigonometric m slows the frame's Taylor series: degree 100 reads it.
+    curve, (a, b, c, d) = drawn_bertrand_curve(ends, m_lo, ratio, sign, w, phase)
     for alpha4, flip in ((curve, 1.0), (reflected(curve), -1.0)):
         consts = fit_constants(curvature_profile(alpha4, VARYING_GRID))
         got = np.array([consts.a, consts.b, consts.c, consts.d])
@@ -387,6 +487,27 @@ def test_varying_bertrand_curves_fit_and_verify(ends, m_lo, ratio, sign, w, phas
         report = verify_mate(alpha4, consts, VARYING_GRID)
         assert report.verdict, report.to_json_dict()
         assert report.curvature_deviation <= 1e-10
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(**VARYING_DRAWS)
+def test_kk_forms_match_the_mate_on_varying_curves(ends, m_lo, ratio, sign, w, phase):
+    # Every draw has c != 0, so the K/k-only forms apply; they meet the
+    # curvatures of the mate's own frames, and its spatial curvature is Kbar
+    # less the signed bitorsion (against |bitorsion| it misses by O(1) where
+    # the sign differs).  The bound is 1e-9 of the largest mate curvature:
+    # the frames' reading of the mate's jet has round-off up to 4.4e-10 of it
+    # on 300 draws (median 6e-14), with the exact constants as with the fit.
+    curve, _ = drawn_bertrand_curve(ends, m_lo, ratio, sign, w, phase)
+    profile = curvature_profile(curve, VARYING_GRID)
+    consts = fit_constants(profile)
+    bar = frames4(construct_mate(curve, consts), VARYING_GRID)
+    want = np.abs([bar.K, bar.torsion, bar.bitorsion])
+    forms = np.abs(bertrand.mate_curvatures_Kk_form(profile.K, profile.k, consts))
+    tol = 1e-9 * np.max(want)
+    assert np.max(np.abs(forms - want)) <= tol
+    kbar_spatial = bertrand.mate_spatial_curvatures(profile.K, profile.k, consts)[0]
+    assert np.max(np.abs(np.abs(kbar_spatial) - np.abs(bar.K - bar.bitorsion))) <= tol
 
 
 @pytest.mark.parametrize("name, fails, passes", [("a", 1e-4, 1e-6), ("b", 1e-3, 1e-5)])

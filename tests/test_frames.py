@@ -294,6 +294,14 @@ class TestOdeResidual:
         report = frame_ode_residual(torus, inner[:: len(inner) // 15])
         assert report.max_residual < 1e-4
 
+    @pytest.mark.parametrize("mu", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+    def test_scaled_torus_residual_small(self, mu):
+        # The step is FD_STEP of the domain's length, so the torus scaled by mu
+        # reads its ODE to about 3e-12 of its curvature at every size.
+        torus = torus_curve(0.6 * mu, 1.0 / mu, 0.4 * mu, 2.0 / mu, domain=(0.0, 2.0 * math.pi * mu))
+        report = frame_ode_residual(torus, np.linspace(0.3, 6.0, 25) * mu)
+        assert report.max_residual <= 1e-10 * TORUS_K / mu
+
     def test_grid_as_list_tuple_or_array(self, torus):
         grid = np.linspace(1.0, 3.0, 5)
         reports = [frame_ode_residual(torus, g) for g in (grid, list(grid), tuple(grid))]
