@@ -14,7 +14,8 @@ functions, and verifies the closed forms against curvatures read from the
 exact derivatives of the actual mate curve.  Those derivatives are the
 Taylor coefficients of ``alpha + a*N1 + b*N3`` that series arithmetic
 (:mod:`quatcurves.series`) gives from one jet of the base curve, of
-orders 0-7; no finite difference enters.  The mate is the curve whose jet
+orders 0-7, which the frames layer's one reader of a curve reads with its
+base frames; no finite difference enters.  The mate is the curve whose jet
 is that series and whose points are ``alpha + a*N1 + b*N3`` from the frame
 rows: exact by construction, it is built without a derivative check.
 Curvatures are per arc length and frames pointwise, in the base curve's
@@ -42,14 +43,11 @@ from .frames import (  # noqa: F401
     Frames4,
     _derivative_frame,
     _intrinsic_basis,
-    _intrinsic_frames,
-    _pair_frames,
     _profile,
+    _read,
     _require_r4,
-    _spatial_parameters,
     curvature_profile,
     frame4_intrinsic,
-    frames3,
 )
 from .quaternion import inner, mul, norm
 
@@ -345,23 +343,6 @@ def _mate_point(x: np.ndarray, n1: np.ndarray, n3: np.ndarray, a: float, b: floa
     return x + a * n1 + b * n3
 
 
-def _read_jet(alpha4: ParametricCurve, s: np.ndarray, alpha3: Optional[ParametricCurve]):
-    """The jet of ``alpha4`` of orders 0-7 on ``s``, its frames from the rows and
-    arithmetic of :func:`~quatcurves.frames.frames4`, and for a pair the jet of
-    ``alpha3`` of orders 1-5 at the matching parameters (its first three rows
-    give the spatial frames) and whether the two curves share their parameter
-    (None without a pair)."""
-    _require_r4(alpha4)
-    jet = alpha4.jet(s, _JET_ORDERS)
-    if alpha3 is None:
-        return jet, _intrinsic_frames(*jet[1:5]), None
-    sigma = _spatial_parameters(alpha4, alpha3, s)
-    spatial = alpha3.jet(sigma, _SPATIAL_ORDERS)
-    f3 = frames3(alpha3, sigma, spatial[:3])
-    shared = alpha4.is_unit_speed and alpha3.is_unit_speed
-    return jet, _pair_frames(jet[1], jet[2], f3), (spatial, shared)
-
-
 def _gram_schmidt(derivs):
     """The unit series of ``_derivative_frame``'s Gram-Schmidt pass over the derivative
     series ``[d1, d2, ...]``: each less its components along the units before it."""
@@ -414,8 +395,9 @@ def _mate_block(x: np.ndarray, a: float, b: float, pair) -> np.ndarray:
 
 def _mate_series(jet: np.ndarray, a: float, b: float, pair=None) -> np.ndarray:
     """Taylor coefficients 0-4 of the mate ``alpha + a*N1 + b*N3`` at every grid point,
-    shape ``(5, n, 4)``, from the rows of :func:`_read_jet`; built on blocks of at most
-    ``ROW_BLOCK`` rows of the jet."""
+    shape ``(5, n, 4)``, from the jet of orders 0-7 and, for a pair, the spatial jet of
+    orders 1-5 with the shared-parameter flag, as :func:`~quatcurves.frames._read`
+    gives them; built on blocks of at most ``ROW_BLOCK`` rows of the jet."""
     out = np.empty((_DEGREE + 1,) + jet.shape[1:])
     step = max(1, ROW_BLOCK // len(jet))
     for rows in (slice(i, i + step) for i in range(0, jet.shape[1], step)):
@@ -450,14 +432,13 @@ def construct_mate(
             x, *derivs = alpha4.jet(s, (0, 1, 2, 3))
             _, n1, _, n3, _ = _intrinsic_basis(*derivs)
             return _mate_point(x, n1, n3, a, b)
-        x, d1, d2 = alpha4.jet(s, (0, 1, 2))
-        f = _pair_frames(d1, d2, frames3(curve3, _spatial_parameters(alpha4, curve3, s)))
-        return _mate_point(x, f.N1, f.N3, a, b)
+        x, f, _ = _read(alpha4, s, curve3, (0, 1, 2))
+        return _mate_point(x[0], f.N1, f.N3, a, b)
 
     def jet(s: np.ndarray, orders) -> np.ndarray:
         if orders == (0,):
             return points(s)[None]
-        x, base, pair = _read_jet(alpha4, s, curve3)
+        x, base, pair = _read(alpha4, s, curve3, _JET_ORDERS, _SPATIAL_ORDERS)
         rows = series.jet(_mate_series(x, a, b, pair))
         rows[0] = _mate_point(x[0], base.N1, base.N3, a, b)
         return rows.take(orders, axis=0)
@@ -583,25 +564,26 @@ def verify_mate(
     One jet of ``alpha4`` of orders 0-7 on the grid (and, for a pair, one
     of ``alpha3``) feeds every stage.  Stages: (i) condition check on the
     curvature profile of the base frames, with the algebraic tolerance
-    ``tol``; (ii) mate construction: its points ``alpha + a*N1 + b*N3``
-    with the constant-distance check, and its Taylor series of degree 4;
-    (iii) the mate's speed (coefficient 1) versus the closed-form phi'
-    times the base curve's speed; (iv) the oracle: at every grid point, the
-    Gram-Schmidt reading of the mate's first four derivatives (k! times
-    coefficient k) in the base parameter (Gluck's formulas need no
-    arc-length parameter); (v) curvature comparison in absolute value; (vi)
-    span check that the oracle N1bar/N3bar (units 1 and 3) stay in
-    span{N1, N3}.  The base frames are those of ``frames4``, row for row,
-    and the later stages hold to ``VERIFY_TOLERANCES`` times their scales
-    (the offset ``sqrt(a^2 + b^2)``, max ``phi' * |alpha'|``, the closed-form
-    max ``|Kbar|``), which the report's ``tolerances`` carry (None if a stage
-    failed).  Stage failures are recorded in the report, not thrown.
+    ``tol``; (ii) mate construction: the constant-distance check of the
+    offset ``a*N1 + b*N3`` its points add to alpha's, and its Taylor series
+    of degree 4; (iii) the mate's speed (coefficient 1) versus the
+    closed-form phi' times the base curve's speed; (iv) the oracle: at every
+    grid point, the Gram-Schmidt reading of the mate's first four
+    derivatives (k! times coefficient k) in the base parameter (Gluck's
+    formulas need no arc-length parameter); (v) curvature comparison in
+    absolute value; (vi) span check that the oracle N1bar/N3bar (units 1
+    and 3) stay in span{N1, N3}.  The base frames are those of ``frames4``,
+    row for row, and the later stages hold to ``VERIFY_TOLERANCES`` times
+    their scales (the offset ``sqrt(a^2 + b^2)``, max ``phi' * |alpha'|``,
+    the closed-form max ``|Kbar|``), which the report's ``tolerances`` carry
+    (None if a stage failed).  Stage failures are recorded in the report,
+    not thrown.
     """
     # The base frames are those the mate is built from: pointwise, from
     # the same source as the profile (pair frames can orient N3
     # oppositely to intrinsic ones).
-    jet, base, pair = _read_jet(alpha4, grid, alpha3)
-    profile = _profile(grid, base, alpha3)
+    jet, base, pair = _read(alpha4, grid, alpha3, _JET_ORDERS, _SPATIAL_ORDERS)
+    profile = _profile(grid, base)
     report = check_conditions(profile, consts, tol=tol)
     report.tolerances = {"algebraic": tol, **VERIFY_TOLERANCES, **dict.fromkeys(VERIFY_MEASURES)}
     a, b = consts.a, consts.b
@@ -611,8 +593,9 @@ def verify_mate(
         setattr(report, VERIFY_MEASURES[name], float(value))
         report.tolerances[name] = VERIFY_TOLERANCES[name] * float(scale)
 
-    # The mate's points as construct_mate computes them, less alpha's.
-    distances = norm(_mate_point(jet[0], base.N1, base.N3, a, b) - jet[0])
+    # The offset the mate's points add to alpha's, as construct_mate computes
+    # it: read from alpha's position, it would carry that position's round-off.
+    distances = norm(_mate_point(0.0, base.N1, base.N3, a, b))
     measured("distance", np.max(np.abs(distances - offset)), offset)
     coeffs = _mate_series(jet, a, b, pair)
 

@@ -209,7 +209,8 @@ class ParametricCurve:
 
     def _validate_derivatives(self):
         """Check each order k + 1 of the jet against the stencil of its order k on 10
-        draws ``fd_step`` inside the domain, to 1e-6 * max(|order k+1|, |order k| / (hi - lo))."""
+        draws ``fd_step`` inside the domain, to 1e-6 * |order k+1| or the stencil's round-off,
+        100 eps * |order k| / h (17 the most measured), whichever is larger."""
         lo, hi = self.domain
         h = self.fd_step
         # The doubles of default_rng(20240831).uniform(lo + h, hi - h, 10).
@@ -218,7 +219,7 @@ class ParametricCurve:
         jet = self.jet(us, orders)
         approx = _fd_derivative(lambda v: self.jet(v, orders[:-1]).swapaxes(0, 1), us, h)
         size = np.abs(jet).max(axis=(1, 2))
-        tol = 1e-6 * np.maximum(size[1:], size[:-1] / (hi - lo))
+        tol = np.maximum(1e-6 * size[1:], 100 * np.finfo(float).eps * size[:-1] / h)
         off = np.abs(jet[1:] - approx.swapaxes(0, 1)).max(axis=-1) > tol[:, None]
         if off.any():
             k, i = np.argwhere(off)[0]

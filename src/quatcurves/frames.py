@@ -26,7 +26,8 @@ Frames are built for a whole grid at once: :func:`frames3` and
 records :class:`Frames3` and :class:`Frames4`.  :func:`frame3_at`,
 :func:`frame4_intrinsic` and :func:`frame4_from_pair` return the
 one-row record at a single parameter; they are kept as lookup sites for
-per-layer tracing.
+per-layer tracing.  One reader, ``_read``, gives :func:`frames4` and the
+Bertrand layer a curve's jet with its intrinsic or Type 2 frames.
 """
 
 from __future__ import annotations
@@ -127,7 +128,6 @@ class CurvatureProfile:
     K: np.ndarray
     r: np.ndarray
     k: np.ndarray
-    source: str
 
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
@@ -331,6 +331,23 @@ def frame4_from_pair(curve4: ParametricCurve, curve3: ParametricCurve, s: float)
 
 # -- grid-level operations -----------------------------------------------------------
 
+def _read(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve], orders: Sequence[int],
+          spatial_orders: Sequence[int] = (1, 2, 3)):
+    """The jet of ``curve4`` of ``orders`` (from 0 or 1 up) on ``s``; its frames, intrinsic
+    from orders 1-4, or Type 2 from orders 1-2 and the frames of the jet of ``curve3``
+    of ``spatial_orders`` (1-3 first) at :func:`_spatial_parameters`; and for a pair that
+    jet with whether the two curves share their parameter (None without a pair)."""
+    _require_r4(curve4)
+    jet = curve4.jet(s, orders)
+    d = jet[orders.index(1):]
+    if curve3 is None:
+        return jet, _intrinsic_frames(*d[:4]), None
+    sigma = _spatial_parameters(curve4, curve3, s)
+    spatial = curve3.jet(sigma, spatial_orders)
+    shared = curve4.is_unit_speed and curve3.is_unit_speed
+    return jet, _pair_frames(d[0], d[1], frames3(curve3, sigma, spatial[:3])), (spatial, shared)
+
+
 def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None) -> Frames4:
     """R^4 frames at every parameter of ``s``, each computed on its own.
 
@@ -338,11 +355,7 @@ def frames4(curve4: ParametricCurve, s, curve3: Optional[ParametricCurve] = None
     spatial curve ``curve3`` is given; see :func:`_intrinsic_frames` and
     :func:`_pair_frames`.
     """
-    _require_r4(curve4)
-    if curve3 is None:
-        return _intrinsic_frames(*curve4.jet(s, (1, 2, 3, 4)))
-    d1, d2 = curve4.jet(s, (1, 2))
-    return _pair_frames(d1, d2, frames3(curve3, _spatial_parameters(curve4, curve3, s)))
+    return _read(curve4, s, curve3, (1, 2, 3, 4) if curve3 is None else (1, 2))[1]
 
 
 @dataclass
@@ -402,15 +415,9 @@ def frame_ode_residual(
     )
 
 
-def _profile(s: np.ndarray, frames: Frames4, curve3: Optional[ParametricCurve]) -> CurvatureProfile:
+def _profile(s: np.ndarray, frames: Frames4) -> CurvatureProfile:
     """The curvature functions that ``frames`` read on the grid ``s``."""
-    return CurvatureProfile(
-        s=s,
-        K=frames.K,
-        r=-frames.torsion,
-        k=frames.K - frames.bitorsion,
-        source="pair" if curve3 is not None else "intrinsic",
-    )
+    return CurvatureProfile(s=s, K=frames.K, r=-frames.torsion, k=frames.K - frames.bitorsion)
 
 
 def curvature_profile(
@@ -419,4 +426,4 @@ def curvature_profile(
     curve3: Optional[ParametricCurve] = None,
 ) -> CurvatureProfile:
     """Curvature functions on the grid; ``k`` is recovered as K - bitorsion."""
-    return _profile(grid, frames4(curve4, grid, curve3), curve3)
+    return _profile(grid, frames4(curve4, grid, curve3))

@@ -43,13 +43,11 @@ SQ2 = math.sqrt(2.0)
 
 def constant_profile(K, r, k, n=9):
     s = np.linspace(0.0, 1.0, n)
-    return CurvatureProfile(s=s, K=np.full(n, K), r=np.full(n, r), k=np.full(n, k),
-                            source="intrinsic")
+    return CurvatureProfile(s=s, K=np.full(n, K), r=np.full(n, r), k=np.full(n, k))
 
 
 def varying_profile(K, r, m):
-    return CurvatureProfile(s=np.linspace(0.0, 1.0, len(K)), K=K, r=r, k=K - m,
-                            source="intrinsic")
+    return CurvatureProfile(s=np.linspace(0.0, 1.0, len(K)), K=K, r=r, k=K - m)
 
 
 def bertrand_profile(m, **consts):
@@ -167,8 +165,7 @@ class TestCheckConditions:
                     want.conditions[name].tolerance * mu ** power, rel=1e-15), name
 
     def test_empty_profile_rejected(self, torus_constants):
-        empty = CurvatureProfile(s=np.array([]), K=np.array([]), r=np.array([]),
-                                 k=np.array([]), source="intrinsic")
+        empty = CurvatureProfile(s=np.array([]), K=np.array([]), r=np.array([]), k=np.array([]))
         with pytest.raises(ValueError, match="nonempty"):
             check_conditions(empty, torus_constants)
 
@@ -196,8 +193,7 @@ class TestFitConstants:
         # then has the exact solution a = 0, under the length floor.
         n = 21
         s = np.linspace(0.0, 1.0, n)
-        profile = CurvatureProfile(s=s, K=np.full(n, 1.0), r=s.copy(),
-                                   k=np.full(n, 0.25), source="intrinsic")
+        profile = CurvatureProfile(s=s, K=np.full(n, 1.0), r=s.copy(), k=np.full(n, 0.25))
         with pytest.raises(FitError, match="a or b indistinguishable from zero"):
             fit_constants(profile)
 
@@ -234,8 +230,7 @@ class TestFitConstants:
         # takes a = 1/mean(K); (R2) then misses by a*K - 1 = 0.2 at the ends (and
         # the (R4) term, K*r, vanishes).
         s = np.linspace(0.0, 1.0, 21)
-        profile = CurvatureProfile(s=s, K=1.0 + 0.5 * s, r=np.zeros(21), k=0.5 * s - s * s,
-                                   source="intrinsic")
+        profile = CurvatureProfile(s=s, K=1.0 + 0.5 * s, r=np.zeros(21), k=0.5 * s - s * s)
         with pytest.raises(FitError, match=r"curvature_relation \(residual 0\.2, tol 1e-08\)"):
             fit_constants(profile)
 
@@ -248,7 +243,7 @@ class TestFitConstants:
         # check's 1e-8*kappa.
         m = 0.2 + wiggle * np.resize([1.0, -1.0], 9)
         profile = CurvatureProfile(s=np.linspace(0.0, 1.0, 9), K=np.ones(9),
-                                   r=np.full(9, 5.0), k=1.0 - m, source="intrinsic")
+                                   r=np.full(9, 5.0), k=1.0 - m)
         if fits:
             consts = fit_constants(profile)
             assert (consts.c, consts.d) == (0.0, pytest.approx(25.0, abs=1e-6))

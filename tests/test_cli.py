@@ -332,6 +332,31 @@ class TestFrameCommand:
         assert main(["verify", "--curve", spec, "--constants", consts,
                      "--report", str(tmp_path / "r.json"), *grid]) == 0
 
+    @pytest.mark.parametrize("shift", [1e4, 1e6, 1e7, 1e8])
+    def test_translated_torus_fit_and_verify_exit0(self, tmp_path, shift):
+        # The canonical torus as a fourier spec, moved by shift along x1: a
+        # curve's position is one, so it fits the unmoved torus's constants and
+        # verifies with its speed, curvature and span measures.  The distance
+        # stage reads the offset a*N1 + b*N3 itself: the mate's points less
+        # alpha's carried round-off of alpha's size (7.8e-9 at 1e8, exit 1).
+        results = []
+        for x0 in (0.0, shift):
+            doc = {"family": "fourier", "domain": [0.0, 2.0 * math.pi], "params": {"coeffs": {
+                "cos": [[x0, 0.6], [0.0], [0.0, 0.0, 0.4], [0.0]],
+                "sin": [[0.0], [0.0, 0.6], [0.0], [0.0, 0.0, 0.4]]}}}
+            spec = write_json(tmp_path, f"moved{x0:g}.json", doc)
+            consts, report = tmp_path / f"c{x0:g}.json", tmp_path / f"r{x0:g}.json"
+            grid = ["--samples", "41"]
+            assert main(["bertrand", "fit", "--curve", spec, "--out", str(consts), *grid]) == 0
+            assert main(["verify", "--curve", spec, "--constants", str(consts),
+                         "--report", str(report), *grid]) == 0
+            results.append((json.loads(consts.read_text()), json.loads(report.read_text())))
+        (consts0, report0), (consts1, report1) = results
+        assert consts1 == consts0
+        for name in ("speed_deviation", "curvature_deviation", "span_residual"):
+            assert report1[name] == report0[name], name
+        assert report1["distance_deviation"] <= 1e-15
+
     @pytest.mark.parametrize("mu", [1e-150, 1e-100, 1e-40, 1e-12, 1e-10, 1e12, 1e40, 1e100,
                                     1e150])
     def test_scaled_fast_torus_frame_fit_and_verify_exit0(self, tmp_path, mu):

@@ -403,7 +403,7 @@ def test_short_domain_caller_jet_is_checked(torus, domain):
 @pytest.mark.parametrize("name", ["torus", "fast-torus"])
 def test_caller_jet_check_is_scale_free(torus, name, mu, lam):
     # The step and the inset are FD_STEP of the domain's length, and order
-    # k + 1 is held to 1e-6 * max(|order k + 1|, |order k| / (hi - lo)), so
+    # k + 1 is held to max(1e-6 |order k + 1|, 100 eps |order k| / step), so
     # the torus and its 2x-speed fourier form read alike scaled by mu in
     # space and by lam in speed: the jet passes, and each order off by 1e-5
     # (a decade over the bound) fails while 1e-7 (a decade under) passes.
@@ -415,11 +415,32 @@ def test_caller_jet_check_is_scale_free(torus, name, mu, lam):
         ParametricCurve(4, *scaled_jet(curve, mu, lam, order=k, factor=1.0 + 1e-7))
 
 
+@pytest.mark.parametrize("shift, domain", [(1e6, None), (0.0, (0.0, 1.5 * FD_STEP))],
+                         ids=["translated-1e6", "short-domain"])
+def test_caller_jet_check_reads_no_position(torus, shift, domain):
+    # The torus's jet moved by 1e6 in space, or on a domain of 1.5 FD_STEP,
+    # passes, and with order 1 off by 1e-3 of itself fails, named order 1:
+    # the round-off term of the bound reads the stencil's step, not where the
+    # curve sits or how long its domain is.
+    def moved(factor):
+        def jet(u, orders):
+            rows = torus.jet(u, orders)
+            rows[list(orders).index(0)] += shift
+            rows[list(orders).index(1)] *= factor
+            return rows
+        return jet
+
+    domain = domain or torus.domain
+    assert ParametricCurve(4, domain, moved(1.0)).jet_order == 7
+    with pytest.raises(ValueError, match=re.escape("(order 1 at u=")):
+        ParametricCurve(4, domain, moved(1.001))
+
+
 @pytest.mark.parametrize("eps", [1e-12, 1e-8])
 def test_nearly_straight_caller_jet_is_accepted(eps):
     # x = u + eps*sin(u): order 2 is eps in size, while the stencil's round-off
-    # on order 1 is about 1e-16 / FD_STEP of its size 1.  The bound's second
-    # term, |order 1| / (hi - lo), keeps the correct jet; 1e-6 of |order 2|
+    # on order 1 is about 1e-16 / FD_STEP of its size 1.  The bound's round-off
+    # term, 100 eps * |order 1| / h, keeps the correct jet; 1e-6 of |order 2|
     # alone would refuse it.
     line = fourier_curve([[0.0], [0.0, eps], [0.0], [0.0]], [[0.0, eps], [0.0], [0.0], [0.0]],
                          [1.0, 0.0, 0.0, 0.0])
@@ -465,11 +486,11 @@ def _jet_in_r3(s, orders):
      re.escape("a derivative jet must return one (n, 4) array per order")),
     (lambda: arc_length(circle3(1.0), 1.0, 0.5), "need u0 <= u1 inside the curve domain"),
     (lambda: ArcLengthTable.build(circle3(1.0), 0.0, 1.0, 1), "need at least 2 panels"),
-    (lambda: CurvatureProfile([0.0, 1.0], [1.0], [1.0, 1.0], [0.0, 0.0], "test"),
+    (lambda: CurvatureProfile([0.0, 1.0], [1.0], [1.0, 1.0], [0.0, 0.0]),
      "profile arrays must share a length"),
-    (lambda: CurvatureProfile([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0], "test"),
+    (lambda: CurvatureProfile([0.0, 0.0], [1.0, 1.0], [1.0, 1.0], [0.0, 0.0]),
      "profile grid must be strictly increasing"),
-    (lambda: CurvatureProfile([0.0, 1.0], [math.nan, 1.0], [1.0, 1.0], [0.0, 0.0], "test"),
+    (lambda: CurvatureProfile([0.0, 1.0], [math.nan, 1.0], [1.0, 1.0], [0.0, 0.0]),
      "profile values must be finite"),
     (lambda: BertrandConstants(a=math.inf, b=1.0, c=0.0, d=1.0), "constant a must be finite"),
     (lambda: Quaternion(0.0, (1.0, 2.0)), "vector part must have exactly three components"),

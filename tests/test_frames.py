@@ -348,7 +348,6 @@ class TestCurvatureProfile:
     def test_grid_passthrough(self, torus, grid101):
         prof = curvature_profile(torus, grid101)
         assert np.array_equal(prof.s, grid101)
-        assert prof.source == "intrinsic"
 
     def test_k_is_curvature_minus_bitorsion(self, torus_profile):
         assert np.allclose(torus_profile.k, torus_profile.K - torus_profile.bitorsion)
@@ -356,7 +355,6 @@ class TestCurvatureProfile:
     def test_pair_profile_recovers_spatial_curvature(self, torus, helix_assoc):
         grid = np.linspace(0.3, 5.8, 12)
         prof = curvature_profile(torus, grid, curve3=helix_assoc)
-        assert prof.source == "pair"
         k_helix = TORUS_K + 2.0 / TORUS_K
         assert np.max(np.abs(prof.k - k_helix)) <= 1e-9
         assert np.max(np.abs(prof.r + TORUS_R)) <= 1e-9
