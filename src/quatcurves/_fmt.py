@@ -30,17 +30,18 @@ def fnum(x: float) -> str:
 # A finite x != 0 with decimal exponent e = floor(log10 |x|) is rendered by
 # format(x, ".16e") as the digits of M = round_half_even(|x| * 10**(16 - e)),
 # an integer in [1e16, 1e17]; M = 1e17 is written as 1e16 with exponent e + 1.
-# The kernel finds e exactly, computes M with a double-double product, and
-# hands every cell whose M it cannot decide exactly to fnum.
+# The kernel finds e exactly, computes M from two exact 26-bit partial
+# products and one rounded remainder, and hands every cell within 2**-18 of
+# a tie, or whose M it cannot decide exactly otherwise, to fnum.
 
 BLOCK = 8192  # cells per block, rounded down to whole rows: bounds the temporaries
 E_MIN, E_MAX = -99, 99  # exponents written with two digits
 # Tables are indexed by j = e + _J, for e in [E_MIN - 1, E_MAX + 1].
 _J = 1 - E_MIN
-# |y - (ph + pl)| < 4.3e-15 for every cell the kernel renders (see _scaled);
+# |y - (ph + pl)| < 1.2e-6 for every cell the kernel renders (see _scaled);
 # a fraction that far from a tie rounds the same way as the exact product.
-TIE_MARGIN = 2.0**-32
-_SPLIT = 134217729.0  # 2**27 + 1, Veltkamp's splitter for doubles
+TIE_MARGIN = 2.0**-18
+_CUT = np.int64(-1 << 27)  # clears a double's low 27 bits, keeping 26 significant bits
 _ABS = np.int64(0x7FFF_FFFF_FFFF_FFFF)
 _ONE_BITS = np.float64(1.0).view(np.int64)
 _WORD = np.dtype("<u4")  # four output bytes, first byte lowest on every platform
@@ -58,11 +59,9 @@ def _pow10_dd(k: int) -> tuple[float, float]:
     return hi, (q - p * 10**-k) / (q * 10**-k)
 
 
-def _split(x):
-    """Veltkamp's split: ``x = xh + xl`` exactly, each half of 26 bits or fewer."""
-    c = _SPLIT * x
-    xh = c - (c - x)
-    return xh, x - xh
+def _cut(x):
+    """The normal doubles ``x`` cut toward zero to their top 26 significant bits."""
+    return (x.view(np.int64) & _CUT).view(np.float64)
 
 
 def _words(texts) -> np.ndarray:
@@ -74,22 +73,22 @@ def _words(texts) -> np.ndarray:
 def _tables() -> SimpleNamespace:
     """The kernel's lookup tables, built on the first call to :func:`ftable_blocks`.
 
-    By j: ``ceil``, the smallest double >= 10**e; ``hi``, ``lo``, with
-    10**(16 - e) = hi + lo, and ``hi_h``, ``hi_l``, with hi = hi_h + hi_l;
+    By j: ``ceil``, the smallest double >= 10**e; ``hi``, 10**(16 - e) cut to
+    26 significant bits, and ``lo``, the rest of 10**(16 - e) rounded;
     ``exponent``, the word [sign, tens, ones, NUL] of e.  ``head``: by
     n < 100, plus 100 if negative, ["-" or NUL, n // 10, ".", n % 10].
     ``quad``: by n < 10**4, its four digits.  ``tail``: by n < 1000, its
     three digits and "e".
     """
     exponents = range(E_MIN - 1, E_MAX + 2)
-    hi, lo = np.array([_pow10_dd(16 - e) for e in exponents]).T
-    hi_h, hi_l = _split(hi)
+    full, low = np.array([_pow10_dd(16 - e) for e in exponents]).T
+    hi = _cut(full)
     near, rest = np.array([_pow10_dd(e) for e in exponents]).T
     pairs = _words(f"{n:02d}\0\0" for n in range(100))
     quad = (pairs[:, None] | pairs << 16).ravel()
     return SimpleNamespace(
         ceil=np.where(rest > 0, np.nextafter(near, np.inf), near),
-        hi=hi, lo=lo, hi_h=hi_h, hi_l=hi_l,
+        hi=hi, lo=(full - hi) + low,
         exponent=_words(f"{e:+03d}"[-3:] + "\0" for e in exponents),
         head=_words(f"{sign}{n // 10}.{n % 10}" for sign in "\0-" for n in range(100)),
         quad=quad,
@@ -100,21 +99,17 @@ def _tables() -> SimpleNamespace:
 def _scaled(a, j, t):
     """``ph + pl`` approximating ``y = a * 10**(16 - e)``, ``a`` in [1e-99, 1e100).
 
-    ``ph = a * hi`` rounded and Dekker's exact error of that product, plus
-    ``a * lo``, make ``ph + pl``.  As y lies in [1e16, 1e17), ``ph`` is an
-    integer (every double >= 2**53 is), its error is at most 8 and
-    ``|a * lo| < 11.2``, so ``|pl| < 20``.  The error of ``ph + pl`` is at
-    most 2**-49 from rounding ``pl``, plus 2**-106 * y from representing
-    10**(16 - e) as ``hi + lo``, plus 2**-106 * y from rounding ``a * lo``:
-    below 4.3e-15, under 1/50,000 of ``TIE_MARGIN``.  Every intermediate is
-    0 or of magnitude between 1e-120 and 1e125, so nothing under- or
-    overflows and Dekker's product is exact.
+    ``ah`` is ``a`` cut as ``hi`` is, so ``ph = ah * hi`` (26 by 26 bits) and
+    ``(a - ah) * hi`` (27 by 26) are exact.  Each cut loses under 2**-25 of
+    its value and y lies in [1e16, 1e17), so ``ph`` > 2**53 is an integer and
+    ``|pl| < 2**33``.  The error of ``ph + pl`` is at most 2**-22 from rounding
+    ``a * lo``, 2**-21 from rounding the sum, 2**-78 * y from rounding ``lo``
+    and 2**-105 * y from the remainder it rounds: below 1.2e-6, under a third
+    of ``TIE_MARGIN``.  Every intermediate is 0 or of magnitude between 1e-130
+    and 1e125, so nothing under- or overflows.
     """
-    bh, bl = t.hi_h[j], t.hi_l[j]
-    ah, al = _split(a)
-    ph = a * t.hi[j]
-    pl = (((ah * bh - ph) + ah * bl + al * bh) + al * bl) + a * t.lo[j]
-    return ph, pl
+    hi, ah = t.hi[j], _cut(a)
+    return ah * hi, (a - ah) * hi + a * t.lo[j]
 
 
 def _render_block(x, sep, t) -> bytes:

@@ -238,12 +238,16 @@ def _fd_derivative(f: Callable, u: np.ndarray, h: float) -> np.ndarray:
     """Richardson-central first derivative of ``f`` on the grid ``u``, base step ``h``;
     ``f`` maps ``(m,)`` to ``(m, ...)`` and is called once, on the shifted grids
     stacked.  The central stencils at ``h`` and ``h/2`` are O(h^2), so one
-    Richardson level, (4 D(h/2) - D(h)) / 3, cancels the leading error term."""
-    values = f(np.concatenate([u + k * h for k in _FD_SHIFTS]))
-    left, left_half, right_half, right = np.split(values, len(_FD_SHIFTS))
-    d_h = (right - left) / (2.0 * h)
-    d_h2 = (right_half - left_half) / (2.0 * (h / 2.0))
-    return (4.0 * d_h2 - d_h) / 3.0
+    Richardson level, (4 D(h/2) - D(h)) / 3, cancels the leading error term.  Each
+    stencil divides by the spacing of its points as rounded, which must not be 0."""
+    shifted = [u + k * h for k in _FD_SHIFTS]
+    if (shifted[1] == shifted[2]).any():
+        at = u[shifted[1] == shifted[2]][0]
+        raise ValueError(f"finite-difference step {h:.3g} is below the spacing of u at {at:.6g}")
+    left, left_half, right_half, right = np.split(f(np.concatenate(shifted)), len(_FD_SHIFTS))
+    d_h = (right - left).T / (shifted[3] - shifted[0])
+    d_h2 = (right_half - left_half).T / (shifted[2] - shifted[1])
+    return ((4.0 * d_h2 - d_h) / 3.0).T
 
 
 def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:

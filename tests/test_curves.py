@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -415,25 +416,37 @@ def test_caller_jet_check_is_scale_free(torus, name, mu, lam):
         ParametricCurve(4, *scaled_jet(curve, mu, lam, order=k, factor=1.0 + 1e-7))
 
 
-@pytest.mark.parametrize("shift, domain", [(1e6, None), (0.0, (0.0, 1.5 * FD_STEP))],
-                         ids=["translated-1e6", "short-domain"])
-def test_caller_jet_check_reads_no_position(torus, shift, domain):
-    # The torus's jet moved by 1e6 in space, or on a domain of 1.5 FD_STEP,
-    # passes, and with order 1 off by 1e-3 of itself fails, named order 1:
-    # the round-off term of the bound reads the stencil's step, not where the
-    # curve sits or how long its domain is.
+@pytest.mark.parametrize("shift, start, domain",
+                         [(1e6, 0.0, None), (0.0, 0.0, (0.0, 1.5 * FD_STEP)), (0.0, 1e8, None)],
+                         ids=["translated-1e6", "short-domain", "parameter-1e8"])
+def test_caller_jet_check_reads_no_position(torus, shift, start, domain):
+    # The torus's jet moved by 1e6 in space, on a domain of 1.5 FD_STEP, or
+    # with its parameter moved by 1e8, passes, and with order 1 off by 1e-3 of
+    # itself fails, named order 1: the round-off term of the bound reads the
+    # stencil's step, not where the curve sits or how long its domain is, and
+    # each stencil divides by the spacing its points have once rounded to u's.
     def moved(factor):
         def jet(u, orders):
-            rows = torus.jet(u, orders)
+            rows = torus.jet(u - start, orders)
             rows[list(orders).index(0)] += shift
             rows[list(orders).index(1)] *= factor
             return rows
         return jet
 
-    domain = domain or torus.domain
+    domain = domain or tuple(start + np.array(torus.domain))
     assert ParametricCurve(4, domain, moved(1.0)).jet_order == 7
     with pytest.raises(ValueError, match=re.escape("(order 1 at u=")):
         ParametricCurve(4, domain, moved(1.001))
+
+
+def test_caller_jet_on_a_domain_below_its_spacing_is_refused(torus):
+    # On [1e15, 1e15 + 1] the step, 1e-4, is below u's spacing 0.125, so
+    # the stencil's points coincide: the check refuses the jet by name, with
+    # no division by zero.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="below the spacing of u at 1e\\+15"):
+            ParametricCurve(4, (1e15, 1e15 + 1.0), lambda u, orders: torus.jet(u - 1e15, orders))
 
 
 @pytest.mark.parametrize("eps", [1e-12, 1e-8])

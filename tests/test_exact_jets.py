@@ -144,6 +144,19 @@ def offset_constants(profile, a, b):
                              1 if m > 0.0 else -1)
 
 
+def inverse_constants(profile, consts):
+    """(abar, bbar), the mate of the mate's offset, per row in closed form: N1bar is
+    N1 turned by gamma0, with cos gamma0 = (cK + r)/D, sin gamma0 = (K - k)/D and
+    D = -epsilon*sqrt((cK + r)^2 + (K - k)^2), and the intrinsic N3bar is
+    -sign(R4) times N3 turned alike."""
+    K, r, m = profile.K, profile.r, profile.bitorsion
+    a, b, c = consts.a, consts.b, consts.c
+    D = -consts.epsilon * np.sqrt((c * K + r) ** 2 + m ** 2)
+    cos_g, sin_g = (c * K + r) / D, m / D
+    return (-(a * cos_g + b * sin_g),
+            -np.sign(bertrand._r4(c, K, r, m)) * (a * sin_g - b * cos_g))
+
+
 @pytest.mark.parametrize("name", FLAT_TORI)
 def test_every_offset_of_a_flat_torus_is_a_mate(name):
     """On a flat torus every constant offset a*N1 + b*N3 is a (1,3)-Bertrand mate.
@@ -198,16 +211,19 @@ def test_n1_only_offset_turns_n1bar_off_n1(varying_curve, name):
 def test_mate_of_the_mate_on_flat_tori(name, fitted):
     # span{N1, N3} = span{N1bar, N3bar} is symmetric: alpha - beta has constant
     # coordinates (abar, bbar) on the mate's N1bar and N3bar, at the same
-    # distance, and the mate of beta at (abar, bbar) is alpha.
+    # distance and as inverse_constants gives them, and the mate of beta at
+    # (abar, bbar) is alpha.
     torus = FLAT_TORI[name]
-    a, b = (dataclasses.astuple(fit_constants(curvature_profile(torus, TORUS_GRID)))[:2]
-            if fitted else (0.7, -0.4))
+    profile = curvature_profile(torus, TORUS_GRID)
+    consts = fit_constants(profile) if fitted else offset_constants(profile, 0.7, -0.4)
+    a, b = consts.a, consts.b
     beta = construct_mate(torus, (a, b))
     bar = frames4(beta, TORUS_GRID)
     alpha = torus.points(TORUS_GRID)
     abar, bbar = (inner(alpha - beta.points(TORUS_GRID), v) for v in (bar.N1, bar.N3))
     assert max(np.ptp(abar), np.ptp(bbar)) <= 1e-12
     assert abar[0] ** 2 + bbar[0] ** 2 == pytest.approx(a * a + b * b, rel=0.0, abs=1e-12)
+    assert np.max(np.abs(np.subtract(inverse_constants(profile, consts), (abar, bbar)))) <= 1e-12
     again = construct_mate(beta, (float(abar.mean()), float(bbar.mean()))).points(TORUS_GRID)
     assert np.max(np.abs(again - alpha)) <= 1e-12 * np.max(np.abs(alpha))
 
@@ -533,12 +549,18 @@ def test_span_stage_fails_off_the_bertrand_offset(varying_curve, name, fails, pa
 
 def test_mate_of_the_mate_is_the_curve(varying_curve):
     # span{N1, N3} = span{N1bar, N3bar} is symmetric: the mate beta is a
-    # varying Bertrand curve whose fitted mate, at the same distance, is alpha.
-    fitted = fit_constants(curvature_profile(varying_curve, VARYING_GRID))
+    # varying Bertrand curve whose fitted mate, at the same distance and with
+    # the constants inverse_constants gives, is alpha.
+    profile = curvature_profile(varying_curve, VARYING_GRID)
+    fitted = fit_constants(profile)
     beta = construct_mate(varying_curve, fitted)
     back = fit_constants(curvature_profile(beta, VARYING_GRID))
     assert back.a ** 2 + back.b ** 2 == pytest.approx(fitted.a ** 2 + fitted.b ** 2,
                                                       rel=0.0, abs=1e-10)
     alpha = varying_curve.points(VARYING_GRID)
+    bar = frames4(beta, VARYING_GRID)
+    measured = [inner(alpha - beta.points(VARYING_GRID), v) for v in (bar.N1, bar.N3)]
+    for want in (measured, [[back.a], [back.b]]):
+        assert np.max(np.abs(np.subtract(inverse_constants(profile, fitted), want))) <= 1e-12
     again = construct_mate(beta, (back.a, back.b)).points(VARYING_GRID)
     assert np.max(np.abs(again - alpha)) <= 1e-12 * np.max(np.abs(alpha))

@@ -135,3 +135,27 @@ def test_tables_across_blocks_match_fnum(shape):
     table = rng.standard_normal(shape) * 10.0 ** rng.integers(-120, 120, shape)
     table[::5, -1] = 5e-324  # a fallback cell at the end of many rows
     assert ftable(table) == reference(table)
+
+
+def test_scaled_error_is_under_a_third_of_the_tie_margin():
+    # _scaled's bound, read exactly: for each power of ten and its neighbours,
+    # 40 drawn mantissas per exponent and the same with the 27 bits that the
+    # cut drops all set, ph is an integer, y = a * 10**(16 - e) lies in
+    # [1e16, 1e17), and ph + pl is within TIE_MARGIN / 3 of y.
+    rng = np.random.default_rng(35)
+    exponents = np.arange(_fmt.E_MIN, _fmt.E_MAX + 1)
+    powers = np.array([float(f"1e{e}") for e in exponents])
+    drawn = (rng.uniform(1.0, 10.0, (40, exponents.size)) * powers).ravel()
+    low_bits = (drawn.view(np.int64) | ((1 << 27) - 1)).view(np.float64)
+    a = np.concatenate([np.nextafter(powers, 0.0), powers, np.nextafter(powers, np.inf),
+                        drawn, low_bits])
+    a = a[(a >= 1e-99) & (a < 1e100)]
+    e = np.floor(np.log10(a)).astype(int)
+    e -= [Fraction(x) < Fraction(10) ** int(k) for x, k in zip(a, e)]
+    e += [Fraction(x) >= Fraction(10) ** int(k + 1) for x, k in zip(a, e)]
+    ph, pl = _fmt._scaled(a, e + _fmt._J, _fmt._tables())
+    margin = Fraction(_fmt.TIE_MARGIN) / 3
+    for x, k, high, low in zip(a, e, ph, pl):
+        y = Fraction(x) * Fraction(10) ** int(16 - k)
+        assert high.is_integer() and 10**16 <= y < 10**17, x
+        assert abs(y - Fraction(high) - Fraction(low)) < margin, x
