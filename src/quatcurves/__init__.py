@@ -19,7 +19,6 @@ from .curves import (
     ArcLengthTable,
     CurveSpec,
     ParametricCurve,
-    arc_length,
     circle3,
     derivative,
     fourier_curve,

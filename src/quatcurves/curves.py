@@ -42,7 +42,6 @@ __all__ = [
     "CurveSpec",
     "ArcLengthTable",
     "derivative",
-    "arc_length",
     "torus_curve",
     "circle3",
     "helix3",
@@ -256,16 +255,6 @@ def derivative(curve: ParametricCurve, u: float, order: int) -> np.ndarray:
 
 
 # -- arc length ---------------------------------------------------------------
-
-def arc_length(curve: ParametricCurve, u0: float, u1: float) -> float:
-    """Arc length from ``u0`` to ``u1``: the total of a ``TABLE_PANELS``-panel table."""
-    lo, hi = curve.domain
-    if not (lo <= u0 <= u1 <= hi):
-        raise ValueError("need u0 <= u1 inside the curve domain")
-    if u0 == u1:
-        return 0.0
-    return ArcLengthTable.build(curve, u0, u1, TABLE_PANELS).total
-
 
 @cache
 def _gauss_legendre(degree: int) -> tuple[np.ndarray, np.ndarray]:

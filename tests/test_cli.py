@@ -484,12 +484,6 @@ class TestBertrandCommands:
                      "--constants", str(consts_path)])
         assert code == 0
 
-    def test_check_inline_constants_failure(self, tmp_path, torus_spec):
-        inline = json.dumps({"a": 2.0, "b": 1.0, "c": 0.0, "d": 0.72,
-                             "epsilon": 1, "delta": 1})
-        code = main(["bertrand", "check", "--curve", torus_spec, "--constants", inline])
-        assert code == 1
-
     def test_fit_honours_tol(self, tmp_path, torus_spec, capsys):
         # The fitted torus constants leave residuals of about 2e-16.
         code = main(["bertrand", "fit", "--curve", torus_spec,
@@ -517,18 +511,6 @@ class TestBertrandCommands:
                      "--constants", json.dumps(PAIR_CONSTANTS), "--report", str(report)]) == 0
         doc = json.loads(report.read_text())
         assert doc["conditions"]["torsion_relation"]["max_residual"] <= 1e-12
-
-    def test_fit_wobble_exit4(self, tmp_path, capsys):
-        # 7 samples hold two distinct (K, r, K - k) triples, which any constants
-        # fit, so the fit refuses them; 11 hold more, and no constant d fits them.
-        spec = write_json(tmp_path, "wobble.json", WOBBLE_DOC)
-        out = tmp_path / "c.json"
-        for samples, message in (("7", "fewer than three distinct"), ("11", "torsion_relation")):
-            code = main(["bertrand", "fit", "--curve", spec, "--out", str(out),
-                         "--samples", samples])
-            assert code == 4
-            assert message in capsys.readouterr().err
-            assert not out.exists()
 
     def test_fit_and_verify_a_varying_curve(self, tmp_path, capsys, monkeypatch, varying_curve):
         # No family has varying curvatures, so the fixture's curve stands in for

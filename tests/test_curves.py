@@ -15,7 +15,6 @@ from quatcurves.curves import (
     ArcLengthTable,
     CurveSpec,
     ParametricCurve,
-    arc_length,
     circle3,
     derivative,
     fourier_curve,
@@ -89,21 +88,23 @@ class TestDerivative:
 class TestArcLength:
     def test_unit_circle_circumference(self):
         c = circle3(1.0)
-        assert abs(arc_length(c, 0.0, 2 * math.pi) - 2 * math.pi) <= 1e-10
+        total = ArcLengthTable.build(c, 0.0, 2 * math.pi, TABLE_PANELS).total
+        assert abs(total - 2 * math.pi) <= 1e-10
 
     def test_zero_interval(self):
         c = circle3(1.0)
-        assert arc_length(c, 1.0, 1.0) == 0.0
+        assert ArcLengthTable.build(c, 1.0, 1.0, TABLE_PANELS).total == 0.0
 
     def test_unit_speed_length_equals_span(self):
         c = torus_curve(0.6, 1.0, 0.4, 2.0)
         L = 5.5
-        assert abs(arc_length(c, 0.0, L) - L) <= 1e-9
+        assert abs(ArcLengthTable.build(c, 0.0, L, TABLE_PANELS).total - L) <= 1e-9
 
     def test_additivity(self):
         c = helix3(3.0, 4.0)
-        total = arc_length(c, 0.5, 9.5)
-        split = arc_length(c, 0.5, 4.0) + arc_length(c, 4.0, 9.5)
+        total, first, second = (ArcLengthTable.build(c, u0, u1, TABLE_PANELS).total
+                                for u0, u1 in ((0.5, 9.5), (0.5, 4.0), (4.0, 9.5)))
+        split = first + second
         assert abs(total - split) <= 1e-9
 
     def test_table_monotone(self):
@@ -205,7 +206,8 @@ class TestIsUnitSpeed:
             table = ArcLengthTable.build(c, *c.domain, 128)
             targets = np.linspace(0.0, table.total, 41)
             u = table.parameters_at(targets)
-            steps = [arc_length(c, u[i], u[i + 1]) for i in range(len(u) - 1)]
+            steps = [ArcLengthTable.build(c, u[i], u[i + 1], TABLE_PANELS).total
+                     for i in range(len(u) - 1)]
             assert np.max(np.abs(np.array(steps) - np.diff(targets))) <= 1e-9, name
 
 
@@ -497,7 +499,6 @@ def _jet_in_r3(s, orders):
     (lambda: ParametricCurve(5, (0.0, 1.0), _jet_in_r3), "curve dimension must be 3 or 4"),
     (lambda: ParametricCurve(3, (0.0, 1.0), _jet_in_r3, validate=False).points([0.5]),
      re.escape("a derivative jet must return one (n, 4) array per order")),
-    (lambda: arc_length(circle3(1.0), 1.0, 0.5), "need u0 <= u1 inside the curve domain"),
     (lambda: ArcLengthTable.build(circle3(1.0), 0.0, 1.0, 1), "need at least 2 panels"),
     (lambda: CurvatureProfile([0.0, 1.0], [1.0], [1.0, 1.0], [0.0, 0.0]),
      "profile arrays must share a length"),
@@ -507,7 +508,7 @@ def _jet_in_r3(s, orders):
      "profile values must be finite"),
     (lambda: BertrandConstants(a=math.inf, b=1.0, c=0.0, d=1.0), "constant a must be finite"),
     (lambda: Quaternion(0.0, (1.0, 2.0)), "vector part must have exactly three components"),
-], ids=["dimension", "jet-shape", "arc-length-order", "one-panel", "profile-lengths",
+], ids=["dimension", "jet-shape", "one-panel", "profile-lengths",
         "profile-grid", "profile-nan", "constant-inf", "short-vector"])
 def test_python_caller_guards(build, message):
     # Inputs no CLI command can produce, refused where a Python caller passes them.
