@@ -398,9 +398,12 @@ def _family(dim: int, jet, domain, name: str) -> ParametricCurve:
 
 
 def _scales(c: float, w: float, powers=_ORDERS) -> np.ndarray:
-    """The column ``c * w**n`` over ``powers``; an entry out of range raises
-    OverflowError, as ``w**n`` itself does."""
-    column = [c * w**n for n in powers]
+    """The column ``c * w**n`` over ``powers``; an entry out of range, or a ``w**n``
+    that overflows on its own, raises OverflowError naming ``c`` and ``w``."""
+    try:
+        column = [c * w**n for n in powers]
+    except OverflowError:  # w**n itself is out of range
+        column = [math.inf]
     if not all(map(math.isfinite, column)):
         raise OverflowError(f"derivative scale {c!r} * {w!r}**n out of range")
     return np.array(column)[:, None]

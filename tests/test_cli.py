@@ -13,7 +13,7 @@ from conftest import TORUS, TORUS_K, TORUS_M, TORUS_R, VARYING, associated_helix
 from quatcurves import cli
 from quatcurves._fmt import BLOCK, fnum, ftable, ftable_blocks
 from quatcurves.bertrand import BertrandConstants, construct_mate
-from quatcurves.cli import MAX_SAMPLES, main
+from quatcurves.cli import main
 from quatcurves.curves import CurveSpec, torus_curve
 from quatcurves.errors import DegeneracyError
 from quatcurves.frames import FRAME4_CSV_HEADER, frames4
@@ -125,6 +125,45 @@ TORUS_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": 0.72,
 PAIR_CONSTANTS = {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0, "d": TORUS_R / TORUS_M,
                   "epsilon": -1, "delta": -1}
 
+# JSON documents that are not curve specs: the wrong types (strings and booleans are
+# not JSON numbers, though float() takes them) or values out of a family's range.
+MISTYPED = {
+    "null-param": {**TORUS_DOC, "params": {**TORUS_DOC["params"], "A": None}},
+    "scalar-domain": {**TORUS_DOC, "domain": 5},
+    "list-coeffs": {"family": "fourier", "params": {"coeffs": [1, 2]}},
+    "huge-int-param": {**TORUS_DOC, "params": {**TORUS_DOC["params"], "q": 10**400}},
+    "bool-param": {"family": "circle3", "params": {"R": True}},
+    "string-param": {"family": "helix3", "params": {"a": "3", "h": 4.0}},
+    "bool-domain": {**TORUS_DOC, "domain": [False, 6]},
+    "string-domain": {**TORUS_DOC, "domain": ["0", "6.283185307179586"]},
+    "string-coeffs": {**LINE_DOC, "params": {"coeffs": {
+        "cos": [["0"], ["0"], ["0"]], "sin": [["0"], ["0"], ["0"]], "linear": ["1", "0", "0"]}}},
+    "list-spec": [],
+    "negative-radius": {"family": "circle3", "params": {"R": -1.0}},
+    "unknown-mode": {"family": "circle3", "params": {"R": 1.0, "mode": "degrees"}},
+    "zero-helix-radius": {"family": "helix3", "params": {"a": 0.0, "h": 1.0}},
+    "short-linear": {**LINE_DOC, "params": {"coeffs": {**LINE_DOC["params"]["coeffs"],
+                                                       "linear": [1.0, 0.0]}}},
+}
+
+# Constants documents whose values are not numbers, or not signs +-1.
+BAD_CONSTANTS = {
+    "huge-epsilon": '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":1e400}',
+    "fractional-epsilon": '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":1.7}',
+    "string-delta": '{"a":1,"b":1,"c":0,"d":0.72,"delta":"1"}',
+    "boolean-epsilon": '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":true}',
+    "string-a": '{"a":"0.5852","b":1,"c":0,"d":0.72}',
+    "boolean-b": '{"a":1,"b":true,"c":0,"d":0.72}',
+}
+
+# Spatial curves whose b*T is not the torus's principal normal.
+UNASSOCIATED = {"helix": {"family": "helix3", "params": {"a": 1.0, "h": 0.5}},
+                "circle": {"family": "circle3", "params": {"R": 2.0}}}
+
+# (mu, past): the torus scaled by mu with its grid ending past its domain by
+# past of its end, which is round-off up to 1e-12.
+GRID_ENDS = [(1e-12, 0.11), (1e-12, 2e-12), (1e12, 2e-12), (1e-12, 5e-13), (1e12, 5e-13)]
+
 # A (2,5) flat torus with A*p = 0.858: on a coarse grid its adjacent N2
 # fields point more than 90 degrees apart.
 TORUS25 = dict(A=0.429, p=2, B=math.sqrt(1.0 - 0.858**2) / 5.0, q=5)
@@ -157,6 +196,15 @@ def write_json(tmp_path, name, doc):
     return str(path)
 
 
+def check_steps(case, label):
+    """An exit-code-only test: the steps ``label`` of ``case`` in ``CASES``
+    (tests/test_cli_cases.py), which give their commands, exit codes and stderr text,
+    and whose commands run once a session.  That module reads this one's documents,
+    so it is imported on the call."""
+    import test_cli_cases
+    test_cli_cases.check_steps(case, label)
+
+
 class TestFrameCommand:
     def test_torus_frame_csv(self, tmp_path, torus_spec, capsys):
         out = tmp_path / "frame.csv"
@@ -179,74 +227,21 @@ class TestFrameCommand:
         assert lines[0].split(",")[:2] == ["s", "t0"]
         assert len(lines) == 12
 
-    def test_line_degenerates_exit3(self, tmp_path, capsys):
-        spec = write_json(tmp_path, "line.json", LINE_DOC)
-        out = tmp_path / "frame.csv"
-        code = main(["frame", "--curve", spec, "--out", str(out)])
-        assert code == 3
-        assert "zero curvature" in capsys.readouterr().err
+    def test_line_degenerates_exit3(self):
+        check_steps("degeneracies", "line")
 
-    def test_inflection_degenerates_exit3(self, tmp_path, capsys):
-        # (u, sin u, sin 2u, sin 3u): the grid starts at the inflection u = 0,
-        # where the computed second derivative is round-off.
-        zeros = [[0.0]] * 4
-        sin = [[0.0], [0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]]
-        doc = {"family": "fourier", "params": {"coeffs": {
-            "cos": zeros, "sin": sin, "linear": [1.0, 0.0, 0.0, 0.0]}}}
-        spec = write_json(tmp_path, "inflection.json", doc)
-        out = tmp_path / "frame.csv"
-        assert main(["frame", "--curve", spec, "--out", str(out), "--samples", "21"]) == 3
-        assert "zero curvature" in capsys.readouterr().err
+    def test_inflection_degenerates_exit3(self):
+        check_steps("degeneracies", "inflection")
 
-    def test_malformed_json_exit2(self, tmp_path, capsys):
-        bad = tmp_path / "bad.json"
-        bad.write_text("{not json at all")
-        code = main(["frame", "--curve", str(bad), "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        # Nested deeper than the JSON parser can recurse, as the curve or the spatial curve.
-        deep = tmp_path / "deep.json"
-        deep.write_text("[" * 200_000)
-        torus = write_json(tmp_path, "torus.json", TORUS_DOC)
-        for inputs in (["--curve", str(deep)], ["--curve", torus, "--spatial", str(deep)]):
-            capsys.readouterr()
-            code = main(["frame", *inputs, "--out", str(tmp_path / "x.csv")])
-            assert code == 2
-            assert "cannot load curve spec" in capsys.readouterr().err
-            assert not (tmp_path / "x.csv").exists()
+    def test_malformed_json_exit2(self):
+        check_steps("input-errors", "malformed-json")
 
-    def test_missing_file_exit2(self, tmp_path):
-        code = main(["frame", "--curve", str(tmp_path / "nope.json"),
-                     "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+    def test_missing_file_exit2(self):
+        check_steps("input-errors", "missing-file")
 
-    @pytest.mark.parametrize("doc", [
-        {**TORUS_DOC, "params": {**TORUS_DOC["params"], "A": None}},
-        {**TORUS_DOC, "domain": 5},
-        {"family": "fourier", "params": {"coeffs": [1, 2]}},
-        {**TORUS_DOC, "params": {**TORUS_DOC["params"], "q": 10**400}},
-        # Strings and booleans are not JSON numbers, though float() takes them.
-        {"family": "circle3", "params": {"R": True}},
-        {"family": "helix3", "params": {"a": "3", "h": 4.0}},
-        {**TORUS_DOC, "domain": [False, 6]},
-        {**TORUS_DOC, "domain": ["0", "6.283185307179586"]},
-        {**LINE_DOC, "params": {"coeffs": {"cos": [["0"], ["0"], ["0"]],
-                                           "sin": [["0"], ["0"], ["0"]],
-                                           "linear": ["1", "0", "0"]}}},
-        [],
-        {"family": "circle3", "params": {"R": -1.0}},
-        {"family": "circle3", "params": {"R": 1.0, "mode": "degrees"}},
-        {"family": "helix3", "params": {"a": 0.0, "h": 1.0}},
-        {**LINE_DOC, "params": {"coeffs": {**LINE_DOC["params"]["coeffs"],
-                                           "linear": [1.0, 0.0]}}},
-    ], ids=["null-param", "scalar-domain", "list-coeffs", "huge-int-param", "bool-param",
-            "string-param", "bool-domain", "string-domain", "string-coeffs", "list-spec",
-            "negative-radius", "unknown-mode", "zero-helix-radius", "short-linear"])
-    def test_mistyped_spec_exit2(self, tmp_path, capsys, doc):
-        spec = write_json(tmp_path, "typed.json", doc)
-        code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv")])
-        assert code == 2
-        assert "cannot load curve spec" in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+    @pytest.mark.parametrize("name", MISTYPED)
+    def test_mistyped_spec_exit2(self, name):
+        check_steps("mistyped-specs", name)
 
     def test_deeply_nested_coefficient_short_message_exit2(self, tmp_path, capsys):
         # The offending value is quoted in a bounded form, not in full.
@@ -259,25 +254,9 @@ class TestFrameCommand:
         assert len(err.encode()) < 300
         assert "cos must be a finite number" in err
 
-    @pytest.mark.parametrize("command, message", [
-        (["frame", "--curve", "torus.json", "--spatial", "torus.json", "--out", "x.csv"],
-         "the spatial curve must have dimension 3, not 4"),
-        (["verify", "--curve", "circle.json", "--constants", json.dumps(TORUS_CONSTANTS),
-          "--report", "x.json"], "the R^4 curve must have dimension 4, not 3"),
-        (["bertrand", "mate", "--curve", "circle.json", "--constants",
-          json.dumps(TORUS_CONSTANTS), "--out", "x.csv"],
-         "the R^4 curve must have dimension 4, not 3"),
-        (["frame", "--curve", "circle.json", "--spatial", "torus.json", "--out", "x.csv"],
-         "the R^4 curve must have dimension 4, not 3"),
-    ], ids=["4d-spatial", "3d-curve", "3d-mate", "3d-frame"])
-    def test_wrong_dimension_names_the_curve_exit2(self, tmp_path, monkeypatch, capsys,
-                                                   command, message):
-        monkeypatch.chdir(tmp_path)
-        write_json(tmp_path, "torus.json", TORUS_DOC)
-        write_json(tmp_path, "circle.json", CIRCLE_DOC)
-        assert main(command) == 2
-        assert message in capsys.readouterr().err
-        assert not (tmp_path / "x.csv").exists()
+    @pytest.mark.parametrize("label", ["4d-spatial", "3d-curve", "3d-mate", "3d-frame"])
+    def test_wrong_dimension_names_the_curve_exit2(self, label):
+        check_steps("input-errors", label)
 
     def test_sharp_bend_frame_exit0(self, tmp_path, capsys):
         # The curvature column at the mapped parameters is the classical
@@ -320,17 +299,8 @@ class TestFrameCommand:
         assert np.max(np.abs(mu * rows[:, 17] / TORUS_K - 1.0)) <= 1e-12
 
     @pytest.mark.parametrize("mu", [1e-12, 1e12])
-    def test_scaled_torus_frame_fit_and_verify_exit0(self, tmp_path, mu):
-        # The fit's floors and verify's tolerances are written in the units of
-        # their quantities, so the torus has its mate at any size.
-        doc = torus_doc(TORUS["A"] * mu, TORUS["p"] / mu, TORUS["B"] * mu, TORUS["q"] / mu)
-        doc["domain"] = [0.0, 2.0 * math.pi * mu]
-        spec = write_json(tmp_path, "scaled.json", doc)
-        consts, grid = str(tmp_path / "c.json"), ["--samples", "21"]
-        assert main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv"), *grid]) == 0
-        assert main(["bertrand", "fit", "--curve", spec, "--out", consts, *grid]) == 0
-        assert main(["verify", "--curve", spec, "--constants", consts,
-                     "--report", str(tmp_path / "r.json"), *grid]) == 0
+    def test_scaled_torus_frame_fit_and_verify_exit0(self, mu):
+        check_steps("scaled-1e12", str(mu))
 
     @pytest.mark.parametrize("shift", [1e4, 1e6, 1e7, 1e8])
     def test_translated_torus_fit_and_verify_exit0(self, tmp_path, shift):
@@ -377,21 +347,9 @@ class TestFrameCommand:
         assert b == 1.0 if mu <= 1e12 else 1.0 <= b * np.max(K) < 2.0
 
     @pytest.mark.parametrize("mu", [1e-20, 1.0, 1e20])
-    @pytest.mark.parametrize("command", [
-        ["frame", "--out", "out"],
-        ["bertrand", "fit", "--out", "out"],
-        ["verify", "--constants", "constants.json", "--report", "out"],
-    ], ids=["frame", "fit", "verify"])
-    def test_cusp_is_irregular_at_any_size(self, tmp_path, monkeypatch, capsys, command, mu):
-        # At u = 0 the speed is 0, computed as round-off of terms of the
-        # curve's size (about 5e-17 times mu; cos(pi/2) is 6e-17), so it is read
-        # against the grid's largest speed, not against an absolute floor.
-        monkeypatch.chdir(tmp_path)
-        write_json(tmp_path, "cusp.json", scaled_amplitudes(CUSP_DOC, mu))
-        write_json(tmp_path, "constants.json", TORUS_CONSTANTS)
-        assert main(command + ["--curve", "cusp.json", "--samples", "21"]) == 3
-        assert "degeneracy: irregular curve" in capsys.readouterr().err
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("command", ["frame", "fit", "verify"])
+    def test_cusp_is_irregular_at_any_size(self, command, mu):
+        check_steps("cusp", f"{command}-{mu}")
 
     @pytest.mark.parametrize("mu", [1e-12, 1e-6, 1.0, 1e6, 1e12])
     @pytest.mark.parametrize("m", [1, 2, 3])
@@ -415,58 +373,20 @@ class TestFrameCommand:
         assert "degeneracy: zero torsion" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("mu, past", [(1e-12, 0.11), (1e-12, 2e-12), (1e12, 2e-12),
-                                          (1e-12, 5e-13), (1e12, 5e-13)])
-    def test_scaled_torus_grid_end_slack(self, tmp_path, capsys, mu, past):
-        # A grid may end past the domain by round-off, 1e-12 of the end's
-        # magnitude, whatever the curve's size; beyond that it is input error.
-        end = 2.0 * math.pi * mu
-        doc = torus_doc(TORUS["A"] * mu, TORUS["p"] / mu, TORUS["B"] * mu, TORUS["q"] / mu)
-        doc["domain"] = [0.0, end]
-        spec = write_json(tmp_path, "scaled.json", doc)
-        code = main(["frame", "--curve", spec, "--out", str(tmp_path / "x.csv"),
-                     "--samples", "21", "--s1", repr(end * (1.0 + past))])
-        assert code == (2 if past > 1e-12 else 0)
-        assert ("need finite s0 < s1 inside" in capsys.readouterr().err) == (code == 2)
+    @pytest.mark.parametrize("mu, past", GRID_ENDS)
+    def test_scaled_torus_grid_end_slack(self, mu, past):
+        check_steps("scaled-1e12", f"{mu}-{past}")
 
-    def test_spatial_shorter_than_curve_exit2(self, tmp_path, capsys):
-        fast = write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
-        short = write_json(tmp_path, "short.json", {**HELIX_DOC, "domain": [0.0, 5.0]})
-        code = main(["frame", "--curve", fast, "--spatial", short,
-                     "--out", str(tmp_path / "x.csv"), "--samples", "11"])
-        assert code == 2
-        assert "beyond the end of the spatial curve" in capsys.readouterr().err
+    def test_spatial_shorter_than_curve_exit2(self):
+        check_steps("input-errors", "spatial-shorter")
 
-    @pytest.mark.parametrize("spatial", [{"family": "helix3", "params": {"a": 1.0, "h": 0.5}},
-                                         {"family": "circle3", "params": {"R": 2.0}}],
-                             ids=["helix", "circle"])
-    @pytest.mark.parametrize("command", [
-        ["frame", "--out", "out"],
-        ["bertrand", "fit", "--out", "out"],
-        ["bertrand", "check", "--constants", json.dumps(PAIR_CONSTANTS), "--report", "out"],
-        ["bertrand", "mate", "--constants", json.dumps(PAIR_CONSTANTS), "--out", "out"],
-        ["verify", "--constants", json.dumps(PAIR_CONSTANTS), "--report", "out"],
-    ], ids=["frame", "fit", "check", "mate", "verify"])
-    def test_unassociated_spatial_exit3(self, tmp_path, monkeypatch, capsys, torus_spec,
-                                        command, spatial):
-        # Its b*T is not the torus's principal normal, so no pair frame exists.
-        monkeypatch.chdir(tmp_path)
-        write_json(tmp_path, "spatial.json", spatial)
-        code = main(command + ["--curve", torus_spec, "--spatial", "spatial.json",
-                               "--samples", "21"])
-        assert code == 3
-        err = capsys.readouterr().err
-        assert err.startswith("degeneracy: pair frame:") and "not associated" in err
-        assert not (tmp_path / "out").exists()
+    @pytest.mark.parametrize("spatial", UNASSOCIATED)
+    @pytest.mark.parametrize("command", ["frame", "fit", "check", "mate", "verify"])
+    def test_unassociated_spatial_exit3(self, command, spatial):
+        check_steps("unassociated", f"{command}-{spatial}")
 
-    def test_samples_beyond_bound_exit2(self, tmp_path, torus_spec, capsys):
-        # Rejected before any grid array is allocated.
-        out = tmp_path / "frame.csv"
-        code = main(["frame", "--curve", torus_spec, "--out", str(out),
-                     "--samples", "100000000000"])
-        assert code == 2
-        assert f"between 3 and {MAX_SAMPLES}" in capsys.readouterr().err
-        assert not out.exists()
+    def test_samples_beyond_bound_exit2(self):
+        check_steps("input-errors", "samples-beyond-bound")
 
 
 class TestBertrandCommands:
@@ -555,26 +475,12 @@ class TestBertrandCommands:
         ]
         assert out.read_text().splitlines() == expected
 
-    def test_constants_with_zero_a_exit2(self, tmp_path, torus_spec):
-        inline = json.dumps({"a": 0.0, "b": 1.0, "c": 0.0, "d": 0.72,
-                             "epsilon": 1, "delta": 1})
-        code = main(["bertrand", "check", "--curve", torus_spec, "--constants", inline])
-        assert code == 2
+    def test_constants_with_zero_a_exit2(self):
+        check_steps("input-errors", "zero-a")
 
-
-    @pytest.mark.parametrize("document", [
-        '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":1e400}',
-        '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":1.7}',
-        '{"a":1,"b":1,"c":0,"d":0.72,"delta":"1"}',
-        '{"a":1,"b":1,"c":0,"d":0.72,"epsilon":true}',
-        '{"a":"0.5852","b":1,"c":0,"d":0.72}',
-        '{"a":1,"b":true,"c":0,"d":0.72}',
-    ], ids=["huge-epsilon", "fractional-epsilon", "string-delta", "boolean-epsilon",
-            "string-a", "boolean-b"])
-    def test_constants_not_numbers_or_signs_exit2(self, torus_spec, capsys, document):
-        code = main(["bertrand", "check", "--curve", torus_spec, "--constants", document])
-        assert code == 2
-        assert "invalid constants document" in capsys.readouterr().err
+    @pytest.mark.parametrize("name", BAD_CONSTANTS)
+    def test_constants_not_numbers_or_signs_exit2(self, name):
+        check_steps("bad-constants", name)
 
     def test_deeply_nested_constant_short_message_exit2(self, torus_spec, capsys):
         document = '{"a": ' + "[" * 900 + "1" + "]" * 900 + ', "b": 1, "c": 0, "d": 0.72}'
@@ -584,15 +490,9 @@ class TestBertrandCommands:
         assert len(err.encode()) < 300
         assert "a must be a finite number" in err
 
-    @pytest.mark.parametrize("inline", [True, False], ids=["inline", "file"])
-    def test_constants_nested_too_deeply_exit2(self, tmp_path, torus_spec, capsys, inline):
-        document = '{"a": ' + "[" * 5000
-        if not inline:
-            (tmp_path / "deep.json").write_text(document)
-            document = str(tmp_path / "deep.json")
-        code = main(["bertrand", "check", "--curve", torus_spec, "--constants", document])
-        assert code == 2
-        assert "cannot load constants: JSON nested too deeply" in capsys.readouterr().err
+    @pytest.mark.parametrize("where", ["inline", "file"])
+    def test_constants_nested_too_deeply_exit2(self, where):
+        check_steps("bad-constants", where)
 
 
 class TestCsvOutput:
@@ -720,20 +620,9 @@ class TestVerifyCommand:
         assert capsys.readouterr().err.splitlines() == [f"stage error: {e}" for e in errors]
 
 
-@pytest.mark.parametrize("command", [
-    ["frame", "--out", "frame.csv"],
-    ["bertrand", "fit", "--out", "c.json"],
-    ["bertrand", "mate", "--constants", "c.json", "--out", "mate.csv"],
-    ["verify", "--constants", "c.json", "--report", "report.json"],
-], ids=["frame", "fit", "mate", "verify"])
-def test_default_grid_on_finite_difference_curve(tmp_path, monkeypatch, command):
-    # On a curve that is not unit speed the default grid spans its whole
-    # arc length, [0, total]; no command rejects it as input.
-    monkeypatch.chdir(tmp_path)
-    write_json(tmp_path, "fast.json", FAST_TORUS_DOC)
-    write_json(tmp_path, "c.json", {"a": 1.0 / TORUS_K, "b": 1.0, "c": 0.0,
-                                    "d": TORUS_R / TORUS_M, "epsilon": 1, "delta": 1})
-    assert main(command + ["--curve", "fast.json", "--samples", "11"]) != 2
+@pytest.mark.parametrize("command", ["frame", "fit", "mate", "verify"])
+def test_default_grid_on_finite_difference_curve(command):
+    check_steps("fast-torus", command)
 
 
 @pytest.mark.parametrize("command, reads_tol", [
@@ -751,9 +640,8 @@ def test_registered_options(command, reads_tol, capsys):
     assert ("--tol" in usage) == reads_tol
 
 
-def test_usage_error_exit2(capsys):
-    assert main(["frame"]) == 2  # missing required flags
-    assert main(["no-such-command"]) == 2
+def test_usage_error_exit2():
+    check_steps("input-errors", "usage")
 
 
 @pytest.mark.parametrize("tol", ["nan", "inf", "-1", "abc"])
@@ -775,11 +663,8 @@ def test_tol_must_be_finite_and_non_negative(tmp_path, monkeypatch, capsys, comm
 
 
 @pytest.mark.parametrize("bound", ["--s1=inf", "--s0=-inf", "--s1=nan"])
-def test_non_finite_grid_bound_exit2(tmp_path, torus_spec, capsys, bound):
-    out = tmp_path / "frame.csv"
-    assert main(["frame", "--curve", torus_spec, "--out", str(out), bound]) == 2
-    assert "need finite s0 < s1" in capsys.readouterr().err
-    assert not out.exists()
+def test_non_finite_grid_bound_exit2(bound):
+    check_steps("input-errors", bound)
 
 
 # Runs each command line of the JSON list in argv[1] through one fresh
